@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-json lint-changed lint-bench lint-tests chaos durability serve serve-tests serve-smoke live-chaos live-chaos-full
+.PHONY: test lint lint-json lint-changed lint-bench lint-tests chaos durability serve serve-tests serve-smoke live-chaos live-chaos-full bench-selftest
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -67,3 +67,9 @@ live-chaos:
 
 live-chaos-full:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli chaos --live
+
+# The benchmark's tiny-scale self-test (about 45 s): every workload and
+# the traced mode end to end.  Its traced mode wraps store and codec
+# functions by name, so a refactor that renames one fails here first.
+bench-selftest:
+	$(PYTHON) perfbench/selftest.py

@@ -28,12 +28,13 @@ def main() -> None:
     print(f"uploaded {len(original)} bytes as {len(record.chunk_keys)} chunk(s), "
           "safety-net copy written")
 
-    # 2. Intentional corruption of the stored Lepton payload.
+    # 2. Intentional corruption of the stored Lepton payload, at rest:
+    #    flip a byte mid-payload (the payload is the tail of its blob).
     key = record.chunk_keys[0]
-    entry = store.entries[key]
-    damaged = bytearray(entry.chunk.payload)
-    damaged[len(damaged) // 2] ^= 0xFF
-    entry.chunk.payload = bytes(damaged)
+    blob_key = f"chunk/{key}"
+    damaged = bytearray(store.backend.read(blob_key))
+    damaged[-(store.entries[key].stored_size // 2)] ^= 0xFF
+    store.backend.write(blob_key, bytes(damaged))
     print("stored payload intentionally corrupted")
 
     # 3. A download trips the integrity check — loudly, not silently.

@@ -13,7 +13,7 @@ Run:  python examples/streaming_chunks.py
 import time
 
 from repro.core.chunks import compress_chunked, decompress_chunk
-from repro.core.lepton import LeptonConfig, compress, decompress_stream
+from repro.core.lepton import LeptonConfig, compress, decompress_chunks
 from repro.corpus.builder import corpus_jpeg
 
 
@@ -40,7 +40,7 @@ def main() -> None:
     # --- streaming: time-to-first-byte ----------------------------------
     payload = compress(jpeg, LeptonConfig(threads=4)).payload
     start = time.perf_counter()
-    stream = decompress_stream(payload)
+    stream = decompress_chunks([payload])
     first = next(stream)
     ttfb = time.perf_counter() - start
     rest = b"".join(stream)

@@ -423,11 +423,11 @@ def main(argv=None) -> int:
                         help="for serve: directory watched for the §5.7 "
                              "shutoff file (default: system temp)")
     parser.add_argument("--data-dir", metavar="DIR", default=None,
-                        help="for serve: root of the crash-consistent "
-                             "durable store (default: in-memory)")
+                        help="for serve: root of the filesystem replicas "
+                             "and journals (default: keep them in memory)")
     parser.add_argument("--scrub-interval", type=float, default=None,
                         help="for serve: seconds between background "
-                             "scrub passes (requires --data-dir)")
+                             "scrub passes")
     parser.add_argument("--idle-timeout", type=float, default=None,
                         help="for serve: per-connection read timeout in "
                              "seconds (slow-loris guard; default: none)")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.core import format as lformat
-from repro.core.decoder import decode_lepton, decode_lepton_stream
+from repro.core.decoder import decode_lepton
 from repro.core.encoder import EncodeStats, RoundtripMismatch, encode_jpeg
 from repro.core.session import DecodeSession, EncodeSession
 from repro.core.errors import (
@@ -348,31 +348,6 @@ def decompress_result(payload: bytes, parallel: bool = True,
     return DecompressionResult(data, fmt, seconds)
 
 
-def decompress_stream(payload: bytes, parallel: bool = True,
-                      model_config: Optional[ModelConfig] = None) -> Iterator[bytes]:
-    """Streaming decompression (time-to-first-byte path)."""
-    if payload[:2] == lformat.MAGIC:
-        yield from decode_lepton_stream(payload, model_config, parallel)
-    else:
-        yield _inflate(payload)
-
-
-def decompress_bounded(payload: bytes,
-                       model_config: Optional[ModelConfig] = None) -> Iterator[bytes]:
-    """Row-by-row streaming decompression with a bounded working set.
-
-    The production memory discipline (§1, §4.2): coefficients live in a
-    sliding window of block rows, output drains every MCU row, and the
-    working set scales with image *width* rather than area.
-    """
-    from repro.core.decoder import decode_lepton_bounded
-
-    if payload[:2] == lformat.MAGIC:
-        yield from decode_lepton_bounded(payload, model_config)
-    else:
-        yield _inflate(payload)
-
-
 def decompress_chunks(
     chunks,
     model_config: Optional[ModelConfig] = None,
@@ -449,61 +424,4 @@ def roundtrip_check(data: bytes, config: Optional[LeptonConfig] = None) -> Compr
                 None,
                 "post-compression round-trip verification failed",
             )
-    return result
-
-
-def roundtrip_check_chunked(
-    chunks, config: Optional[LeptonConfig] = None
-) -> CompressionResult:
-    """§5.7 admission gate over an *iterator* of input chunks.
-
-    Drives :func:`compress_stream`, then verifies the stored payload
-    decodes — chunk against chunk via :func:`decompress_chunks` — to
-    exactly the input it consumed.  A mismatch downgrades to the Deflate
-    fallback with ``ROUNDTRIP_FAILED``, like :func:`roundtrip_check`.
-    The returned result carries the full stored payload.
-    """
-    buffered: "list[bytes]" = []
-
-    def _tee(source):
-        for chunk in source:
-            chunk = bytes(chunk)
-            buffered.append(chunk)
-            yield chunk
-
-    stream = compress_stream(_tee(chunks), config)
-    pieces = []
-    while True:
-        try:
-            pieces.append(next(stream))
-        except StopIteration as stop:
-            result = stop.value
-            break
-    payload = b"".join(pieces)
-    data = b"".join(buffered)
-    result.payload = payload
-    if result.format != FORMAT_LEPTON:
-        return result
-    position = 0
-    ok = True
-    try:
-        for piece in decompress_chunks([payload]):
-            if data[position : position + len(piece)] != piece:
-                ok = False
-                break
-            position += len(piece)
-    except (LeptonError, FormatError):
-        ok = False
-    if ok and position != len(data):
-        ok = False
-    if not ok:
-        get_registry().counter("lepton.verify.roundtrip_failures").inc()
-        return CompressionResult(
-            ExitCode.ROUNDTRIP_FAILED,
-            FORMAT_DEFLATE,
-            zlib.compress(data, 6),
-            len(data),
-            None,
-            "post-compression round-trip verification failed",
-        )
     return result

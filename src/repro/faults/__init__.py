@@ -10,7 +10,6 @@ pair into a byte-reproducible :class:`~repro.faults.report.ChaosReport`.
 from repro.faults.injector import (
     FleetFaultInjector,
     ReadFaultInjector,
-    corrupt_at_rest,
     corrupt_backend_at_rest,
 )
 from repro.faults.killpoints import (
@@ -48,7 +47,6 @@ __all__ = [
     "SlowFault",
     "StorageFaultConfig",
     "UPLOAD_KILL_POINTS",
-    "corrupt_at_rest",
     "corrupt_backend_at_rest",
     "kill_points_from_env",
 ]

@@ -23,11 +23,7 @@ import numpy as np
 
 from repro.core.errors import LeptonError
 from repro.corpus.builder import corpus_jpeg
-from repro.faults.injector import (
-    ReadFaultInjector,
-    corrupt_at_rest,
-    corrupt_backend_at_rest,
-)
+from repro.faults.injector import ReadFaultInjector, corrupt_backend_at_rest
 from repro.faults.killpoints import PUT_KILL_POINTS, KillPointError, KillPoints
 from repro.faults.plan import FaultPlan, StorageFaultConfig
 from repro.faults.report import ChaosReport, DurabilityReport
@@ -98,8 +94,8 @@ def run_storage_chaos(
     rng = np.random.default_rng(seed)
     injected_at_rest = 0
     if storage is not None:
-        injected_at_rest = corrupt_at_rest(store, storage, rng,
-                                           registry=registry)
+        injected_at_rest = corrupt_backend_at_rest(store.backend, storage,
+                                                   rng, registry=registry)
         store.read_fault = ReadFaultInjector(storage, seed=seed + 1,
                                              registry=registry)
     if policies:

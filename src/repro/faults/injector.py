@@ -6,9 +6,10 @@ Two surfaces:
   fleet simulation's :class:`~repro.storage.simclock.SimClock` (network
   faults are consulted at ship time by the fleet itself, via
   ``plan.network_fault_at``).
-* :class:`ReadFaultInjector` + :func:`corrupt_at_rest` corrupt stored
-  Lepton payloads: per-read transient faults that a retry heals, and
-  persistent bit-flips that only the original-JPEG fallback survives.
+* :class:`ReadFaultInjector` + :func:`corrupt_backend_at_rest` corrupt
+  stored Lepton payloads: per-read transient faults that a retry heals,
+  and persistent blob rot that only a healthy replica or the
+  original-JPEG fallback survives.
 
 Everything is driven by explicit seeds and the simulated clock; injected
 events are counted under ``faults.injected{kind=...}`` so a chaos report
@@ -130,37 +131,13 @@ class ReadFaultInjector:
         return _corrupt_payload(payload, kind, self.rng)
 
 
-def corrupt_at_rest(store, config: StorageFaultConfig, rng,
-                    registry: Optional[MetricsRegistry] = None) -> int:
-    """Persistently corrupt up to ``at_rest_corruptions`` stored payloads.
-
-    Keys are chosen over the *sorted* key list so the damage is a pure
-    function of the rng state.  Returns the number of payloads corrupted.
-    The stored digests are left untouched: every later read of these keys
-    fails verification, exactly like real at-rest rot under a checksummed
-    store.
-    """
-    registry = registry if registry is not None else get_registry()
-    keys = sorted(store.entries)
-    if not keys or config.at_rest_corruptions <= 0:
-        return 0
-    count = min(config.at_rest_corruptions, len(keys))
-    chosen = rng.choice(len(keys), size=count, replace=False)
-    for index in sorted(int(i) for i in chosen):
-        entry = store.entries[keys[index]]
-        entry.chunk.payload = _corrupt_payload(
-            entry.chunk.payload, "bitflip", rng
-        )
-        registry.counter("faults.injected", kind="at_rest_bitflip").inc()
-    return count
-
-
 def corrupt_backend_at_rest(backend, config: StorageFaultConfig, rng,
                             registry: Optional[MetricsRegistry] = None
                             ) -> int:
     """Persistently rot up to ``at_rest_corruptions`` chunk *blobs* on one
-    storage backend (repro.storage.backends) — the durable-mode twin of
-    :func:`corrupt_at_rest`.
+    storage backend (repro.storage.backends).  The stored digests are left
+    untouched: every later read of these keys fails verification, exactly
+    like real at-rest rot under a checksummed store.
 
     Aim it at a single replica of a
     :class:`~repro.storage.backends.ReplicatedBackend` to model one

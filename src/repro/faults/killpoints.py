@@ -52,7 +52,7 @@ PUT_KILL_POINTS: Tuple[str, ...] = (
     "journal.commit.torn",    # crash mid-append of the commit record
     "journal.commit.post",    # commit durable — the point of no return
     "backend.file_record",    # file-record blob landed
-    "store.index.post",       # in-memory index updated
+    "store.index.post",       # metadata index updated
     "journal.checkpoint.pre",  # about to truncate the journal
 )
 

@@ -54,7 +54,7 @@ BLOCKING_PROJECT_FUNCTIONS = frozenset({
     "repro.compress", "repro.decompress",
     "repro.core.lepton.compress", "repro.core.lepton.decompress",
     "repro.core.lepton.compress_stream", "repro.core.lepton.decompress_chunks",
-    "repro.core.lepton.roundtrip_check", "repro.core.lepton.roundtrip_check_chunked",
+    "repro.core.lepton.roundtrip_check",
     "repro.core.chunks.compress_chunked", "repro.core.chunks.decompress_chunk",
 })
 

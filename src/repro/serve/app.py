@@ -54,7 +54,7 @@ from repro.storage.blockstore import (
     IntegrityError,
     open_durable_store,
 )
-from repro.storage.journal import Journal
+from repro.storage.journal import Journal, MemoryJournal
 from repro.storage.quotas import QuotaBoard, QuotaExceeded
 from repro.storage.retry import BreakerBoard, CircuitBreaker, RetryPolicy
 from repro.storage.safety import ShutoffSwitch
@@ -128,8 +128,9 @@ class ServeConfig:
     fault_plan: Optional[FaultPlan] = None
     fault_seed: int = 0
     # -- durability (docs/durability.md) --------------------------------
-    #: Root directory for the crash-consistent store; ``None`` keeps the
-    #: store in memory (the pre-PR-8 behaviour, and the test default).
+    #: Root directory of filesystem replicas and journals; ``None`` keeps
+    #: the blobs and journals in memory (the test default).  Either way
+    #: every put runs the same journaled protocol.
     data_dir: Optional[str] = None
     #: Filesystem replicas under ``data_dir`` (quorum writes, validated
     #: reads with read-repair when > 1).
@@ -181,8 +182,7 @@ class LeptonServer:
         self.store = self._build_store()
         self.uploads = self._build_uploads()
         self._attach_kill()
-        self.scrubber = (Scrubber(self.store, registry=self.registry)
-                         if self.store.durable else None)
+        self.scrubber = Scrubber(self.store, registry=self.registry)
         self._scrub_task: Optional[asyncio.Task] = None
         self.shutoff = ShutoffSwitch(directory=self.config.shutoff_dir)
         self.gate = AdmissionGate(self.config.max_inflight,
@@ -203,7 +203,8 @@ class LeptonServer:
         self._declare_metrics()
 
     def _build_store(self) -> BlockStore:
-        """The verified chunk store — durable when ``data_dir`` is set."""
+        """The verified chunk store — on filesystem replicas when
+        ``data_dir`` is set, in memory otherwise."""
         read_retry = RetryPolicy(max_attempts=self.config.read_retry_attempts)
         read_fault = (self.injector.read_fault
                       if self.injector is not None else None)
@@ -234,20 +235,18 @@ class LeptonServer:
         )
 
     def _build_uploads(self) -> UploadLedger:
-        """The resumable-upload ledger, journal-backed in durable mode.
+        """The resumable-upload ledger over the store's backend, with its
+        own ``uploads.wal`` journal under ``data_dir``.
 
         Recovery (journal replay, orphan-blob pruning, quota
         re-reservation) also runs here, before the socket opens —
         ``HEAD /uploads/{id}`` must report durable truth from request #1.
         """
-        if self.config.data_dir is None:
-            return UploadLedger(quotas=self.quotas)
-        ledger = UploadLedger(
-            backend=self.store.backend,
-            journal=Journal(os.path.join(str(self.config.data_dir),
-                                         "uploads.wal")),
-            quotas=self.quotas,
-        )
+        journal = (MemoryJournal() if self.config.data_dir is None
+                   else Journal(os.path.join(str(self.config.data_dir),
+                                             "uploads.wal")))
+        ledger = UploadLedger(backend=self.store.backend, journal=journal,
+                              quotas=self.quotas)
         ledger.recover()
         return ledger
 
@@ -257,11 +256,9 @@ class LeptonServer:
         if kill is None:
             return
         self.store.kill = kill
-        if self.store.journal is not None:
-            self.store.journal.kill = kill
+        self.store.journal.kill = kill
         self.uploads.kill = kill
-        if self.uploads.journal is not None:
-            self.uploads.journal.kill = kill
+        self.uploads.journal.kill = kill
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -271,7 +268,7 @@ class LeptonServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._t0 = time.monotonic()
-        if self.scrubber is not None and self.config.scrub_interval:
+        if self.config.scrub_interval:
             self._scrub_task = asyncio.create_task(self._scrub_loop())
 
     async def _scrub_loop(self) -> None:
@@ -590,15 +587,13 @@ class LeptonServer:
         # seconds until an open breaker admits its half-open probe.
         payload["breakers"] = self.breakers.describe()
         payload["uploads"] = self.uploads.describe()
-        if self.store.durable:
-            # Backend description walks the filesystem (key counts):
-            # blocking I/O, so it runs on the executor like the codec.
-            loop = asyncio.get_running_loop()
-            payload["backend"] = await loop.run_in_executor(
-                None, self.store.backend.describe)
-            payload["backend"]["damaged_entries"] = self.store.damaged_entries
-            if self.scrubber is not None:
-                payload["scrub"] = self.scrubber.describe()
+        # Backend description walks the filesystem (key counts): blocking
+        # I/O, so it runs on the executor like the codec.
+        loop = asyncio.get_running_loop()
+        payload["backend"] = await loop.run_in_executor(
+            None, self.store.backend.describe)
+        payload["backend"]["damaged_entries"] = self.store.damaged_entries
+        payload["scrub"] = self.scrubber.describe()
         body, headers = json_body(payload)
         if status == 503:
             headers["Retry-After"] = str(self.config.retry_after)
@@ -685,7 +680,7 @@ class LeptonServer:
         """The stored-file JSON surface shared by ``PUT /files`` and a
         finalizing ``PUT /uploads/{id}``."""
         stored = self.store.stored_bytes_for(record)
-        formats = {self.store.entries[key].chunk.format
+        formats = {self.store.entries[key].format
                    for key in record.chunk_keys}
         body, headers = json_body({
             "id": file_id,

@@ -80,31 +80,24 @@ class LiveFaultInjector:
 
         Called after each admission so rot lands on bytes that exist; the
         stored digests are untouched, exactly like at-rest decay under a
-        checksummed store.  In durable mode the rot lands on one replica's
-        *blob* (the first, when replicated), so validated reads and the
-        scrubber — not the in-memory fallbacks — do the healing.  Returns
-        payloads corrupted (0 or 1).
+        checksummed store.  The rot lands on one replica's chunk *blob*
+        (the first, when replicated), so validated reads and the scrubber
+        do the healing.  Returns payloads corrupted (0 or 1).
         """
         if self._at_rest_budget <= 0 or not store.entries:
             return 0
         keys = sorted(store.entries)
         key = keys[int(self.rng.integers(len(keys)))]
-        if store.backend is not None:
-            backend = store.backend
-            replicas = getattr(backend, "replicas", None)
-            if replicas:
-                backend = replicas[0]
-            try:
-                blob = backend.read(f"chunk/{key}")
-            except KeyError:
-                return 0
-            backend.write(f"chunk/{key}",
-                          _corrupt_payload(blob, "bitflip", self.rng))
-        else:
-            entry = store.entries[key]
-            entry.chunk.payload = _corrupt_payload(
-                entry.chunk.payload, "bitflip", self.rng
-            )
+        backend = store.backend
+        replicas = getattr(backend, "replicas", None)
+        if replicas:
+            backend = replicas[0]
+        try:
+            blob = backend.read(f"chunk/{key}")
+        except KeyError:
+            return 0
+        backend.write(f"chunk/{key}",
+                      _corrupt_payload(blob, "bitflip", self.rng))
         self._at_rest_budget -= 1
         self.registry.counter("faults.injected", kind="at_rest_bitflip").inc()
         return 1

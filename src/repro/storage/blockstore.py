@@ -12,7 +12,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.chunks import StoredChunk, compress_chunked, decompress_chunk
 from repro.core.errors import LeptonError, TimeoutExceeded
@@ -23,13 +23,14 @@ from repro.storage.backends import (
     BackendError,
     BlobError,
     FilesystemBackend,
+    MemoryBackend,
     ReplicatedBackend,
     StorageBackend,
     decode_blob,
     encode_blob,
 )
 from repro.storage.chunking import CHUNK_SIZE
-from repro.storage.journal import Journal
+from repro.storage.journal import Journal, MemoryJournal
 from repro.storage.quotas import QuotaBoard
 from repro.storage.retry import RetryPolicy
 
@@ -39,15 +40,22 @@ def file_blob_key(name: str) -> str:
     return "file/" + hashlib.sha256(name.encode()).hexdigest()
 
 
+#: Chunk format recovery assigns when no replica held an intact blob.
+DAMAGED_FORMAT = "damaged"
+
+
 class IntegrityError(RuntimeError):
     """Stored payload no longer matches its recorded digest."""
 
 
 @dataclass
 class StoreEntry:
-    """One admitted chunk: payload plus integrity metadata."""
+    """One admitted chunk's metadata; the payload lives in the backend."""
 
-    chunk: StoredChunk
+    index: int
+    format: str
+    original_size: int
+    stored_size: int
     payload_md5: str
     original_sha256: str
 
@@ -63,7 +71,13 @@ class FileRecord:
 
 @dataclass
 class BlockStore:
-    """In-memory model of the chunk storage backend."""
+    """The chunk store: a metadata index over a key-to-blob backend.
+
+    Every put runs the journaled protocol of :meth:`_admit_file` and every
+    read fetches its payload from ``backend``.  The defaults keep both the
+    blobs and the journal in RAM; :func:`open_durable_store` puts them on
+    filesystem replicas instead.
+    """
 
     chunk_size: int = CHUNK_SIZE
     config: LeptonConfig = field(default_factory=LeptonConfig)
@@ -80,26 +94,24 @@ class BlockStore:
     #: persistently corrupt Lepton payload can still serve the file.
     keep_originals: bool = False
     #: Bounded re-read on verification failure before falling back; the
-    #: in-memory store re-reads immediately (production would back off).
+    #: store re-reads immediately (production would back off).
     read_retry: Optional[RetryPolicy] = None
     #: Fault-injection hook ``(key, payload, attempt) -> payload`` applied
     #: to every payload read (see repro.faults.ReadFaultInjector).
     read_fault: Optional[Callable[[str, bytes, int], bytes]] = None
-    originals: Dict[str, bytes] = field(default_factory=dict)
     degraded_fallbacks: int = 0
     #: Per-tenant admission ledger (repro.storage.quotas); ``None`` keeps the
     #: store unmetered.  ``put_file`` charges logical (uploaded) bytes against
     #: the tenant's budget and records the stored footprint after compression.
     quotas: Optional[QuotaBoard] = None
-    # -- durable mode (repro.storage.backends / docs/durability.md) ------
-    #: Key→blob backend holding the authoritative bytes.  When set, every
-    #: serving read fetches the payload from the backend (the in-memory
-    #: entry keeps only integrity metadata plus a payload copy used for
-    #: accounting) and ``put_file`` runs the journaled crash-safe protocol.
-    backend: Optional[StorageBackend] = None
-    #: Write-ahead journal making multi-chunk puts atomic (required when
-    #: ``backend`` is set; see :meth:`recover`).
-    journal: Optional[Journal] = None
+    # -- storage (repro.storage.backends / docs/durability.md) -----------
+    #: Key→blob backend holding the authoritative bytes; every read
+    #: fetches its payload from here.
+    backend: StorageBackend = field(default_factory=MemoryBackend)
+    #: Write-ahead journal making multi-chunk puts atomic (see
+    #: :meth:`recover`).
+    journal: Union[Journal, MemoryJournal] = field(
+        default_factory=MemoryJournal)
     #: Crash-injection harness; ``None`` in production paths.
     kill: Optional[KillPoints] = None
     #: Recovery outcome counters (mirrored into ``storage.recovery.*``).
@@ -109,15 +121,6 @@ class BlockStore:
     _put_lock: threading.Lock = field(default_factory=threading.Lock,
                                       repr=False)
     _put_seq: int = 0
-
-    @property
-    def durable(self) -> bool:
-        return self.backend is not None
-
-    @property
-    def _recovery_enabled(self) -> bool:
-        return (self.read_retry is not None or self.keep_originals
-                or self.read_fault is not None or self.backend is not None)
 
     def _reach(self, name: str) -> None:
         if self.kill is not None:
@@ -183,33 +186,11 @@ class BlockStore:
             entry = self.entries.get(key)
             if entry is None:
                 return False
-            size = entry.chunk.original_size
+            size = entry.original_size
             if hashlib.sha256(data[pos:pos + size]).hexdigest() != key:
                 return False
             pos += size
         return pos == len(data)
-
-    def _admit_file(self, name: str, data: bytes, tenant: str = "default",
-                    deadline: Optional[float] = None):
-        """Admission proper; returns ``(record, stored_bytes)`` — ``record``
-        is ``None`` when ``name`` was already stored byte-identically (the
-        put is idempotent: no recompression, no re-charge)."""
-        if self._is_duplicate_put(name, data):
-            return None, 0
-        verified = self._compress_verified(name, data, deadline=deadline)
-        if self.durable:
-            return self._admit_durable(name, data, tenant, verified)
-        keys = []
-        stored = 0
-        for key, chunk, original in verified:
-            if self.keep_originals and key not in self.originals:
-                self.originals[key] = zlib.compress(original, 6)
-            self._index_chunk(key, chunk)
-            stored += len(chunk.payload)
-            keys.append(key)
-        record = FileRecord(name, keys, len(data))
-        self.files[name] = record
-        return record, stored
 
     def _compress_verified(self, name: str, data: bytes,
                            deadline: Optional[float] = None,
@@ -232,25 +213,12 @@ class BlockStore:
                 (hashlib.sha256(original).hexdigest(), chunk, original))
         return verified
 
-    def _index_chunk(self, key: str, chunk: StoredChunk) -> None:
-        """Admit one verified chunk into the in-memory index (dedup-aware)."""
-        if key in self.entries:
-            return
-        self.entries[key] = StoreEntry(
-            chunk=chunk,
-            payload_md5=hashlib.md5(chunk.payload).hexdigest(),
-            original_sha256=key,
-        )
-        self.admissions += 1
-        if chunk.format == FORMAT_LEPTON:
-            self.lepton_bytes_in += chunk.original_size
-            self.lepton_bytes_out += len(chunk.payload)
-
-    # -- the durable put protocol (docs/durability.md) --------------------
-
-    def _admit_durable(self, name: str, data: bytes, tenant: str,
-                       verified: List[Tuple[str, StoredChunk, bytes]]):
-        """Journaled crash-safe admission.
+    def _admit_file(self, name: str, data: bytes, tenant: str = "default",
+                    deadline: Optional[float] = None):
+        """Journaled crash-safe admission; returns ``(record,
+        stored_bytes)`` — ``record`` is ``None`` when ``name`` was already
+        stored byte-identically (the put is idempotent: no recompression,
+        no re-charge).
 
         Protocol order (each step is a registered kill point — see
         ``repro.faults.killpoints.KILL_POINTS``):
@@ -264,8 +232,11 @@ class BlockStore:
            which is why it comes *after* the commit: a crash between a
            re-put's file-blob overwrite and its commit could otherwise
            lose the previously acknowledged version);
-        5. update the in-memory index and checkpoint the journal.
+        5. update the metadata index and checkpoint the journal.
         """
+        if self._is_duplicate_put(name, data):
+            return None, 0
+        verified = self._compress_verified(name, data, deadline=deadline)
         keys = [key for key, _chunk, _original in verified]
         stored = sum(len(chunk.payload) for _key, chunk, _original in verified)
         with self._put_lock:
@@ -303,13 +274,26 @@ class BlockStore:
             self.backend.write(file_blob_key(name), encode_blob(file_meta, b""))
             self._reach("backend.file_record")
             for key, chunk, _original in verified:
-                self._index_chunk(key, chunk)
+                self._index(key, StoreEntry(
+                    chunk.index, chunk.format, chunk.original_size,
+                    len(chunk.payload), hashlib.md5(chunk.payload).hexdigest(),
+                    key))
             record = FileRecord(name, keys, len(data))
             self.files[name] = record
             self._reach("store.index.post")
             # Every journaled effect is now in the backend: bound replay.
             self.journal.checkpoint()
         return record, stored
+
+    def _index(self, key: str, entry: StoreEntry) -> None:
+        """Admit one intact chunk into the metadata index (dedup-aware)."""
+        if key in self.entries:
+            return
+        self.entries[key] = entry
+        self.admissions += 1
+        if entry.format == FORMAT_LEPTON:
+            self.lepton_bytes_in += entry.original_size
+            self.lepton_bytes_out += entry.stored_size
 
     def recover(self) -> dict:
         """Startup recovery: make backend + index agree with the journal.
@@ -320,14 +304,12 @@ class BlockStore:
         blob write), **rolls back** every intent without a commit by
         deleting its chunk/original blobs — unless a committed file also
         references them (content-addressed dedup) — and rebuilds the
-        in-memory index, byte accounting, and quota ledger from the
+        metadata index, byte accounting, and quota ledger from the
         backend's file records.  Chunks whose blobs are unreadable on
         every replica become *damaged* placeholder entries: they still
         serve via the kept-original fallback and are rebuilt by the
         scrubber.  Idempotent: recovering twice is a no-op.
         """
-        if not self.durable:
-            raise IntegrityError("recover() requires a backend and journal")
         registry = get_registry()
         records = self.journal.replay()
         intents: Dict[int, dict] = {}
@@ -389,7 +371,6 @@ class BlockStore:
     def _rebuild_index(self, file_metas: List[dict]) -> None:
         self.files.clear()
         self.entries.clear()
-        self.originals.clear()
         self.admissions = 0
         self.lepton_bytes_in = 0
         self.lepton_bytes_out = 0
@@ -406,36 +387,31 @@ class BlockStore:
                 # chunk is derivable from its position — the one fact a
                 # damaged blob cannot tell us itself.
                 osize = min(self.chunk_size, size - i * self.chunk_size)
-                self.entries[key] = self._load_entry(key, osize)
+                self._load_entry(key, osize)
             if self.quotas is not None:
                 self.quotas.commit(str(file_meta.get("tenant", "default")),
                                    0, size, int(file_meta.get("stored", 0)))
 
-    def _load_entry(self, key: str, osize: int) -> StoreEntry:
-        """One chunk entry from its backend blob; damaged placeholder if
+    def _load_entry(self, key: str, osize: int) -> None:
+        """Index one chunk from its backend blob; a damaged placeholder if
         no replica holds an intact blob (originals fallback still serves
-        it, and the scrubber rebuilds it from a healed replica)."""
+        it, and the scrubber rebuilds it from a healed replica).  The
+        payload is checked and dropped: the index keeps metadata only."""
         try:
             meta, payload = decode_blob(self.backend.read(f"chunk/{key}"))
             digest = meta["md5"]
             if hashlib.md5(payload).hexdigest() != digest:
                 raise IntegrityError(f"rotten chunk blob {key[:12]}")
-            chunk = StoredChunk(int(meta["index"]), str(meta["format"]),
-                                payload, (0, int(meta.get("osize", osize))))
+            entry = StoreEntry(int(meta["index"]), str(meta["format"]),
+                               int(meta.get("osize", osize)), len(payload),
+                               digest, key)
         except (KeyError, BackendError, IntegrityError, TypeError, ValueError):
             self.damaged_entries += 1
-            return StoreEntry(
-                chunk=StoredChunk(0, "damaged", b"", (0, osize)),
-                payload_md5="",
-                original_sha256=key,
-            )
-        entry = StoreEntry(chunk=chunk, payload_md5=digest,
-                           original_sha256=key)
-        self.admissions += 1
-        if chunk.format == FORMAT_LEPTON:
-            self.lepton_bytes_in += chunk.original_size
-            self.lepton_bytes_out += len(payload)
-        return entry
+            self.entries[key] = StoreEntry(
+                index=0, format=DAMAGED_FORMAT, original_size=osize,
+                stored_size=0, payload_md5="", original_sha256=key)
+            return
+        self._index(key, entry)
 
     def _verify_and_decode(self, key: str, entry: StoreEntry,
                            payload: bytes,
@@ -443,27 +419,21 @@ class BlockStore:
         """Both integrity gates over one (possibly faulted) payload read."""
         if hashlib.md5(payload).hexdigest() != entry.payload_md5:
             raise IntegrityError(f"payload digest mismatch for {key[:12]}")
-        chunk = entry.chunk
-        if payload is not chunk.payload:
-            chunk = StoredChunk(chunk.index, chunk.format, payload,
-                                chunk.original_range)
         if deadline is not None:
             # The deadline-aware decode path: the streaming decoder takes
             # the budget and cancels between row bands.
-            data = b"".join(decompress_chunks([chunk.payload],
-                                              deadline=deadline))
+            data = b"".join(decompress_chunks([payload], deadline=deadline))
         else:
-            data = decompress_chunk(chunk)
+            data = decompress_chunk(StoredChunk(
+                entry.index, entry.format, payload,
+                (0, entry.original_size)))
         if hashlib.sha256(data).hexdigest() != entry.original_sha256:
             raise IntegrityError(f"decode digest mismatch for {key[:12]}")
         return data
 
-    def _payload(self, key: str, entry: StoreEntry) -> bytes:
-        """One payload read — from the backend in durable mode (so at-rest
-        faults and replica repair are actually exercised), from the
-        in-memory entry otherwise."""
-        if self.backend is None:
-            return entry.chunk.payload
+    def _payload(self, key: str) -> bytes:
+        """One payload read from the backend (so at-rest faults and
+        replica repair are actually exercised)."""
         try:
             raw = self.backend.read(f"chunk/{key}")
         except KeyError:
@@ -476,10 +446,7 @@ class BlockStore:
         return payload
 
     def _original(self, key: str) -> Optional[bytes]:
-        """The kept deflate-compressed original, wherever it lives."""
-        original = self.originals.get(key)
-        if original is not None or self.backend is None:
-            return original
+        """The kept deflate-compressed original, if the backend has one."""
         try:
             _meta, payload = decode_blob(self.backend.read(f"orig/{key}"))
         except (KeyError, BackendError):
@@ -489,20 +456,12 @@ class BlockStore:
     def get_chunk(self, key: str, deadline: Optional[float] = None) -> bytes:
         """Retrieve and decode one chunk, verifying payload integrity.
 
-        With recovery configured (``read_retry`` / ``keep_originals`` /
-        ``read_fault`` / a durable ``backend``) a verification failure
-        triggers a bounded re-read and then the original-JPEG fallback;
-        corrupt Lepton output is *never* returned — both digest gates sit
-        in front of every exit.
+        A verification failure triggers a bounded re-read (``read_retry``)
+        and then the original-JPEG fallback (``keep_originals``); corrupt
+        Lepton output is *never* returned — both digest gates sit in front
+        of every exit.
         """
         entry = self.entries[key]
-        if not self._recovery_enabled:
-            return self._verify_and_decode(key, entry, entry.chunk.payload,
-                                           deadline=deadline)
-        return self._read_chunk_recovered(key, entry, deadline=deadline)
-
-    def _read_chunk_recovered(self, key: str, entry: StoreEntry,
-                              deadline: Optional[float] = None) -> bytes:
         registry = get_registry()
         attempts = (self.read_retry.max_attempts
                     if self.read_retry is not None else 1)
@@ -511,7 +470,7 @@ class BlockStore:
             if attempt > 1:
                 registry.counter("retry.attempts", scope="blockstore").inc()
             try:
-                payload = self._payload(key, entry)
+                payload = self._payload(key)
                 if self.read_fault is not None:
                     payload = self.read_fault(key, payload, attempt)
                 return self._verify_and_decode(key, entry, payload,
@@ -547,39 +506,18 @@ class BlockStore:
         record = self.files[name]
         return b"".join(self.get_chunk(key) for key in record.chunk_keys)
 
-    def stream_chunk(self, key: str,
-                     deadline: Optional[float] = None) -> Iterator[bytes]:
-        """Decode one chunk as a stream of pieces (time-to-first-byte path).
-
-        The payload digest is checked up front; the decode digest is
-        accumulated incrementally and verified once the chunk finishes, so
-        a corrupted store still cannot hand back silently wrong bytes —
-        callers just learn about it after streaming, like production
-        clients do.
-        """
-        entry = self.entries[key]
-        payload = self._payload(key, entry)
-        if hashlib.md5(payload).hexdigest() != entry.payload_md5:
-            raise IntegrityError(f"payload digest mismatch for {key[:12]}")
-        digest = hashlib.sha256()
-        for piece in decompress_chunks([payload], deadline=deadline):
-            digest.update(piece)
-            yield piece
-        if digest.hexdigest() != entry.original_sha256:
-            raise IntegrityError(f"decode digest mismatch for {key[:12]}")
-
     def chunk_spans(self, name: str) -> List["tuple[str, int, int]"]:
         """``(key, start, stop)`` byte spans of a stored file's chunks.
 
-        Spans are recomputed from each entry's original size rather than
-        read off ``chunk.original_range``: content-addressed dedup can
-        alias one entry into many files at different offsets.
+        Spans are recomputed from each entry's original size:
+        content-addressed dedup can alias one entry into many files at
+        different offsets.
         """
         record = self.files[name]
         spans = []
         pos = 0
         for key in record.chunk_keys:
-            size = self.entries[key].chunk.original_size
+            size = self.entries[key].original_size
             spans.append((key, pos, pos + size))
             pos += size
         return spans
@@ -590,8 +528,8 @@ class BlockStore:
         Feeds the ``blockstore.read.ttfb_seconds`` and
         ``blockstore.read.seconds`` histograms — the serving-side view of
         the paper's time-to-first-byte argument (Figure 1): the first
-        piece arrives after decoding one MCU row band of the first chunk,
-        not after decoding the whole file.
+        piece arrives after decoding and verifying the first chunk, not
+        after decoding the whole file.
         """
         yield from self.stream_range(name, 0, self.files[name].size)
 
@@ -601,16 +539,14 @@ class BlockStore:
 
         Chunk independence (§1, §3.4) is what makes this cheap: only the
         chunks overlapping the range are decoded — an HTTP ``Range``
-        request for a file tail never touches its head.  The same two
-        digest gates as :meth:`stream_file` guard every yielded byte, and
-        with recovery configured each chunk is verified *before* any of
-        its bytes are yielded (the degraded-read contract forbids
-        streaming bytes a later check could disown).  Feeds the same
-        ``blockstore.read.*`` histograms as whole-file reads.  ``deadline``
-        cancels the decode between row bands once it passes; the
-        ``store.stream.first`` kill point fires after the first verified
-        piece is handed to the caller — the mid-stream crash the live
-        chaos harness drills.
+        request for a file tail never touches its head.  Each chunk passes
+        both digest gates of :meth:`get_chunk` *before* any of its bytes
+        are yielded (the degraded-read contract forbids streaming bytes a
+        later check could disown).  Feeds the same ``blockstore.read.*``
+        histograms as whole-file reads.  ``deadline`` cancels the decode
+        between row bands once it passes; the ``store.stream.first`` kill
+        point fires after the first verified piece is handed to the
+        caller — the mid-stream crash the live chaos harness drills.
         """
         record = self.files[name]
         start = max(0, start)
@@ -622,41 +558,28 @@ class BlockStore:
         for key, a, b in self.chunk_spans(name):
             if b <= start or a >= stop:
                 continue
-            pieces = ([self.get_chunk(key, deadline=deadline)]
-                      if self._recovery_enabled
-                      else self.stream_chunk(key, deadline=deadline))
-            pos = a
-            for piece in pieces:
-                piece_start = pos
-                pos += len(piece)
-                lo = max(start, piece_start)
-                hi = min(stop, pos)
-                if hi <= lo:
-                    continue
-                was_first = first
-                if first:
-                    first = False
-                    registry.histogram("blockstore.read.ttfb_seconds").observe(
-                        time.monotonic() - begin  # lint: disable=D2
-                    )
-                yield piece[lo - piece_start:hi - piece_start]
-                if was_first:
-                    self._reach("store.stream.first")
+            data = self.get_chunk(key, deadline=deadline)
+            if first:
+                registry.histogram("blockstore.read.ttfb_seconds").observe(
+                    time.monotonic() - begin  # lint: disable=D2
+                )
+            yield data[max(start, a) - a:min(stop, b) - a]
+            if first:
+                first = False
+                self._reach("store.stream.first")
         registry.histogram("blockstore.read.seconds").observe(
             time.monotonic() - begin  # lint: disable=D2
         )
 
     def stored_bytes_for(self, record: FileRecord) -> int:
-        """Stored (compressed) footprint of one file's chunks.
-
-        Accounting only — reads the in-memory payload copies, never the
-        backend (a damaged placeholder counts as zero until repaired)."""
-        return sum(len(self.entries[key].chunk.payload)
+        """Stored (compressed) footprint of one file's chunks, from the
+        index (a damaged placeholder counts as zero until repaired)."""
+        return sum(self.entries[key].stored_size
                    for key in record.chunk_keys if key in self.entries)
 
     @property
     def stored_bytes(self) -> int:
-        return sum(len(e.chunk.payload) for e in self.entries.values())
+        return sum(e.stored_size for e in self.entries.values())
 
     @property
     def savings_fraction(self) -> float:

@@ -24,6 +24,8 @@ Crash injection: the :class:`~repro.faults.killpoints.KillPoints` harness
 hooks ``append`` via the ``kill`` parameter — a ``.torn`` point stages a
 genuinely half-written, fsynced record before raising, so recovery is
 tested against real torn bytes, not a simulation of them.
+
+A store kept in RAM runs the same put protocol over :class:`MemoryJournal`.
 """
 
 import json
@@ -184,3 +186,37 @@ class Journal:
             if self._handle is not None:
                 self._handle.close()
             self._handle = open(self.path, "ab")
+
+
+class MemoryJournal:
+    """:class:`Journal`'s four calls over a list, for a store kept in RAM.
+
+    No framing and no fsync: nothing in RAM survives a crash, so there is
+    no torn tail to detect and no disk to force.  Kill points are reached
+    at the same steps as :class:`Journal`, so a crash harness sees one
+    protocol whichever journal a store runs on.
+    """
+
+    def __init__(self, kill: Optional[KillPoints] = None):
+        self.kill = kill
+        self._lock = threading.Lock()
+        self._records: List[dict] = []
+
+    def close(self) -> None:
+        """Nothing to release; kept so every journal closes alike."""
+
+    def append(self, record: dict, kill_point: Optional[str] = None) -> None:
+        with self._lock:
+            self._records.append(record)
+        if self.kill is not None and kill_point is not None:
+            self.kill.reach(kill_point)
+
+    def replay(self) -> List[dict]:
+        with self._lock:
+            return list(self._records)
+
+    def checkpoint(self, keep: Optional[List[dict]] = None) -> None:
+        if self.kill is not None:
+            self.kill.reach("journal.checkpoint.pre")
+        with self._lock:
+            self._records = list(keep or [])

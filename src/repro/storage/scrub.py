@@ -11,7 +11,7 @@ against the content address — and repairs every bad or missing replica
 by writing back a blob that passed.  A chunk with no intact replica is
 counted ``unrepairable`` (the kept-original fallback still serves it);
 one the recovery pass loaded as a *damaged* placeholder gets its
-in-memory entry rebuilt once a healthy blob is found.
+index entry rebuilt once a healthy blob is found.
 
 Counters (docs/observability.md): ``scrub.runs``, ``scrub.chunks_checked``,
 ``scrub.corruptions_detected``, ``scrub.repairs``, ``scrub.unrepairable``.
@@ -34,10 +34,7 @@ from repro.storage.backends import (
     StorageBackend,
     decode_blob,
 )
-from repro.storage.blockstore import BlockStore, StoreEntry
-
-#: Chunk format recovery assigns when no replica held an intact blob.
-DAMAGED_FORMAT = "damaged"
+from repro.storage.blockstore import DAMAGED_FORMAT, BlockStore, StoreEntry
 
 
 @dataclass
@@ -47,7 +44,7 @@ class ScrubReport:
     chunks_checked: int = 0
     corruptions_detected: int = 0  # replica blobs that failed deep verify
     repairs: int = 0               # replica blobs rewritten from a good copy
-    rebuilt_entries: int = 0       # damaged placeholders restored in memory
+    rebuilt_entries: int = 0       # damaged placeholders restored in the index
     unrepairable: int = 0          # chunks with no intact replica anywhere
 
     def to_dict(self) -> dict:
@@ -64,8 +61,6 @@ class Scrubber:
 
     def __init__(self, store: BlockStore,
                  registry: Optional[MetricsRegistry] = None):
-        if not store.durable:
-            raise BackendError("the scrubber needs a durable store")
         self.store = store
         self.registry = registry if registry is not None else get_registry()
         self.runs = 0
@@ -81,7 +76,7 @@ class Scrubber:
     def deep_ok(key: str, data: bytes) -> bool:
         """The full verified-decode gate over one replica's chunk blob.
 
-        Independent of the in-memory entry on purpose: a damaged
+        Independent of the index entry on purpose: a damaged
         placeholder carries no digests, but the blob is self-describing
         and the key *is* the SHA-256 of the original bytes.
         """
@@ -150,18 +145,15 @@ class Scrubber:
 
     def _maybe_rebuild_entry(self, key: str, good: bytes,
                              report: ScrubReport) -> None:
-        """Restore a recovery-damaged in-memory entry from a healed blob."""
+        """Restore a recovery-damaged index entry from a healed blob."""
         entry = self.store.entries.get(key)
-        if entry is None or entry.chunk.format != DAMAGED_FORMAT:
+        if entry is None or entry.format != DAMAGED_FORMAT:
             return
         meta, payload = decode_blob(good)
-        osize = int(meta.get("osize", entry.chunk.original_size))
         self.store.entries[key] = StoreEntry(
-            chunk=StoredChunk(int(meta["index"]), str(meta["format"]),
-                              payload, (0, osize)),
-            payload_md5=str(meta["md5"]),
-            original_sha256=key,
-        )
+            int(meta["index"]), str(meta["format"]),
+            int(meta.get("osize", entry.original_size)), len(payload),
+            str(meta["md5"]), key)
         report.rebuilt_entries += 1
 
     def describe(self) -> dict:

@@ -33,11 +33,17 @@ same ids (lint D2).
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.faults.killpoints import KillPoints
-from repro.storage.backends import StorageBackend, blob_ok, decode_blob, encode_blob
-from repro.storage.journal import Journal
+from repro.storage.backends import (
+    MemoryBackend,
+    StorageBackend,
+    blob_ok,
+    decode_blob,
+    encode_blob,
+)
+from repro.storage.journal import Journal, MemoryJournal
 from repro.storage.quotas import QuotaBoard
 
 
@@ -96,27 +102,25 @@ def _part_key(upload_id: str, offset: int) -> str:
 class UploadLedger:
     """Journal-backed registry of resumable upload sessions.
 
-    With ``backend`` and ``journal`` attached, every state transition is
-    durable before it is acknowledged; without them (the in-memory
-    server) the ledger degrades to plain dict state with the same API.
-    All mutation is lock-guarded: the serve front-end drives the ledger
-    from executor threads.
+    Every state transition is journaled before it is acknowledged.  The
+    defaults keep the part blobs and the journal in RAM; the serve
+    front-end hands over the store's backend and, with ``--data-dir``,
+    an ``uploads.wal`` file journal.  All mutation is lock-guarded: the
+    serve front-end drives the ledger from executor threads.
     """
 
     def __init__(self, backend: Optional[StorageBackend] = None,
-                 journal: Optional[Journal] = None,
+                 journal: Union[Journal, MemoryJournal, None] = None,
                  quotas: Optional[QuotaBoard] = None,
                  kill: Optional[KillPoints] = None):
-        self.backend = backend
-        self.journal = journal
+        self.backend = backend or MemoryBackend()
+        self.journal = journal or MemoryJournal()
         self.quotas = quotas
         self.kill = kill
         self.recovered_sessions = 0
         self.dropped_parts = 0
         self._lock = threading.Lock()
         self._sessions: Dict[str, UploadSession] = {}
-        #: In-memory payload buffers (non-durable mode only).
-        self._buffers: Dict[str, bytearray] = {}
         self._seq = 0
 
     # -- crash injection ---------------------------------------------------
@@ -145,17 +149,14 @@ class UploadLedger:
                 upload_id = f"u{self._seq:08d}"
                 session = UploadSession(upload_id=upload_id, tenant=tenant,
                                         declared=declared)
-                if self.journal is not None:
-                    self.journal.append({
-                        "type": "upload.create",
-                        "upload": upload_id,
-                        "tenant": tenant,
-                        "bytes": declared,
-                    })
+                self.journal.append({
+                    "type": "upload.create",
+                    "upload": upload_id,
+                    "tenant": tenant,
+                    "bytes": declared,
+                })
                 self._reach("upload.create.post")
                 self._sessions[upload_id] = session
-                if self.backend is None:
-                    self._buffers[upload_id] = bytearray()
         except Exception:
             if self.quotas is not None:
                 self.quotas.release(tenant, declared)
@@ -203,23 +204,19 @@ class UploadLedger:
                     f"exceed the declared {session.declared}"
                 )
             sha = hashlib.sha256(data).hexdigest()
-            if self.backend is not None:
-                blob = encode_blob(
-                    {"upload": upload_id, "offset": offset, "len": len(data)},
-                    data,
-                )
-                self.backend.write(_part_key(upload_id, offset), blob)
-            else:
-                self._buffers[upload_id].extend(data)
+            blob = encode_blob(
+                {"upload": upload_id, "offset": offset, "len": len(data)},
+                data,
+            )
+            self.backend.write(_part_key(upload_id, offset), blob)
             self._reach("upload.part.blob")
-            if self.journal is not None:
-                self.journal.append({
-                    "type": "upload.part",
-                    "upload": upload_id,
-                    "offset": offset,
-                    "len": len(data),
-                    "sha": sha,
-                }, kill_point="upload.part.torn")
+            self.journal.append({
+                "type": "upload.part",
+                "upload": upload_id,
+                "offset": offset,
+                "len": len(data),
+                "sha": sha,
+            }, kill_point="upload.part.torn")
             self._reach("upload.part.post")
             session.parts.append((offset, len(data), sha))
             session.received += len(data)
@@ -237,8 +234,6 @@ class UploadLedger:
             session = self._sessions.get(upload_id)
             if session is None:
                 raise UnknownUpload(upload_id)
-            if self.backend is None:
-                return bytes(self._buffers.get(upload_id, b""))
             pieces = []
             for offset, length, sha in session.parts:
                 blob = self.backend.read(_part_key(upload_id, offset))
@@ -277,12 +272,11 @@ class UploadLedger:
                                 reserved=session.declared,
                                 deadline=deadline)
         with self._lock:
-            if self.journal is not None:
-                self.journal.append({
-                    "type": "upload.done",
-                    "upload": upload_id,
-                    "file": file_id,
-                })
+            self.journal.append({
+                "type": "upload.done",
+                "upload": upload_id,
+                "file": file_id,
+            })
             self._reach("upload.finalize.post")
             session.state = "completed"
             session.file_id = file_id
@@ -293,10 +287,8 @@ class UploadLedger:
         """Drop part payloads once the done record is durable (they are
         re-derivable from the promoted file; keeping them would double
         the stored footprint)."""
-        if self.backend is not None:
-            for offset, _, _ in session.parts:
-                self.backend.delete(_part_key(session.upload_id, offset))
-        self._buffers.pop(session.upload_id, None)
+        for offset, _, _ in session.parts:
+            self.backend.delete(_part_key(session.upload_id, offset))
         session.parts = []
 
     # -- introspection -----------------------------------------------------
@@ -333,8 +325,6 @@ class UploadLedger:
         their declared budget (``force=True``).  Finally the journal is
         compacted to the live state.
         """
-        if self.journal is None:
-            return {"sessions": 0, "open": 0, "dropped_parts": 0}
         records = self.journal.replay()
         with self._lock:
             self._sessions.clear()
@@ -398,8 +388,6 @@ class UploadLedger:
         """Truncate each open session at the first part whose blob is
         missing or fails its digest — everything after it is unreachable
         for a strictly-sequential resume anyway."""
-        if self.backend is None:
-            return
         for upload_id in sorted(self._sessions):
             session = self._sessions[upload_id]
             if session.state != "open":
@@ -426,8 +414,6 @@ class UploadLedger:
         """Delete part blobs no live session acknowledges: the crash fell
         between the blob write and the journal fsync, so the bytes were
         never owed to anyone."""
-        if self.backend is None:
-            return
         acked = {
             _part_key(upload_id, offset)
             for upload_id in self._sessions

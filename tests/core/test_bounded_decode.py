@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.chunks import compress_chunked
 from repro.core.decoder import decode_lepton_bounded
-from repro.core.lepton import LeptonConfig, compress, decompress_bounded
+from repro.core.lepton import LeptonConfig, compress, decompress_chunks
 from repro.core.rowbuffer import RowWindow, RowWindowError
 from repro.corpus.builder import corpus_jpeg
 
@@ -94,9 +94,11 @@ def test_bounded_matches_regular_decode():
 
 
 def test_decompress_bounded_handles_deflate_fallback():
+    """The bounded streaming decode (``decompress_chunks``) inflates a
+    Deflate-fallback payload too."""
     blob = b"not a jpeg" * 50
     result = compress(blob)
-    assert b"".join(decompress_bounded(result.payload)) == blob
+    assert b"".join(decompress_chunks([result.payload])) == blob
 
 
 def test_working_set_scales_with_width_not_height():

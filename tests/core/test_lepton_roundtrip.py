@@ -11,7 +11,7 @@ from repro.core.lepton import (
     LeptonConfig,
     compress,
     decompress,
-    decompress_stream,
+    decompress_chunks,
     roundtrip_check,
 )
 from repro.core.model import ModelConfig
@@ -102,7 +102,7 @@ class TestCompressionBehaviour:
 class TestStreaming:
     def test_stream_concatenates_to_original(self, rst_jpeg):
         result = compress(rst_jpeg, LeptonConfig(threads=2))
-        pieces = list(decompress_stream(result.payload))
+        pieces = list(decompress_chunks([result.payload]))
         assert b"".join(pieces) == rst_jpeg
         assert len(pieces) > 2  # header, scan parts, trailer
 

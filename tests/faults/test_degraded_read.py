@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.corpus.builder import corpus_jpeg
-from repro.faults.injector import ReadFaultInjector, corrupt_at_rest
+from repro.faults.injector import ReadFaultInjector, corrupt_backend_at_rest
 from repro.faults.plan import StorageFaultConfig
 from repro.obs import MetricsRegistry, get_registry
+from repro.storage.backends import decode_blob, encode_blob
 from repro.storage.blockstore import BlockStore, IntegrityError
 from repro.storage.retry import RetryPolicy
 
@@ -19,6 +20,13 @@ def _store(**kwargs) -> BlockStore:
     return store
 
 
+def _rot(store: BlockStore, key: str, damage) -> None:
+    """Damage one chunk's payload at rest; the index digests stay put."""
+    blob_key = f"chunk/{key}"
+    meta, payload = decode_blob(store.backend.read(blob_key))
+    store.backend.write(blob_key, encode_blob(meta, damage(payload)))
+
+
 class TestFallback:
     def test_at_rest_truncation_served_from_original(self):
         store = _store(keep_originals=True,
@@ -26,8 +34,7 @@ class TestFallback:
         name = "photo-21.jpg"
         original = corpus_jpeg(seed=21, height=32, width=32)
         key = store.files[name].chunk_keys[0]
-        entry = store.entries[key]
-        entry.chunk.payload = entry.chunk.payload[:7]
+        _rot(store, key, lambda payload: payload[:7])
         assert store.get_file(name) == original
         assert store.degraded_fallbacks == 1
         assert get_registry().counter("degraded_read.fallbacks").value == 1
@@ -37,14 +44,14 @@ class TestFallback:
         name = "photo-22.jpg"
         original = corpus_jpeg(seed=22, height=32, width=32)
         key = store.files[name].chunk_keys[0]
-        store.entries[key].chunk.payload = b"\x00garbage"
+        _rot(store, key, lambda payload: b"\x00garbage")
         assert b"".join(store.stream_file(name)) == original
         assert store.degraded_fallbacks == 1
 
     def test_no_fallback_configured_still_raises(self):
         store = _store(read_retry=RetryPolicy(max_attempts=2))
         key = store.files["photo-21.jpg"].chunk_keys[0]
-        store.entries[key].chunk.payload = b"rotten"
+        _rot(store, key, lambda payload: b"rotten")
         with pytest.raises(IntegrityError):
             store.get_file("photo-21.jpg")
 
@@ -93,7 +100,8 @@ class TestZeroWrongBytes:
         store = _store(keep_originals=True,
                        read_retry=RetryPolicy(max_attempts=3))
         rng = np.random.default_rng(17)
-        assert corrupt_at_rest(store, config, rng, registry=registry) == 1
+        assert corrupt_backend_at_rest(store.backend, config, rng,
+                                       registry=registry) == 1
         injector = ReadFaultInjector(config, seed=18, registry=registry)
         store.read_fault = injector
         originals = {

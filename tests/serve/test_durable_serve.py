@@ -85,11 +85,16 @@ def test_scrub_loop_heals_a_rotted_replica(tmp_path, small_jpeg):
     assert health["scrub"]["last"]["corruptions_detected"] >= 1
 
 
-def test_memory_mode_has_no_backend_sections(small_jpeg):
+def test_memory_mode_reports_memory_backend_and_scrub(small_jpeg):
+    """Without --data-dir the server still runs one storage mode: its
+    blobs sit in a MemoryBackend that /healthz and the scrubber see."""
     async def scenario(server, client):
+        await client.put_file(small_jpeg)
         response = await client.request("GET", "/healthz")
         return response.json()
 
     health = with_server(scenario, ServeConfig(chunk_size=4096))
-    assert "backend" not in health
-    assert "scrub" not in health
+    assert health["backend"]["backend"] == "memory"
+    assert health["backend"]["keys"] > 0
+    assert health["backend"]["damaged_entries"] == 0
+    assert health["scrub"] == {"runs": 0, "last": None}

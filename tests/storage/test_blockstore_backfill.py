@@ -12,6 +12,7 @@ from repro.storage.backfill import (
     Metaserver,
     UserFile,
 )
+from repro.storage.backends import decode_blob, encode_blob
 from repro.storage.blockstore import BlockStore, IntegrityError
 from repro.storage.chunking import chunk_refs, is_jpeg_start, split_chunks
 from repro.storage.simclock import SimClock
@@ -74,10 +75,11 @@ class TestBlockStore:
     def test_integrity_check_on_read(self, store):
         data = corpus_jpeg(seed=72, height=64, width=64)
         record = store.put_file("a.jpg", data)
-        entry = store.entries[record.chunk_keys[0]]
-        tampered = bytearray(entry.chunk.payload)
+        blob_key = f"chunk/{record.chunk_keys[0]}"
+        meta, payload = decode_blob(store.backend.read(blob_key))
+        tampered = bytearray(payload)
         tampered[-1] ^= 0xFF
-        entry.chunk.payload = bytes(tampered)
+        store.backend.write(blob_key, encode_blob(meta, bytes(tampered)))
         with pytest.raises(IntegrityError):
             store.get_chunk(record.chunk_keys[0])
 
@@ -99,16 +101,19 @@ class TestBlockStore:
         assert registry.histogram("blockstore.read.ttfb_seconds").count == before + 1
         assert registry.histogram("blockstore.read.seconds").count >= before + 1
 
-    def test_stream_chunk_verifies_decode_digest(self, store):
+    def test_stream_file_verifies_decode_digest(self, store):
         data = corpus_jpeg(seed=76, height=64, width=64)
         record = store.put_file("a.jpg", data)
         entry = store.entries[record.chunk_keys[0]]
-        # The payload md5 precheck passes; the streamed decode no longer
-        # matches the recorded content digest, which is only checkable
-        # after the last piece — the error must still surface.
+        # The payload md5 gate passes; the decode no longer matches the
+        # recorded content digest, so the stream must refuse the chunk
+        # rather than yield a byte of it.
         entry.original_sha256 = "0" * 64
+        pieces = []
         with pytest.raises(IntegrityError):
-            b"".join(store.stream_chunk(record.chunk_keys[0]))
+            for piece in store.stream_file("a.jpg"):
+                pieces.append(piece)
+        assert pieces == []
 
 
 class TestMetaserver:

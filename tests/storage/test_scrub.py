@@ -14,7 +14,7 @@ from repro.storage.backends import (
     ReplicatedBackend,
     encode_blob,
 )
-from repro.storage.blockstore import open_durable_store
+from repro.storage.blockstore import BlockStore, open_durable_store
 from repro.storage.scrub import DAMAGED_FORMAT, Scrubber
 
 pytestmark = pytest.mark.durability
@@ -32,12 +32,19 @@ def _open_replicated(tmp_path, members=3, registry=None, **kwargs):
     return store, backends
 
 
-def test_scrubber_requires_durable_store(tmp_path):
-    from repro.storage.backends import BackendError
-    from repro.storage.blockstore import BlockStore
-
-    with pytest.raises(BackendError):
-        Scrubber(BlockStore())
+def test_scrubber_detects_rot_in_a_memory_store():
+    """A store with no data directory keeps its blobs in a MemoryBackend;
+    the scrubber deep-verifies them like any other replica."""
+    store = BlockStore(chunk_size=CHUNK, keep_originals=True)
+    data = corpus_jpeg(seed=1, height=64, width=64)
+    store.put_file("a.jpg", data)
+    key = store.files["a.jpg"].chunk_keys[0]
+    store.backend.write(f"chunk/{key}", b"rotten in RAM")
+    report = Scrubber(store, registry=MetricsRegistry()).run_once()
+    assert report.chunks_checked == len(store.entries)
+    assert report.corruptions_detected == 1
+    assert report.unrepairable == 1  # one replica: nothing to heal from
+    assert store.get_file("a.jpg") == data  # originals fallback
 
 
 def test_clean_store_scrubs_clean(tmp_path):
@@ -152,14 +159,14 @@ def test_scrub_rebuilds_damaged_recovery_placeholders(tmp_path):
     rep = ReplicatedBackend(members, registry=MetricsRegistry())
     recovered = open_durable_store(str(root), backends=[rep],
                                    chunk_size=CHUNK)
-    assert recovered.entries[key].chunk.format == DAMAGED_FORMAT
+    assert recovered.entries[key].format == DAMAGED_FORMAT
     assert recovered.damaged_entries == 1
     assert recovered.get_file("a.jpg") == data  # originals fallback
     members[0].write(f"chunk/{key}", good_blob)  # the operator restores one
     report = Scrubber(recovered, registry=MetricsRegistry()).run_once()
     assert report.repairs == len(members) - 1
     assert report.rebuilt_entries == 1
-    assert recovered.entries[key].chunk.format != DAMAGED_FORMAT
+    assert recovered.entries[key].format != DAMAGED_FORMAT
     assert recovered.get_file("a.jpg") == data  # now served from blobs
     recovered.journal.close()
 
