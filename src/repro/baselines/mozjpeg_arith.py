@@ -16,7 +16,6 @@ from typing import List
 import numpy as np
 
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
-from repro.core.coefcoder import DecodeIO, EncodeIO, code_value
 from repro.core.errors import FormatError
 from repro.core.model import Model
 from repro.jpeg.parser import parse_jpeg
@@ -48,7 +47,18 @@ def _dc_category(diff: int) -> int:
     return min(mag, 5)
 
 
-def _code_image(io, frame, coefficients: List[np.ndarray]) -> None:
+#: Raster indices of the AC coefficients in zigzag order.
+_AC_RASTER = ZIGZAG_TO_RASTER[1:]
+
+
+def _key(ci: int, section: int, context: int) -> int:
+    """Context key: DC diff (0), end-of-band flag (1) or AC value (2)."""
+    return ((((ci << 2) | section) << 3) | context) << 8
+
+
+def _code_image(coder, bins, frame, coefficients: List[np.ndarray]) -> None:
+    """Code every block in scan order; one loop serves both directions (an
+    encoder codes the arrays' values, a decoder fills the arrays in)."""
     layout = mcu_block_layout(frame)
     dc_prev_diff = [0] * len(frame.components)
     dc_pred = [0] * len(frame.components)
@@ -62,36 +72,21 @@ def _code_image(io, frame, coefficients: List[np.ndarray]) -> None:
             # DC: code the diff, conditioned on the previous diff's category
             # (the spec's DC conditioning).
             ctx = _dc_category(dc_prev_diff[ci])
-            if io.encoding:
-                diff = int(block[0]) - dc_pred[ci]
-                code_value(io, (ci, 0, ctx), diff, max_exp=13)
-            else:
-                diff = code_value(io, (ci, 0, ctx), max_exp=13)
-                block[0] = dc_pred[ci] + diff
+            diff = coder.code_value(bins, _key(ci, 0, ctx),
+                                    int(block[0]) - dc_pred[ci], 13)
             dc_pred[ci] += diff
+            block[0] = dc_pred[ci]
             dc_prev_diff[ci] = diff
             # AC: end-of-band flag then value, per frequency band.
-            if io.encoding:
-                last_nz = 0
-                for k in range(63, 0, -1):
-                    if block[ZIGZAG_TO_RASTER[k]]:
-                        last_nz = k
-                        break
+            nonzero = np.flatnonzero(block[_AC_RASTER])
+            last_nz = int(nonzero[-1]) + 1 if nonzero.size else 0
             k = 1
             while k <= 63:
                 band = _BAND_OF[k]
-                if io.encoding:
-                    eob = 1 if k > last_nz else 0
-                    io.bit((ci, 1, band), eob)
-                else:
-                    eob = io.bit((ci, 1, band))
-                if eob:
+                if coder.code_counter(bins, _key(ci, 1, band), 1, int(k > last_nz)):
                     break
                 r = int(ZIGZAG_TO_RASTER[k])
-                if io.encoding:
-                    code_value(io, (ci, 2, band), int(block[r]), max_exp=11)
-                else:
-                    block[r] = code_value(io, (ci, 2, band), max_exp=11)
+                block[r] = coder.code_value(bins, _key(ci, 2, band), int(block[r]), 11)
                 k += 1
 
 
@@ -102,9 +97,8 @@ def compress(data: bytes) -> bytes:
     scan_bytes, _ = encode_scan(img)
     if scan_bytes != img.scan_data:
         raise FormatError("mozjpeg-arith: scan does not round-trip")
-    model = Model()
     encoder = BoolEncoder()
-    _code_image(EncodeIO(model, encoder), img.frame, img.coefficients)
+    _code_image(encoder, Model().bins, img.frame, img.coefficients)
     coded = encoder.finish()
     meta = bytearray()
     meta += struct.pack("<I", len(img.header_bytes))
@@ -142,7 +136,6 @@ def decompress(payload: bytes) -> bytes:
         np.zeros((c.blocks_h, c.blocks_w, 64), dtype=np.int32)
         for c in img.frame.components
     ]
-    model = Model()
-    _code_image(DecodeIO(model, BoolDecoder(coded)), img.frame, img.coefficients)
+    _code_image(BoolDecoder(coded), Model().bins, img.frame, img.coefficients)
     scan_bytes, _ = encode_scan(img)
     return header + scan_bytes + trailer

@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
-from repro.core.coefcoder import DecodeIO, EncodeIO, SegmentCodec, code_value
+from repro.core.coefcoder import SegmentCodec
 from repro.core.errors import FormatError
 from repro.core.model import Model, ModelConfig, pred_bucket
 from repro.jpeg.parser import parse_jpeg
@@ -52,13 +52,23 @@ def _band_group(k: int) -> int:
     return 16 + (k - 28) // 9
 
 
-def _code_bands(io, coefficients: List[np.ndarray]) -> None:
+def _band_key(ci: int, group: int, prev_bucket: int, above_bucket: int) -> int:
+    """Context key of a band value: its 256 bins sit above the low byte."""
+    key = (ci << 7) | group
+    key = (key << 5) | (prev_bucket + 11)
+    key = (key << 5) | (above_bucket + 11)
+    return key << 8
+
+
+def _code_bands(coder, bins, coefficients: List[np.ndarray]) -> None:
     """Code every component's coefficients in planar (band) order.
 
     DC is delta-coded against the previous block in the band; AC values are
     coded under contexts built from the previous value in the band and the
     value one block-row up — the "similar values grouped together" effect of
     PackJPG's global sort, with a single model adapting over the whole file.
+    As in :mod:`repro.core.coefcoder`, one loop serves both directions: an
+    encoder codes the arrays' values, a decoder fills the arrays in.
     """
     for ci, comp in enumerate(coefficients):
         blocks_h, blocks_w = comp.shape[:2]
@@ -69,24 +79,17 @@ def _code_bands(io, coefficients: List[np.ndarray]) -> None:
             for by in range(blocks_h):
                 for bx in range(blocks_w):
                     above = int(comp[by - 1, bx, r]) if by > 0 else 0
+                    value = int(comp[by, bx, r])
                     if k == 0:
                         # DC band: delta against the planar predecessor,
-                        # contexted by the above-row delta size.
-                        base = (ci, 64, pred_bucket(above - prev))
-                        if io.encoding:
-                            value = int(comp[by, bx, r])
-                            code_value(io, base, value - prev, max_exp=13)
-                        else:
-                            value = code_value(io, base, max_exp=13) + prev
-                            comp[by, bx, r] = value
+                        # contexted by the above-row delta size (group 64).
+                        key = _band_key(ci, 64, pred_bucket(above - prev), 0)
+                        value = coder.code_value(bins, key, value - prev, 13) + prev
                     else:
-                        base = (ci, group, pred_bucket(prev), pred_bucket(above))
-                        if io.encoding:
-                            value = int(comp[by, bx, r])
-                            code_value(io, base, value, max_exp=12)
-                        else:
-                            value = code_value(io, base, max_exp=12)
-                            comp[by, bx, r] = value
+                        key = _band_key(ci, group, pred_bucket(prev),
+                                        pred_bucket(above))
+                        value = coder.code_value(bins, key, value, 12)
+                    comp[by, bx, r] = value
                     prev = value
 
 
@@ -105,7 +108,7 @@ def compress(data: bytes, mode: str = "latest") -> bytes:
         raise FormatError("packjpg-like: scan does not round-trip")
     encoder = BoolEncoder()
     if mode == "planar":
-        _code_bands(EncodeIO(Model(), encoder), img.coefficients)
+        _code_bands(encoder, Model().bins, img.coefficients)
     else:
         codec = SegmentCodec(
             img.frame, img.quant_tables, img.coefficients, _MODE_MODEL[mode]
@@ -157,7 +160,7 @@ def decompress(payload: bytes) -> bytes:
         for c in img.frame.components
     ]
     if mode == "planar":
-        _code_bands(DecodeIO(Model(), BoolDecoder(coded)), img.coefficients)
+        _code_bands(BoolDecoder(coded), Model().bins, img.coefficients)
     else:
         codec = SegmentCodec(
             img.frame, img.quant_tables, img.coefficients, _MODE_MODEL[mode]

@@ -1,14 +1,29 @@
 """Coefficient coding: Exp-Golomb values over adaptive bins (§A.2).
 
-One code path serves both directions: every context computation is shared
-between encoder and decoder through a tiny bit-IO adapter, which is the
-classic way to guarantee the two sides can never derive different contexts
-(the determinism bugs of §6.1 were exactly such divergences).
+One code path serves both directions.  :meth:`SegmentCodec._code_block`
+derives every context of a block as an integer key into the model's bin
+store and hands each value to the coder's ``code_value``/``code_counter``
+(:mod:`repro.core.bool_coder`): an encoder codes the value it is given, a
+decoder returns the value it decodes.  Since there is only one place that
+derives contexts, encoder and decoder can never derive different ones —
+the determinism bugs of §6.1 were exactly such divergences.
+
+A context key packs the component (2 bits), the section (3 bits) and up to
+14 bits of section fields — zigzag index, neighbour and prediction
+buckets, remaining non-zeros — above the 8-bit slot each value or counter
+owns, so distinct contexts get distinct keys, just as distinct tuples did.
 
 Coding order per block (§3.3): the 7x7 non-zero count, the 49 interior AC
 coefficients in zigzag order, the 7x1/1x7 edge coefficients (delta against
 the Lakhani prediction), and finally the DC coefficient (delta against the
 gradient prediction) — DC last so that every AC coefficient can inform it.
+
+Predictions never transform a neighbour again: when a block is finished,
+one integer transform (:data:`~repro.core.predictors.FINISHED`) stores what
+the blocks below and to its right need — its border pixel rows and columns
+6 and 7 and its Lakhani edge projections — in a per-component ring of
+``v + 1`` block rows of int64, so that state, like the coefficient
+:class:`~repro.core.rowbuffer.RowWindow`, scales with image width.
 """
 
 from typing import List, Optional
@@ -16,7 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
-from repro.core.errors import FormatError, ValueOutOfRange
+from repro.core.errors import FormatError
 from repro.core.model import (
     Model,
     ModelConfig,
@@ -26,24 +41,26 @@ from repro.core.model import (
     pred_bucket,
 )
 from repro.core.predictors import (
+    BORDER,
+    BORDER_COLS,
+    BORDER_PIXELS,
+    BORDER_ROWS,
+    COLUMN_PROJECTION,
+    DC_PIXEL,
+    FINISHED,
+    INTERIOR_SUMS,
+    OWN_PIXELS,
+    ROW_PROJECTION,
     dc_prediction_median8,
     dc_predictions,
-    lakhani_col_prediction,
-    lakhani_row_prediction,
-    weighted_avg_abs,
+    lakhani_prediction,
     weighted_avg_value,
     _div_round,
 )
 from repro.jpeg.scan_decode import mcu_block_layout
-from repro.jpeg.zigzag import (
-    LEFT_COL_RASTER,
-    RASTER_TO_ZIGZAG,
-    SEVEN_BY_SEVEN_RASTER,
-    SEVEN_BY_SEVEN_ZIGZAG_ORDER,
-    TOP_ROW_RASTER,
-)
+from repro.jpeg.zigzag import RASTER_TO_ZIGZAG, SEVEN_BY_SEVEN_ZIGZAG_ORDER
 
-# Section ids used in bin context keys.
+# Section ids used in context keys.
 _SEC_DC = 0
 _SEC_77 = 1
 _SEC_EDGE = 2
@@ -53,118 +70,53 @@ _SEC_NNZ_EDGE = 4
 _DC_CLAMP = 1 << 11
 _EDGE_CLAMP = 1 << 10
 
+_ORDER_77 = [int(r) for r in SEVEN_BY_SEVEN_ZIGZAG_ORDER]
+#: Edge rasters per orientation: the top row F[0, k], the left column F[k, 0].
+_EDGES = ([k for k in range(1, 8)], [k * 8 for k in range(1, 8)])
 
-class EncodeIO:
-    """Bit-IO adapter wrapping a :class:`BoolEncoder`."""
-
-    encoding = True
-
-    def __init__(self, model: Model, encoder: BoolEncoder):
-        self.model = model
-        self.encoder = encoder
-
-    def bit(self, key: tuple, bit: int = 0) -> int:
-        branch = self.model.branch(key)
-        prob = branch.prob_zero
-        self.encoder.put(bit, prob)
-        self.model.charge(prob, bit)
-        branch.record(bit)
-        return bit
-
-
-class DecodeIO:
-    """Bit-IO adapter wrapping a :class:`BoolDecoder`."""
-
-    encoding = False
-
-    def __init__(self, model: Model, decoder: BoolDecoder):
-        self.model = model
-        self.decoder = decoder
-
-    def bit(self, key: tuple, bit: int = 0) -> int:
-        branch = self.model.branch(key)
-        prob = branch.prob_zero
-        bit = self.decoder.get(prob)
-        self.model.charge(prob, bit)
-        branch.record(bit)
-        return bit
+# Context key bits: component 25-26, section 22-24, section fields 8-21,
+# and the slot (bool_coder) 0-7.  Section fields:
+#   7x7       zigzag index 16-21, neighbour bucket 12-15, remaining 8-11
+#   edge      orientation 21, k 18-20, prediction bucket + 11 13-17,
+#             remaining 8-11
+#   counts    orientation 12 (edge counts only), non-zero bucket 8-11
+#   DC        confidence 8-11
+# The tables below hold fields already shifted into place.
+_ZZ_KEY = [int(RASTER_TO_ZIGZAG[r]) << 16 for r in range(64)]
+#: Indexed by the weighted neighbour magnitude; 1024 and above bucket to 11.
+_AVG_KEY = [avg_bucket(t) << 12 for t in range(1024)]
+_AVG_KEY_CAP = avg_bucket(1024) << 12
+_NNZ_KEY = [nnz_bucket(n) << 8 for n in range(64)]
+#: Indexed by the clamped edge prediction plus 1024.
+_PRED_KEY = [(pred_bucket(p) + 11) << 13
+             for p in range(-_EDGE_CLAMP, _EDGE_CLAMP + 1)]
 
 
-def code_value(io, base: tuple, value: Optional[int] = None, max_exp: int = 14) -> int:
-    """Code one signed value: unary exponent, sign bit, residual bits.
-
-    Each bit has its own adaptive bin under ``base``.  On encode, ``value``
-    is required and returned; on decode the reconstructed value is returned.
-    """
-    if io.encoding:
-        mag = abs(value)
-        exp = mag.bit_length()
-        if exp > max_exp:
-            raise ValueOutOfRange(f"value {value} exceeds exponent cap {max_exp}")
-        i = 0
-        while True:
-            bit = 1 if i < exp else 0
-            io.bit(base + (0, i), bit)
-            if not bit:
-                break
-            i += 1
-            if i >= max_exp:
-                break
-    else:
-        exp = 0
-        while True:
-            if not io.bit(base + (0, exp)):
-                break
-            exp += 1
-            if exp >= max_exp:
-                break
-    if exp == 0:
-        return 0
-    if io.encoding:
-        sign = 1 if value < 0 else 0
-        io.bit(base + (1, 0), sign)
-    else:
-        sign = io.bit(base + (1, 0))
-    mag_out = 1 << (exp - 1)
-    for j in range(exp - 2, -1, -1):
-        if io.encoding:
-            bit = (abs(value) >> j) & 1
-            io.bit(base + (2, exp, j), bit)
-        else:
-            bit = io.bit(base + (2, exp, j))
-        mag_out |= bit << j
-    return -mag_out if sign else mag_out
-
-
-def code_counter(io, base: tuple, nbits: int, value: Optional[int] = None) -> int:
-    """Code an ``nbits``-wide counter through a bin tree (prefix-contexted).
-
-    This is the paper's non-zero-count scheme: each bit's bin is further
-    indexed by the previously coded bits, giving ``2^nbits − 1`` tree nodes
-    per outer context (§A.2.1).
-    """
-    prefix = 0
-    for b in range(nbits - 1, -1, -1):
-        if io.encoding:
-            bit = (value >> b) & 1
-            io.bit(base + (b, prefix), bit)
-        else:
-            bit = io.bit(base + (b, prefix))
-        prefix = (prefix << 1) | bit
-    return prefix
+def _section_key(ci: int, section: int) -> int:
+    return ((ci << 3) | section) << 22
 
 
 class ComponentState:
     """Per-component coding state shared across a segment."""
 
-    def __init__(self, index: int, coefficients: np.ndarray, qtable: np.ndarray):
-        self.index = index
+    def __init__(self, index: int, coefficients, qtable: np.ndarray, rows: int):
         self.coefficients = coefficients  # (blocks_h, blocks_w, 64) int32
-        self.qtable = qtable  # raster, int32, len 64
-        self.q8 = qtable.reshape(8, 8).astype(np.int64)
-        self.q_dc = int(qtable[0])
-        blocks_h, blocks_w = coefficients.shape[:2]
-        self.nnz_grid = np.zeros((blocks_h, blocks_w), dtype=np.int32)
+        self.q = [int(x) for x in qtable]  # raster
+        self.q64 = qtable.astype(np.int64)
+        self.q_dc = self.q[0]
+        blocks_w = coefficients.shape[1]
+        #: Ring of the last ``rows`` block rows: each finished block's
+        #: FINISHED border outputs, and its 7x7 non-zero count.
+        self.rows = rows
+        self.border = np.zeros((rows, blocks_w, BORDER.stop - BORDER.start),
+                               dtype=np.int64)
+        self.nnz = [[0] * blocks_w for _ in range(rows)]
+        self.k_dc = _section_key(index, _SEC_DC)
+        self.k_77 = _section_key(index, _SEC_77)
+        self.k_edge = _section_key(index, _SEC_EDGE)
+        self.k_nnz = _section_key(index, _SEC_NNZ77)
+        self.k_count = (_section_key(index, _SEC_NNZ_EDGE),
+                        _section_key(index, _SEC_NNZ_EDGE) | 1 << 12)
 
 
 class SegmentCodec:
@@ -181,12 +133,20 @@ class SegmentCodec:
         self.frame = frame
         self.config = config or ModelConfig()
         self.model = model or Model(self.config)
-        self.layout = mcu_block_layout(frame)
-        self.components = [
-            ComponentState(ci, coefficients[ci], quant_tables[comp.quant_table_id])
+        self._lakhani = self.config.edge_mode == "lakhani"
+        self._dc_mode = self.config.dc_mode
+        # Every mode but the plain PackJPG pair predicts from neighbour borders.
+        self._borders = self._lakhani or self._dc_mode != "packjpg"
+        factors = [(c.h, c.v) if frame.interleaved else (1, 1)
+                   for c in frame.components]
+        # The ring keeps the block rows of one MCU row plus the row above.
+        states = [
+            ComponentState(ci, coefficients[ci], quant_tables[comp.quant_table_id],
+                           factors[ci][1] + 1)
             for ci, comp in enumerate(frame.components)
         ]
-        self._seg_start = 0
+        self.layout = [(states[ci], factors[ci], dy, dx)
+                       for ci, dy, dx in mcu_block_layout(frame)]
 
     # -- public entry points ------------------------------------------------
 
@@ -195,201 +155,167 @@ class SegmentCodec:
         """Encode MCUs ``[mcu_start, mcu_end)`` into ``encoder``.
 
         ``seg_start`` pins the segment's true first MCU when coding an
-        incremental sub-range (the row-bounded streaming path); context
-        visibility must always be computed against the segment start, not
-        the sub-range start.
+        incremental sub-range with the same codec (the row-bounded
+        streaming path); context visibility must always be computed
+        against the segment start, not the sub-range start.
         """
-        self._run(EncodeIO(self.model, encoder), mcu_start, mcu_end, seg_start)
+        self._run(encoder, True, mcu_start, mcu_end, seg_start)
 
     def decode(self, decoder: BoolDecoder, mcu_start: int, mcu_end: int,
                seg_start: Optional[int] = None) -> None:
         """Decode MCUs ``[mcu_start, mcu_end)``, filling coefficient arrays."""
-        self._run(DecodeIO(self.model, decoder), mcu_start, mcu_end, seg_start)
+        self._run(decoder, False, mcu_start, mcu_end, seg_start)
 
     # -- machinery ------------------------------------------------------
 
-    def _run(self, io, mcu_start: int, mcu_end: int,
+    def _run(self, coder, encoding: bool, mcu_start: int, mcu_end: int,
              seg_start: Optional[int] = None) -> None:
-        frame = self.frame
-        self._seg_start = mcu_start if seg_start is None else seg_start
-        for mcu in range(mcu_start, mcu_end):
-            mcu_y, mcu_x = divmod(mcu, frame.mcus_x)
-            for ci, dy, dx in self.layout:
-                comp = frame.components[ci]
-                by = mcu_y * (comp.v if frame.interleaved else 1) + dy
-                bx = mcu_x * (comp.h if frame.interleaved else 1) + dx
-                self._code_block(io, ci, by, bx)
-
-    def _block_mcu(self, ci: int, by: int, bx: int) -> int:
-        """MCU index that codes component block (by, bx)."""
-        if self.frame.interleaved:
-            comp = self.frame.components[ci]
-            return (by // comp.v) * self.frame.mcus_x + (bx // comp.h)
-        return by * self.frame.mcus_x + bx
-
-    def _neighbours(self, state: ComponentState, by: int, bx: int):
-        """Neighbour blocks *visible within this segment*.
+        """Code every block of the MCU range.
 
         A neighbour counts only if its MCU lies inside the current segment
         range: thread segments decode concurrently, and chunks decode on
         different machines, so context must never reach across a segment
         boundary — on either side of the codec (the determinism rule).
         """
-        ci = state.index
-        start = self._seg_start
-        above = (
-            state.coefficients[by - 1, bx]
-            if by > 0 and self._block_mcu(ci, by - 1, bx) >= start
-            else None
-        )
-        left = (
-            state.coefficients[by, bx - 1]
-            if bx > 0 and self._block_mcu(ci, by, bx - 1) >= start
-            else None
-        )
-        above_left = (
-            state.coefficients[by - 1, bx - 1]
-            if above is not None and left is not None
-            and self._block_mcu(ci, by - 1, bx - 1) >= start
-            else None
-        )
-        return above, left, above_left
+        start = mcu_start if seg_start is None else seg_start
+        mcus_x = self.frame.mcus_x
+        for mcu in range(mcu_start, mcu_end):
+            mcu_y, mcu_x = divmod(mcu, mcus_x)
+            up = mcu - mcus_x >= start
+            left = mcu_x > 0 and mcu - 1 >= start
+            up_left = mcu_x > 0 and mcu - mcus_x - 1 >= start
+            for state, (h, v), dy, dx in self.layout:
+                has_above = dy > 0 or up
+                has_left = dx > 0 or left
+                self._code_block(
+                    coder, encoding, state, mcu_y * v + dy, mcu_x * h + dx,
+                    has_above, has_left,
+                    has_above and has_left and (dy > 0 or dx > 0 or up_left))
 
-    def _code_block(self, io, ci: int, by: int, bx: int) -> None:
-        state = self.components[ci]
-        cur = state.coefficients[by, bx]
-        above, left, above_left = self._neighbours(state, by, bx)
+    def _code_block(self, coder, encoding: bool, st: ComponentState,
+                    by: int, bx: int, has_above: bool, has_left: bool,
+                    has_above_left: bool) -> None:
+        """The one context function: codes block (by, bx) in either direction."""
+        bins = self.model.bins
+        accounts = self.model.accounts
+        code_value = coder.code_value
+        code_counter = coder.code_counter
+        coefficients = st.coefficients
+        # ``cur`` is the block's coefficient row, which decoding fills in as
+        # it goes (a no-op store when encoding); ``blk`` holds the values to
+        # encode, all zero when decoding, where they are ignored.
+        cur = coefficients[by, bx]
+        blk = cur.tolist() if encoding else _ZEROS
+        above = coefficients[by - 1, bx].tolist() if has_above else _ZEROS
+        left = coefficients[by, bx - 1].tolist() if has_left else _ZEROS
+        above_left = (coefficients[by - 1, bx - 1].tolist()
+                      if has_above_left else _ZEROS)
+        row = by % st.rows
+        row_above = (by - 1) % st.rows
 
         # --- 7x7 non-zero count (§A.2.1) --------------------------------
-        io.model.set_category("nnz")
-        n_above = int(state.nnz_grid[by - 1, bx]) if above is not None else 0
-        n_left = int(state.nnz_grid[by, bx - 1]) if left is not None else 0
-        ctx = nnz_bucket((n_above + n_left) // 2)
-        if io.encoding:
-            nnz = int(np.count_nonzero(cur[SEVEN_BY_SEVEN_RASTER]))
-            nnz = code_counter(io, (ci, _SEC_NNZ77, ctx), 6, nnz)
-        else:
-            nnz = code_counter(io, (ci, _SEC_NNZ77, ctx), 6)
-            if nnz > 49:
-                raise FormatError(f"decoded 7x7 non-zero count {nnz} > 49")
+        acct = accounts["nnz"] if accounts else None
+        n_ctx = ((st.nnz[row_above][bx] if has_above else 0)
+                 + (st.nnz[row][bx - 1] if has_left else 0))
+        nnz = code_counter(bins, st.k_nnz + _NNZ_KEY[n_ctx >> 1], 6,
+                           _count(blk, _ORDER_77) if encoding else 0, acct)
+        if nnz > 49:
+            raise FormatError(f"decoded 7x7 non-zero count {nnz} > 49")
+        st.nnz[row][bx] = nnz
 
         # --- 49 interior AC coefficients, zigzag order ------------------
-        io.model.set_category("7x7")
+        acct = accounts["7x7"] if accounts else None
         remaining = nnz
-        for r in SEVEN_BY_SEVEN_ZIGZAG_ORDER:
-            if remaining == 0:
+        k_77 = st.k_77
+        for r in _ORDER_77:
+            if not remaining:
                 break
-            r = int(r)
-            a = int(above[r]) if above is not None else None
-            l = int(left[r]) if left is not None else None
-            al = int(above_left[r]) if above_left is not None else None
-            abuck = avg_bucket(weighted_avg_abs(a, l, al))
-            base = (ci, _SEC_77, int(RASTER_TO_ZIGZAG[r]), abuck, nnz_bucket(remaining))
-            if io.encoding:
-                value = code_value(io, base, int(cur[r]), max_exp=11)
-            else:
-                value = code_value(io, base, max_exp=11)
+            # predictors.weighted_avg_abs, inlined in the hottest loop.
+            t = abs(above[r]) + abs(left[r]) + (abs(above_left[r]) >> 1)
+            value = code_value(
+                bins, k_77 + _ZZ_KEY[r] + (_AVG_KEY[t] if t < 1024 else _AVG_KEY_CAP)
+                + _NNZ_KEY[remaining], blk[r], 11, acct)
+            if value:
                 cur[r] = value
-            if value != 0:
                 remaining -= 1
-        state.nnz_grid[by, bx] = nnz
 
         # --- 7x1 / 1x7 edge coefficients (§A.2.2) ------------------------
-        io.model.set_category("edge")
-        nnz77_bucket = nnz_bucket(nnz)
-        self._code_edge(io, state, cur, above, left, above_left,
-                        horizontal=True, nnz77_bucket=nnz77_bucket)
-        self._code_edge(io, state, cur, above, left, above_left,
-                        horizontal=False, nnz77_bucket=nnz77_bucket)
+        acct = accounts["edge"] if accounts else None
+        lakhani = self._lakhani
+        sums = None
+        counts = 0
+        for orient, rasters in enumerate(_EDGES):
+            count = code_counter(bins, st.k_count[orient] + _NNZ_KEY[nnz], 3,
+                                 _count(blk, rasters) if encoding else 0, acct)
+            counts += count
+            projection = None
+            if lakhani and count and (has_left if orient else has_above):
+                if sums is None:
+                    sums = (np.multiply(cur, st.q64) @ INTERIOR_SUMS).tolist()
+                if orient:
+                    projection = st.border[row, bx - 1, ROW_PROJECTION:].tolist()
+                else:
+                    projection = st.border[row_above, bx,
+                                           COLUMN_PROJECTION:ROW_PROJECTION].tolist()
+            remaining = count
+            k_edge = st.k_edge + (orient << 21)
+            for k, r in enumerate(rasters, start=1):
+                if not remaining:
+                    break
+                if projection is not None:
+                    pred = _div_round(
+                        lakhani_prediction(projection[k], sums[(orient << 3) + k]),
+                        st.q[r])
+                else:
+                    pred = weighted_avg_value(above[r], left[r], above_left[r])
+                pred = max(-_EDGE_CLAMP, min(_EDGE_CLAMP, pred))
+                value = code_value(
+                    bins, k_edge + (k << 18) + _PRED_KEY[pred + _EDGE_CLAMP]
+                    + _NNZ_KEY[remaining], blk[r] - pred, 12, acct) + pred
+                if value:
+                    cur[r] = value
+                    remaining -= 1
 
         # --- DC, last (§A.2.3) -------------------------------------------
-        io.model.set_category("dc")
-        self._code_dc(io, state, cur, above, left)
-
-    def _code_edge(self, io, state: ComponentState, cur: np.ndarray,
-                   above, left, above_left, horizontal: bool,
-                   nnz77_bucket: int) -> None:
-        rasters = TOP_ROW_RASTER if horizontal else LEFT_COL_RASTER
-        orient = 0 if horizontal else 1
-        count_key = (state.index, _SEC_NNZ_EDGE, orient, nnz77_bucket)
-        if io.encoding:
-            count = int(np.count_nonzero(cur[rasters]))
-            count = code_counter(io, count_key, 3, count)
-        else:
-            count = code_counter(io, count_key, 3)
-        use_lakhani = self.config.edge_mode == "lakhani"
-        cur_deq = None
-        neighbour_deq = None
-        if use_lakhani:
-            neighbour = above if horizontal else left
-            if neighbour is not None:
-                cur_deq = cur.reshape(8, 8).astype(np.int64) * state.q8
-                neighbour_deq = neighbour.reshape(8, 8).astype(np.int64) * state.q8
-        remaining = count
-        for k, r in enumerate(rasters, start=1):
-            if remaining == 0:
-                break
-            r = int(r)
-            if neighbour_deq is not None:
-                if horizontal:
-                    pred_deq = lakhani_row_prediction(neighbour_deq, cur_deq, k)
-                else:
-                    pred_deq = lakhani_col_prediction(neighbour_deq, cur_deq, k)
-                pred = _div_round(pred_deq, int(state.qtable[r]))
-            else:
-                a = int(above[r]) if above is not None else None
-                l = int(left[r]) if left is not None else None
-                al = int(above_left[r]) if above_left is not None else None
-                pred = weighted_avg_value(a, l, al)
-            pred = max(-_EDGE_CLAMP, min(_EDGE_CLAMP, pred))
-            base = (state.index, _SEC_EDGE, orient, k, pred_bucket(pred),
-                    nnz_bucket(remaining))
-            if io.encoding:
-                value = int(cur[r])
-                code_value(io, base, value - pred, max_exp=12)
-            else:
-                value = code_value(io, base, max_exp=12) + pred
-                cur[r] = value
-            if value != 0:
-                remaining -= 1
-            if cur_deq is not None:
-                # Keep the dequantised view current for later predictions.
-                cur_deq[r // 8, r % 8] = value * int(state.qtable[r])
-
-    def _code_dc(self, io, state: ComponentState, cur: np.ndarray, above, left) -> None:
-        mode = self.config.dc_mode
+        acct = accounts["dc"] if accounts else None
+        mode = self._dc_mode
+        finished = None
+        if self._borders and (nnz or counts):
+            deq = np.multiply(cur, st.q64)
+            deq[0] = 0
+            finished = deq @ FINISHED
         if mode == "packjpg":
             # Baseline-PackJPG-style: plain neighbour DC as the prediction.
-            if left is not None:
-                pred = int(left[0])
-            elif above is not None:
-                pred = int(above[0])
-            else:
-                pred = 0
+            pred = left[0] if has_left else above[0]
             conf = 0
         else:
-            cur_deq = cur.reshape(8, 8).astype(np.int64) * state.q8
-            cur_deq[0, 0] = 0
-            above_deq = (
-                above.reshape(8, 8).astype(np.int64) * state.q8
-                if above is not None else None
-            )
-            left_deq = (
-                left.reshape(8, 8).astype(np.int64) * state.q8
-                if left is not None else None
-            )
+            own = finished[OWN_PIXELS].tolist() if finished is not None else _ZEROS
+            above_px = (st.border[row_above, bx, BORDER_ROWS].tolist()
+                        if has_above else None)
+            left_px = (st.border[row, bx - 1, BORDER_COLS].tolist()
+                       if has_left else None)
             if mode == "median8":
-                pred, spread = dc_prediction_median8(
-                    cur_deq, above_deq, left_deq, state.q_dc
-                )
+                pred, spread = dc_prediction_median8(own, above_px, left_px, st.q_dc)
             else:
-                _, pred, spread = dc_predictions(
-                    cur_deq, above_deq, left_deq, state.q_dc
-                )
+                _, pred, spread = dc_predictions(own, above_px, left_px, st.q_dc)
             conf = confidence_bucket(spread)
         pred = max(-_DC_CLAMP, min(_DC_CLAMP, pred))
-        base = (state.index, _SEC_DC, conf)
-        if io.encoding:
-            code_value(io, base, int(cur[0]) - pred, max_exp=14)
-        else:
-            cur[0] = code_value(io, base, max_exp=14) + pred
+        dc = code_value(bins, st.k_dc + (conf << 8), blk[0] - pred, 14, acct) + pred
+        cur[0] = dc
+
+        # --- the finished block, for its neighbours -----------------------
+        if self._borders:
+            border = st.border[row, bx]
+            if finished is None:
+                border[:] = 0
+            else:
+                border[:] = finished[BORDER]
+            border[BORDER_PIXELS] += DC_PIXEL * dc * st.q_dc
+
+
+_ZEROS = (0,) * 64
+
+
+def _count(blk: List[int], rasters: List[int]) -> int:
+    """Non-zero coefficients of ``blk`` among ``rasters``."""
+    return sum(1 for r in rasters if blk[r])

@@ -2,10 +2,18 @@
 
 A "statistic bin" (§3.2) tracks how often a particular binary decision came
 out 0 vs 1 in a particular context, and supplies the probability for the
-next occurrence.  Production Lepton preallocates 721,564 bins; we allocate
-them lazily in a dict keyed by context tuples, which is behaviourally
-identical (untouched bins would stay at 50/50 anyway) and keeps the Python
-working set proportional to the contexts actually seen.
+next occurrence.  A bin here is one small integer, its *state*
+``zeros << 8 | ones``: both counts start at 1 (the 50/50 prior) and are
+renormalised by halving when either saturates a byte, matching Lepton's u8
+counters.  The tables :data:`PROB`, :data:`NEXT0` and :data:`NEXT1`, built
+once at import from that rule, give a state's probability and its successor
+after a 0 or a 1, so coding a bit is two list lookups and no object.
+
+Production Lepton preallocates 721,564 bins indexed arithmetically.  The
+coder here computes the same kind of integer index — a *context key* — but
+keeps the bins in a dict keyed by it, so the store holds only the bins an
+image actually touches (an untouched bin would stay at 50/50 anyway) and
+the working set stays proportional to the contexts seen.
 
 Bins are *independent*: learning in one context never leaks into another
 (§3.2).  Each thread segment gets a fresh :class:`Model`, which is exactly
@@ -14,7 +22,9 @@ why adding threads costs compression (§3.4) — an effect measured by
 """
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Optional
+
+import numpy as np
 
 # --- fixed-point information accounting -----------------------------------
 
@@ -50,42 +60,44 @@ _BIT_COST = [0] * 257
 for _p in range(1, 256):
     _BIT_COST[_p] = (8 << COST_FRAC_BITS) - _log2_fix(_p)
 
+#: Cost of coding a 0 / a 1 when P(bit == 0) is ``prob``, indexed by prob.
+COST0 = _BIT_COST[:256]
+COST1 = [0] + [_BIT_COST[256 - p] for p in range(1, 256)]
 
-class Branch:
-    """One adaptive bin: counts of observed zeros/ones → P(bit == 0).
+# --- bin states -----------------------------------------------------------
 
-    Counts start at (1, 1) — the 50/50 prior — and are renormalised by
-    halving when either saturates a byte, matching Lepton's u8 counters.
+#: A fresh bin: one zero and one one seen, P(bit == 0) = 128/256.
+INITIAL_STATE = (1 << 8) | 1
+
+
+def _state_tables():
+    """``PROB``, ``NEXT0`` and ``NEXT1`` over all 2^16 states.
+
+    ``PROB[s]`` is P(bit == 0) = 256·zeros/(zeros+ones), clamped to
+    [1, 255] for the range coder.  Recording a bit increments its count;
+    a count that passes 255 restarts at 128 and halves the other one
+    (never below 1).  Only states with both counts in 1..255 occur.
     """
+    states = np.arange(1 << 16, dtype=np.int64)
+    zeros = np.maximum(states >> 8, 1)
+    ones = np.maximum(states & 0xFF, 1)
+    prob = np.clip((zeros << 8) // (zeros + ones), 1, 255)
 
-    __slots__ = ("zeros", "ones")
+    def step(mine, other):
+        mine = mine + 1
+        full = mine > 255
+        return (np.where(full, 128, mine),
+                np.where(full, np.maximum((other + 1) >> 1, 1), other))
 
-    def __init__(self):
-        self.zeros = 1
-        self.ones = 1
+    z0, o0 = step(zeros, ones)
+    o1, z1 = step(ones, zeros)
+    return prob.tolist(), ((z0 << 8) | o0).tolist(), ((z1 << 8) | o1).tolist()
 
-    @property
-    def prob_zero(self) -> int:
-        """P(bit == 0) scaled to [1, 255] for the range coder."""
-        prob = (self.zeros << 8) // (self.zeros + self.ones)
-        if prob < 1:
-            return 1
-        if prob > 255:
-            return 255
-        return prob
 
-    def record(self, bit: int) -> None:
-        """Update counts after coding ``bit``."""
-        if bit:
-            self.ones += 1
-            if self.ones > 255:
-                self.ones = 128
-                self.zeros = (self.zeros + 1) >> 1 or 1
-        else:
-            self.zeros += 1
-            if self.zeros > 255:
-                self.zeros = 128
-                self.ones = (self.ones + 1) >> 1 or 1
+PROB, NEXT0, NEXT1 = _state_tables()
+
+#: Figure-4 component categories the information accounting reports.
+CATEGORIES = ("nnz", "7x7", "edge", "dc")
 
 
 @dataclass
@@ -105,46 +117,33 @@ class ModelConfig:
 
 
 class Model:
-    """A lazily allocated bin store plus information-content accounting.
+    """A bin store (context key → state) plus optional information
+    accounting.
 
-    ``bit_costs`` accumulates the Shannon information (in bits) charged to
-    each component category — 'nnz', '7x7', 'edge', 'dc' — which is how the
-    Figure-4 breakdown is measured without per-symbol byte boundaries.
-    The accumulation itself runs in 2^16 fixed point so that the coded path
-    stays integer-exact; only the reporting property converts to float.
+    With ``account=True``, :attr:`accounts` holds one fixed-point (2^16)
+    accumulator per Figure-4 category — 'nnz', '7x7', 'edge', 'dc' — that
+    the encoder adds each coded bit's Shannon information to; that is how
+    the Figure-4 breakdown is measured without per-symbol byte boundaries.
+    Without it the coder skips the accounting entirely, as serving does.
     """
 
-    __slots__ = ("bins", "config", "_cost_fix", "_category")
+    __slots__ = ("bins", "config", "accounts")
 
-    def __init__(self, config: ModelConfig = None):
-        self.bins: Dict[Tuple, Branch] = {}
+    def __init__(self, config: Optional[ModelConfig] = None, account: bool = False):
+        self.bins: Dict[int, int] = {}
         self.config = config or ModelConfig()
-        self._cost_fix = {"nnz": 0, "7x7": 0, "edge": 0, "dc": 0}
-        self._category = "7x7"
-
-    def branch(self, key: Tuple) -> Branch:
-        """The bin for a context, created at the 50/50 prior on first use."""
-        branch = self.bins.get(key)
-        if branch is None:
-            branch = Branch()
-            self.bins[key] = branch
-        return branch
-
-    def set_category(self, category: str) -> None:
-        """Route subsequent bit costs to a Figure-4 component category."""
-        self._category = category
-
-    def charge(self, prob: int, bit: int) -> None:
-        """Record the information content of one coded bit (fixed point)."""
-        cost = _BIT_COST[prob] if bit == 0 else _BIT_COST[256 - prob]
-        self._cost_fix[self._category] += cost
+        self.accounts: Optional[Dict[str, List[int]]] = (
+            {category: [0] for category in CATEGORIES} if account else None
+        )
 
     @property
     def bit_costs(self) -> Dict[str, float]:
         """Per-category information in bits (reporting only, hence the one
         sanctioned float conversion off the coded path)."""
+        if self.accounts is None:
+            return {}
         scale = 1 << COST_FRAC_BITS
-        return {k: v / scale for k, v in self._cost_fix.items()}  # lint: disable=D1
+        return {k: v[0] / scale for k, v in self.accounts.items()}  # lint: disable=D1
 
     @property
     def bin_count(self) -> int:

@@ -56,7 +56,7 @@ from repro.core.format import (
     iter_container,
 )
 from repro.core.handover import HandoverWord
-from repro.core.model import ModelConfig
+from repro.core.model import Model, ModelConfig
 from repro.core.rowbuffer import RowWindow
 from repro.core.segments import choose_thread_count, plan_segments
 from repro.jpeg.parser import JpegImage, parse_jpeg
@@ -143,7 +143,8 @@ def code_segment_records(
     (:mod:`repro.core.chunks`) both route through it, and lint rule D6
     rejects any new ``SegmentCodec``/``BoolEncoder`` drive loop outside
     this module.  Model construction and boolean coding are one interleaved
-    stage: every coded bit consults the adaptive bins it just updated.
+    stage: every coded bit consults the adaptive bins it just updated.  The
+    Figure-4 information accounting runs only when ``stats`` is given.
     """
     frame = img.frame
     segments: List[SegmentRecord] = []
@@ -152,7 +153,9 @@ def code_segment_records(
         if deadline is not None and time.monotonic() > deadline:  # lint: disable=D2
             raise TimeoutExceeded("encode exceeded its deadline")
         with trace_span("lepton.encode.code_segment", segment=segment_index) as rec:
-            codec = SegmentCodec(frame, img.quant_tables, img.coefficients, model_config)
+            model = Model(model_config, account=stats is not None)
+            codec = SegmentCodec(frame, img.quant_tables, img.coefficients,
+                                 model_config, model)
             encoder = BoolEncoder()
             codec.encode(encoder, mcu_start, mcu_end)
             coded = encoder.finish()
@@ -162,9 +165,9 @@ def code_segment_records(
         segments.append(SegmentRecord(mcu_start, mcu_end, handover, coded))
         if stats is not None:
             stats.segment_sizes.append(len(coded))
-            for category, bits in codec.model.bit_costs.items():
+            for category, bits in model.bit_costs.items():
                 stats.bit_costs[category] = stats.bit_costs.get(category, 0.0) + bits
-            stats.model_bins += codec.model.bin_count
+            stats.model_bins += model.bin_count
     return segments
 
 

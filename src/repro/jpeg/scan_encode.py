@@ -19,6 +19,9 @@ from repro.jpeg.parser import JpegImage
 from repro.jpeg.scan_decode import mcu_block_layout
 from repro.jpeg.zigzag import ZIGZAG_TO_RASTER
 
+#: Raster indices of the 63 AC coefficients in zigzag order.
+_AC_ORDER = [int(r) for r in ZIGZAG_TO_RASTER[1:]]
+
 
 @dataclass(frozen=True)
 class ScanPosition:
@@ -100,7 +103,6 @@ class ScanEncoder:
         interval = self.img.restart_interval
         rst_limit = self.img.rst_count
         writer = self.writer
-        zz_order = [ZIGZAG_TO_RASTER[k] for k in range(64)]
         while self.mcu < end_mcu:
             mcu = self.mcu
             mcu_y, mcu_x = divmod(mcu, frame.mcus_x)
@@ -108,7 +110,7 @@ class ScanEncoder:
                 comp = frame.components[ci]
                 by = mcu_y * (comp.v if frame.interleaved else 1) + dy
                 bx = mcu_x * (comp.h if frame.interleaved else 1) + dx
-                self._encode_block(ci, self.coefficients[ci][by, bx], zz_order)
+                self._encode_block(ci, self.coefficients[ci][by, bx])
             self.mcu += 1
             # Restart markers are emitted as part of the *preceding* MCU, so
             # that stopping at any MCU boundary produces exactly the bytes up
@@ -126,37 +128,38 @@ class ScanEncoder:
             if self._record:
                 self._record_position()
 
-    def _encode_block(self, ci: int, block: np.ndarray, zz_order) -> None:
-        writer = self.writer
-        # DC: category of the diff against the running predictor.
-        dc = int(block[0])
+    def _encode_block(self, ci: int, block: np.ndarray) -> None:
+        write_bits = self.writer.write_bits
+        coefs = block.tolist()
+        # DC: category of the diff against the running predictor, its code
+        # and magnitude bits in one write.
+        dc = coefs[0]
         diff = dc - self.dc_pred[ci]
         self.dc_pred[ci] = dc
         size = abs(diff).bit_length()
         code, length = self.dc_tables[ci].encode_symbol(size)
-        writer.write_bits(code, length)
-        if size:
-            writer.write_bits(diff if diff >= 0 else diff + (1 << size) - 1, size)
+        bits = diff if diff >= 0 else diff + (1 << size) - 1
+        write_bits((code << size) | bits, length + size)
         # AC: (run, size) symbols over the zigzag order.
         ac_table = self.ac_tables[ci]
         run = 0
-        for k in range(1, 64):
-            value = int(block[zz_order[k]])
-            if value == 0:
+        for r in _AC_ORDER:
+            value = coefs[r]
+            if not value:
                 run += 1
                 continue
             while run > 15:
                 code, length = ac_table.encode_symbol(0xF0)  # ZRL
-                writer.write_bits(code, length)
+                write_bits(code, length)
                 run -= 16
             size = abs(value).bit_length()
             code, length = ac_table.encode_symbol((run << 4) | size)
-            writer.write_bits(code, length)
-            writer.write_bits(value if value >= 0 else value + (1 << size) - 1, size)
+            bits = value if value >= 0 else value + (1 << size) - 1
+            write_bits((code << size) | bits, length + size)
             run = 0
         if run:
             code, length = ac_table.encode_symbol(0x00)  # EOB
-            writer.write_bits(code, length)
+            write_bits(code, length)
 
     def finish(self) -> bytes:
         """Pad the final byte and return all bytes this encoder produced."""

@@ -17,6 +17,7 @@ percentiles without the full trace; labels stay on the trace records only
 import json
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -65,7 +66,14 @@ class Tracer:
         self._registry = registry
         self._local = threading.local()
         self._lock = threading.Lock()
-        self.spans: List[SpanRecord] = []
+        # Appending to a full bounded deque drops the oldest span in O(1).
+        self._spans = deque(maxlen=MAX_BUFFERED_SPANS)
+
+    @property
+    def spans(self) -> List[SpanRecord]:
+        """The buffered spans, oldest first (a snapshot)."""
+        with self._lock:
+            return list(self._spans)
 
     def _registry_or_global(self):
         if self._registry is not None:
@@ -104,9 +112,7 @@ class Tracer:
             record.cpu_seconds = _cpu_clock() - cpu_start
             stack.pop()
             with self._lock:
-                self.spans.append(record)
-                if len(self.spans) > MAX_BUFFERED_SPANS:
-                    del self.spans[: len(self.spans) - MAX_BUFFERED_SPANS]
+                self._spans.append(record)
             self._registry_or_global().histogram(
                 f"span.{name}.wall_seconds"
             ).observe(record.wall_seconds)
@@ -115,9 +121,7 @@ class Tracer:
 
     def to_jsonl(self) -> str:
         """The buffered spans, one JSON object per line."""
-        with self._lock:
-            spans = list(self.spans)
-        return "\n".join(json.dumps(s.to_dict(), sort_keys=True) for s in spans)
+        return "\n".join(json.dumps(s.to_dict(), sort_keys=True) for s in self.spans)
 
     def export_jsonl(self, destination) -> int:
         """Write spans to a path or file object; returns the span count."""
@@ -132,7 +136,7 @@ class Tracer:
 
     def clear(self) -> None:
         with self._lock:
-            self.spans.clear()
+            self._spans.clear()
         self._local = threading.local()
 
 

@@ -178,7 +178,6 @@ class TestMozjpegArith:
     def test_small_bin_count(self, photo):
         """The defining property: a few hundred bins, not 721k."""
         from repro.core.bool_coder import BoolEncoder
-        from repro.core.coefcoder import EncodeIO
         from repro.core.model import Model
         from repro.jpeg.parser import parse_jpeg
         from repro.jpeg.scan_decode import decode_scan
@@ -186,7 +185,7 @@ class TestMozjpegArith:
         img = parse_jpeg(photo)
         decode_scan(img)
         model = Model()
-        mozjpeg_arith._code_image(EncodeIO(model, BoolEncoder()),
+        mozjpeg_arith._code_image(BoolEncoder(), model.bins,
                                   img.frame, img.coefficients)
         assert model.bin_count < 2000
 
@@ -194,7 +193,6 @@ class TestMozjpegArith:
         """Lepton's context space dwarfs the spec-style coder's on the same
         input (721k vs ~300 in the paper; both lazily counted here)."""
         from repro.core.bool_coder import BoolEncoder
-        from repro.core.coefcoder import EncodeIO
         from repro.core.lepton import LeptonConfig, compress
         from repro.core.model import Model
         from repro.jpeg.parser import parse_jpeg
@@ -203,7 +201,7 @@ class TestMozjpegArith:
         img = parse_jpeg(photo)
         decode_scan(img)
         moz_model = Model()
-        mozjpeg_arith._code_image(EncodeIO(moz_model, BoolEncoder()),
+        mozjpeg_arith._code_image(BoolEncoder(), moz_model.bins,
                                   img.frame, img.coefficients)
         result = compress(photo, LeptonConfig(threads=1))
         assert result.stats.model_bins > 3 * moz_model.bin_count

@@ -121,3 +121,70 @@ class TestRobustness:
         for _ in range(256):
             dec.get(128)
         assert dec.consumed <= len(coded)
+
+
+def _bit_by_bit(ops):
+    """Reference: each value or counter as single ``put`` calls, stepping
+    the same bin states through the model's tables."""
+    from repro.core.bool_coder import SIGN_SLOT
+    from repro.core.model import INITIAL_STATE, NEXT0, NEXT1, PROB
+
+    enc, bins = BoolEncoder(), {}
+
+    def bit(key, b):
+        state = bins.get(key, INITIAL_STATE)
+        enc.put(b, PROB[state])
+        bins[key] = NEXT1[state] if b else NEXT0[state]
+
+    for kind, key, value, width in ops:
+        if kind == "counter":
+            for depth in range(width):
+                bit(key + ((1 << depth) | (value >> (width - depth))),
+                    (value >> (width - 1 - depth)) & 1)
+            continue
+        mag = abs(value)
+        exp = mag.bit_length()
+        for i in range(min(exp + 1, width)):
+            bit(key + i, int(i < exp))
+        if exp:
+            bit(key + SIGN_SLOT, int(value < 0))
+            for j in range(exp - 2, -1, -1):
+                bit(key + ((exp << 4) | j), (mag >> j) & 1)
+    return enc.finish(), bins
+
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("value"), st.sampled_from([0, 256, 512]),
+              st.integers(-(1 << 14) + 1, (1 << 14) - 1), st.just(14)),
+    st.tuples(st.just("value"), st.sampled_from([0, 768]),
+              st.integers(-3, 3), st.sampled_from([2, 11])),
+    st.tuples(st.just("value"), st.just(768), st.integers(-1, 1), st.just(1)),
+    st.tuples(st.just("counter"), st.sampled_from([0, 1024]),
+              st.integers(0, 7), st.just(3)),
+    st.tuples(st.just("counter"), st.just(1280), st.integers(0, 63), st.just(6)),
+), max_size=300)
+
+
+class TestFusedLoops:
+    """``code_value``/``code_counter`` inline the range coder and the bin
+    tables; they must produce exactly what single-bit coding produces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_OPS)
+    def test_match_single_bit_coding(self, ops):
+        want, want_bins = _bit_by_bit(ops)
+        enc, bins = BoolEncoder(), {}
+        for kind, key, value, width in ops:
+            if kind == "counter":
+                enc.code_counter(bins, key, width, value)
+            else:
+                enc.code_value(bins, key, value, width)
+        assert enc.finish() == want
+        assert bins == want_bins
+        dec, bins = BoolDecoder(want), {}
+        for kind, key, value, width in ops:
+            if kind == "counter":
+                assert dec.code_counter(bins, key, width, 0) == value
+            else:
+                assert dec.code_value(bins, key, 0, width) == value
+        assert bins == want_bins

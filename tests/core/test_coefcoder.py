@@ -6,27 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
-from repro.core.coefcoder import (
-    DecodeIO,
-    EncodeIO,
-    SegmentCodec,
-    code_counter,
-    code_value,
-)
+from repro.core.coefcoder import SegmentCodec
 from repro.core.errors import ValueOutOfRange
 from repro.core.model import Model, ModelConfig
 from repro.jpeg.parser import parse_jpeg
 from repro.jpeg.scan_decode import decode_scan
 
+KEY = 7 << 8
+
 
 def _roundtrip_values(values, max_exp=14):
     enc = BoolEncoder()
-    io = EncodeIO(Model(), enc)
+    bins = Model().bins
     for v in values:
-        code_value(io, ("t",), v, max_exp=max_exp)
+        enc.code_value(bins, KEY, v, max_exp)
     dec = BoolDecoder(enc.finish())
-    io = DecodeIO(Model(), dec)
-    return [code_value(io, ("t",), max_exp=max_exp) for _ in values]
+    bins = Model().bins
+    return [dec.code_value(bins, KEY, 0, max_exp) for _ in values]
 
 
 class TestCodeValue:
@@ -64,15 +60,13 @@ class TestCodeCounter:
     @pytest.mark.parametrize("value", [0, 1, 31, 49, 63])
     def test_six_bit_counter(self, value):
         enc = BoolEncoder()
-        io = EncodeIO(Model(), enc)
-        code_counter(io, ("n",), 6, value)
-        dec_io = DecodeIO(Model(), BoolDecoder(enc.finish()))
-        assert code_counter(dec_io, ("n",), 6) == value
+        enc.code_counter(Model().bins, KEY, 6, value)
+        dec = BoolDecoder(enc.finish())
+        assert dec.code_counter(Model().bins, KEY, 6, 0) == value
 
     def test_tree_contexts_distinct_per_prefix(self):
         model = Model()
-        io = EncodeIO(model, BoolEncoder())
-        code_counter(io, ("n",), 3, 0b101)
+        BoolEncoder().code_counter(model.bins, KEY, 3, 0b101)
         # Bits at positions 2,1,0 with prefixes (0, 1, 0b10) → 3 bins.
         assert model.bin_count == 3
 
@@ -196,7 +190,8 @@ class TestSegmentCodec:
         assert sizes["gradient"] < sizes["packjpg"]
 
     def test_bit_cost_accounting_sums_to_output(self, parsed):
-        codec = SegmentCodec(parsed.frame, parsed.quant_tables, parsed.coefficients)
+        codec = SegmentCodec(parsed.frame, parsed.quant_tables, parsed.coefficients,
+                             model=Model(account=True))
         enc = BoolEncoder()
         codec.encode(enc, 0, parsed.frame.mcu_count)
         coded_bits = len(enc.finish()) * 8

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bool_coder import BoolEncoder
 from repro.core.model import (
-    Branch,
+    INITIAL_STATE,
+    NEXT0,
+    NEXT1,
+    PROB,
     Model,
     ModelConfig,
     avg_bucket,
@@ -17,7 +21,31 @@ from repro.core.model import (
 )
 
 
+class Branch:
+    """One bin stepped through the state tables, for readable tests."""
+
+    def __init__(self):
+        self.state = INITIAL_STATE
+
+    @property
+    def prob_zero(self):
+        return PROB[self.state]
+
+    @property
+    def zeros(self):
+        return self.state >> 8
+
+    @property
+    def ones(self):
+        return self.state & 0xFF
+
+    def record(self, bit):
+        self.state = NEXT1[self.state] if bit else NEXT0[self.state]
+
+
 class TestBranch:
+    """The bin rule: u8 counts from (1, 1), halved when one saturates."""
+
     def test_starts_at_even_odds(self):
         assert Branch().prob_zero == 128
 
@@ -63,38 +91,66 @@ class TestBranch:
             b.record(bit)
             assert 1 <= b.prob_zero <= 255
 
+    def test_tables_follow_the_counter_rule(self):
+        """Every reachable state, against the rule written out longhand."""
+        for zeros in range(1, 256):
+            for ones in range(1, 256):
+                state = (zeros << 8) | ones
+                assert PROB[state] == min(max((zeros << 8) // (zeros + ones), 1), 255)
+                z, o = zeros + 1, ones
+                if z > 255:
+                    z, o = 128, (o + 1) >> 1 or 1
+                assert NEXT0[state] == (z << 8) | o
+                z, o = zeros, ones + 1
+                if o > 255:
+                    z, o = (z + 1) >> 1 or 1, 128
+                assert NEXT1[state] == (z << 8) | o
+
+
+def _code_bit(model, key, bit, category="7x7"):
+    """Code one adaptive bit in bin ``key + 1`` (a one-bit counter)."""
+    acct = model.accounts[category] if model.accounts else None
+    BoolEncoder().code_counter(model.bins, key << 8, 1, bit, acct)
+
 
 class TestModel:
     def test_bins_created_lazily(self):
         m = Model()
         assert m.bin_count == 0
-        m.branch(("a", 1))
-        m.branch(("a", 2))
-        m.branch(("a", 1))  # same context: no new bin
+        _code_bit(m, 1, 0)
+        _code_bit(m, 2, 0)
+        _code_bit(m, 1, 1)  # same context: no new bin
         assert m.bin_count == 2
 
     def test_bins_are_independent(self):
         m = Model()
-        m.branch(("x",)).record(0)
-        assert m.branch(("y",)).prob_zero == 128
+        _code_bit(m, 1, 0)
+        assert PROB[m.bins.get((2 << 8) + 1, INITIAL_STATE)] == 128
 
     def test_charge_accumulates_information(self):
-        m = Model()
-        m.set_category("dc")
-        m.charge(128, 0)
+        m = Model(account=True)
+        _code_bit(m, 1, 0, "dc")  # a fresh bin: P = 128/256
         assert m.bit_costs["dc"] == pytest.approx(1.0)
-        m.charge(128, 1)
+        _code_bit(m, 2, 1, "dc")
         assert m.bit_costs["dc"] == pytest.approx(2.0)
 
     def test_charge_weights_by_surprise(self):
-        m = Model()
-        m.set_category("7x7")
-        m.charge(250, 0)  # expected: cheap
+        skewed = (255 << 8) | 6
+        assert PROB[skewed] == 250
+        m = Model(account=True)
+        m.bins[(1 << 8) + 1] = skewed
+        _code_bit(m, 1, 0)  # expected: cheap
         cheap = m.bit_costs["7x7"]
-        m2 = Model()
-        m2.set_category("7x7")
-        m2.charge(250, 1)  # surprising: expensive
+        m2 = Model(account=True)
+        m2.bins[(1 << 8) + 1] = skewed
+        _code_bit(m2, 1, 1)  # surprising: expensive
         assert m2.bit_costs["7x7"] > cheap * 5
+
+    def test_no_accounting_unless_asked(self):
+        m = Model()
+        _code_bit(m, 1, 0)
+        assert m.accounts is None
+        assert m.bit_costs == {}
 
     def test_default_config(self):
         assert Model().config.edge_mode == "lakhani"
@@ -182,10 +238,9 @@ class TestFixedPointCosts:
             assert _NNZ_BUCKET[n] == min(int(math.log(n) / log159), 9)
 
     def test_charge_state_is_integer(self):
-        m = Model()
-        m.set_category("edge")
-        m.charge(37, 1)
-        m.charge(219, 0)
-        assert all(isinstance(v, int) for v in m._cost_fix.values())
+        m = Model(account=True)
+        _code_bit(m, 1, 1, "edge")
+        _code_bit(m, 2, 0, "edge")
+        assert all(isinstance(v[0], int) for v in m.accounts.values())
         # The public property still reports float bits.
         assert m.bit_costs["edge"] > 0.0

@@ -4,15 +4,91 @@ import numpy as np
 import pytest
 
 from repro.core.predictors import (
+    BF,
+    BORDER,
+    BORDER_COLS,
+    BORDER_ROWS,
+    COLUMN_PROJECTION,
+    DC_PIXEL,
+    FINISHED,
+    INTERIOR_SUMS,
+    ROW_PROJECTION,
     _div_round,
-    dc_prediction_median8,
-    dc_predictions,
-    lakhani_col_prediction,
-    lakhani_row_prediction,
+    dc_prediction_median8 as _median8_from_pixels,
+    dc_predictions as _dc_from_pixels,
+    lakhani_prediction,
     weighted_avg_abs,
     weighted_avg_value,
 )
 from repro.jpeg.dct import fdct2
+
+
+def _finished(deq):
+    """FINISHED outputs of an 8x8 dequantised block (its border part too)."""
+    out = np.asarray(deq, dtype=np.int64).reshape(64) @ FINISHED
+    return out[: BORDER.start].tolist(), out[BORDER].tolist()
+
+
+def lakhani_row_prediction(above_deq, cur_deq, v):
+    """Dequantised F[0, v] predicted from the block above."""
+    _, border = _finished(above_deq)
+    interior = np.asarray(cur_deq, dtype=np.int64).reshape(64) @ INTERIOR_SUMS
+    return lakhani_prediction(border[COLUMN_PROJECTION + v], int(interior[v]))
+
+
+def lakhani_col_prediction(left_deq, cur_deq, u):
+    """Dequantised F[u, 0] predicted from the block to the left."""
+    _, border = _finished(left_deq)
+    interior = np.asarray(cur_deq, dtype=np.int64).reshape(64) @ INTERIOR_SUMS
+    return lakhani_prediction(border[ROW_PROJECTION + u], int(interior[8 + u]))
+
+
+def _pixels(cur_no_dc, above_deq, left_deq):
+    own, _ = _finished(cur_no_dc)
+    above = None if above_deq is None else _finished(above_deq)[1][BORDER_ROWS]
+    left = None if left_deq is None else _finished(left_deq)[1][BORDER_COLS]
+    return own, above, left
+
+
+def dc_predictions(cur_no_dc, above_deq, left_deq, q_dc):
+    return _dc_from_pixels(*_pixels(cur_no_dc, above_deq, left_deq), q_dc)
+
+
+def dc_prediction_median8(cur_no_dc, above_deq, left_deq, q_dc):
+    return _median8_from_pixels(*_pixels(cur_no_dc, above_deq, left_deq), q_dc)
+
+
+class TestTransforms:
+    """The matrices against the transforms they replace."""
+
+    def test_finished_matches_the_pixel_transform(self):
+        rng = np.random.default_rng(9)
+        deq = rng.integers(-4000, 4000, (8, 8)).astype(np.int64)
+        pixels = BF.T @ deq @ BF
+        own, border = _finished(deq)
+        assert own == (pixels[0].tolist() + pixels[1].tolist()
+                       + pixels[:, 0].tolist() + pixels[:, 1].tolist())
+        assert border[:32] == (pixels[6].tolist() + pixels[7].tolist()
+                               + pixels[:, 6].tolist() + pixels[:, 7].tolist())
+        assert border[COLUMN_PROJECTION:ROW_PROJECTION] == (BF[:, 7] @ deq).tolist()
+        assert border[ROW_PROJECTION:] == (deq @ BF[:, 7]).tolist()
+
+    def test_dc_adds_a_constant_to_every_pixel(self):
+        deq = np.zeros((8, 8), dtype=np.int64)
+        deq[0, 0] = 3
+        own, border = _finished(deq)
+        assert set(own + border[:32]) == {3 * DC_PIXEL}
+
+    def test_interior_sums_read_only_the_interior(self):
+        rng = np.random.default_rng(10)
+        deq = rng.integers(-4000, 4000, (8, 8)).astype(np.int64)
+        sums = (deq.reshape(64) @ INTERIOR_SUMS).tolist()
+        for k in range(1, 8):
+            assert sums[k] == int(BF[1:, 0] @ deq[1:, k])
+            assert sums[8 + k] == int(deq[k, 1:] @ BF[1:, 0])
+        deq[0, :] = 0
+        deq[:, 0] = 0
+        assert (deq.reshape(64) @ INTERIOR_SUMS).tolist()[1:8] == sums[1:8]
 
 
 class TestDivRound:

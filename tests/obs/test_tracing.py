@@ -110,3 +110,16 @@ def test_global_trace_span_uses_global_tracer():
         pass
     spans = get_tracer().spans[before:]
     assert [s.name for s in spans] == ["global.test"]
+
+
+def test_full_buffer_keeps_the_newest_spans_in_order(monkeypatch):
+    """Past the cap, each new span evicts the oldest one."""
+    from repro.obs import tracing
+
+    monkeypatch.setattr(tracing, "MAX_BUFFERED_SPANS", 3)
+    tracer = Tracer(MetricsRegistry())
+    for i in range(7):
+        with tracer.span(f"s{i}"):
+            pass
+    assert [s.name for s in tracer.spans] == ["s4", "s5", "s6"]
+    assert tracer.spans[1:] == tracer.spans[-2:]
