@@ -7,10 +7,11 @@ hold the whole image (or more); generic codecs are tiny.  We measure peak
 sizes, but the orderings (streaming Lepton decode < whole-file tools;
 encode ≈ whole-file for everyone, §4.2) are the reproduced shape.
 
-The streaming decode measured here is the same ``DecodeSession`` row
-window every entry point uses: coefficients live in a sliding band of
-block rows, so the decode working set scales with image width, not area
-(tests/core/test_session.py pins this with a tracemalloc ratio).
+The streaming decode measured here is ``decompress_chunks``, the one
+decode implementation: its sequential ``DecodeSession`` keeps coefficients
+in a sliding band of block rows, so the decode working set scales with
+image width, not area (tests/core/test_session.py pins this with a
+tracemalloc ratio).
 """
 
 import tracemalloc
@@ -61,8 +62,7 @@ def test_fig3_orderings(benchmark):
     """The paper's actual Figure-3 point: Lepton's bounded row-by-row
     decode (24 MiB hard cap in production) undercuts the whole-file tools,
     and generic codecs use the least of all."""
-    from repro.core.decoder import decode_lepton_bounded
-    from repro.core.lepton import LeptonConfig, compress
+    from repro.core.lepton import LeptonConfig, compress, decompress_chunks
 
     peaks = {}
 
@@ -73,7 +73,7 @@ def test_fig3_orderings(benchmark):
             peaks[name] = _peak(lambda c=codec, p=payload: c.decompress(p))
         bounded_payload = compress(DATA, LeptonConfig(threads=1)).payload
         peaks["lepton-bounded"] = _peak(
-            lambda: b"".join(decode_lepton_bounded(bounded_payload))
+            lambda: b"".join(decompress_chunks([bounded_payload]))
         )
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -96,14 +96,13 @@ def test_fig3_bounded_decode_memory_is_flat_in_image_height(benchmark):
     the image.  Both pay the (content-proportional) model; the coefficient
     arrays are what separates them."""
     from repro.baselines import packjpg_like
-    from repro.core.decoder import decode_lepton_bounded
-    from repro.core.lepton import LeptonConfig, compress
+    from repro.core.lepton import LeptonConfig, compress, decompress_chunks
 
     def peaks_at(height):
         data = corpus_jpeg(seed=3100, height=height, width=128, quality=88)
         bounded_payload = compress(data, LeptonConfig(threads=1)).payload
         packjpg_payload = packjpg_like.compress(data)
-        bounded = _peak(lambda: b"".join(decode_lepton_bounded(bounded_payload)))
+        bounded = _peak(lambda: b"".join(decompress_chunks([bounded_payload])))
         whole = _peak(lambda: packjpg_like.decompress(packjpg_payload))
         return bounded, whole
 

@@ -3,33 +3,40 @@
 Paper: encode speed also rises with threads, "but it is almost unaffected
 by the benefit of moving to 8 threads from 4 ... because at 4 threads the
 bottleneck shifts to the JPEG Huffman decoder" — which the Lepton encoder
-must run serially (the decoder escapes this via handover words).  We
-measure the effective wall clock from ``encode_jpeg_timed``, whose serial
-head is exactly that Huffman decode + verification pass.
+must run serially (the decoder escapes this via handover words).  The
+"modelled parallel" column is a model, not a measurement: an
+``EncodeSession``'s serial time with the summed ``code_segment`` spans
+replaced by the longest one (``modelled_parallel_seconds``; the GIL hides
+real threading).  Its serial head is exactly that Huffman decode +
+verification pass (the parse / scan_decode / verify_index stage spans).
 
-``encode_jpeg_timed`` reads its stage timings from the ``EncodeSession``
-obs spans (parse / scan_decode / verify_index serially, the max over
-``code_segment`` spans in parallel), so the timed and untimed encoders
-are one pipeline with one policy — the payloads are byte-identical.
+The session is the one ``compress`` drives, so the timed encode runs the
+same pipeline with the same policy.
 """
 
-from _harness import emit
+from _harness import emit, modelled_parallel_seconds
 from repro.analysis.stats import mbits_per_second
 from repro.analysis.tables import format_table
-from repro.core.encoder import encode_jpeg_timed
+from repro.core.session import EncodeSession
 from repro.corpus.builder import corpus_jpeg
 
 SIZES = [96, 160, 256]
 THREADS = [1, 2, 4, 8]
 
 
+def _modelled_seconds(data: bytes, threads: int) -> float:
+    session = EncodeSession(threads=threads)
+    session.write(data)
+    b"".join(session.finish())
+    return modelled_parallel_seconds(session.stats.encode_seconds,
+                                     session.segment_seconds)
+
+
 def _speed(px: int, threads: int):
     data = corpus_jpeg(seed=8000, height=px, width=px, quality=88)
     # Min of two runs: single timings are noisy under full-suite load.
-    effective = min(
-        encode_jpeg_timed(data, threads=threads)[1] for _ in range(2)
-    )
-    return len(data), mbits_per_second(len(data), effective)
+    modelled = min(_modelled_seconds(data, threads) for _ in range(2))
+    return len(data), mbits_per_second(len(data), modelled)
 
 
 def test_fig8_encode_speed_by_threads(benchmark):
@@ -42,7 +49,8 @@ def test_fig8_encode_speed_by_threads(benchmark):
         for px in SIZES for t in THREADS
     ]
     emit("fig8_encode_threads", format_table(
-        ["image px", "threads", "file size (B)", "effective enc (Mbps)"],
+        ["image px", "threads", "file size (B)",
+         "modelled parallel enc (Mbps)"],
         rows,
         title="Figure 8 — encode speed vs size per thread count "
               "(paper: 4→8 threads plateaus; serial Huffman decode "

@@ -17,9 +17,8 @@ from repro.core.lepton import (
     FORMAT_LEPTON,
     LeptonConfig,
     compress,
-    compress_stream,
+    decompress,
     decompress_chunks,
-    decompress_result,
     roundtrip_check,
 )
 from repro.obs import get_registry, get_tracer
@@ -75,8 +74,8 @@ class _Sink:
     """Lazily-opened output writer.
 
     The destination is only created once the first piece arrives, so a
-    reject with ``--no-fallback`` — which yields nothing — leaves no
-    empty output file behind.  ``path=None`` just counts bytes.
+    decode that fails before producing a byte leaves no empty output
+    file behind.  ``path=None`` just counts bytes.
     """
 
     def __init__(self, path):
@@ -129,7 +128,7 @@ def _stats_command(data: bytes, config: LeptonConfig) -> int:
     """Compress (and, on success, decompress) purely for the telemetry."""
     result = compress(data, config)
     if result.format == FORMAT_LEPTON:
-        decompress_result(result.payload)
+        decompress(result.payload)
     print(get_registry().render())
     return EXIT_STATUS[result.exit_code]
 
@@ -283,30 +282,25 @@ def _dispatch(args, config: LeptonConfig) -> int:
         return _stats_command(_read(args.input), config)
 
     if args.command == "compress":
-        # Streams payload chunks to the sink as the session emits them;
-        # the CompressionResult is the generator's return value.
-        sink = _Sink(args.output)
-        stream = compress_stream(_read_chunks(args.input), config)
-        result = None
-        try:
-            while result is None:
-                try:
-                    sink.write(next(stream))
-                except StopIteration as stop:
-                    result = stop.value
-        finally:
-            sink.close()
-        if result.format is None:
+        # Encoding sees the whole file (the §5.7 check re-encodes the
+        # scan), so the input is read at once; a reject with
+        # --no-fallback has no payload and creates no output file.
+        result = compress(_read(args.input), config)
+        if result.payload is None:
             print(f"rejected: {result.exit_code.value} ({result.detail})",
                   file=sys.stderr)
             return EXIT_STATUS[result.exit_code]
+        sink = _Sink(args.output)
+        try:
+            sink.write(result.payload)
+        finally:
+            sink.close()
         if not args.quiet:
-            saved = (1.0 - sink.bytes_written / result.input_size
-                     if result.input_size else 0.0)
             print(
                 f"{result.exit_code.value}: {result.input_size} -> "
-                f"{sink.bytes_written} bytes "
-                f"({100 * saved:.1f}% saved, {result.format})",
+                f"{result.output_size} bytes "
+                f"({100 * result.savings_fraction:.1f}% saved, "
+                f"{result.format})",
                 file=sys.stderr,
             )
         return EXIT_STATUS[result.exit_code]

@@ -5,9 +5,12 @@
 * :mod:`repro.core.model` — the statistic-bin probability model (§3.2/3.3).
 * :mod:`repro.core.predictors` — 7x7 averaging, Lakhani edge, and DC
   gradient predictors (§A.2).
-* :mod:`repro.core.encoder` / :mod:`repro.core.decoder` — JPEG ↔ Lepton.
+* :mod:`repro.core.session` — the streaming encode and decode sessions,
+  JPEG ↔ Lepton.
 * :mod:`repro.core.chunks` — independent 4-MiB chunk compression.
-* :mod:`repro.core.lepton` — the public compress/decompress API.
+* :mod:`repro.core.lepton` — the public API over the two sessions:
+  ``compress``, ``decompress``, ``decompress_chunks`` and
+  ``roundtrip_check``.
 """
 
 from repro.core.errors import ExitCode

@@ -150,28 +150,16 @@ def _compress_jpeg_chunked(data, ranges, config,
             pad_final=pad_final,
             segments=segments,
         )
-        payload = write_container(lepton, interleave_slice=config.interleave_slice)
+        payload = write_container(lepton)
         chunks.append(StoredChunk(index, FORMAT_LEPTON, payload, (a, b)))
     return chunks
 
 
-def decompress_chunk(chunk: StoredChunk, parallel: bool = True) -> bytes:
-    """Recover one chunk's exact original bytes — no other chunk needed."""
-    if chunk.format == FORMAT_LEPTON:
-        return decompress(chunk.payload, parallel=parallel)
-    return zlib.decompress(chunk.payload)
+def decompress_chunk(chunk: StoredChunk,
+                     deadline: Optional[float] = None) -> bytes:
+    """Recover one chunk's exact original bytes — no other chunk needed.
 
-
-def decompress_file(chunks: List[StoredChunk], parallel: bool = True) -> bytes:
-    """Reassemble a whole file from its stored chunks."""
-    ordered = sorted(chunks, key=lambda c: c.index)
-    return b"".join(decompress_chunk(c, parallel=parallel) for c in ordered)
-
-
-def verify_chunks(data: bytes, chunks: List[StoredChunk]) -> bool:
-    """Round-trip admission check over every chunk independently."""
-    for chunk in chunks:
-        a, b = chunk.original_range
-        if decompress_chunk(chunk) != data[a:b]:
-            return False
-    return True
+    The payload's own magic selects Lepton or Deflate: a zlib stream's
+    first byte always ends in hex 8, so it never starts with ``CF 84``.
+    """
+    return decompress(chunk.payload, deadline=deadline)

@@ -1,4 +1,12 @@
-"""The public Lepton API: compress, decompress, round-trip admission.
+"""The public Lepton API: one codec, two directions (§3.4, §5).
+
+* :func:`compress` runs an :class:`~repro.core.session.EncodeSession` over
+  a whole file;
+* :func:`decompress_chunks` is the one decode implementation, a stream of
+  stored-payload chunks in, original bytes out;
+* :func:`decompress` is its bytes-level join, which owns the decode
+  telemetry;
+* :func:`roundtrip_check` is the §5.7 admission gate over the two.
 
 This is the layer the blockservers call (§5): it maps every failure to a
 §6.2 exit code, falls back to Deflate for inputs Lepton cannot represent
@@ -12,9 +20,13 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.core import format as lformat
-from repro.core.decoder import decode_lepton
-from repro.core.encoder import EncodeStats, RoundtripMismatch, encode_jpeg
-from repro.core.session import DecodeSession, EncodeSession
+from repro.core.session import (
+    DecodeSession,
+    EncodeSession,
+    EncodeStats,
+    RoundtripMismatch,
+    huffman_bit_breakdown,
+)
 from repro.core.errors import (
     REASON_TO_EXIT,
     ExitCode,
@@ -47,7 +59,6 @@ class LeptonConfig:
     timeout_seconds: Optional[float] = None
     deflate_fallback: bool = True
     collect_breakdown: bool = False
-    interleave_slice: int = 4096
     #: §6.2: production rejects 4-colour JPEGs "for simplicity"; the codec
     #: itself handles them (a fourth per-channel model) when enabled.
     allow_cmyk: bool = False
@@ -86,15 +97,6 @@ class CompressionResult:
         return len(self.payload) / self.input_size
 
 
-@dataclass
-class DecompressionResult:
-    """Outcome of a decompression."""
-
-    data: bytes
-    format: str
-    decode_seconds: float
-
-
 def _looks_like_jpeg(data: bytes) -> bool:
     """Plausibility probe: SOI followed by a well-formed marker chain.
 
@@ -127,11 +129,7 @@ def _classify_jpeg_error(data: bytes, exc: JpegError) -> ExitCode:
 
 
 def _classify_reject(data: bytes, exc: Exception) -> "tuple[ExitCode, str]":
-    """Map an encode-pipeline exception to its §6.2 exit code and detail.
-
-    Shared by :func:`compress` and :func:`compress_stream` so the two entry
-    points cannot drift apart on classification.
-    """
+    """Map an encode-pipeline exception to its §6.2 exit code and detail."""
     if isinstance(exc, JpegError):
         return _classify_jpeg_error(data, exc), str(exc)
     if isinstance(exc, RoundtripMismatch):
@@ -155,17 +153,47 @@ _EXIT_SINK = ExitCodeSink(metric="lepton.compress.exit_codes")
 def compress(data: bytes, config: Optional[LeptonConfig] = None) -> CompressionResult:
     """Compress ``data``; always returns a result, never raises.
 
-    JPEG inputs that Lepton supports become Lepton containers; everything
-    else (non-images, progressive, CMYK, corrupt, over-budget) is recorded
-    with its §6.2 exit code and — when ``deflate_fallback`` is on, as in
+    JPEG inputs that Lepton supports become Lepton containers, produced by
+    one :class:`~repro.core.session.EncodeSession`; everything else
+    (non-images, progressive, CMYK, corrupt, over-budget) is recorded with
+    its §6.2 exit code and — when ``deflate_fallback`` is on, as in
     production — stored as Deflate instead.
     """
+    config = config or LeptonConfig()
     registry = get_registry()
     registry.counter("lepton.compress.attempts").inc()
-    # Telemetry only: never feeds a coded decision.
+    # Telemetry, and a timeout (wall-clock by definition, §6.6) only ever
+    # *rejects* a conversion: neither can alter the coded bytes of one.
     start = time.monotonic()  # lint: disable=D2
+    session = EncodeSession(
+        model_config=config.model,
+        threads=config.threads,
+        decode_memory_limit=config.decode_memory_limit,
+        encode_memory_limit=config.encode_memory_limit,
+        deadline=(start + config.timeout_seconds
+                  if config.timeout_seconds is not None else None),
+        allow_cmyk=config.allow_cmyk,
+    )
+    session.write(data)
     with trace_span("lepton.compress", input_bytes=len(data)):
-        result = _compress_inner(data, config)
+        try:
+            payload = b"".join(session.finish())
+            if config.collect_breakdown:
+                session.stats.original_bits = huffman_bit_breakdown(session.image)
+            result = CompressionResult(
+                ExitCode.SUCCESS, FORMAT_LEPTON, payload, len(data), session.stats
+            )
+        except (JpegError, LeptonError) as exc:
+            exit_code, detail = _classify_reject(data, exc)
+            if config.deflate_fallback:
+                result = CompressionResult(
+                    exit_code, FORMAT_DEFLATE, zlib.compress(data, 6),
+                    len(data), None, detail,
+                )
+            else:
+                result = CompressionResult(
+                    exit_code, None, None, len(data), None, detail
+                )
     registry.histogram("lepton.compress.seconds").observe(
         time.monotonic() - start  # lint: disable=D2
     )
@@ -178,174 +206,26 @@ def compress(data: bytes, config: Optional[LeptonConfig] = None) -> CompressionR
     return result
 
 
-def _compress_inner(data: bytes, config: Optional[LeptonConfig]) -> CompressionResult:
-    config = config or LeptonConfig()
-    # Timeouts are wall-clock by definition (§6.6) and only ever *reject* a
-    # conversion — they cannot alter coded bytes of a successful one.
-    deadline = (
-        time.monotonic() + config.timeout_seconds  # lint: disable=D2
-        if config.timeout_seconds is not None
-        else None
-    )
-    exit_code = ExitCode.SUCCESS
-    detail = ""
-    try:
-        payload, stats = encode_jpeg(
-            data,
-            model_config=config.model,
-            threads=config.threads,
-            decode_memory_limit=config.decode_memory_limit,
-            encode_memory_limit=config.encode_memory_limit,
-            deadline=deadline,
-            collect_breakdown=config.collect_breakdown,
-            interleave_slice=config.interleave_slice,
-            allow_cmyk=config.allow_cmyk,
-        )
-        return CompressionResult(
-            ExitCode.SUCCESS, FORMAT_LEPTON, payload, len(data), stats
-        )
-    except (JpegError, LeptonError) as exc:
-        exit_code, detail = _classify_reject(data, exc)
-
-    if config.deflate_fallback:
-        payload = zlib.compress(data, 6)
-        return CompressionResult(
-            exit_code, FORMAT_DEFLATE, payload, len(data), None, detail
-        )
-    return CompressionResult(exit_code, None, None, len(data), None, detail)
-
-
-def compress_stream(
-    chunks, config: Optional[LeptonConfig] = None
-) -> Iterator[bytes]:
-    """Streaming compression: consume input chunks, yield payload chunks.
-
-    ``chunks`` is any iterable of byte chunks (a file read loop, a network
-    stream).  The yielded chunks concatenate to exactly what
-    :func:`compress` would have returned as ``payload`` — a Lepton
-    container on success, the Deflate fallback (produced incrementally) on
-    a classified reject.  The generator's *return value* (``.value`` on the
-    terminating :class:`StopIteration`) is the :class:`CompressionResult`
-    with ``payload=None``: the bytes already went to the consumer.
-
-    Like :func:`compress`, this never raises for classifiable rejects and
-    feeds the same ``lepton.compress.*`` telemetry.
-    """
-    config = config or LeptonConfig()
-    registry = get_registry()
-    registry.counter("lepton.compress.attempts").inc()
-    # Telemetry only: never feeds a coded decision.
-    start = time.monotonic()  # lint: disable=D2
-    deadline = (
-        start + config.timeout_seconds
-        if config.timeout_seconds is not None
-        else None
-    )
-    session = EncodeSession(
-        model_config=config.model,
-        threads=config.threads,
-        decode_memory_limit=config.decode_memory_limit,
-        encode_memory_limit=config.encode_memory_limit,
-        deadline=deadline,
-        interleave_slice=config.interleave_slice,
-        allow_cmyk=config.allow_cmyk,
-    )
-    buffered = []
-    total_in = 0
-    for chunk in chunks:
-        chunk = bytes(chunk)
-        total_in += len(chunk)
-        buffered.append(chunk)
-        session.write(chunk)
-
-    output_size = 0
-    # The span stays open across yields: the encode stages it parents all
-    # run inside, so the trace keeps the same shape as compress().
-    with trace_span("lepton.compress", input_bytes=total_in):
-        try:
-            for piece in session.finish():
-                output_size += len(piece)
-                yield piece
-            stats = session.stats
-            if config.collect_breakdown:
-                from repro.core.encoder import huffman_bit_breakdown
-
-                stats.original_bits = huffman_bit_breakdown(session.image)
-            result = CompressionResult(
-                ExitCode.SUCCESS, FORMAT_LEPTON, None, total_in, stats
-            )
-        except (JpegError, LeptonError) as exc:
-            exit_code, detail = _classify_reject(b"".join(buffered), exc)
-            if config.deflate_fallback:
-                # The parse stage rejects before any container chunk is
-                # yielded, so the fallback stream starts from byte zero.
-                deflater = zlib.compressobj(6)
-                for chunk in buffered:
-                    piece = deflater.compress(chunk)
-                    if piece:
-                        output_size += len(piece)
-                        yield piece
-                piece = deflater.flush()
-                output_size += len(piece)
-                yield piece
-                result = CompressionResult(
-                    exit_code, FORMAT_DEFLATE, None, total_in, None, detail
-                )
-                registry.counter("lepton.compress.fallbacks").inc()
-            else:
-                result = CompressionResult(
-                    exit_code, None, None, total_in, None, detail
-                )
-    _EXIT_SINK.record(result.exit_code)
-    registry.counter("lepton.compress.input_bytes").inc(total_in)
-    if result.format is not None:
-        registry.counter("lepton.compress.output_bytes").inc(output_size)
-    registry.histogram("lepton.compress.seconds").observe(
-        time.monotonic() - start  # lint: disable=D2
-    )
-    return result
-
-
-def _inflate(payload: bytes) -> bytes:
-    """Deflate-decode a stored payload, mapping garbage to the typed error.
-
-    Empty or corrupt payloads used to leak a raw ``zlib.error`` out of
-    every decompress entry point; callers match on :class:`FormatError`.
-    """
-    try:
-        return zlib.decompress(payload)
-    except zlib.error as exc:
-        raise FormatError(
-            f"stored payload is neither Lepton nor Deflate: {exc}"
-        ) from exc
-
-
 def decompress(payload: bytes, parallel: bool = True,
-               model_config: Optional[ModelConfig] = None) -> bytes:
+               model_config: Optional[ModelConfig] = None,
+               deadline: Optional[float] = None) -> bytes:
     """Recover the exact original bytes from a stored payload.
 
-    Auto-detects Lepton containers by magic; anything else is Deflate
-    (the fallback path).
+    The bytes-level join over :func:`decompress_chunks`: Lepton containers
+    are detected by magic, anything else is Deflate (the fallback path).
+    Every call records the ``lepton.decompress`` span and the
+    ``lepton.decompress.{count,seconds}`` metrics.
     """
-    return decompress_result(payload, parallel, model_config).data
-
-
-def decompress_result(payload: bytes, parallel: bool = True,
-                      model_config: Optional[ModelConfig] = None) -> DecompressionResult:
-    """Like :func:`decompress` but with timing and format metadata."""
     start = time.monotonic()  # lint: disable=D2 - telemetry only
     with trace_span("lepton.decompress", payload_bytes=len(payload)):
-        if payload[:2] == lformat.MAGIC:
-            data = decode_lepton(payload, model_config=model_config, parallel=parallel)
-            fmt = FORMAT_LEPTON
-        else:
-            data = _inflate(payload)
-            fmt = FORMAT_DEFLATE
+        data = b"".join(decompress_chunks([payload], model_config=model_config,
+                                          parallel=parallel, deadline=deadline))
     seconds = time.monotonic() - start  # lint: disable=D2 - telemetry only
+    fmt = FORMAT_LEPTON if payload[:2] == lformat.MAGIC else FORMAT_DEFLATE
     registry = get_registry()
     registry.counter("lepton.decompress.count", format=fmt).inc()
     registry.histogram("lepton.decompress.seconds").observe(seconds)
-    return DecompressionResult(data, fmt, seconds)
+    return data
 
 
 def decompress_chunks(
@@ -356,13 +236,14 @@ def decompress_chunks(
 ) -> Iterator[bytes]:
     """Streaming decompression from an *iterator* of stored-payload chunks.
 
-    The dual of :func:`compress_stream`: the format is sniffed from the
-    first two bytes, Lepton containers stream through a
+    The one decode implementation: the format is sniffed from the first
+    two bytes, Lepton containers stream through a
     :class:`~repro.core.session.DecodeSession` (output begins before the
     final input chunk is consumed), and anything else inflates
-    incrementally as Deflate.  Garbage, truncated, and empty payloads all
-    raise :class:`FormatError`.  ``deadline`` (a monotonic timestamp) is
-    handed to the decode session, which cancels between row bands with
+    incrementally as Deflate.  Garbage, truncated and empty payloads, and
+    bytes after the end of either format, all raise :class:`FormatError`.
+    ``deadline`` (a monotonic timestamp) is handed to the decode session,
+    which cancels between row bands with
     :class:`~repro.core.errors.TimeoutExceeded` once it passes.
     """
     source = iter(chunks)
@@ -398,6 +279,11 @@ def decompress_chunks(
         yield tail
     if not inflater.eof:
         raise FormatError("stored payload is a truncated Deflate stream")
+    if inflater.unused_data:
+        raise FormatError(
+            f"stored payload has {len(inflater.unused_data)} bytes after "
+            "its Deflate stream"
+        )
 
 
 def roundtrip_check(data: bytes, config: Optional[LeptonConfig] = None) -> CompressionResult:

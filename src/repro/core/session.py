@@ -2,9 +2,12 @@
 
 Production Lepton is fundamentally a *streaming* system: decodes start
 returning bytes before they finish (§4.2's width-bounded working set, §5's
-4-MiB chunk serving path), and every entry point — CLI, blockserver, timed
-benchmark — is the same code with different plumbing.  This module is that
-single pipeline for the reproduction:
+4-MiB chunk serving path), and every caller — CLI, blockserver, timed
+benchmark — runs the same code with different plumbing.  This module is
+that single pipeline for the reproduction; in the library,
+:func:`repro.core.lepton.compress` and
+:func:`repro.core.lepton.decompress_chunks` are the only code that builds
+a session:
 
 * :class:`EncodeSession` consumes input chunks and yields the container as
   chunks (header first, then interleaved arithmetic sections);
@@ -15,9 +18,9 @@ single pipeline for the reproduction:
   :class:`~repro.core.coefcoder.SegmentCodec` drives a
   :class:`~repro.core.bool_coder.BoolEncoder` over an MCU range.  Lint
   rule D6 (``codec-loop-containment``) forbids re-growing forked copies of
-  this loop elsewhere, which is how the six whole-buffer entry points of
-  earlier builds diverged (``encode_jpeg_timed`` silently dropped the
-  memory limits and CMYK policy its twin enforced).
+  this loop elsewhere, which is how the whole-buffer entry points of
+  earlier builds diverged (a timed encode twin silently dropped the
+  memory limits and CMYK policy its sibling enforced).
 
 Decoding always runs the row-window discipline: per segment, coefficients
 live in a sliding :class:`~repro.core.rowbuffer.RowWindow` of a few block
@@ -28,10 +31,11 @@ is bit-identical to a full-array decode because segment context never
 crosses the window (``seg_start`` pins visibility), which the bounded-decode
 test suite pins down.
 
-Timing flows through the observability spans (docs/observability.md): the
-``_timed`` adapters in :mod:`repro.core.encoder` / :mod:`repro.core.decoder`
-read :attr:`stage_seconds` / :attr:`segment_seconds` off the session rather
-than maintaining forked copies of the codec loop with inline clocks.
+Timing flows through the observability spans (docs/observability.md): a
+caller that wants per-stage or per-segment timings (the fig. 1/7/8
+benchmarks) drives a session and reads :attr:`EncodeSession.stage_seconds`,
+:attr:`segment_seconds` and :attr:`DecodeSession.wall_seconds` off it,
+rather than keeping a forked copy of the codec loop with inline clocks.
 """
 
 import time
@@ -49,7 +53,6 @@ from repro.core.errors import (
     TimeoutExceeded,
 )
 from repro.core.format import (
-    INTERLEAVE_SLICE,
     ContainerReader,
     LeptonFile,
     SegmentRecord,
@@ -60,8 +63,9 @@ from repro.core.model import Model, ModelConfig
 from repro.core.rowbuffer import RowWindow
 from repro.core.segments import choose_thread_count, plan_segments
 from repro.jpeg.parser import JpegImage, parse_jpeg
-from repro.jpeg.scan_decode import decode_scan
+from repro.jpeg.scan_decode import decode_scan, mcu_block_layout
 from repro.jpeg.scan_encode import ScanEncoder, encode_scan
+from repro.jpeg.zigzag import ZIGZAG_TO_RASTER
 from repro.obs import get_registry, trace_span
 
 
@@ -93,6 +97,70 @@ class EncodeStats:
         if self.input_size == 0:
             return 0.0
         return 1.0 - self.output_size / self.input_size
+
+
+def huffman_bit_breakdown(img: JpegImage) -> Dict[str, float]:
+    """Original Huffman bits per component category (Figure 4, column 1).
+
+    Re-walks the coefficients and tallies the exact Huffman bits each
+    symbol would use, attributing (run, size) symbols to the zigzag
+    category where the run starts; header and trailer bytes are charged to
+    'header'.
+    """
+    def category_of(zigzag_index: int) -> str:
+        raster = int(ZIGZAG_TO_RASTER[zigzag_index])
+        u, v = divmod(raster, 8)
+        if raster == 0:
+            return "dc"
+        if u == 0 or v == 0:
+            return "edge"
+        return "7x7"
+
+    bits = {"header": 8.0 * (len(img.header_bytes) + len(img.trailer_bytes)),
+            "dc": 0.0, "edge": 0.0, "7x7": 0.0, "nnz": 0.0}
+    frame = img.frame
+    layout = mcu_block_layout(frame)
+    dc_tables = [img.dc_huffman(c) for c in frame.components]
+    ac_tables = [img.ac_huffman(c) for c in frame.components]
+    dc_pred = [0] * len(frame.components)
+    interval = img.restart_interval
+    rst_emitted = 0
+    for mcu in range(frame.mcu_count):
+        if interval and mcu > 0 and mcu % interval == 0 and rst_emitted < img.rst_count:
+            bits["header"] += 16.0  # the RST marker itself
+            rst_emitted += 1
+            dc_pred = [0] * len(frame.components)
+        mcu_y, mcu_x = divmod(mcu, frame.mcus_x)
+        for ci, dy, dx in layout:
+            comp = frame.components[ci]
+            by = mcu_y * (comp.v if frame.interleaved else 1) + dy
+            bx = mcu_x * (comp.h if frame.interleaved else 1) + dx
+            block = img.coefficients[ci][by, bx]
+            dc = int(block[0])
+            diff = dc - dc_pred[ci]
+            dc_pred[ci] = dc
+            size = abs(diff).bit_length()
+            bits["dc"] += dc_tables[ci].encode_symbol(size)[1] + size
+            run = 0
+            run_start = 1
+            for k in range(1, 64):
+                value = int(block[ZIGZAG_TO_RASTER[k]])
+                if value == 0:
+                    if run == 0:
+                        run_start = k
+                    run += 1
+                    continue
+                cat = category_of(run_start if run else k)
+                while run > 15:
+                    bits[cat] += ac_tables[ci].encode_symbol(0xF0)[1]
+                    run -= 16
+                size = abs(value).bit_length()
+                sym_bits = ac_tables[ci].encode_symbol((run << 4) | size)[1]
+                bits[category_of(k)] += sym_bits + size
+                run = 0
+            if run:
+                bits[category_of(run_start)] += ac_tables[ci].encode_symbol(0x00)[1]
+    return bits
 
 
 def estimate_decode_memory(img: JpegImage, threads: int) -> int:
@@ -184,7 +252,7 @@ class EncodeSession:
     After :meth:`finish` is exhausted, :attr:`stats` holds the
     :class:`EncodeStats`, :attr:`image` the parsed JPEG, and
     :attr:`stage_seconds` / :attr:`segment_seconds` the per-stage span
-    timings the ``_timed`` adapter reads.
+    timings.
     """
 
     def __init__(
@@ -194,7 +262,6 @@ class EncodeSession:
         decode_memory_limit: Optional[int] = None,
         encode_memory_limit: Optional[int] = None,
         deadline: Optional[float] = None,
-        interleave_slice: int = INTERLEAVE_SLICE,
         allow_cmyk: bool = False,
     ):
         self._model_config = model_config or ModelConfig()
@@ -202,7 +269,6 @@ class EncodeSession:
         self._decode_memory_limit = decode_memory_limit
         self._encode_memory_limit = encode_memory_limit
         self._deadline = deadline
-        self._interleave_slice = interleave_slice
         self._allow_cmyk = allow_cmyk
         self._parts: List[bytes] = []
         self.image: Optional[JpegImage] = None
@@ -279,7 +345,7 @@ class EncodeSession:
         )
         self.image = img
         self.stats = stats
-        pieces = iter_container(lepton, self._interleave_slice)
+        pieces = iter_container(lepton)
         while True:
             with trace_span("lepton.encode.container") as rec:
                 piece = next(pieces, None)
@@ -316,12 +382,10 @@ class DecodeSession:
         self,
         model_config: Optional[ModelConfig] = None,
         parallel: bool = False,
-        window_rows: Optional[int] = None,
         deadline: Optional[float] = None,
     ):
         self._model_config = model_config or ModelConfig()
         self._parallel = parallel
-        self._window_rows = window_rows
         self._deadline = deadline
         self._reader = ContainerReader()
         self._lepton: Optional[LeptonFile] = None
@@ -471,9 +535,7 @@ class DecodeSession:
         img = self._img
         frame = img.frame
         seg = lepton.segments[index]
-        window_rows = self._window_rows
-        if window_rows is None:
-            window_rows = 2 * frame.max_v + 2
+        window_rows = 2 * frame.max_v + 2
         windows = [
             RowWindow(c.blocks_h, c.blocks_w,
                       window=window_rows * (c.v if frame.interleaved else 1))

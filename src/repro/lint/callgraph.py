@@ -53,7 +53,7 @@ BLOCKING_CALLS = frozenset({
 BLOCKING_PROJECT_FUNCTIONS = frozenset({
     "repro.compress", "repro.decompress",
     "repro.core.lepton.compress", "repro.core.lepton.decompress",
-    "repro.core.lepton.compress_stream", "repro.core.lepton.decompress_chunks",
+    "repro.core.lepton.decompress_chunks",
     "repro.core.lepton.roundtrip_check",
     "repro.core.chunks.compress_chunked", "repro.core.chunks.decompress_chunk",
 })

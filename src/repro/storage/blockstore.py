@@ -16,7 +16,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.chunks import StoredChunk, compress_chunked, decompress_chunk
 from repro.core.errors import LeptonError, TimeoutExceeded
-from repro.core.lepton import FORMAT_LEPTON, LeptonConfig, decompress_chunks
+from repro.core.lepton import FORMAT_LEPTON, LeptonConfig
 from repro.faults.killpoints import KillPoints
 from repro.obs import get_registry
 from repro.storage.backends import (
@@ -416,17 +416,17 @@ class BlockStore:
     def _verify_and_decode(self, key: str, entry: StoreEntry,
                            payload: bytes,
                            deadline: Optional[float] = None) -> bytes:
-        """Both integrity gates over one (possibly faulted) payload read."""
+        """Both integrity gates over one (possibly faulted) payload read.
+
+        The decode is the put gate's own ``decompress_chunk``, with or
+        without a deadline (the session cancels between row bands once it
+        passes), so every read records the same decode telemetry.
+        """
         if hashlib.md5(payload).hexdigest() != entry.payload_md5:
             raise IntegrityError(f"payload digest mismatch for {key[:12]}")
-        if deadline is not None:
-            # The deadline-aware decode path: the streaming decoder takes
-            # the budget and cancels between row bands.
-            data = b"".join(decompress_chunks([payload], deadline=deadline))
-        else:
-            data = decompress_chunk(StoredChunk(
-                entry.index, entry.format, payload,
-                (0, entry.original_size)))
+        data = decompress_chunk(StoredChunk(
+            entry.index, entry.format, payload, (0, entry.original_size)),
+            deadline=deadline)
         if hashlib.sha256(data).hexdigest() != entry.original_sha256:
             raise IntegrityError(f"decode digest mismatch for {key[:12]}")
         return data
@@ -480,8 +480,7 @@ class BlockStore:
                 # payload rotting: re-reading or serving the fallback
                 # would defeat the cancellation.
                 raise
-            except (IntegrityError, LeptonError, BackendError,
-                    zlib.error) as exc:
+            except (IntegrityError, LeptonError, BackendError) as exc:
                 error = exc
         # Out of re-reads: the payload is rotten at rest.  Serve the kept
         # original if we have one — the §5.7 durability promise.

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.chunks import compress_chunked
-from repro.core.decoder import decode_lepton_bounded
 from repro.core.lepton import LeptonConfig, compress, decompress_chunks
 from repro.core.rowbuffer import RowWindow, RowWindowError
 from repro.corpus.builder import corpus_jpeg
@@ -74,7 +73,7 @@ class TestRowWindow:
 def test_bounded_decode_byte_exact(kwargs, threads):
     data = corpus_jpeg(seed=95, **kwargs)
     payload = compress(data, LeptonConfig(threads=threads)).payload
-    assert b"".join(decode_lepton_bounded(payload)) == data
+    assert b"".join(decompress_chunks([payload])) == data
 
 
 def test_bounded_decode_of_chunk_containers():
@@ -82,7 +81,7 @@ def test_bounded_decode_of_chunk_containers():
     chunks = compress_chunked(data, 600, LeptonConfig(threads=2))
     for chunk in chunks:
         a, b = chunk.original_range
-        assert b"".join(decode_lepton_bounded(chunk.payload)) == data[a:b]
+        assert b"".join(decompress_chunks([chunk.payload])) == data[a:b]
 
 
 def test_bounded_matches_regular_decode():
@@ -90,7 +89,7 @@ def test_bounded_matches_regular_decode():
 
     data = corpus_jpeg(seed=97, height=64, width=96, restart_interval=4)
     payload = compress(data, LeptonConfig(threads=2)).payload
-    assert b"".join(decode_lepton_bounded(payload)) == decompress(payload)
+    assert b"".join(decompress_chunks([payload])) == decompress(payload)
 
 
 def test_decompress_bounded_handles_deflate_fallback():
@@ -109,7 +108,7 @@ def test_working_set_scales_with_width_not_height():
                            grayscale=True)
         payload = compress(data, LeptonConfig(threads=1)).payload
         tracemalloc.start()
-        out = b"".join(decode_lepton_bounded(payload))
+        out = b"".join(decompress_chunks([payload]))
         _, pk = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert len(out) == len(data)
@@ -124,7 +123,7 @@ def test_working_set_scales_with_width_not_height():
 def test_bounded_yields_per_row_pieces():
     data = corpus_jpeg(seed=99, height=96, width=96, quality=85)
     payload = compress(data, LeptonConfig(threads=1)).payload
-    pieces = list(decode_lepton_bounded(payload))
+    pieces = list(decompress_chunks([payload]))
     # header + one piece per MCU row (some may be empty-trimmed) ≥ 4
     assert len(pieces) >= 4
     assert b"".join(pieces) == data

@@ -1,19 +1,23 @@
 """Independent 4-MiB-chunk compression (§3.4): any substring decodable."""
 
-import zlib
-
 import pytest
 
-from repro.core.chunks import (
-    StoredChunk,
-    chunk_ranges,
-    compress_chunked,
-    decompress_chunk,
-    decompress_file,
-    verify_chunks,
-)
+from repro.core.chunks import chunk_ranges, compress_chunked, decompress_chunk
 from repro.core.lepton import FORMAT_DEFLATE, FORMAT_LEPTON, LeptonConfig
 from repro.corpus.builder import corpus_jpeg
+
+
+def _reassemble(chunks):
+    """Join the independent decode of every chunk, in file order."""
+    ordered = sorted(chunks, key=lambda c: c.index)
+    return b"".join(decompress_chunk(c) for c in ordered)
+
+
+def _assert_each_chunk_exact(data, chunks):
+    """The round-trip gate over every chunk on its own."""
+    for chunk in chunks:
+        a, b = chunk.original_range
+        assert decompress_chunk(chunk) == data[a:b], chunk.index
 
 
 @pytest.fixture(scope="module")
@@ -47,18 +51,18 @@ def test_each_chunk_decodes_independently(medium_jpeg, chunk_size):
 
 def test_file_reassembles(medium_jpeg):
     chunks = compress_chunked(medium_jpeg, 900)
-    assert decompress_file(chunks) == medium_jpeg
+    assert _reassemble(chunks) == medium_jpeg
 
 
 def test_verify_chunks_passes(medium_jpeg):
     chunks = compress_chunked(medium_jpeg, 700)
-    assert verify_chunks(medium_jpeg, chunks)
+    _assert_each_chunk_exact(medium_jpeg, chunks)
 
 
 def test_out_of_order_chunks_reassemble(medium_jpeg):
     chunks = compress_chunked(medium_jpeg, 600)
     shuffled = list(reversed(chunks))
-    assert decompress_file(shuffled) == medium_jpeg
+    assert _reassemble(shuffled) == medium_jpeg
 
 
 def test_boundary_in_header(medium_jpeg):
@@ -67,7 +71,7 @@ def test_boundary_in_header(medium_jpeg):
     chunks = compress_chunked(medium_jpeg, 100)  # header is several hundred B
     a, b = chunks[0].original_range
     assert decompress_chunk(chunks[0]) == medium_jpeg[:100]
-    assert verify_chunks(medium_jpeg, chunks)
+    _assert_each_chunk_exact(medium_jpeg, chunks)
 
 
 def test_boundary_in_trailer():
@@ -77,7 +81,7 @@ def test_boundary_in_trailer():
 
     data = append_garbage(corpus_jpeg(seed=31, height=64, width=64), b"Y" * 900)
     chunks = compress_chunked(data, 400)
-    assert verify_chunks(data, chunks)
+    _assert_each_chunk_exact(data, chunks)
 
 
 def test_single_chunk_file_matches_whole_compress(medium_jpeg):
@@ -90,7 +94,7 @@ def test_non_jpeg_falls_back_to_deflate_chunks():
     data = b"PLAIN TEXT DATA " * 200
     chunks = compress_chunked(data, 512)
     assert all(c.format == FORMAT_DEFLATE for c in chunks)
-    assert decompress_file(chunks) == data
+    assert _reassemble(chunks) == data
 
 
 def test_corrupt_jpeg_falls_back():
@@ -99,13 +103,13 @@ def test_corrupt_jpeg_falls_back():
     data = truncate(corpus_jpeg(seed=32, height=64, width=64), 0.5)
     chunks = compress_chunked(data, 256)
     assert all(c.format == FORMAT_DEFLATE for c in chunks)
-    assert decompress_file(chunks) == data
+    assert _reassemble(chunks) == data
 
 
 def test_chunks_smaller_than_mcu_byte_span(medium_jpeg):
     """Pathologically small chunks (every boundary mid-MCU) still work."""
     chunks = compress_chunked(medium_jpeg, 64, LeptonConfig(threads=1))
-    assert verify_chunks(medium_jpeg, chunks)
+    _assert_each_chunk_exact(medium_jpeg, chunks)
 
 
 def test_stored_chunk_metadata(medium_jpeg):
@@ -118,7 +122,7 @@ def test_grayscale_with_rst_chunked():
     data = corpus_jpeg(seed=33, height=96, width=96, grayscale=True,
                        restart_interval=2)
     chunks = compress_chunked(data, 500)
-    assert verify_chunks(data, chunks)
+    _assert_each_chunk_exact(data, chunks)
 
 
 def test_final_chunk_holding_only_the_pad_byte():
@@ -130,5 +134,5 @@ def test_final_chunk_holding_only_the_pad_byte():
                        grayscale=True, subsampling="4:4:4")
     chunks = compress_chunked(data, 232, LeptonConfig())
     assert all(c.format == "lepton" for c in chunks)
-    assert verify_chunks(data, chunks)
-    assert decompress_file(chunks) == data
+    _assert_each_chunk_exact(data, chunks)
+    assert _reassemble(chunks) == data

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import EXIT_STATUS, main
 from repro.core.errors import ExitCode
+from repro.core.lepton import FORMAT_DEFLATE, FORMAT_LEPTON, LeptonConfig, compress
 from repro.corpus.builder import corpus_jpeg
 
 
@@ -21,6 +22,23 @@ def test_compress_decompress_cycle(tmp_path, jpeg_path):
     assert lep.stat().st_size < jpeg_path.stat().st_size
     assert main(["decompress", str(lep), str(out), "--quiet"]) == 0
     assert out.read_bytes() == jpeg_path.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["jpeg", "threads4", "deflate"])
+def test_compress_writes_the_library_payload(tmp_path, jpeg_path, case):
+    """`lepton compress` writes exactly the bytes `compress` returns."""
+    source, flags, config = jpeg_path, [], LeptonConfig()
+    if case == "threads4":
+        flags, config = ["--threads", "4"], LeptonConfig(threads=4)
+    elif case == "deflate":
+        source = tmp_path / "notes.txt"
+        source.write_bytes(b"not a jpeg " * 50)
+    out = tmp_path / "out.lep"
+    main(["compress", str(source), str(out), "--quiet", *flags])
+    expected = compress(source.read_bytes(), config)
+    assert expected.format == (FORMAT_DEFLATE if case == "deflate"
+                               else FORMAT_LEPTON)
+    assert out.read_bytes() == expected.payload
 
 
 def test_verify_command(jpeg_path):

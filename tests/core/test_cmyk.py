@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.chunks import compress_chunked, verify_chunks
+from repro.core.chunks import compress_chunked, decompress_chunk
 from repro.core.errors import ExitCode
 from repro.core.lepton import (
     FORMAT_DEFLATE,
@@ -85,14 +85,16 @@ class TestLepton:
         chunks = compress_chunked(cmyk_jpeg, 600,
                                   LeptonConfig(allow_cmyk=True, threads=1))
         assert all(c.format == FORMAT_LEPTON for c in chunks)
-        assert verify_chunks(cmyk_jpeg, chunks)
+        for chunk in chunks:
+            a, b = chunk.original_range
+            assert decompress_chunk(chunk) == cmyk_jpeg[a:b]
 
     def test_chunked_cmyk_without_flag_falls_back(self, cmyk_jpeg):
         chunks = compress_chunked(cmyk_jpeg, 600, LeptonConfig())
         assert all(c.format == FORMAT_DEFLATE for c in chunks)
 
     def test_bounded_decode_cmyk(self, cmyk_jpeg):
-        from repro.core.decoder import decode_lepton_bounded
+        from repro.core.lepton import decompress_chunks
 
         result = compress(cmyk_jpeg, LeptonConfig(allow_cmyk=True, threads=2))
-        assert b"".join(decode_lepton_bounded(result.payload)) == cmyk_jpeg
+        assert b"".join(decompress_chunks([result.payload])) == cmyk_jpeg

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.decoder import decode_lepton_stream
-from repro.core.format import read_container
+from repro.core.format import read_container, write_container
 from repro.core.lepton import (
     FORMAT_DEFLATE,
     FORMAT_LEPTON,
@@ -110,14 +109,14 @@ class TestStreaming:
         """Time-to-first-byte: the header is yielded before any arithmetic
         decoding happens."""
         result = compress(small_jpeg)
-        stream = decode_lepton_stream(result.payload)
+        stream = decompress_chunks([result.payload], parallel=True)
         first = next(stream)
         assert small_jpeg.startswith(first)
         assert first.startswith(b"\xFF\xD8")
 
     def test_stream_works_sequentially(self, small_jpeg):
         result = compress(small_jpeg, LeptonConfig(threads=4))
-        pieces = list(decode_lepton_stream(result.payload, parallel=False))
+        pieces = list(decompress_chunks([result.payload]))
         assert b"".join(pieces) == small_jpeg
 
 
@@ -143,6 +142,7 @@ class TestAdmission:
 class TestInterleave:
     @pytest.mark.parametrize("slice_size", [64, 256, 4096])
     def test_any_interleave_slice_roundtrips(self, rst_jpeg, slice_size):
-        config = LeptonConfig(threads=4, interleave_slice=slice_size)
-        result = compress(rst_jpeg, config)
-        assert decompress(result.payload) == rst_jpeg
+        result = compress(rst_jpeg, LeptonConfig(threads=4))
+        resliced = write_container(read_container(result.payload),
+                                   interleave_slice=slice_size)
+        assert decompress(resliced) == rst_jpeg

@@ -1,41 +1,42 @@
 """The streaming CodecSession contract (repro.core.session).
 
-Three guarantees the refactor exists to make structural:
+Three guarantees the session design exists to make structural:
 
 * every decode entry point is the *same* pipeline — over a corruption
   corpus they must agree byte-for-byte on success and exception-type on
   failure;
 * the session streams: output begins before the final input chunk is
   consumed, observable through the `lepton.session.decode.*` telemetry;
-* the encode entry points share one policy — `encode_jpeg_timed` rejects
-  exactly what `encode_jpeg` rejects (the old fork silently dropped the
-  CMYK policy, the memory budgets, and the deadline).
+* the bare `EncodeSession` the figure benches time rejects exactly what
+  `compress` rejects (an old timed fork silently dropped the CMYK policy,
+  the memory budgets, and the deadline).
 """
 
 import random
+import time
 import tracemalloc
 
 import pytest
 
-from repro.core.decoder import (
-    decode_lepton,
-    decode_lepton_bounded,
-    decode_lepton_stream,
-    decode_lepton_timed,
-)
-from repro.core.encoder import encode_jpeg, encode_jpeg_timed
+from repro.core.chunks import StoredChunk, decompress_chunk
 from repro.core.errors import (
+    ExitCode,
     FormatError,
     LeptonError,
     MemoryLimitExceeded,
     TimeoutExceeded,
     VersionError,
 )
+from repro.core.format import MAGIC
 from repro.core.lepton import (
+    FORMAT_DEFLATE,
+    FORMAT_LEPTON,
     LeptonConfig,
     compress,
+    decompress,
     decompress_chunks,
 )
+from repro.core.session import EncodeSession
 from repro.corpus.builder import corpus_jpeg
 from repro.corpus.images import synthetic_photo
 from repro.jpeg.errors import JpegError
@@ -70,14 +71,28 @@ def _outcome(decoder, payload):
         return "error", type(exc).__name__
 
 
+@pytest.fixture(scope="module")
+def deflate_payload():
+    data = b"not a jpeg, stored as Deflate " * 40
+    result = compress(data)
+    assert result.format == FORMAT_DEFLATE
+    return data, result.payload
+
+
+def _stored_chunk(payload):
+    fmt = FORMAT_LEPTON if payload[:2] == MAGIC else FORMAT_DEFLATE
+    return StoredChunk(0, fmt, payload, (0, 0))
+
+
 DECODERS = {
-    "decode_lepton": lambda p: decode_lepton(p),
-    "decode_lepton_stream": lambda p: b"".join(decode_lepton_stream(p)),
-    "decode_lepton_bounded": lambda p: b"".join(decode_lepton_bounded(p)),
-    "decode_lepton_timed": lambda p: decode_lepton_timed(p)[0],
+    "decompress": lambda p: decompress(p),
+    "decompress_sequential": lambda p: decompress(p, parallel=False),
+    "decompress_deadline": lambda p: decompress(
+        p, deadline=time.monotonic() + 3600),
     "decompress_chunks": lambda p: b"".join(
         decompress_chunks([p[i:i + 97] for i in range(0, len(p), 97)] or [p])
     ),
+    "decompress_chunk": lambda p: decompress_chunk(_stored_chunk(p)),
 }
 
 
@@ -119,6 +134,28 @@ class TestEntryPointEquivalence:
                      payload[:40] + payload[60:]):
             self._assert_agree(blob)
 
+    def test_deflate_intact_payload(self, deflate_payload):
+        data, payload = deflate_payload
+        for name, fn in DECODERS.items():
+            assert fn(payload) == data, name
+
+    def test_deflate_truncations(self, deflate_payload):
+        _, payload = deflate_payload
+        for cut in range(0, len(payload), max(1, len(payload) // 25)):
+            self._assert_agree(payload[:cut])
+            assert _outcome(DECODERS["decompress"], payload[:cut]) == (
+                "error", "FormatError")
+
+    def test_deflate_trailing_bytes_rejected(self, deflate_payload):
+        """zlib keeps bytes after the end of its stream in
+        ``unused_data``; a stored payload is exact, so they mean damage,
+        the same as trailing bytes after a Lepton container."""
+        _, payload = deflate_payload
+        for tail in (b"x", b"\x00" * 7, payload):
+            for name, fn in DECODERS.items():
+                assert _outcome(fn, payload + tail) == (
+                    "error", "FormatError"), name
+
 
 def test_bounded_decode_peak_scales_with_width_not_area():
     """Consume-and-discard decode: 4x the pixels, same traced peak.
@@ -133,7 +170,7 @@ def test_bounded_decode_peak_scales_with_width_not_area():
         payload = compress(data, LeptonConfig(threads=1)).payload
         consumed = 0
         tracemalloc.start()
-        for piece in decode_lepton_bounded(payload):
+        for piece in decompress_chunks([payload]):
             consumed += len(piece)
         _, pk = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -180,43 +217,50 @@ class TestStreaming:
         assert ttfb.count >= 1
 
 
+def _session_encode(data: bytes, **kwargs) -> bytes:
+    """Drive a bare session the way the fig. 8 bench times one."""
+    session = EncodeSession(**kwargs)
+    session.write(data)
+    return b"".join(session.finish())
+
+
 class TestTimedEncodeParity:
-    """Satellite of the refactor: the timed encoder runs the same session,
-    so it enforces the same policy — the old fork did not."""
+    """The figure benches time a bare ``EncodeSession``; it enforces the
+    same policy as ``compress``, which drives the same session."""
 
     def test_cmyk_rejected_identically(self, cmyk_jpeg):
-        with pytest.raises(JpegError) as plain:
-            encode_jpeg(cmyk_jpeg)
-        with pytest.raises(JpegError) as timed:
-            encode_jpeg_timed(cmyk_jpeg)
-        assert type(plain.value) is type(timed.value)
+        with pytest.raises(JpegError) as raised:
+            _session_encode(cmyk_jpeg)
+        result = compress(cmyk_jpeg, LeptonConfig(deflate_fallback=False))
+        assert result.format is None
+        assert result.detail == str(raised.value)
 
     def test_cmyk_allowed_identically(self, cmyk_jpeg):
-        payload, _ = encode_jpeg(cmyk_jpeg, allow_cmyk=True)
-        timed_payload, _, _ = encode_jpeg_timed(cmyk_jpeg, allow_cmyk=True)
-        assert payload == timed_payload
-        assert decode_lepton(payload) == cmyk_jpeg
+        payload = _session_encode(cmyk_jpeg, allow_cmyk=True)
+        assert compress(cmyk_jpeg, LeptonConfig(allow_cmyk=True)).payload \
+            == payload
+        assert decompress(payload) == cmyk_jpeg
 
     def test_decode_memory_limit_enforced_identically(self):
         data = corpus_jpeg(seed=5, height=64, width=64)
         with pytest.raises(MemoryLimitExceeded):
-            encode_jpeg(data, decode_memory_limit=1024)
-        with pytest.raises(MemoryLimitExceeded):
-            encode_jpeg_timed(data, decode_memory_limit=1024)
+            _session_encode(data, decode_memory_limit=1024)
+        result = compress(data, LeptonConfig(decode_memory_limit=1024))
+        assert result.exit_code is ExitCode.DECODE_MEMORY_EXCEEDED
 
     def test_encode_memory_limit_enforced_identically(self):
         data = corpus_jpeg(seed=5, height=64, width=64)
         with pytest.raises(MemoryLimitExceeded):
-            encode_jpeg(data, encode_memory_limit=1024)
-        with pytest.raises(MemoryLimitExceeded):
-            encode_jpeg_timed(data, encode_memory_limit=1024)
+            _session_encode(data, encode_memory_limit=1024)
+        result = compress(data, LeptonConfig(encode_memory_limit=1024))
+        assert result.exit_code is ExitCode.ENCODE_MEMORY_EXCEEDED
 
     def test_deadline_enforced_identically(self):
         data = corpus_jpeg(seed=5, height=64, width=64)
         with pytest.raises(TimeoutExceeded):
-            encode_jpeg(data, deadline=-1.0)
-        with pytest.raises(TimeoutExceeded):
-            encode_jpeg_timed(data, deadline=-1.0)
+            _session_encode(data, deadline=-1.0)
+        result = compress(data, LeptonConfig(timeout_seconds=-1.0))
+        assert result.exit_code is ExitCode.TIMEOUT
 
 
 def test_session_modules_are_in_lint_scope():
@@ -227,8 +271,7 @@ def test_session_modules_are_in_lint_scope():
     config = default_config()
     for rule in ("D2", "D5", "D6"):
         assert config.in_scope(rule, "repro.core.session"), rule
-    for module in ("repro.core.encoder", "repro.core.decoder",
-                   "repro.core.chunks", "repro.core.lepton", "repro.cli",
+    for module in ("repro.core.chunks", "repro.core.lepton", "repro.cli",
                    "repro.storage.blockstore"):
         assert config.in_scope("D6", module), module
     # The baseline coders legitimately own their loops.
