@@ -173,7 +173,7 @@ class SegmentCodec:
         """Code every block of the MCU range.
 
         A neighbour counts only if its MCU lies inside the current segment
-        range: thread segments decode concurrently, and chunks decode on
+        range: thread segments may decode concurrently (§3.4), and chunks on
         different machines, so context must never reach across a segment
         boundary — on either side of the codec (the determinism rule).
         """

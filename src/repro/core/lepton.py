@@ -206,8 +206,7 @@ def compress(data: bytes, config: Optional[LeptonConfig] = None) -> CompressionR
     return result
 
 
-def decompress(payload: bytes, parallel: bool = True,
-               model_config: Optional[ModelConfig] = None,
+def decompress(payload: bytes, model_config: Optional[ModelConfig] = None,
                deadline: Optional[float] = None) -> bytes:
     """Recover the exact original bytes from a stored payload.
 
@@ -219,7 +218,7 @@ def decompress(payload: bytes, parallel: bool = True,
     start = time.monotonic()  # lint: disable=D2 - telemetry only
     with trace_span("lepton.decompress", payload_bytes=len(payload)):
         data = b"".join(decompress_chunks([payload], model_config=model_config,
-                                          parallel=parallel, deadline=deadline))
+                                          deadline=deadline))
     seconds = time.monotonic() - start  # lint: disable=D2 - telemetry only
     fmt = FORMAT_LEPTON if payload[:2] == lformat.MAGIC else FORMAT_DEFLATE
     registry = get_registry()
@@ -231,7 +230,6 @@ def decompress(payload: bytes, parallel: bool = True,
 def decompress_chunks(
     chunks,
     model_config: Optional[ModelConfig] = None,
-    parallel: bool = False,
     deadline: Optional[float] = None,
 ) -> Iterator[bytes]:
     """Streaming decompression from an *iterator* of stored-payload chunks.
@@ -254,8 +252,7 @@ def decompress_chunks(
         except StopIteration:
             break
     if head[:2] == lformat.MAGIC:
-        session = DecodeSession(model_config=model_config, parallel=parallel,
-                                deadline=deadline)
+        session = DecodeSession(model_config=model_config, deadline=deadline)
         yield from session.write(head)
         for chunk in source:
             yield from session.write(bytes(chunk))

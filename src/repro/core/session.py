@@ -39,7 +39,6 @@ rather than keeping a forked copy of the codec loop with inline clocks.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -370,28 +369,24 @@ class DecodeSession:
     ``lepton.session.decode.ttfb_seconds`` histogram).
 
     Every decode runs row-by-row against sliding
-    :class:`~repro.core.rowbuffer.RowWindow` buffers (§1, §4.2).  With
-    ``parallel=True``, completed segments decode concurrently in a thread
-    pool while emission stays strictly in segment order; with
-    ``parallel=False`` segments decode lazily on the consuming thread — the
-    footprint-over-parallelism mode, like the paper's 24-MiB single-thread
-    figure.
+    :class:`~repro.core.rowbuffer.RowWindow` buffers (§1, §4.2).  Segments
+    decode in order, one after another on the consuming thread, each as
+    soon as its arithmetic bytes and those of every earlier segment have
+    arrived.  The paper's thread-per-segment wall clock is modelled by the
+    fig. 1/7/8 benches from :attr:`segment_seconds`, not run (CPython's GIL
+    would serialise it).
     """
 
     def __init__(
         self,
         model_config: Optional[ModelConfig] = None,
-        parallel: bool = False,
         deadline: Optional[float] = None,
     ):
         self._model_config = model_config or ModelConfig()
-        self._parallel = parallel
         self._deadline = deadline
         self._reader = ContainerReader()
         self._lepton: Optional[LeptonFile] = None
         self._img: Optional[JpegImage] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._futures: Dict[int, object] = {}
         self._ready: Dict[int, bool] = {}
         self._pending: List[tuple] = []
         self._next_emit = 0
@@ -419,9 +414,6 @@ class DecodeSession:
         lepton = self._reader.finish()
         yield from self._drain()
         with trace_span("lepton.session.decode.finish") as rec:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
             if lepton.segments and self._scan_emitted != lepton.scan_take:
                 raise FormatError(
                     f"scan window produced {self._scan_emitted} bytes, "
@@ -472,10 +464,6 @@ class DecodeSession:
                 img.rst_count = lepton.rst_count
                 self._validate_segments(lepton, img.frame)
                 self._img = img
-                if self._parallel and len(lepton.segments) > 1:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=len(lepton.segments)
-                    )
         self._overhead_seconds += rec.wall_seconds
         if prefix:
             yield self._emit(prefix)
@@ -491,31 +479,16 @@ class DecodeSession:
                 )
 
     def _on_segment(self, index: int) -> Iterator[bytes]:
-        if self._pool is not None:
-            self._futures[index] = self._pool.submit(
-                lambda i=index: list(self._segment_pieces(i))
-            )
-        else:
-            self._ready[index] = True
-        while self._lepton is not None and self._next_emit < len(self._lepton.segments):
+        """Mark segment ``index`` ready, then decode every ready segment in
+        order."""
+        self._ready[index] = True
+        while self._ready.pop(self._next_emit, False):
             i = self._next_emit
-            if self._pool is not None:
-                future = self._futures.pop(i, None)
-                if future is None:
-                    break
-                self._next_emit += 1
-                for piece in future.result():
-                    trimmed = self._trim(piece)
-                    if trimmed:
-                        yield self._emit(trimmed)
-            else:
-                if not self._ready.pop(i, False):
-                    break
-                self._next_emit += 1
-                for piece in self._segment_pieces(i):
-                    trimmed = self._trim(piece)
-                    if trimmed:
-                        yield self._emit(trimmed)
+            self._next_emit += 1
+            for piece in self._segment_pieces(i):
+                trimmed = self._trim(piece)
+                if trimmed:
+                    yield self._emit(trimmed)
 
     def _trim(self, piece: bytes) -> bytes:
         """Clip one scan piece to the container's byte window (chunking)."""

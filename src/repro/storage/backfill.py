@@ -8,8 +8,8 @@ shipped, using spare datacenter capacity:
 * **Metaservers** scan a sharded user table: 128 users at a time, files
   whose names contain ".jp" case-insensitively, SHA-256 per 4-MiB chunk,
   up to 16,384 chunks per response, with a resume token for partial users.
-* **Workers** download each chunk, compress it, double-check with the
-  sanitising build in single- and multi-threaded mode, and upload.
+* **Workers** download each chunk, compress it, decode it again with both
+  qualification builds, and upload.
 """
 
 from dataclasses import dataclass, field
@@ -18,9 +18,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import hashlib
 
 from repro.core.errors import ExitCode
-from repro.core.lepton import LeptonConfig, compress, decompress
+from repro.core.lepton import LeptonConfig, compress
 from repro.obs import ExitCodeSink, MetricsRegistry, get_registry, trace_span
 from repro.storage.chunking import CHUNK_SIZE, split_chunks
+from repro.storage.qualification import BUILDS
 from repro.storage.retry import RetryPolicy
 from repro.storage.simclock import SimClock
 
@@ -131,9 +132,10 @@ class BackfillStats:
 class BackfillWorker:
     """Downloads, compresses, triple-checks, uploads (§5.6).
 
-    The "three extraneous decodes" of §5.6.1: the result is re-decoded with
-    the production build (multithreaded) and the sanitising build in both
-    threading modes before upload.
+    The "three extraneous decodes" of §5.6.1: before upload the result is
+    re-decoded once with the whole-payload build and twice with the
+    streamed build (:data:`~repro.storage.qualification.BUILDS`), the
+    slots of production's multithreaded build and its sanitising build.
     """
 
     def __init__(self, metaserver: Metaserver,
@@ -194,9 +196,10 @@ class BackfillWorker:
                 self.exit_sink.record(result.exit_code)
                 if not result.ok:
                     break  # fallback/skip outcome: not a verification issue
+                whole, streamed = BUILDS
                 verified = all(
-                    decompress(result.payload, parallel=parallel) == chunk
-                    for parallel in (True, False, False)
+                    decode(result.payload) == chunk
+                    for decode in (whole, streamed, streamed)
                 )
                 if verified:
                     break

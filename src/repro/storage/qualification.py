@@ -4,9 +4,11 @@ Before any Lepton version ships, it must compress and decompress a corpus
 (a billion images in production, 4 billion for the first release) with
 *both* the optimised build and the sanitising build, yielding identical
 results — the fail-safe that caught the §6.1 reversed-index bug "after just
-a few million images".  Here the two builds are the parallel and the
-sequential decoders: a context-divergence bug between encoder and decoder
-shows up as exactly the kind of mismatch the production harness hunted.
+a few million images".  Here the two builds are :data:`BUILDS`: one decode
+of the whole payload, and the same payload streamed in small pieces.  A
+context-divergence bug between encoder and decoder, or a container-reader
+bug that only shows on partial input, surfaces as exactly the kind of
+mismatch the production harness hunted.
 """
 
 from dataclasses import dataclass, field
@@ -18,8 +20,28 @@ from repro.core.lepton import (
     LeptonConfig,
     compress,
     decompress,
+    decompress_chunks,
 )
 from repro.corpus.builder import CorpusFile
+
+#: Piece size of the streamed build: small and odd, so pieces split the
+#: fixed header, the secondary header and the section headers, and every
+#: partial-input state of ``ContainerReader`` is taken.
+STREAM_PIECE_BYTES = 97
+
+
+def decompress_streamed(payload: bytes) -> bytes:
+    """Decode ``payload`` fed to :func:`decompress_chunks` piece by piece."""
+    return b"".join(decompress_chunks(
+        payload[i:i + STREAM_PIECE_BYTES]
+        for i in range(0, len(payload), STREAM_PIECE_BYTES)
+    ))
+
+
+#: The two builds every release must agree on (§5.2, §5.7), in the
+#: paper's order: the optimised (icc) build is the whole-payload decode,
+#: the sanitising (gcc-asan) build the streamed one.
+BUILDS = (decompress, decompress_streamed)
 
 
 @dataclass
@@ -56,7 +78,7 @@ def qualify_build(
     config: Optional[LeptonConfig] = None,
     existing_payloads: Sequence[bytes] = (),
     compress_fn: Optional[Callable[[bytes], CompressionResult]] = None,
-    decoders: Optional[Sequence[Callable[[bytes], bytes]]] = None,
+    decoders: Sequence[Callable[[bytes], bytes]] = BUILDS,
     lint_gate: bool = True,
 ) -> QualificationReport:
     """Run the qualification pipeline over ``corpus``.
@@ -73,10 +95,6 @@ def qualify_build(
     """
     config = config or LeptonConfig()
     compress_fn = compress_fn or (lambda data: compress(data, config))
-    decoders = decoders or [
-        lambda p: decompress(p, parallel=True),   # optimised (icc) build
-        lambda p: decompress(p, parallel=False),  # sanitising (gcc-asan)
-    ]
     report = QualificationReport(build_id)
     if lint_gate:
         from repro.lint import check_shipped_tree

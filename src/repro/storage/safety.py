@@ -11,12 +11,12 @@ import os
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.errors import ExitCode, LeptonError, TimeoutExceeded
-from repro.core.lepton import decompress
 from repro.jpeg.errors import JpegError
 from repro.obs import ExitCodeSink, MetricsRegistry, get_registry
+from repro.storage.qualification import BUILDS
 
 #: Config-file deployment takes 15–45 minutes; the shutoff file propagates
 #: in ~30 seconds (§5.7).
@@ -130,7 +130,7 @@ class AlertPipeline:
 
     def drain_timeout_queue(
         self,
-        decoders: Optional[List[Callable[[bytes], bytes]]] = None,
+        decoders: Sequence[Callable[[bytes], bytes]] = BUILDS,
         attempts: int = 3,
     ) -> List[Alert]:
         """Re-decode each queued chunk ``attempts`` times with each build.
@@ -149,10 +149,6 @@ class AlertPipeline:
         Anything else propagates — a broken test harness should crash the
         triage job, not masquerade as a decode failure.
         """
-        decoders = decoders or [
-            lambda p: decompress(p, parallel=True),   # icc production build
-            lambda p: decompress(p, parallel=False),  # gcc-asan build
-        ]
         sink = ExitCodeSink(
             self.registry if self.registry is not None else get_registry(),
             metric="safety.triage.exit_codes",
@@ -176,7 +172,7 @@ class AlertPipeline:
             except TimeoutExceeded as exc:
                 sink.record(ExitCode.TIMEOUT)
                 alert = Alert("decode_timeout", str(exc), key)
-            except (LeptonError, JpegError, zlib.error) as exc:
+            except (LeptonError, JpegError) as exc:
                 alert = Alert("decode_failure", str(exc), key)
             else:
                 if len(outputs) != 1:

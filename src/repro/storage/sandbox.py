@@ -70,7 +70,7 @@ class SandboxedLepton:
 
     def __init__(self, config: Optional[LeptonConfig] = None):
         self.sandbox = Sandbox()
-        # Pre-seal setup: arena, pipes, thread pool.  (The arena is a real
+        # Pre-seal setup: arena and pipes.  (The arena is a real
         # allocation so tests can observe the working-set behaviour.)
         self.sandbox.check("mmap")
         self._arena = bytearray(ARENA_BYTES // 1024)  # scaled; see DESIGN.md

@@ -1,4 +1,6 @@
-"""Decoder internals: parallel/sequential equivalence, metadata, edges."""
+"""Decoder internals: whole/streamed build equivalence, metadata, edges."""
+
+import threading
 
 import pytest
 
@@ -10,27 +12,38 @@ from repro.core.lepton import (
     LeptonConfig,
     compress,
     decompress,
-    decompress_chunks,
 )
 from repro.corpus.builder import corpus_jpeg
 from repro.obs import get_registry
+from repro.storage.qualification import BUILDS
 
 
-class TestParallelEquivalence:
+class TestBuildEquivalence:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_parallel_matches_sequential(self, seed):
+    def test_whole_matches_streamed(self, seed):
         data = corpus_jpeg(seed=200 + seed, height=80, width=96,
                            restart_interval=(seed % 2) * 3)
         payload = compress(data, LeptonConfig(threads=4)).payload
-        assert decompress(payload, parallel=True) == \
-            decompress(payload, parallel=False) == data
+        whole, streamed = BUILDS
+        assert whole(payload) == streamed(payload) == data
 
-    def test_stream_piece_boundaries_independent_of_parallelism(self):
-        data = corpus_jpeg(seed=210, height=64, width=64)
-        payload = compress(data, LeptonConfig(threads=2)).payload
-        seq = list(decompress_chunks([payload], parallel=False))
-        par = list(decompress_chunks([payload], parallel=True))
-        assert b"".join(seq) == b"".join(par) == data
+
+def test_multi_segment_decode_starts_no_thread(monkeypatch):
+    """Segments decode in turn on the calling thread, so a four-segment
+    decode starts no thread."""
+    data = corpus_jpeg(seed=205, height=80, width=96)
+    payload = compress(data, LeptonConfig(threads=4)).payload
+    assert len(read_container(payload).segments) == 4
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    assert decompress(payload) == data
+    assert started == []
 
 
 def _decompress_count(fmt):

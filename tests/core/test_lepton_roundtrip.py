@@ -38,7 +38,6 @@ def test_roundtrip_any_thread_count(small_jpeg, threads):
     result = compress(small_jpeg, LeptonConfig(threads=threads))
     assert result.ok
     assert decompress(result.payload) == small_jpeg
-    assert decompress(result.payload, parallel=False) == small_jpeg
 
 
 def test_degenerate_images_roundtrip():
@@ -109,7 +108,7 @@ class TestStreaming:
         """Time-to-first-byte: the header is yielded before any arithmetic
         decoding happens."""
         result = compress(small_jpeg)
-        stream = decompress_chunks([result.payload], parallel=True)
+        stream = decompress_chunks([result.payload])
         first = next(stream)
         assert small_jpeg.startswith(first)
         assert first.startswith(b"\xFF\xD8")

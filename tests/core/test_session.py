@@ -42,6 +42,7 @@ from repro.corpus.images import synthetic_photo
 from repro.jpeg.errors import JpegError
 from repro.jpeg.writer import encode_baseline_jpeg
 from repro.obs import get_registry
+from repro.storage.qualification import BUILDS
 
 
 @pytest.fixture(scope="module")
@@ -86,12 +87,9 @@ def _stored_chunk(payload):
 
 DECODERS = {
     "decompress": lambda p: decompress(p),
-    "decompress_sequential": lambda p: decompress(p, parallel=False),
     "decompress_deadline": lambda p: decompress(
         p, deadline=time.monotonic() + 3600),
-    "decompress_chunks": lambda p: b"".join(
-        decompress_chunks([p[i:i + 97] for i in range(0, len(p), 97)] or [p])
-    ),
+    "decompress_streamed": BUILDS[1],
     "decompress_chunk": lambda p: decompress_chunk(_stored_chunk(p)),
 }
 

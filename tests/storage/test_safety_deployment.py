@@ -1,7 +1,10 @@
 """Safety mechanisms, qualification, deployment anomalies, sandbox."""
 
+import zlib
+
 import pytest
 
+from repro.core.format import ContainerReader
 from repro.core.lepton import LeptonConfig, compress
 from repro.corpus.builder import build_corpus, corpus_jpeg
 from repro.storage.deployment import (
@@ -93,12 +96,15 @@ class TestAlertPipeline:
         assert not pipeline.timeout_queue
 
     def test_corrupt_chunk_pages_a_human(self):
+        bad_deflate = bytearray(zlib.compress(b"stored as Deflate " * 20))
+        bad_deflate[-1] ^= 0xFF  # breaks the Adler-32 trailer
         pipeline = AlertPipeline()
         pipeline.report_timeout("bad", b"\xCF\x84 definitely not valid")
+        pipeline.report_timeout("bad_deflate", bytes(bad_deflate))
         pages = pipeline.drain_timeout_queue()
-        assert len(pages) == 1
-        assert pages[0].kind == "decode_failure"
+        assert [p.kind for p in pages] == ["decode_failure"] * 2
         assert "bad" in pipeline.quarantine  # evidence preserved
+        assert "bad_deflate" in pipeline.quarantine
 
     def test_manual_page(self):
         pipeline = AlertPipeline()
@@ -164,15 +170,20 @@ class TestTriageEdges:
 
     def test_harness_errors_propagate(self):
         """A broken recheck harness must crash the triage job, not be
-        recorded as a decode failure."""
-        pipeline = AlertPipeline()
-        pipeline.report_timeout("x", b"payload")
+        recorded as a decode failure.  A raw ``zlib.error`` is such a
+        harness error too: every decode entry point maps zlib failures to
+        ``FormatError``."""
+        for error in (OSError("recheck cluster unreachable"),
+                      zlib.error("inflate called outside the codec")):
+            pipeline = AlertPipeline()
+            pipeline.report_timeout("x", b"payload")
 
-        def broken(_payload):
-            raise OSError("recheck cluster unreachable")
+            def broken(_payload, error=error):
+                raise error
 
-        with pytest.raises(OSError):
-            pipeline.drain_timeout_queue(decoders=[broken])
+            with pytest.raises(type(error)):
+                pipeline.drain_timeout_queue(decoders=[broken])
+            assert pipeline.pages == []
 
 
 class TestQualification:
@@ -195,6 +206,22 @@ class TestQualification:
         ]
         report = qualify_build(corpus, "broken", decoders=evil)
         assert not report.qualified
+
+    def test_streamed_build_feeds_the_reader_in_pieces(self, monkeypatch):
+        """The two builds take different paths through the container
+        reader: one feeds it the whole payload, the other small pieces."""
+        corpus = build_corpus(n_jpegs=1, seed=85, include_rejects=False)
+        feeds = []
+        real_feed = ContainerReader.feed
+
+        def counting_feed(reader, data):
+            feeds.append(len(data))
+            return real_feed(reader, data)
+
+        monkeypatch.setattr(ContainerReader, "feed", counting_feed)
+        report = qualify_build(corpus, "pieces", lint_gate=False)
+        assert report.qualified and report.compressed == 1
+        assert len(feeds) > 2
 
     def test_detects_undecodable_stored_files(self):
         corpus = build_corpus(n_jpegs=1, seed=84, include_rejects=False)
