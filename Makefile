@@ -4,10 +4,16 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-json lint-changed lint-bench lint-tests chaos durability serve serve-tests serve-smoke live-chaos live-chaos-full bench-selftest
+.PHONY: test golden lint lint-json lint-changed lint-bench lint-tests chaos durability serve serve-tests serve-smoke live-chaos live-chaos-full bench-selftest
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# The format-freeze gate for hot-loop edits (well under a minute): golden
+# containers, exponent-cap digests, Huffman scan round trips and handover
+# resumes.  A codec speed change must pass it unedited.
+golden:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q tests/core/test_golden_containers.py tests/core/test_exponent_caps.py tests/jpeg/test_scan_roundtrip.py tests/jpeg/test_handover_property.py
 
 # The chaos suite: deterministic fault injection, degraded reads, and the
 # zero-wrong-bytes invariant (run with -m chaos; see docs/deployment.md).

@@ -19,13 +19,16 @@ the Lakhani prediction), and finally the DC coefficient (delta against the
 gradient prediction) — DC last so that every AC coefficient can inform it.
 
 Predictions never transform a neighbour again: when a block is finished,
-one integer transform (:data:`~repro.core.predictors.FINISHED`) stores what
-the blocks below and to its right need — its border pixel rows and columns
-6 and 7 and its Lakhani edge projections — in a per-component ring of
-``v + 1`` block rows of int64, so that state, like the coefficient
+one integer matmul (:data:`~repro.core.predictors.FINISHED`, with the
+component's quantisation table folded in) gives its own DC seam terms and
+what the blocks below and to its right need — their seam terms and its
+Lakhani edge projections.  Those outputs, and the block's DC share of its
+seam terms as one integer, are kept in a per-component ring of ``v + 1``
+block rows, so that state, like the coefficient
 :class:`~repro.core.rowbuffer.RowWindow`, scales with image width.
 """
 
+from operator import itemgetter
 from typing import List, Optional
 
 import numpy as np
@@ -41,21 +44,19 @@ from repro.core.model import (
     pred_bucket,
 )
 from repro.core.predictors import (
-    BORDER,
-    BORDER_COLS,
-    BORDER_PIXELS,
-    BORDER_ROWS,
+    B00,
     COLUMN_PROJECTION,
     DC_PIXEL,
     FINISHED,
     INTERIOR_SUMS,
-    OWN_PIXELS,
     ROW_PROJECTION,
+    SEAM_BOTTOM,
+    SEAM_DC_WEIGHT,
+    SEAM_RIGHT,
     dc_prediction_median8,
     dc_predictions,
-    lakhani_prediction,
+    dequantising,
     weighted_avg_value,
-    _div_round,
 )
 from repro.jpeg.scan_decode import mcu_block_layout
 from repro.jpeg.zigzag import RASTER_TO_ZIGZAG, SEVEN_BY_SEVEN_ZIGZAG_ORDER
@@ -73,6 +74,9 @@ _EDGE_CLAMP = 1 << 10
 _ORDER_77 = [int(r) for r in SEVEN_BY_SEVEN_ZIGZAG_ORDER]
 #: Edge rasters per orientation: the top row F[0, k], the left column F[k, 0].
 _EDGES = ([k for k in range(1, 8)], [k * 8 for k in range(1, 8)])
+#: C-level gathers of the 7x7 interior and of each edge from a block.
+_GATHER_77 = itemgetter(*_ORDER_77)
+_GATHER_EDGES = [itemgetter(*rasters) for rasters in _EDGES]
 
 # Context key bits: component 25-26, section 22-24, section fields 8-21,
 # and the slot (bool_coder) 0-7.  Section fields:
@@ -99,17 +103,26 @@ def _section_key(ci: int, section: int) -> int:
 class ComponentState:
     """Per-component coding state shared across a segment."""
 
-    def __init__(self, index: int, coefficients, qtable: np.ndarray, rows: int):
+    def __init__(self, index: int, coefficients, qtable: np.ndarray, rows: int,
+                 dc_mode: str):
         self.coefficients = coefficients  # (blocks_h, blocks_w, 64) int32
         self.q = [int(x) for x in qtable]  # raster
-        self.q64 = qtable.astype(np.int64)
         self.q_dc = self.q[0]
+        #: The predictor matrices applied to quantised coefficients.
+        self.interior = dequantising(INTERIOR_SUMS, qtable)
+        self.finished = dequantising(
+            FINISHED["median8" if dc_mode == "median8" else "gradient"], qtable)
+        #: What one unit of a finished block's DC adds to its seam terms.
+        self.dc_unit = (SEAM_DC_WEIGHT.get(dc_mode, 0) * DC_PIXEL
+                        * self.q_dc)
         blocks_w = coefficients.shape[1]
         #: Ring of the last ``rows`` block rows: each finished block's
-        #: FINISHED border outputs, and its 7x7 non-zero count.
+        #: coefficients and FINISHED outputs (as lists), its DC share of its
+        #: seam terms, and its 7x7 non-zero count.
         self.rows = rows
-        self.border = np.zeros((rows, blocks_w, BORDER.stop - BORDER.start),
-                               dtype=np.int64)
+        self.coef_rows = [[_ZEROS] * blocks_w for _ in range(rows)]
+        self.finished_rows = [[_NO_AC] * blocks_w for _ in range(rows)]
+        self.dc_rows = [[0] * blocks_w for _ in range(rows)]
         self.nnz = [[0] * blocks_w for _ in range(rows)]
         self.k_dc = _section_key(index, _SEC_DC)
         self.k_77 = _section_key(index, _SEC_77)
@@ -142,7 +155,7 @@ class SegmentCodec:
         # The ring keeps the block rows of one MCU row plus the row above.
         states = [
             ComponentState(ci, coefficients[ci], quant_tables[comp.quant_table_id],
-                           factors[ci][1] + 1)
+                           factors[ci][1] + 1, self._dc_mode)
             for ci, comp in enumerate(frame.components)
         ]
         self.layout = [(states[ci], factors[ci], dy, dx)
@@ -200,25 +213,25 @@ class SegmentCodec:
         accounts = self.model.accounts
         code_value = coder.code_value
         code_counter = coder.code_counter
-        coefficients = st.coefficients
         # ``cur`` is the block's coefficient row, which decoding fills in as
         # it goes (a no-op store when encoding); ``blk`` holds the values to
-        # encode, all zero when decoding, where they are ignored.
-        cur = coefficients[by, bx]
+        # encode, all zero when decoding, where they are ignored.  The
+        # neighbours' coefficients come from the ring, as lists.
+        cur = st.coefficients[by, bx]
         blk = cur.tolist() if encoding else _ZEROS
-        above = coefficients[by - 1, bx].tolist() if has_above else _ZEROS
-        left = coefficients[by, bx - 1].tolist() if has_left else _ZEROS
-        above_left = (coefficients[by - 1, bx - 1].tolist()
-                      if has_above_left else _ZEROS)
         row = by % st.rows
         row_above = (by - 1) % st.rows
+        above = st.coef_rows[row_above][bx] if has_above else _ZEROS
+        left = st.coef_rows[row][bx - 1] if has_left else _ZEROS
+        above_left = (st.coef_rows[row_above][bx - 1]
+                      if has_above_left else _ZEROS)
 
         # --- 7x7 non-zero count (§A.2.1) --------------------------------
         acct = accounts["nnz"] if accounts else None
         n_ctx = ((st.nnz[row_above][bx] if has_above else 0)
                  + (st.nnz[row][bx - 1] if has_left else 0))
         nnz = code_counter(bins, st.k_nnz + _NNZ_KEY[n_ctx >> 1], 6,
-                           _count(blk, _ORDER_77) if encoding else 0, acct)
+                           _nonzeros(blk, _GATHER_77) if encoding else 0, acct)
         if nnz > 49:
             raise FormatError(f"decoded 7x7 non-zero count {nnz} > 49")
         st.nnz[row][bx] = nnz
@@ -242,33 +255,45 @@ class SegmentCodec:
         # --- 7x1 / 1x7 edge coefficients (§A.2.2) ------------------------
         acct = accounts["edge"] if accounts else None
         lakhani = self._lakhani
+        q = st.q
         sums = None
         counts = 0
         for orient, rasters in enumerate(_EDGES):
             count = code_counter(bins, st.k_count[orient] + _NNZ_KEY[nnz], 3,
-                                 _count(blk, rasters) if encoding else 0, acct)
+                                 _nonzeros(blk, _GATHER_EDGES[orient])
+                                 if encoding else 0, acct)
             counts += count
-            projection = None
+            # The neighbour's FINISHED outputs, whose edge projections
+            # start at ``at``, for a Lakhani prediction.
+            neighbour = None
             if lakhani and count and (has_left if orient else has_above):
                 if sums is None:
-                    sums = (np.multiply(cur, st.q64) @ INTERIOR_SUMS).tolist()
+                    sums = (cur @ st.interior).tolist()
                 if orient:
-                    projection = st.border[row, bx - 1, ROW_PROJECTION:].tolist()
+                    neighbour, at = st.finished_rows[row][bx - 1], ROW_PROJECTION
                 else:
-                    projection = st.border[row_above, bx,
-                                           COLUMN_PROJECTION:ROW_PROJECTION].tolist()
+                    neighbour, at = st.finished_rows[row_above][bx], COLUMN_PROJECTION
             remaining = count
             k_edge = st.k_edge + (orient << 21)
             for k, r in enumerate(rasters, start=1):
                 if not remaining:
                     break
-                if projection is not None:
-                    pred = _div_round(
-                        lakhani_prediction(projection[k], sums[(orient << 3) + k]),
-                        st.q[r])
+                if neighbour is not None:
+                    # predictors.lakhani_prediction, then the quantisation
+                    # step: each rounded half away from zero, inlined.
+                    pred = neighbour[at + k] - sums[(orient << 3) + k]
+                    pred = ((pred + _HALF_B00) // B00 if pred >= 0
+                            else -((_HALF_B00 - pred) // B00))
+                    step = q[r]
+                    pred = ((pred + (step >> 1)) // step if pred >= 0
+                            else -(((step >> 1) - pred) // step))
+                    if pred > _EDGE_CLAMP:
+                        pred = _EDGE_CLAMP
+                    elif pred < -_EDGE_CLAMP:
+                        pred = -_EDGE_CLAMP
                 else:
-                    pred = weighted_avg_value(above[r], left[r], above_left[r])
-                pred = max(-_EDGE_CLAMP, min(_EDGE_CLAMP, pred))
+                    pred = max(-_EDGE_CLAMP, min(_EDGE_CLAMP, weighted_avg_value(
+                        above[r], left[r], above_left[r])))
                 value = code_value(
                     bins, k_edge + (k << 18) + _PRED_KEY[pred + _EDGE_CLAMP]
                     + _NNZ_KEY[remaining], blk[r] - pred, 12, acct) + pred
@@ -279,43 +304,48 @@ class SegmentCodec:
         # --- DC, last (§A.2.3) -------------------------------------------
         acct = accounts["dc"] if accounts else None
         mode = self._dc_mode
-        finished = None
+        finished = _NO_AC
         if self._borders and (nnz or counts):
-            deq = np.multiply(cur, st.q64)
-            deq[0] = 0
-            finished = deq @ FINISHED
+            finished = (cur @ st.finished).tolist()
         if mode == "packjpg":
             # Baseline-PackJPG-style: plain neighbour DC as the prediction.
             pred = left[0] if has_left else above[0]
             conf = 0
         else:
-            own = finished[OWN_PIXELS].tolist() if finished is not None else _ZEROS
-            above_px = (st.border[row_above, bx, BORDER_ROWS].tolist()
-                        if has_above else None)
-            left_px = (st.border[row, bx - 1, BORDER_COLS].tolist()
-                       if has_left else None)
+            # Each neighbour's seam terms facing this block, and its DC's
+            # share of each.
+            above_seams = ((st.finished_rows[row_above][bx][SEAM_BOTTOM:SEAM_RIGHT],
+                            st.dc_rows[row_above][bx]) if has_above else None)
+            left_seams = ((st.finished_rows[row][bx - 1][SEAM_RIGHT:COLUMN_PROJECTION],
+                           st.dc_rows[row][bx - 1]) if has_left else None)
             if mode == "median8":
-                pred, spread = dc_prediction_median8(own, above_px, left_px, st.q_dc)
+                pred, spread = dc_prediction_median8(
+                    finished, above_seams, left_seams, st.q_dc)
             else:
-                _, pred, spread = dc_predictions(own, above_px, left_px, st.q_dc)
+                _, pred, spread = dc_predictions(
+                    finished, above_seams, left_seams, st.q_dc)
             conf = confidence_bucket(spread)
-        pred = max(-_DC_CLAMP, min(_DC_CLAMP, pred))
+        if pred > _DC_CLAMP:
+            pred = _DC_CLAMP
+        elif pred < -_DC_CLAMP:
+            pred = -_DC_CLAMP
         dc = code_value(bins, st.k_dc + (conf << 8), blk[0] - pred, 14, acct) + pred
         cur[0] = dc
 
         # --- the finished block, for its neighbours -----------------------
+        st.coef_rows[row][bx] = blk if encoding else cur.tolist()
         if self._borders:
-            border = st.border[row, bx]
-            if finished is None:
-                border[:] = 0
-            else:
-                border[:] = finished[BORDER]
-            border[BORDER_PIXELS] += DC_PIXEL * dc * st.q_dc
+            st.finished_rows[row][bx] = finished
+            st.dc_rows[row][bx] = dc * st.dc_unit
 
 
 _ZEROS = (0,) * 64
+#: The FINISHED outputs of a block without AC coefficients.
+_NO_AC = [0] * FINISHED["gradient"].shape[1]
+_HALF_B00 = B00 >> 1
 
 
-def _count(blk: List[int], rasters: List[int]) -> int:
-    """Non-zero coefficients of ``blk`` among ``rasters``."""
-    return sum(1 for r in rasters if blk[r])
+def _nonzeros(blk: List[int], gather) -> int:
+    """Non-zero coefficients of ``blk`` among those ``gather`` picks."""
+    values = gather(blk)
+    return len(values) - values.count(0)

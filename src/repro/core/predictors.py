@@ -15,12 +15,18 @@ blocks one neighbour at a time:
   Lakhani edge predictions, ``Σ_{u≥1} B0u·F[u, v]`` per column ``v``
   (outputs 0-7) and ``Σ_{v≥1} B0v·F[u, v]`` per row ``u`` (outputs 8-15).
   It reads only the 7x7 interior, which is known when the edges are coded.
-* :data:`FINISHED` (64×80) is applied once per block, DC excluded, after
-  its AC coefficients are known: pixel rows 0, 1 and columns 0, 1 (what the
-  block's own DC prediction matches against), pixel rows 6, 7 and columns
-  6, 7 (what the blocks below and to the right match against), and the
-  edge projections ``Σ_u B7u·F[u, v]`` and ``Σ_v B7v·F[u, v]`` (the
-  neighbour's share of their Lakhani predictions).
+* :data:`FINISHED` (64×48 per DC mode) is applied once per block, after
+  its AC coefficients are known: the block's own *seam terms* for its DC
+  prediction (outputs 0-15: top row, then left column), the seam terms
+  the blocks below and to the right match against (16-31: bottom row,
+  then right column), and the edge projections ``Σ_u B7u·F[u, v]`` (32-39)
+  and ``Σ_v B7v·F[u, v]`` (40-47), the neighbour's share of their Lakhani
+  predictions.  A seam term is the one linear combination of a pixel pair
+  each DC predictor needs (:data:`SEAM_DC_WEIGHT` documents them).
+
+The codec folds each component's quantisation table into both matrices
+(:func:`dequantising`), so a block's quantised coefficients go in directly
+and its DC, which a block's own seam terms must exclude, gets no weight.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -32,9 +38,10 @@ from repro.jpeg.dct import BASIS
 FIX_BITS = 13
 BF = np.round(BASIS * (1 << FIX_BITS)).astype(np.int64)  # BF[u, x]
 BF.setflags(write=False)
-_B00 = int(BF[0, 0])
+#: The DC basis weight, by which a Lakhani prediction divides.
+B00 = int(BF[0, 0])
 #: What a DC coefficient of 1 adds to every fixed-point pixel: B00².
-DC_PIXEL = _B00 * _B00
+DC_PIXEL = B00 * B00
 
 # Pixel scale after two basis multiplications: 2^(2*FIX_BITS).
 _PIXEL_SCALE = 1 << (2 * FIX_BITS)
@@ -66,28 +73,53 @@ def _interior_sum(axis: int, index: int) -> np.ndarray:
     return weights.ravel()
 
 
+def _seams(first, second, weight_first, weight_second, axis) -> list:
+    """Eight seam terms along a block edge: ``weight_first`` × pixel row
+    (axis 0) or column (axis 1) ``first`` plus ``weight_second`` × row or
+    column ``second``, one per pixel along the edge."""
+    def pixel(line, i):
+        return _pixel(line, i) if axis == 0 else _pixel(i, line)
+    return [weight_first * pixel(first, i) + weight_second * pixel(second, i)
+            for i in range(8)]
+
+
+#: Per DC mode: what the seam terms combine, and the weight the
+#: neighbour's DC gets in its seam terms (a DC of 1 adds DC_PIXEL to every
+#: pixel).  ``gradient`` matches ``c1 − 3·c0`` (own rows/columns 0, 1)
+#: against ``3·n7 − n6`` (neighbour rows/columns 6, 7), so the DC counts
+#: 3 − 1 = 2 times; ``median8`` matches ``−c0`` against ``n7``.
+SEAM_DC_WEIGHT = {"gradient": 2, "median8": 1}
+_SEAM_LINES = {
+    # own (first, second, weights), neighbour (first, second, weights)
+    "gradient": ((0, 1, -3, 1), (7, 6, 3, -1)),
+    "median8": ((0, 1, -1, 0), (7, 6, 1, 0)),
+}
+
 INTERIOR_SUMS = np.stack(
     [_interior_sum(0, v) for v in range(8)]
     + [_interior_sum(1, u) for u in range(8)], axis=1)
-FINISHED = np.stack(
-    [_pixel(0, y) for y in range(8)] + [_pixel(1, y) for y in range(8)]
-    + [_pixel(x, 0) for x in range(8)] + [_pixel(x, 1) for x in range(8)]
-    + [_pixel(6, y) for y in range(8)] + [_pixel(7, y) for y in range(8)]
-    + [_pixel(x, 6) for x in range(8)] + [_pixel(x, 7) for x in range(8)]
-    + [_projection(0, v) for v in range(8)]
-    + [_projection(1, u) for u in range(8)], axis=1)
 INTERIOR_SUMS.setflags(write=False)
-FINISHED.setflags(write=False)
-#: Outputs of FINISHED for the block's own DC prediction: pixel rows 0, 1
-#: then columns 0, 1.
-OWN_PIXELS = slice(0, 32)
-#: Outputs of FINISHED a block keeps for its neighbours, its *border*.
-BORDER = slice(32, 80)
-#: Offsets inside a border: pixel rows 6, 7 and columns 6, 7 (to which the
-#: block's DC adds DC_PIXEL per dequantised unit), then the column and row
-#: edge projections.
-BORDER_PIXELS, BORDER_ROWS, BORDER_COLS = slice(0, 32), slice(0, 16), slice(16, 32)
+_PROJECTIONS = ([_projection(0, v) for v in range(8)]
+                + [_projection(1, u) for u in range(8)])
+FINISHED = {}
+for _mode, (_own, _neighbour) in _SEAM_LINES.items():
+    FINISHED[_mode] = np.stack(
+        _seams(*_own, axis=0) + _seams(*_own, axis=1)
+        + _seams(*_neighbour, axis=0) + _seams(*_neighbour, axis=1)
+        + _PROJECTIONS, axis=1)
+    FINISHED[_mode].setflags(write=False)
+#: Output offsets of FINISHED: own top and left seams, the bottom and right
+#: seams a neighbour reads, the column and row edge projections.
+OWN_TOP, OWN_LEFT, SEAM_BOTTOM, SEAM_RIGHT = 0, 8, 16, 24
 COLUMN_PROJECTION, ROW_PROJECTION = 32, 40
+
+
+def dequantising(matrix: np.ndarray, qtable: np.ndarray) -> np.ndarray:
+    """``matrix`` applied to quantised raster coefficients: row ``r``
+    scaled by ``q[r]``, and the DC row zeroed."""
+    folded = qtable.astype(np.int64)[:, None] * matrix
+    folded[0] = 0
+    return folded
 
 
 def _div_round(num: int, den: int) -> int:
@@ -132,16 +164,32 @@ def lakhani_prediction(neighbour_projection: int, interior_sum: int) -> int:
     left.  The two sums are a FINISHED projection of the neighbour and an
     INTERIOR_SUMS output of the current block.
     """
-    return _div_round(neighbour_projection - interior_sum, _B00)
+    return _div_round(neighbour_projection - interior_sum, B00)
 
 
 # --- DC prediction (§A.2.3) ------------------------------------------------
 
 
+def _seam_estimates(own, above, left, q_dc: int, shift: int) -> List[int]:
+    """One DC estimate per seam: ``(n + dc + c) >> shift`` over
+    ``q_dc · 2^23``, rounded half away from zero (arguments as for
+    :func:`dc_predictions`)."""
+    den = (q_dc * _PIXEL_SCALE) >> 3  # a DC adds deq/8 to every pixel
+    half = den >> 1
+    seams: List[int] = []
+    if above is not None:
+        terms, dc = above
+        seams += [(n + dc + c) >> shift for n, c in zip(terms, own)]
+    if left is not None:
+        terms, dc = left
+        seams += [(n + dc + c) >> shift for n, c in zip(terms, own[8:16])]
+    return [(s + half) // den if s >= 0 else -((half - s) // den) for s in seams]
+
+
 def dc_predictions(
     own: Sequence[int],
-    above: Optional[Sequence[int]],
-    left: Optional[Sequence[int]],
+    above: Optional[Tuple[Sequence[int], int]],
+    left: Optional[Tuple[Sequence[int], int]],
     q_dc: int,
 ) -> Tuple[List[int], int, int]:
     """The 16 gradient-based DC predictions for a block.
@@ -152,36 +200,31 @@ def dc_predictions(
     ``(predictions, final_prediction, confidence_spread)`` with predictions
     in the *quantised* DC domain.
 
-    ``own`` is the block's first 32 FINISHED outputs (pixel rows 0, 1 then
-    columns 0, 1, without DC); ``above`` is the above block's pixel rows
-    6, 7 and ``left`` the left block's columns 6, 7 (16 values each, DC
-    included), or None where that neighbour is absent.
+    ``own`` starts with the block's 16 gradient seam terms (FINISHED
+    outputs 0-15: ``c1 − 3·c0`` along its top row, then its left column,
+    DC excluded).  ``above`` is ``(terms, dc)``: the above block's 8 bottom
+    seam terms ``3·n7 − n6`` (outputs 16-23) and its DC's share of each,
+    ``2 · DC_PIXEL · q_dc · DC``; ``left`` the same with the left block's
+    right seam terms (outputs 24-31).  Either is None where that neighbour
+    is absent.
+
+    The seam where the two gradients meet is ``n7 + ⌊(n7 − n6 + c1 − c0)/2⌋``,
+    and the DC that moves the edge pixel ``c0`` onto it is that minus ``c0``,
+    times 8 over ``q_dc · 2^26`` (a DC adds deq/8 to every pixel).  Both
+    are one expression in the seam terms, ``⌊(3·n7 − n6 + c1 − 3·c0)/2⌋``
+    over ``q_dc · 2^23``, rounded half away from zero: exactly the same
+    integer.
     """
-    preds: List[int] = []
-    den = q_dc * _PIXEL_SCALE
-    half = den // 2
-    # Each pair: the seam where the two gradients meet, then the DC that
-    # moves the block's edge pixel onto it (DC adds deq/8 to every pixel),
-    # rounded as _div_round does.
-    pairs = []
-    if above is not None:
-        pairs += zip(above[0:8], above[8:16], own[0:8], own[8:16])
-    if left is not None:
-        pairs += zip(left[0:8], left[8:16], own[16:24], own[24:32])
-    for n6, n7, c0, c1 in pairs:
-        num = 8 * (n7 + ((n7 - n6) + (c1 - c0)) // 2 - c0)
-        preds.append((num + half) // den if num >= 0 else -((half - num) // den))
+    preds = _seam_estimates(own, above, left, q_dc, shift=1)
     if not preds:
         return [], 0, 1 << 13
-    final = _div_round(sum(preds), len(preds))
-    spread = max(preds) - min(preds)
-    return preds, final, spread
+    return preds, _div_round(sum(preds), len(preds)), max(preds) - min(preds)
 
 
 def dc_prediction_median8(
     own: Sequence[int],
-    above: Optional[Sequence[int]],
-    left: Optional[Sequence[int]],
+    above: Optional[Tuple[Sequence[int], int]],
+    left: Optional[Tuple[Sequence[int], int]],
     q_dc: int,
 ) -> Tuple[int, int]:
     """The paper's "first-cut" DC predictor (Figure 17, left).
@@ -189,19 +232,13 @@ def dc_prediction_median8(
     Matches border pixels directly (no gradient), averages the median 8 of
     the 16 per-pair DC estimates, discarding outliers.  Kept for the §4.3 /
     A.2.3 ablation (≈30% DC savings vs ≈40% for the gradient version).
-    Arguments as for :func:`dc_predictions`.
+    Arguments as for :func:`dc_predictions`, with the median8 seam terms:
+    ``−c0`` for the block's own, ``n7`` for its neighbours' (whose DC
+    share is ``DC_PIXEL · q_dc · DC``).
     """
-    preds: List[int] = []
-    den = q_dc * _PIXEL_SCALE
-    if above is not None:
-        for a7, c0 in zip(above[8:16], own[0:8]):
-            preds.append(_div_round(8 * (a7 - c0), den))
-    if left is not None:
-        for l7, c0 in zip(left[8:16], own[16:24]):
-            preds.append(_div_round(8 * (l7 - c0), den))
+    preds = sorted(_seam_estimates(own, above, left, q_dc, shift=0))
     if not preds:
         return 0, 1 << 13
-    preds.sort()
     n = len(preds)
     lo, hi = n // 4, n - n // 4  # middle half (8 of 16)
     middle = preds[lo:hi] or preds

@@ -61,6 +61,7 @@ from repro.core.handover import HandoverWord
 from repro.core.model import Model, ModelConfig
 from repro.core.rowbuffer import RowWindow
 from repro.core.segments import choose_thread_count, plan_segments
+from repro.jpeg.errors import JpegError
 from repro.jpeg.parser import JpegImage, parse_jpeg
 from repro.jpeg.scan_decode import decode_scan, mcu_block_layout
 from repro.jpeg.scan_encode import ScanEncoder, encode_scan
@@ -433,10 +434,17 @@ class DecodeSession:
     def _drain(self) -> Iterator[bytes]:
         while self._pending:
             kind, value = self._pending.pop(0)
-            if kind == "header":
-                yield from self._start(value)
-            else:
-                yield from self._on_segment(value)
+            try:
+                if kind == "header":
+                    yield from self._start(value)
+                else:
+                    yield from self._on_segment(value)
+            except JpegError as exc:
+                # The stored JPEG header does not parse, or the decoded
+                # coefficients do not re-encode under its Huffman tables:
+                # either way the container is what is malformed.
+                raise FormatError(
+                    f"container decodes to an invalid JPEG: {exc}") from exc
 
     def _emit(self, piece: bytes) -> bytes:
         self._produced += len(piece)

@@ -9,6 +9,10 @@ thread segment or chunk can continue the very same output byte.
 
 from repro.jpeg.errors import JpegError, TruncatedJpegError
 
+#: Bits a reader buffers when it runs low: more than the longest code or
+#: magnitude (16 bits), so most reads find their bits already buffered.
+FILL_BITS = 25
+
 
 class BitWriter:
     """MSB-first bit writer with JPEG byte stuffing.
@@ -34,18 +38,24 @@ class BitWriter:
         self._drained = 0
 
     def write_bits(self, value: int, nbits: int) -> None:
-        """Append the low ``nbits`` bits of ``value``, most significant first."""
+        """Append the low ``nbits`` bits of ``value``, most significant first.
+
+        ``nbits`` may be any width: every completed byte is emitted in one
+        conversion, and stuffed in one pass.
+        """
         if nbits == 0:
             return
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nacc += nbits
-        while self._nacc >= 8:
-            self._nacc -= 8
-            byte = (self._acc >> self._nacc) & 0xFF
-            self._acc &= (1 << self._nacc) - 1
-            self._out.append(byte)
-            if self._stuff and byte == 0xFF:
-                self._out.append(0x00)
+        acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
+        nacc = self._nacc + nbits
+        if nacc >= 8:
+            rest = nacc & 7
+            full = (acc >> rest).to_bytes(nacc >> 3, "big")
+            if self._stuff and b"\xff" in full:
+                full = full.replace(b"\xff", b"\xff\x00")
+            self._out += full
+            acc &= (1 << rest) - 1
+            nacc = rest
+        self._acc, self._nacc = acc, nacc
 
     def write_bit(self, bit: int) -> None:
         """Append a single bit."""
@@ -105,11 +115,17 @@ class BitReader:
     Encountering any other marker mid-read raises, since a correct decode
     consumes exactly the coded bits; restart markers are consumed explicitly
     via :meth:`expect_rst`.
+
+    Multi-bit reads buffer whole data bytes ahead of the read position
+    (:meth:`fill`).  Buffering never raises: it stops in front of the end
+    of the data or a marker, and a read that needs a bit beyond that point
+    raises exactly what a bit-at-a-time read would have raised there.
     """
 
     def __init__(self, data: bytes, start: int = 0):
         self._data = data
         self._pos = start
+        #: Buffered bits: the low ``_nacc`` bits of ``_acc`` are unread.
         self._acc = 0
         self._nacc = 0
 
@@ -130,6 +146,29 @@ class BitReader:
         self._pos = pos
         return byte
 
+    def fill(self, nbits: int = FILL_BITS) -> int:
+        """Buffer whole data bytes until ``nbits`` bits are unread or the
+        next byte is not data; returns the number of unread bits.
+
+        The unread bits are the low ``_nacc`` bits of ``_acc``, which a
+        table-driven Huffman decode reads and consumes in place.
+        """
+        data, pos, nacc = self._data, self._pos, self._nacc
+        acc = self._acc & ((1 << nacc) - 1)
+        end = len(data)
+        while nacc < nbits and pos < end:
+            byte = data[pos]
+            if byte == 0xFF:
+                if pos + 1 >= end or data[pos + 1]:
+                    break
+                pos += 2
+            else:
+                pos += 1
+            acc = (acc << 8) | byte
+            nacc += 8
+        self._pos, self._acc, self._nacc = pos, acc, nacc
+        return nacc
+
     def read_bit(self) -> int:
         """Read one bit."""
         if self._nacc == 0:
@@ -140,15 +179,18 @@ class BitReader:
 
     def read_bits(self, nbits: int) -> int:
         """Read ``nbits`` bits as an unsigned integer (MSB first)."""
-        value = 0
-        for _ in range(nbits):
-            value = (value << 1) | self.read_bit()
-        return value
+        nacc = self._nacc
+        if nacc < nbits:
+            nacc = self.fill(max(nbits, FILL_BITS))
+            if nacc < nbits:
+                self._next_byte()  # raises: the next byte is not data
+        nacc -= nbits
+        self._nacc = nacc
+        return (self._acc >> nacc) & ((1 << nbits) - 1)
 
     def align(self) -> None:
         """Discard remaining bits of the current byte (before a marker)."""
-        self._nacc = 0
-        self._acc = 0
+        self._nacc &= ~7
 
     def expect_rst(self, index: int) -> bool:
         """Consume an ``RSTn`` marker; returns False if absent (corruption).
@@ -158,8 +200,10 @@ class BitReader:
         paper's §A.3 zero-run corruptions drop them) and reported to the
         caller, which decides whether the file round-trips.
         """
-        if self._nacc:
+        if self._nacc & 7:
             raise JpegError("expect_rst while not byte aligned")
+        if self._nacc:
+            return False  # a buffered data byte comes first
         data, pos = self._data, self._pos
         if pos + 1 < len(data) and data[pos] == 0xFF and data[pos + 1] == 0xD0 + (index & 7):
             self._pos = pos + 2
@@ -168,10 +212,15 @@ class BitReader:
 
     @property
     def byte_position(self) -> int:
-        """Current byte offset in the underlying buffer."""
-        return self._pos
+        """Current byte offset in the underlying buffer (buffered bytes not
+        yet read count as unread)."""
+        pos, acc = self._pos, self._acc
+        for _ in range(self._nacc >> 3):
+            pos -= 2 if acc & 0xFF == 0xFF else 1
+            acc >>= 8
+        return pos
 
     @property
     def bits_pending(self) -> int:
         """Bits of the current byte not yet consumed."""
-        return self._nacc
+        return self._nacc & 7

@@ -3,11 +3,22 @@
 A JPEG Huffman table is defined (DHT segment) by ``bits`` — the number of
 codes of each length 1..16 — and ``values`` — the symbols in code order.
 Codes are canonical: assigned in increasing length, counting upward.
+
+Decoding is table driven: the next :data:`LOOKAHEAD` bits index a list
+built on first decode, whose entry gives the symbol and code length of
+every code that short; only a longer code, or bits the scan does not have,
+fall back to reading one bit at a time.  Encoding indexes :attr:`codes`, a
+list by symbol.
 """
 
 from collections import defaultdict
 
 from repro.jpeg.errors import JpegError
+
+
+#: Bits one decode lookup covers; codes up to this length cost one lookup.
+LOOKAHEAD = 9
+_WINDOW_MASK = (1 << LOOKAHEAD) - 1
 
 
 class HuffmanTable:
@@ -24,8 +35,10 @@ class HuffmanTable:
             raise JpegError("empty Huffman table")
         self.bits = bits
         self.values = values
-        self._encode = {}
+        #: ``(code, length)`` by symbol (None where the table has none).
+        self.codes = [None] * 256
         self._decode = {}
+        self._lookup = None
         code = 0
         k = 0
         for length in range(1, 17):
@@ -33,7 +46,7 @@ class HuffmanTable:
                 if code >= (1 << length):
                     raise JpegError("invalid Huffman table: code overflow")
                 symbol = values[k]
-                self._encode[symbol] = (code, length)
+                self.codes[symbol] = (code, length)
                 self._decode[(length, code)] = symbol
                 code += 1
                 k += 1
@@ -44,16 +57,29 @@ class HuffmanTable:
 
     def encode_symbol(self, symbol: int) -> tuple:
         """Return ``(code, length)`` for ``symbol``."""
-        try:
-            return self._encode[symbol]
-        except KeyError:
-            raise JpegError(f"symbol 0x{symbol:02X} not in Huffman table") from None
+        entry = self.codes[symbol] if 0 <= symbol < 256 else None
+        if entry is None:
+            raise JpegError(f"symbol 0x{symbol:02X} not in Huffman table")
+        return entry
 
     def __contains__(self, symbol: int) -> bool:
-        return symbol in self._encode
+        return 0 <= symbol < 256 and self.codes[symbol] is not None
 
     def decode_symbol(self, reader) -> int:
         """Decode one symbol from a :class:`~repro.jpeg.bitio.BitReader`."""
+        lookup = self._lookup or self._build_lookup()
+        # One lookup on the reader's buffered bits.  Fewer than LOOKAHEAD
+        # of them remain only in front of a marker or the end of the data.
+        nacc = reader._nacc
+        if nacc < LOOKAHEAD:
+            nacc = reader.fill()
+        if nacc >= LOOKAHEAD:
+            entry = lookup[(reader._acc >> (nacc - LOOKAHEAD)) & _WINDOW_MASK]
+            if entry:
+                reader._nacc = nacc - (entry & 0xF)
+                return entry >> 4
+        # A code longer than LOOKAHEAD bits, or one near the end of the
+        # data: one bit at a time, so a missing bit raises where it is.
         code = 0
         decode = self._decode
         for length in range(1, self.max_length + 1):
@@ -62,6 +88,19 @@ class HuffmanTable:
             if symbol is not None:
                 return symbol
         raise JpegError("invalid Huffman code in scan")
+
+    def _build_lookup(self) -> list:
+        """``(symbol << 4) | length`` for every :data:`LOOKAHEAD`-bit window
+        that starts with a code of at most that length, else 0."""
+        lookup = [0] * (1 << LOOKAHEAD)
+        for (length, code), symbol in self._decode.items():
+            if length <= LOOKAHEAD:
+                shift = LOOKAHEAD - length
+                entry = (symbol << 4) | length
+                for window in range(code << shift, (code + 1) << shift):
+                    lookup[window] = entry
+        self._lookup = lookup
+        return lookup
 
     def dht_payload(self, table_class: int, table_id: int) -> bytes:
         """Serialise as the body of a DHT segment entry."""

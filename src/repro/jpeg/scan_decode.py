@@ -53,19 +53,29 @@ def decode_scan(img: JpegImage) -> List[np.ndarray]:
     """
     frame = img.frame
     reader = BitReader(img.scan_data)
+    read_bits = reader.read_bits
     coeffs = [
         np.zeros((c.blocks_h, c.blocks_w, 64), dtype=np.int32)
         for c in frame.components
     ]
-    dc_tables = [img.dc_huffman(c) for c in frame.components]
-    ac_tables = [img.ac_huffman(c) for c in frame.components]
-    layout = mcu_block_layout(frame)
+    # Per layout entry: the component's coefficients as one flat array
+    # (a block's 64 values start at (by * blocks_w + bx) * 64), the
+    # block offsets of its MCU, and its two table decoders.
+    blocks = []
+    for ci, dy, dx in mcu_block_layout(frame):
+        comp = frame.components[ci]
+        v, h = (comp.v, comp.h) if frame.interleaved else (1, 1)
+        blocks.append((
+            ci, coeffs[ci].reshape(-1), comp.blocks_w, v, h, dy, dx,
+            img.dc_huffman(comp).decode_symbol,
+            img.ac_huffman(comp).decode_symbol,
+        ))
     dc_pred = [0] * len(frame.components)
     pad_bits_seen = []
     rst_count = 0
     rst_expected = img.restart_interval
     mcus_x = frame.mcus_x
-    zz = ZIGZAG_TO_RASTER
+    zz = [int(r) for r in ZIGZAG_TO_RASTER]
 
     for mcu in range(frame.mcu_count):
         if rst_expected and mcu > 0 and mcu % rst_expected == 0:
@@ -83,30 +93,31 @@ def decode_scan(img: JpegImage) -> List[np.ndarray]:
             else:
                 reader._pos, reader._acc, reader._nacc = saved
         mcu_y, mcu_x = divmod(mcu, mcus_x)
-        for ci, dy, dx in layout:
-            comp = frame.components[ci]
-            block = np.zeros(64, dtype=np.int32)
+        for ci, flat, blocks_w, v, h, dy, dx, dc_symbol, ac_symbol in blocks:
+            base = ((mcu_y * v + dy) * blocks_w + mcu_x * h + dx) << 6
             # DC coefficient: category + sign-extended diff from predictor.
-            size = dc_tables[ci].decode_symbol(reader)
+            size = dc_symbol(reader)
             if size > MAX_DC_CATEGORY:
                 raise UnsupportedJpegError(
                     f"DC category {size} out of baseline range", reason="ac_out_of_range"
                 )
-            diff = extend(reader.read_bits(size), size)
-            dc_pred[ci] += diff
-            block[0] = dc_pred[ci]
+            if size:
+                diff = read_bits(size)
+                if diff < 1 << (size - 1):  # EXTEND, inlined
+                    diff += 1 - (1 << size)
+                dc_pred[ci] += diff
+            flat[base] = dc_pred[ci]
             # AC coefficients: (run, size) symbols in zigzag order.
             k = 1
-            ac = ac_tables[ci]
             while k < 64:
-                rs = ac.decode_symbol(reader)
-                run, size = rs >> 4, rs & 0x0F
+                rs = ac_symbol(reader)
+                size = rs & 0x0F
                 if size == 0:
-                    if run == 15:  # ZRL: sixteen zeros
+                    if rs >> 4 == 15:  # ZRL: sixteen zeros
                         k += 16
                         continue
                     break  # EOB
-                k += run
+                k += rs >> 4
                 if k > 63:
                     raise JpegError("AC run overruns block")
                 if size > MAX_AC_CATEGORY:
@@ -114,11 +125,11 @@ def decode_scan(img: JpegImage) -> List[np.ndarray]:
                         f"AC category {size} out of baseline range",
                         reason="ac_out_of_range",
                     )
-                block[zz[k]] = extend(reader.read_bits(size), size)
+                value = read_bits(size)
+                if value < 1 << (size - 1):
+                    value += 1 - (1 << size)
+                flat[base + zz[k]] = value
                 k += 1
-            by = mcu_y * (comp.v if frame.interleaved else 1) + dy
-            bx = mcu_x * (comp.h if frame.interleaved else 1) + dx
-            coeffs[ci][by, bx] = block
 
     # Remaining bits of the final byte are padding before the EOI marker.
     pending = reader.bits_pending

@@ -60,9 +60,15 @@ class ScanEncoder:
         if not self.coefficients:
             raise JpegError("no coefficients to encode")
         self.writer = BitWriter(partial_byte=partial_byte, partial_bits=partial_bits)
-        self.layout = mcu_block_layout(self.frame)
         self.dc_tables = [img.dc_huffman(c) for c in self.frame.components]
         self.ac_tables = [img.ac_huffman(c) for c in self.frame.components]
+        # Per layout entry: the component, its coefficients, and the block
+        # offsets inside an MCU.
+        self._blocks = []
+        for ci, dy, dx in mcu_block_layout(self.frame):
+            comp = self.frame.components[ci]
+            v, h = (comp.v, comp.h) if self.frame.interleaved else (1, 1)
+            self._blocks.append((ci, self.coefficients[ci], v, h, dy, dx))
         self.dc_pred = list(dc_pred) if dc_pred else [0] * len(self.frame.components)
         self.rst_emitted = rst_emitted
         self.mcu = start_mcu
@@ -99,18 +105,15 @@ class ScanEncoder:
 
     def encode_to(self, end_mcu: int) -> None:
         """Encode MCUs ``[self.mcu, end_mcu)``."""
-        frame = self.frame
         interval = self.img.restart_interval
         rst_limit = self.img.rst_count
         writer = self.writer
+        mcus_x = self.frame.mcus_x
+        encode_block = self._encode_block
         while self.mcu < end_mcu:
-            mcu = self.mcu
-            mcu_y, mcu_x = divmod(mcu, frame.mcus_x)
-            for ci, dy, dx in self.layout:
-                comp = frame.components[ci]
-                by = mcu_y * (comp.v if frame.interleaved else 1) + dy
-                bx = mcu_x * (comp.h if frame.interleaved else 1) + dx
-                self._encode_block(ci, self.coefficients[ci][by, bx])
+            mcu_y, mcu_x = divmod(self.mcu, mcus_x)
+            for ci, coefficients, v, h, dy, dx in self._blocks:
+                encode_block(ci, coefficients[mcu_y * v + dy, mcu_x * h + dx])
             self.mcu += 1
             # Restart markers are emitted as part of the *preceding* MCU, so
             # that stopping at any MCU boundary produces exactly the bytes up
@@ -124,24 +127,26 @@ class ScanEncoder:
                 writer.pad_to_byte(self.pad_bit)
                 writer.emit_marker(0xD0 + (self.rst_emitted & 7))
                 self.rst_emitted += 1
-                self.dc_pred = [0] * len(frame.components)
+                self.dc_pred = [0] * len(self.dc_pred)
             if self._record:
                 self._record_position()
 
     def _encode_block(self, ci: int, block: np.ndarray) -> None:
-        write_bits = self.writer.write_bits
+        """Huffman-code one block and hand it to the writer in one call."""
         coefs = block.tolist()
-        # DC: category of the diff against the running predictor, its code
-        # and magnitude bits in one write.
+        # DC: the category of the diff against the running predictor, its
+        # code word, then its magnitude bits.
         dc = coefs[0]
         diff = dc - self.dc_pred[ci]
         self.dc_pred[ci] = dc
         size = abs(diff).bit_length()
-        code, length = self.dc_tables[ci].encode_symbol(size)
-        bits = diff if diff >= 0 else diff + (1 << size) - 1
-        write_bits((code << size) | bits, length + size)
+        table = self.dc_tables[ci]
+        code, length = table.codes[size] or table.encode_symbol(size)
+        word = (code << size) | (diff if diff >= 0 else diff + (1 << size) - 1)
+        nbits = length + size
         # AC: (run, size) symbols over the zigzag order.
-        ac_table = self.ac_tables[ci]
+        table = self.ac_tables[ci]
+        codes = table.codes
         run = 0
         for r in _AC_ORDER:
             value = coefs[r]
@@ -149,17 +154,22 @@ class ScanEncoder:
                 run += 1
                 continue
             while run > 15:
-                code, length = ac_table.encode_symbol(0xF0)  # ZRL
-                write_bits(code, length)
+                code, length = codes[0xF0] or table.encode_symbol(0xF0)  # ZRL
+                word = (word << length) | code
+                nbits += length
                 run -= 16
             size = abs(value).bit_length()
-            code, length = ac_table.encode_symbol((run << 4) | size)
-            bits = value if value >= 0 else value + (1 << size) - 1
-            write_bits((code << size) | bits, length + size)
+            symbol = (run << 4) | size
+            code, length = codes[symbol] or table.encode_symbol(symbol)
+            word = (((word << length) | code) << size) | (
+                value if value >= 0 else value + (1 << size) - 1)
+            nbits += length + size
             run = 0
         if run:
-            code, length = ac_table.encode_symbol(0x00)  # EOB
-            write_bits(code, length)
+            code, length = codes[0x00] or table.encode_symbol(0x00)  # EOB
+            word = (word << length) | code
+            nbits += length
+        self.writer.write_bits(word, nbits)
 
     def finish(self) -> bytes:
         """Pad the final byte and return all bytes this encoder produced."""

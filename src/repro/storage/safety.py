@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.errors import ExitCode, LeptonError, TimeoutExceeded
-from repro.jpeg.errors import JpegError
 from repro.obs import ExitCodeSink, MetricsRegistry, get_registry
 from repro.storage.qualification import BUILDS
 
@@ -172,7 +171,7 @@ class AlertPipeline:
             except TimeoutExceeded as exc:
                 sink.record(ExitCode.TIMEOUT)
                 alert = Alert("decode_timeout", str(exc), key)
-            except (LeptonError, JpegError) as exc:
+            except LeptonError as exc:
                 alert = Alert("decode_failure", str(exc), key)
             else:
                 if len(outputs) != 1:

@@ -5,17 +5,20 @@ import pytest
 
 from repro.core.predictors import (
     BF,
-    BORDER,
-    BORDER_COLS,
-    BORDER_ROWS,
     COLUMN_PROJECTION,
     DC_PIXEL,
     FINISHED,
     INTERIOR_SUMS,
+    OWN_LEFT,
+    OWN_TOP,
     ROW_PROJECTION,
+    SEAM_BOTTOM,
+    SEAM_DC_WEIGHT,
+    SEAM_RIGHT,
     _div_round,
-    dc_prediction_median8 as _median8_from_pixels,
-    dc_predictions as _dc_from_pixels,
+    dc_prediction_median8 as _median8_from_seams,
+    dc_predictions as _dc_from_seams,
+    dequantising,
     lakhani_prediction,
     weighted_avg_abs,
     weighted_avg_value,
@@ -23,39 +26,66 @@ from repro.core.predictors import (
 from repro.jpeg.dct import fdct2
 
 
-def _finished(deq):
-    """FINISHED outputs of an 8x8 dequantised block (its border part too)."""
-    out = np.asarray(deq, dtype=np.int64).reshape(64) @ FINISHED
-    return out[: BORDER.start].tolist(), out[BORDER].tolist()
+def _finished(deq, mode="gradient"):
+    """FINISHED outputs of an 8x8 dequantised block, its DC excluded, and
+    the DC's share of each neighbour seam term."""
+    deq = np.asarray(deq, dtype=np.int64).reshape(64)
+    no_dc = deq.copy()
+    no_dc[0] = 0
+    return (no_dc @ FINISHED[mode]).tolist(), SEAM_DC_WEIGHT[mode] * DC_PIXEL * int(deq[0])
 
 
 def lakhani_row_prediction(above_deq, cur_deq, v):
     """Dequantised F[0, v] predicted from the block above."""
-    _, border = _finished(above_deq)
+    out, _ = _finished(above_deq)
     interior = np.asarray(cur_deq, dtype=np.int64).reshape(64) @ INTERIOR_SUMS
-    return lakhani_prediction(border[COLUMN_PROJECTION + v], int(interior[v]))
+    return lakhani_prediction(out[COLUMN_PROJECTION + v], int(interior[v]))
 
 
 def lakhani_col_prediction(left_deq, cur_deq, u):
     """Dequantised F[u, 0] predicted from the block to the left."""
-    _, border = _finished(left_deq)
+    out, _ = _finished(left_deq)
     interior = np.asarray(cur_deq, dtype=np.int64).reshape(64) @ INTERIOR_SUMS
-    return lakhani_prediction(border[ROW_PROJECTION + u], int(interior[8 + u]))
+    return lakhani_prediction(out[ROW_PROJECTION + u], int(interior[8 + u]))
 
 
-def _pixels(cur_no_dc, above_deq, left_deq):
-    own, _ = _finished(cur_no_dc)
-    above = None if above_deq is None else _finished(above_deq)[1][BORDER_ROWS]
-    left = None if left_deq is None else _finished(left_deq)[1][BORDER_COLS]
+def _seams(cur_no_dc, above_deq, left_deq, mode):
+    own, _ = _finished(cur_no_dc, mode)
+    above = left = None
+    if above_deq is not None:
+        out, dc = _finished(above_deq, mode)
+        above = (out[SEAM_BOTTOM:SEAM_RIGHT], dc)
+    if left_deq is not None:
+        out, dc = _finished(left_deq, mode)
+        left = (out[SEAM_RIGHT:COLUMN_PROJECTION], dc)
     return own, above, left
 
 
 def dc_predictions(cur_no_dc, above_deq, left_deq, q_dc):
-    return _dc_from_pixels(*_pixels(cur_no_dc, above_deq, left_deq), q_dc)
+    return _dc_from_seams(*_seams(cur_no_dc, above_deq, left_deq, "gradient"), q_dc)
 
 
 def dc_prediction_median8(cur_no_dc, above_deq, left_deq, q_dc):
-    return _median8_from_pixels(*_pixels(cur_no_dc, above_deq, left_deq), q_dc)
+    return _median8_from_seams(*_seams(cur_no_dc, above_deq, left_deq, "median8"), q_dc)
+
+
+def _pixel_pair_predictions(cur_no_dc, above_deq, left_deq, q_dc, mode):
+    """The DC predictors as first written, over whole pixel rows and
+    columns: the reference the seam-term forms must equal exactly."""
+    den = q_dc << 26
+    cur = BF.T @ np.asarray(cur_no_dc, dtype=np.int64) @ BF
+    pairs = []
+    if above_deq is not None:
+        a = BF.T @ np.asarray(above_deq, dtype=np.int64) @ BF
+        pairs += zip(a[6].tolist(), a[7].tolist(), cur[0].tolist(), cur[1].tolist())
+    if left_deq is not None:
+        b = BF.T @ np.asarray(left_deq, dtype=np.int64) @ BF
+        pairs += zip(b[:, 6].tolist(), b[:, 7].tolist(),
+                     cur[:, 0].tolist(), cur[:, 1].tolist())
+    if mode == "gradient":
+        return [_div_round(8 * (n7 + ((n7 - n6) + (c1 - c0)) // 2 - c0), den)
+                for n6, n7, c0, c1 in pairs]
+    return [_div_round(8 * (n7 - c0), den) for _, n7, c0, _ in pairs]
 
 
 class TestTransforms:
@@ -65,19 +95,28 @@ class TestTransforms:
         rng = np.random.default_rng(9)
         deq = rng.integers(-4000, 4000, (8, 8)).astype(np.int64)
         pixels = BF.T @ deq @ BF
-        own, border = _finished(deq)
-        assert own == (pixels[0].tolist() + pixels[1].tolist()
-                       + pixels[:, 0].tolist() + pixels[:, 1].tolist())
-        assert border[:32] == (pixels[6].tolist() + pixels[7].tolist()
-                               + pixels[:, 6].tolist() + pixels[:, 7].tolist())
-        assert border[COLUMN_PROJECTION:ROW_PROJECTION] == (BF[:, 7] @ deq).tolist()
-        assert border[ROW_PROJECTION:] == (deq @ BF[:, 7]).tolist()
+        expected = {
+            "gradient": (pixels[1] - 3 * pixels[0], pixels[:, 1] - 3 * pixels[:, 0],
+                         3 * pixels[7] - pixels[6], 3 * pixels[:, 7] - pixels[:, 6]),
+            "median8": (-pixels[0], -pixels[:, 0], pixels[7], pixels[:, 7]),
+        }
+        for mode, (top, left, bottom, right) in expected.items():
+            out = (deq.reshape(64) @ FINISHED[mode]).tolist()
+            assert out[OWN_TOP:OWN_LEFT] == top.tolist()
+            assert out[OWN_LEFT:SEAM_BOTTOM] == left.tolist()
+            assert out[SEAM_BOTTOM:SEAM_RIGHT] == bottom.tolist()
+            assert out[SEAM_RIGHT:COLUMN_PROJECTION] == right.tolist()
+            assert out[COLUMN_PROJECTION:ROW_PROJECTION] == (BF[:, 7] @ deq).tolist()
+            assert out[ROW_PROJECTION:] == (deq @ BF[:, 7]).tolist()
 
     def test_dc_adds_a_constant_to_every_pixel(self):
         deq = np.zeros((8, 8), dtype=np.int64)
         deq[0, 0] = 3
-        own, border = _finished(deq)
-        assert set(own + border[:32]) == {3 * DC_PIXEL}
+        for mode in FINISHED:
+            out = (deq.reshape(64) @ FINISHED[mode]).tolist()
+            # A neighbour's DC shifts each of its seam terms by one share.
+            assert set(out[SEAM_BOTTOM:COLUMN_PROJECTION]) == {
+                SEAM_DC_WEIGHT[mode] * 3 * DC_PIXEL}
 
     def test_interior_sums_read_only_the_interior(self):
         rng = np.random.default_rng(10)
@@ -89,6 +128,16 @@ class TestTransforms:
         deq[0, :] = 0
         deq[:, 0] = 0
         assert (deq.reshape(64) @ INTERIOR_SUMS).tolist()[1:8] == sums[1:8]
+
+    def test_dequantising_folds_the_table_and_drops_the_dc(self):
+        rng = np.random.default_rng(11)
+        coefs = rng.integers(-1000, 1000, 64).astype(np.int32)
+        qtable = rng.integers(1, 256, 64).astype(np.int32)
+        deq = coefs.astype(np.int64) * qtable
+        deq[0] = 0
+        for matrix in (INTERIOR_SUMS, FINISHED["gradient"], FINISHED["median8"]):
+            assert (coefs @ dequantising(matrix, qtable)).tolist() == (
+                deq @ matrix).tolist()
 
 
 class TestDivRound:
@@ -221,6 +270,22 @@ class TestDcPrediction:
         _, p4, _ = dc_predictions(cur_no_dc, self._as_int(above),
                                   self._as_int(left), q_dc=4)
         assert p4 == pytest.approx(p1 / 4, abs=1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seam_terms_match_the_pixel_pair_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        cur, above, left = (rng.integers(-3000, 3000, (8, 8)).astype(np.int64)
+                            for _ in range(3))
+        cur[0, 0] = 0
+        for q_dc in (1, 3, 16):
+            for a, b in ((above, left), (above, None), (None, left)):
+                preds, _, _ = dc_predictions(cur, a, b, q_dc)
+                assert preds == _pixel_pair_predictions(cur, a, b, q_dc, "gradient")
+                reference = sorted(_pixel_pair_predictions(cur, a, b, q_dc, "median8"))
+                n = len(reference)
+                middle = reference[n // 4:n - n // 4]
+                assert dc_prediction_median8(cur, a, b, q_dc) == (
+                    _div_round(sum(middle), len(middle)), reference[-1] - reference[0])
 
     def test_median8_no_neighbours(self):
         pred, spread = dc_prediction_median8(

@@ -1,6 +1,7 @@
 """Corruption robustness: a decoder fed garbage must fail loudly, not
 silently corrupt or crash uncontrolled (the §5 threat model)."""
 
+import hashlib
 import random
 import zlib
 
@@ -10,6 +11,9 @@ from repro.core.errors import FormatError, LeptonError, VersionError
 from repro.core.lepton import LeptonConfig, compress, decompress
 from repro.corpus.builder import corpus_jpeg
 from repro.jpeg.errors import JpegError
+from repro.obs import get_registry
+from repro.storage.backends import decode_blob, encode_blob
+from repro.storage.blockstore import BlockStore
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +24,22 @@ def payload():
 
 # Corrupt containers must fail through these — never segfault-style chaos.
 # zlib.error covers blobs whose damaged magic routes them down the Deflate
-# fallback path.
-ACCEPTABLE = (LeptonError, FormatError, VersionError, JpegError,
+# fallback path.  A JpegError from the stored header or the Huffman
+# re-encode reaches callers as a FormatError.
+ACCEPTABLE = (LeptonError, FormatError, VersionError,
               ValueError, KeyError, zlib.error)
+
+#: A one-byte change to the ``payload`` fixture's first arithmetic
+#: section: its coefficients decode, but need a Huffman symbol (0x0C) the
+#: stored tables lack.
+UNENCODABLE = (632, 18)
+
+
+def _unencodable(blob: bytes) -> bytes:
+    pos, value = UNENCODABLE
+    mutated = bytearray(blob)
+    mutated[pos] = value
+    return bytes(mutated)
 
 
 class TestContainerFuzzing:
@@ -65,6 +82,32 @@ class TestContainerFuzzing:
             mutated[pos] ^= 0xFF
             with pytest.raises(ACCEPTABLE):
                 decompress(bytes(mutated))
+
+    def test_reencode_failure_is_a_format_error(self, payload):
+        _, blob = payload
+        with pytest.raises(FormatError) as raised:
+            decompress(_unencodable(blob))
+        assert isinstance(raised.value.__cause__, JpegError)
+        assert "symbol 0x0C not in Huffman table" in str(raised.value)
+
+    def test_decoder_fault_on_intact_bytes_serves_the_original(self, payload):
+        """A payload whose digests match but whose decode fails (a decoder
+        fault, not rot) still gets the kept original served."""
+        _, blob = payload
+        bad = _unencodable(blob)
+        data = corpus_jpeg(seed=93, height=32, width=32)
+        store = BlockStore(keep_originals=True)
+        store.put_file("photo.jpg", data)
+        key = store.files["photo.jpg"].chunk_keys[0]
+        meta, _ = decode_blob(store.backend.read(f"chunk/{key}"))
+        meta["md5"] = hashlib.md5(bad).hexdigest()
+        store.backend.write(f"chunk/{key}", encode_blob(meta, bad))
+        store.entries[key].payload_md5 = meta["md5"]
+        fallbacks = get_registry().counter("degraded_read.fallbacks")
+        before = fallbacks.value
+        assert store.get_chunk(key) == data
+        assert fallbacks.value == before + 1
+        assert store.degraded_fallbacks == 1
 
     def test_empty_and_tiny_inputs(self):
         for junk in (b"", b"\xCF", b"\xCF\x84", b"\xCF\x84\x01Z"):
