@@ -8,29 +8,36 @@ captures a Huffman handover word wherever a chunk boundary falls, even
 mid-symbol; each chunk then becomes a self-contained Lepton container that
 re-encodes its MCU span, drops the leading bytes belonging to the previous
 chunk, and trims to its exact byte window.
+
+:func:`encode_windows` is the one encode pipeline: the store's chunked put
+runs it over 4-MiB windows and :func:`~repro.core.lepton.compress` over one
+window spanning the whole file, both through the same §6.2 classification
+step, :func:`~repro.core.lepton.convert`.
 """
 
-import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.format import LeptonFile, SegmentRecord, write_container
-from repro.core.lepton import (
-    FORMAT_DEFLATE,
-    FORMAT_LEPTON,
-    LeptonConfig,
-    decompress,
-)
+from repro.core.errors import ExitCode, MemoryLimitExceeded
+from repro.core.format import LeptonFile, write_container
+from repro.core.lepton import FORMAT_LEPTON, LeptonConfig, convert, decompress
 from repro.core.session import (
-    RoundtripMismatch,
+    EncodeStats,
     code_segment_records,
+    estimate_decode_memory,
+    estimate_encode_memory,
+    huffman_bit_breakdown,
     verify_and_index,
 )
-from repro.core.segments import choose_thread_count, plan_segments_range
-from repro.jpeg.errors import JpegError
+from repro.core.segments import (
+    choose_thread_count,
+    plan_segments,
+    plan_segments_range,
+)
 from repro.jpeg.parser import parse_jpeg
 from repro.jpeg.scan_decode import decode_scan
+from repro.obs import trace_span
 
 CHUNK_SIZE = 4 * 1024 * 1024
 
@@ -68,39 +75,67 @@ def compress_chunked(
     """Split ``data`` into chunks and compress each independently.
 
     JPEG files get Lepton chunks (each independently decodable); anything
-    Lepton rejects is stored as per-chunk Deflate, mirroring production.
-    ``deadline`` (a monotonic timestamp) propagates into the segment
-    coder, which raises :class:`~repro.core.errors.TimeoutExceeded`
-    between segments once it passes — the serve path's end-to-end
-    deadline reaching actual codec work.
+    Lepton rejects is classified with its §6.2 exit code exactly as
+    :func:`~repro.core.lepton.compress` classifies it, and stored as
+    per-chunk Deflate whatever ``deflate_fallback`` says, mirroring
+    production.  ``deadline`` (a monotonic timestamp) propagates into the
+    segment coder, which raises :class:`~repro.core.errors.TimeoutExceeded`
+    between segments once it passes — the serve path's end-to-end deadline
+    reaching actual codec work.
     """
-    config = config or LeptonConfig()
-    ranges = chunk_ranges(len(data), chunk_size)
-    try:
-        chunks = _compress_jpeg_chunked(data, ranges, config,
-                                        deadline=deadline)
-    except (JpegError, RoundtripMismatch):
-        chunks = None
-    if chunks is None:
-        chunks = [
-            StoredChunk(i, FORMAT_DEFLATE, zlib.compress(data[a:b], 6), (a, b))
-            for i, (a, b) in enumerate(ranges)
-        ]
+    _, _, _, chunks = convert(data, chunk_ranges(len(data), chunk_size),
+                              config or LeptonConfig(), deadline=deadline)
     return chunks
 
 
-def _compress_jpeg_chunked(data, ranges, config,
-                           deadline=None) -> Optional[List[StoredChunk]]:
-    img = parse_jpeg(data, max_components=4 if config.allow_cmyk else 3)
-    decode_scan(img)
-    positions = verify_and_index(img)
+def _stage(stats: EncodeStats, name: str, fn, *args):
+    """Run one pipeline stage under its span; add its time to ``stats``."""
+    with trace_span("lepton.encode." + name) as rec:
+        value = fn(*args)
+    stats.stage_seconds[name] = (
+        stats.stage_seconds.get(name, 0.0) + rec.wall_seconds)
+    return value
+
+
+def encode_windows(data: bytes, ranges, config: LeptonConfig,
+                   stats: EncodeStats, deadline: Optional[float] = None,
+                   account: bool = False) -> List[StoredChunk]:
+    """The one encode pipeline: one Lepton container per byte window.
+
+    Parse, Huffman-decode and verify the whole file once (§5.7), check
+    the §4.2 memory budgets, then code each window of ``ranges`` through
+    :func:`~repro.core.session.code_segment_records` and write its
+    container.  A whole-file ``compress`` is the one-window case.  Any
+    reject raises; :func:`~repro.core.lepton.convert` classifies it.
+    Stage and segment timings land on ``stats``; the Figure-4 accounting
+    runs only with ``account``.
+    """
+    img = _stage(stats, "parse", parse_jpeg, data,
+                 4 if config.allow_cmyk else 3)
+    _stage(stats, "scan_decode", decode_scan, img)
+    positions = _stage(stats, "verify_index", verify_and_index, img)
     offsets = [p.byte_offset for p in positions]  # non-decreasing, len = MCUs+1
     header_len = len(img.header_bytes)
     scan_len = len(img.scan_data)
-    mcu_count = img.frame.mcu_count
+    frame = img.frame
+    mcu_count = frame.mcu_count
     threads = (
         config.threads if config.threads is not None else choose_thread_count(len(data))
     )
+    stats.thread_count = len(plan_segments(frame.mcus_y, frame.mcus_x, threads))
+    # §4.2: a read decodes one window's container; the encode holds the
+    # whole image whatever the windows.
+    window_scan = max(max(0, min(b, header_len + scan_len) - max(a, header_len))
+                      for a, b in ranges)
+    for kind, needed, limit, code in (
+        ("decode", estimate_decode_memory(img, window_scan),
+         config.decode_memory_limit, ExitCode.DECODE_MEMORY_EXCEEDED),
+        ("encode", estimate_encode_memory(img, stats.thread_count),
+         config.encode_memory_limit, ExitCode.ENCODE_MEMORY_EXCEEDED),
+    ):
+        if limit is not None and needed > limit:
+            raise MemoryLimitExceeded(
+                f"{kind} would need {needed} bytes > limit {limit}", code)
 
     chunks: List[StoredChunk] = []
     for index, (a, b) in enumerate(ranges):
@@ -113,7 +148,7 @@ def _compress_jpeg_chunked(data, ranges, config,
         trailer_hi = max(0, b - header_len - scan_len)
         trailer = img.trailer_bytes[trailer_lo:trailer_hi]
 
-        segments: List[SegmentRecord] = []
+        segments = []
         scan_skip = 0
         pad_final = False
         if scan_hi > scan_lo:
@@ -122,8 +157,12 @@ def _compress_jpeg_chunked(data, ranges, config,
             # starts that share the same byte.  Clamp to the last real MCU:
             # a window holding only the final pad byte (scan_lo >= the
             # end-of-scan offset) is produced by re-encoding the last MCU
-            # with pad_final and trimming via scan_skip.
-            m_a = min(max(0, bisect_right(offsets, scan_lo) - 1), mcu_count - 1)
+            # with pad_final and trimming via scan_skip.  A window from the
+            # scan's first byte codes from MCU 0, as a whole file does,
+            # even when the first MCUs code to under a byte.
+            m_a = 0
+            if scan_lo:
+                m_a = min(bisect_right(offsets, scan_lo) - 1, mcu_count - 1)
             if scan_hi >= scan_len:
                 m_b = mcu_count
                 pad_final = True
@@ -131,10 +170,11 @@ def _compress_jpeg_chunked(data, ranges, config,
                 m_b = bisect_left(offsets, scan_hi)
                 m_b = min(max(m_b, m_a + 1), mcu_count)
             scan_skip = scan_lo - offsets[m_a]
-            seg_ranges = plan_segments_range(m_a, m_b, img.frame.mcus_x, threads)
+            seg_ranges = plan_segments_range(m_a, m_b, frame.mcus_x, threads)
             # The one segment-coding loop (session.py); D6 forbids a fork here.
             segments = code_segment_records(
-                img, seg_ranges, positions, config.model, deadline=deadline
+                img, seg_ranges, positions, config.model, stats,
+                deadline=deadline, account=account,
             )
 
         lepton = LeptonFile(
@@ -150,8 +190,11 @@ def _compress_jpeg_chunked(data, ranges, config,
             pad_final=pad_final,
             segments=segments,
         )
-        payload = write_container(lepton)
+        payload = _stage(stats, "container", write_container, lepton)
+        stats.output_size += len(payload)
         chunks.append(StoredChunk(index, FORMAT_LEPTON, payload, (a, b)))
+    if config.collect_breakdown:
+        stats.original_bits = huffman_bit_breakdown(img)
     return chunks
 
 

@@ -1,7 +1,9 @@
 """The public Lepton API: one codec, two directions (§3.4, §5).
 
-* :func:`compress` runs an :class:`~repro.core.session.EncodeSession` over
-  a whole file;
+* :func:`compress` runs the one encode pipeline
+  (:func:`repro.core.chunks.encode_windows`) over a whole file, and
+  :func:`convert` is the §6.2 classification step it shares with the
+  store's chunked put;
 * :func:`decompress_chunks` is the one decode implementation, a stream of
   stored-payload chunks in, original bytes out;
 * :func:`decompress` is its bytes-level join, which owns the decode
@@ -20,13 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.core import format as lformat
-from repro.core.session import (
-    DecodeSession,
-    EncodeSession,
-    EncodeStats,
-    RoundtripMismatch,
-    huffman_bit_breakdown,
-)
+from repro.core.session import DecodeSession, EncodeStats, RoundtripMismatch
 from repro.core.errors import (
     REASON_TO_EXIT,
     ExitCode,
@@ -150,60 +146,78 @@ def _classify_reject(data: bytes, exc: Exception) -> "tuple[ExitCode, str]":
 _EXIT_SINK = ExitCodeSink(metric="lepton.compress.exit_codes")
 
 
-def compress(data: bytes, config: Optional[LeptonConfig] = None) -> CompressionResult:
-    """Compress ``data``; always returns a result, never raises.
+def convert(data: bytes, ranges, config: LeptonConfig,
+            deadline: Optional[float] = None, fallback: bool = True,
+            account: bool = False):
+    """The §6.2 classification step around the one encode pipeline.
 
-    JPEG inputs that Lepton supports become Lepton containers, produced by
-    one :class:`~repro.core.session.EncodeSession`; everything else
-    (non-images, progressive, CMYK, corrupt, over-budget) is recorded with
-    its §6.2 exit code and — when ``deflate_fallback`` is on, as in
-    production — stored as Deflate instead.
+    Runs :func:`repro.core.chunks.encode_windows` over the byte windows
+    ``ranges`` and returns ``(exit_code, detail, stats, chunks)``.  A
+    reject gets its §6.2 exit code and, with ``fallback``, every window is
+    stored as Deflate instead (``chunks`` is ``None`` without it).  Every
+    call records the ``lepton.compress`` span and metrics.
+    ``config.timeout_seconds`` is the §6.2 Timeout reject; a caller
+    ``deadline`` (monotonic) that passes raises
+    :class:`~repro.core.errors.TimeoutExceeded` instead, because nobody
+    is waiting for the result.
     """
-    config = config or LeptonConfig()
+    from repro.core.chunks import StoredChunk, encode_windows  # imports us
+
     registry = get_registry()
     registry.counter("lepton.compress.attempts").inc()
     # Telemetry, and a timeout (wall-clock by definition, §6.6) only ever
     # *rejects* a conversion: neither can alter the coded bytes of one.
     start = time.monotonic()  # lint: disable=D2
-    session = EncodeSession(
-        model_config=config.model,
-        threads=config.threads,
-        decode_memory_limit=config.decode_memory_limit,
-        encode_memory_limit=config.encode_memory_limit,
-        deadline=(start + config.timeout_seconds
-                  if config.timeout_seconds is not None else None),
-        allow_cmyk=config.allow_cmyk,
-    )
-    session.write(data)
+    limits = [deadline] if deadline is not None else []
+    if config.timeout_seconds is not None:
+        limits.append(start + config.timeout_seconds)
+    stats = EncodeStats(input_size=len(data))
     with trace_span("lepton.compress", input_bytes=len(data)):
         try:
-            payload = b"".join(session.finish())
-            if config.collect_breakdown:
-                session.stats.original_bits = huffman_bit_breakdown(session.image)
-            result = CompressionResult(
-                ExitCode.SUCCESS, FORMAT_LEPTON, payload, len(data), session.stats
-            )
+            chunks = encode_windows(data, ranges, config, stats,
+                                    min(limits, default=None), account)
+            exit_code, detail = ExitCode.SUCCESS, ""
         except (JpegError, LeptonError) as exc:
+            if (isinstance(exc, TimeoutExceeded) and deadline is not None
+                    and time.monotonic() > deadline):  # lint: disable=D2
+                raise
             exit_code, detail = _classify_reject(data, exc)
-            if config.deflate_fallback:
-                result = CompressionResult(
-                    exit_code, FORMAT_DEFLATE, zlib.compress(data, 6),
-                    len(data), None, detail,
-                )
-            else:
-                result = CompressionResult(
-                    exit_code, None, None, len(data), None, detail
-                )
+            stats = None
+            chunks = [
+                StoredChunk(i, FORMAT_DEFLATE, zlib.compress(data[a:b], 6),
+                            (a, b))
+                for i, (a, b) in enumerate(ranges)
+            ] if fallback else None
     registry.histogram("lepton.compress.seconds").observe(
         time.monotonic() - start  # lint: disable=D2
     )
-    _EXIT_SINK.record(result.exit_code)
+    _EXIT_SINK.record(exit_code)
     registry.counter("lepton.compress.input_bytes").inc(len(data))
-    if result.payload is not None:
-        registry.counter("lepton.compress.output_bytes").inc(len(result.payload))
-    if result.format == FORMAT_DEFLATE:
-        registry.counter("lepton.compress.fallbacks").inc()
-    return result
+    if chunks is not None:
+        registry.counter("lepton.compress.output_bytes").inc(
+            sum(len(chunk.payload) for chunk in chunks))
+        if exit_code is not ExitCode.SUCCESS:
+            registry.counter("lepton.compress.fallbacks").inc()
+    return exit_code, detail, stats, chunks
+
+
+def compress(data: bytes, config: Optional[LeptonConfig] = None) -> CompressionResult:
+    """Compress ``data``; always returns a result, never raises.
+
+    JPEG inputs that Lepton supports become one Lepton container, the
+    one-window case of the store's chunked encode; everything else
+    (non-images, progressive, CMYK, corrupt, over-budget) is recorded with
+    its §6.2 exit code and — when ``deflate_fallback`` is on, as in
+    production — stored as Deflate instead.
+    """
+    config = config or LeptonConfig()
+    exit_code, detail, stats, chunks = convert(
+        data, [(0, len(data))], config, fallback=config.deflate_fallback,
+        account=True)
+    if chunks is None:
+        return CompressionResult(exit_code, None, None, len(data), None, detail)
+    return CompressionResult(exit_code, chunks[0].format, chunks[0].payload,
+                             len(data), stats, detail)
 
 
 def decompress(payload: bytes, model_config: Optional[ModelConfig] = None,

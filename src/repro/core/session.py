@@ -1,26 +1,24 @@
-"""Streaming codec sessions: the one pipeline from bytes-in to chunks-out.
+"""Codec building blocks: the one segment-coding loop and the decode session.
 
 Production Lepton is fundamentally a *streaming* system: decodes start
 returning bytes before they finish (§4.2's width-bounded working set, §5's
 4-MiB chunk serving path), and every caller — CLI, blockserver, timed
-benchmark — runs the same code with different plumbing.  This module is
-that single pipeline for the reproduction; in the library,
-:func:`repro.core.lepton.compress` and
-:func:`repro.core.lepton.decompress_chunks` are the only code that builds
-a session:
+benchmark — runs the same code with different plumbing.  This module holds:
 
-* :class:`EncodeSession` consumes input chunks and yields the container as
-  chunks (header first, then interleaved arithmetic sections);
-* :class:`DecodeSession` consumes container chunks and yields original
-  bytes as soon as they are decodable — the file prefix right after the
-  secondary header parses, then one piece per decoded MCU row band;
-* :func:`code_segment_records` is the *only* place a
+* :class:`DecodeSession`, which consumes container chunks and yields
+  original bytes as soon as they are decodable — the file prefix right
+  after the secondary header parses, then one piece per decoded MCU row
+  band; :func:`repro.core.lepton.decompress_chunks` is the only code that
+  builds one;
+* :func:`code_segment_records`, the *only* place a
   :class:`~repro.core.coefcoder.SegmentCodec` drives a
-  :class:`~repro.core.bool_coder.BoolEncoder` over an MCU range.  Lint
-  rule D6 (``codec-loop-containment``) forbids re-growing forked copies of
-  this loop elsewhere, which is how the whole-buffer entry points of
-  earlier builds diverged (a timed encode twin silently dropped the
-  memory limits and CMYK policy its sibling enforced).
+  :class:`~repro.core.bool_coder.BoolEncoder` over an MCU range, with the
+  admission helpers of the one encode pipeline that calls it
+  (:func:`repro.core.chunks.encode_windows`).  Lint rule D6
+  (``codec-loop-containment``) forbids re-growing forked copies of this
+  loop elsewhere, which is how the whole-buffer entry points of earlier
+  builds diverged (a timed encode twin silently dropped the memory limits
+  and CMYK policy its sibling enforced).
 
 Decoding always runs the row-window discipline: per segment, coefficients
 live in a sliding :class:`~repro.core.rowbuffer.RowWindow` of a few block
@@ -33,9 +31,10 @@ test suite pins down.
 
 Timing flows through the observability spans (docs/observability.md): a
 caller that wants per-stage or per-segment timings (the fig. 1/7/8
-benchmarks) drives a session and reads :attr:`EncodeSession.stage_seconds`,
-:attr:`segment_seconds` and :attr:`DecodeSession.wall_seconds` off it,
-rather than keeping a forked copy of the codec loop with inline clocks.
+benchmarks) reads :attr:`EncodeStats.stage_seconds` and
+:attr:`EncodeStats.segment_seconds` off a ``compress`` result, or
+:attr:`DecodeSession.wall_seconds` off a decode session, rather than
+keeping a forked copy of the codec loop with inline clocks.
 """
 
 import time
@@ -44,26 +43,14 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
 from repro.core.coefcoder import SegmentCodec
-from repro.core.errors import (
-    ExitCode,
-    FormatError,
-    LeptonError,
-    MemoryLimitExceeded,
-    TimeoutExceeded,
-)
-from repro.core.format import (
-    ContainerReader,
-    LeptonFile,
-    SegmentRecord,
-    iter_container,
-)
+from repro.core.errors import FormatError, LeptonError, TimeoutExceeded
+from repro.core.format import ContainerReader, LeptonFile, SegmentRecord
 from repro.core.handover import HandoverWord
 from repro.core.model import Model, ModelConfig
 from repro.core.rowbuffer import RowWindow
-from repro.core.segments import choose_thread_count, plan_segments
 from repro.jpeg.errors import JpegError
 from repro.jpeg.parser import JpegImage, parse_jpeg
-from repro.jpeg.scan_decode import decode_scan, mcu_block_layout
+from repro.jpeg.scan_decode import mcu_block_layout
 from repro.jpeg.scan_encode import ScanEncoder, encode_scan
 from repro.jpeg.zigzag import ZIGZAG_TO_RASTER
 from repro.obs import get_registry, trace_span
@@ -90,7 +77,14 @@ class EncodeStats:
     # Original Huffman bits per category (for the Figure-4 breakdown).
     original_bits: Dict[str, float] = field(default_factory=dict)
     model_bins: int = 0
-    encode_seconds: float = 0.0
+    #: Span wall time per pipeline stage (parse, scan_decode,
+    #: verify_index, container) and per coded segment, as fig. 8 reads it.
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
+    segment_seconds: List[float] = field(default_factory=list)
+
+    @property
+    def encode_seconds(self) -> float:
+        return sum(self.stage_seconds.values()) + sum(self.segment_seconds)
 
     @property
     def savings_fraction(self) -> float:
@@ -163,22 +157,42 @@ def huffman_bit_breakdown(img: JpegImage) -> Dict[str, float]:
     return bits
 
 
-def estimate_decode_memory(img: JpegImage, threads: int) -> int:
-    """Bytes of working set a decode of this file needs.
+#: Working-set bytes per 8x8 block: 64 int32 coefficients and a
+#: non-zero count.
+BLOCK_BYTES = 64 * 4 + 4
+#: Working-set bytes of one model and its coder buffers.
+MODEL_BYTES = 1 << 20
 
-    Coefficient arrays dominate; each thread duplicates the model (§4.2:
-    24 MiB single-threaded, 39 MiB at p99 multithreaded in production).
+
+def window_rows(frame, comp) -> int:
+    """Block rows of ``comp`` that a decode keeps in its RowWindow."""
+    return (2 * frame.max_v + 2) * (comp.v if frame.interleaved else 1)
+
+
+def estimate_decode_memory(img: JpegImage, scan_bytes: int) -> int:
+    """Bytes of working set a decode of one container needs (§4.2).
+
+    :class:`DecodeSession` holds no whole-image array: it decodes one
+    segment at a time, through one model and a RowWindow of a few block
+    rows per component, so the coefficient term grows with image width,
+    not area (§1).  ``scan_bytes`` is the scan the container covers.
     """
-    coeff_bytes = sum(c.blocks_w * c.blocks_h * 64 * 4 for c in img.frame.components)
-    nnz_bytes = sum(c.blocks_w * c.blocks_h * 4 for c in img.frame.components)
-    model_bytes = threads * (1 << 20)  # per-thread model + coder buffers
-    return coeff_bytes + nnz_bytes + model_bytes + len(img.scan_data)
+    frame = img.frame
+    blocks = sum(min(window_rows(frame, c), c.blocks_h) * c.blocks_w
+                 for c in frame.components)
+    return blocks * BLOCK_BYTES + MODEL_BYTES + scan_bytes
 
 
 def estimate_encode_memory(img: JpegImage, threads: int) -> int:
-    """Encoding additionally retains the whole file and position index."""
-    positions_bytes = img.frame.mcu_count * 64
-    return estimate_decode_memory(img, threads) + img.total_size + positions_bytes
+    """Bytes of working set an encode of this file needs (§4.2).
+
+    The Huffman decode fills the whole image's coefficient arrays before
+    any window is coded; each of ``threads`` segments has its own model,
+    and the file and its per-MCU position index stay resident.
+    """
+    blocks = sum(c.blocks_w * c.blocks_h for c in img.frame.components)
+    return (blocks * BLOCK_BYTES + threads * MODEL_BYTES + len(img.scan_data)
+            + img.total_size + img.frame.mcu_count * 64)
 
 
 def verify_and_index(img: JpegImage):
@@ -200,19 +214,20 @@ def code_segment_records(
     seg_ranges,
     positions,
     model_config: ModelConfig,
+    stats: EncodeStats,
     deadline: Optional[float] = None,
-    stats: Optional[EncodeStats] = None,
-    segment_seconds: Optional[List[float]] = None,
+    account: bool = False,
 ) -> List[SegmentRecord]:
     """Arithmetic-code the given MCU ranges into :class:`SegmentRecord`\\ s.
 
-    This is the *only* segment-coding loop in the tree: whole-file encodes
-    (:class:`EncodeSession`) and 4-MiB chunk windows
-    (:mod:`repro.core.chunks`) both route through it, and lint rule D6
-    rejects any new ``SegmentCodec``/``BoolEncoder`` drive loop outside
-    this module.  Model construction and boolean coding are one interleaved
-    stage: every coded bit consults the adaptive bins it just updated.  The
-    Figure-4 information accounting runs only when ``stats`` is given.
+    This is the *only* segment-coding loop in the tree: every byte window
+    of :func:`repro.core.chunks.encode_windows`, whole file or 4-MiB
+    chunk, routes through it, and lint rule D6 rejects any new
+    ``SegmentCodec``/``BoolEncoder`` drive loop outside this module.  Model
+    construction and boolean coding are one interleaved stage: every coded
+    bit consults the adaptive bins it just updated.  Each segment's size
+    and span time land on ``stats``; the Figure-4 information accounting
+    runs only with ``account``.
     """
     frame = img.frame
     segments: List[SegmentRecord] = []
@@ -221,142 +236,20 @@ def code_segment_records(
         if deadline is not None and time.monotonic() > deadline:  # lint: disable=D2
             raise TimeoutExceeded("encode exceeded its deadline")
         with trace_span("lepton.encode.code_segment", segment=segment_index) as rec:
-            model = Model(model_config, account=stats is not None)
+            model = Model(model_config, account=account)
             codec = SegmentCodec(frame, img.quant_tables, img.coefficients,
                                  model_config, model)
             encoder = BoolEncoder()
             codec.encode(encoder, mcu_start, mcu_end)
             coded = encoder.finish()
-        if segment_seconds is not None:
-            segment_seconds.append(rec.wall_seconds)
         handover = HandoverWord.from_position(positions[mcu_start])
         segments.append(SegmentRecord(mcu_start, mcu_end, handover, coded))
-        if stats is not None:
-            stats.segment_sizes.append(len(coded))
-            for category, bits in model.bit_costs.items():
-                stats.bit_costs[category] = stats.bit_costs.get(category, 0.0) + bits
-            stats.model_bins += model.bin_count
+        stats.segment_seconds.append(rec.wall_seconds)
+        stats.segment_sizes.append(len(coded))
+        for category, bits in model.bit_costs.items():
+            stats.bit_costs[category] = stats.bit_costs.get(category, 0.0) + bits
+        stats.model_bins += model.bin_count
     return segments
-
-
-class EncodeSession:
-    """Streaming JPEG → Lepton conversion (§3).
-
-    Feed input chunks with :meth:`write`; :meth:`finish` runs the pipeline
-    — parse, Huffman scan decode, the §5.7 round-trip admission check,
-    segment planning, memory-budget enforcement, arithmetic coding — and
-    yields the container as chunks via the incremental writer.  Encoding
-    inherently sees the whole file (the admission check re-encodes the
-    entire scan), so ``write`` buffers; the *output* side streams.
-
-    After :meth:`finish` is exhausted, :attr:`stats` holds the
-    :class:`EncodeStats`, :attr:`image` the parsed JPEG, and
-    :attr:`stage_seconds` / :attr:`segment_seconds` the per-stage span
-    timings.
-    """
-
-    def __init__(
-        self,
-        model_config: Optional[ModelConfig] = None,
-        threads: Optional[int] = None,
-        decode_memory_limit: Optional[int] = None,
-        encode_memory_limit: Optional[int] = None,
-        deadline: Optional[float] = None,
-        allow_cmyk: bool = False,
-    ):
-        self._model_config = model_config or ModelConfig()
-        self._threads = threads
-        self._decode_memory_limit = decode_memory_limit
-        self._encode_memory_limit = encode_memory_limit
-        self._deadline = deadline
-        self._allow_cmyk = allow_cmyk
-        self._parts: List[bytes] = []
-        self.image: Optional[JpegImage] = None
-        self.stats: Optional[EncodeStats] = None
-        self.stage_seconds: Dict[str, float] = {}
-        self.segment_seconds: List[float] = []
-
-    def write(self, chunk: bytes) -> None:
-        """Buffer one chunk of the input JPEG."""
-        self._parts.append(bytes(chunk))
-
-    def _stage(self, name: str, record) -> None:
-        self.stage_seconds[name] = (
-            self.stage_seconds.get(name, 0.0) + record.wall_seconds
-        )
-
-    def finish(self) -> Iterator[bytes]:
-        """Run the pipeline; yields the Lepton container as chunks."""
-        data = b"".join(self._parts)
-        self._parts = []
-        with trace_span("lepton.encode.parse") as rec:
-            img = parse_jpeg(data, max_components=4 if self._allow_cmyk else 3)
-        self._stage("parse", rec)
-        with trace_span("lepton.encode.scan_decode") as rec:
-            decode_scan(img)
-        self._stage("scan_decode", rec)
-        with trace_span("lepton.encode.verify_index") as rec:
-            positions = verify_and_index(img)
-        self._stage("verify_index", rec)
-
-        thread_count = (
-            self._threads if self._threads is not None else choose_thread_count(len(data))
-        )
-        frame = img.frame
-        seg_ranges = plan_segments(frame.mcus_y, frame.mcus_x, thread_count)
-
-        if self._decode_memory_limit is not None:
-            needed = estimate_decode_memory(img, len(seg_ranges))
-            if needed > self._decode_memory_limit:
-                raise MemoryLimitExceeded(
-                    f"decode would need {needed} bytes > limit {self._decode_memory_limit}",
-                    ExitCode.DECODE_MEMORY_EXCEEDED,
-                )
-        if self._encode_memory_limit is not None:
-            needed = estimate_encode_memory(img, len(seg_ranges))
-            if needed > self._encode_memory_limit:
-                raise MemoryLimitExceeded(
-                    f"encode would need {needed} bytes > limit {self._encode_memory_limit}",
-                    ExitCode.ENCODE_MEMORY_EXCEEDED,
-                )
-
-        stats = EncodeStats(input_size=len(data), thread_count=len(seg_ranges))
-        segments = code_segment_records(
-            img,
-            seg_ranges,
-            positions,
-            self._model_config,
-            deadline=self._deadline,
-            stats=stats,
-            segment_seconds=self.segment_seconds,
-        )
-        lepton = LeptonFile(
-            jpeg_header=img.header_bytes,
-            pad_bit=img.pad_bit or 0,
-            rst_count=img.rst_count,
-            output_size=len(data),
-            prefix_offset=0,
-            prefix_length=len(img.header_bytes),
-            trailer=img.trailer_bytes,
-            scan_skip=0,
-            scan_take=len(img.scan_data),
-            pad_final=True,
-            segments=segments,
-        )
-        self.image = img
-        self.stats = stats
-        pieces = iter_container(lepton)
-        while True:
-            with trace_span("lepton.encode.container") as rec:
-                piece = next(pieces, None)
-            self._stage("container", rec)
-            if piece is None:
-                break
-            stats.output_size += len(piece)
-            yield piece
-        stats.encode_seconds = (
-            sum(self.stage_seconds.values()) + sum(self.segment_seconds)
-        )
 
 
 class DecodeSession:
@@ -516,12 +409,8 @@ class DecodeSession:
         img = self._img
         frame = img.frame
         seg = lepton.segments[index]
-        window_rows = 2 * frame.max_v + 2
-        windows = [
-            RowWindow(c.blocks_h, c.blocks_w,
-                      window=window_rows * (c.v if frame.interleaved else 1))
-            for c in frame.components
-        ]
+        windows = [RowWindow(c.blocks_h, c.blocks_w, window=window_rows(frame, c))
+                   for c in frame.components]
         codec = SegmentCodec(frame, img.quant_tables, windows, self._model_config)
         bool_dec = BoolDecoder(seg.data)
         handover = seg.handover

@@ -520,7 +520,7 @@ _CODEC_CLASSES = ("SegmentCodec", "BoolEncoder", "BoolDecoder")
 
 @register
 class CodecLoopContainment(Rule):
-    """The streaming session owns the one segment-coding loop; any other
+    """The session module owns the one segment-coding loop; any other
     module instantiating the arithmetic coder regrows the fork that let the
     timed and chunked entry points silently drift from the real pipeline."""
 
@@ -529,9 +529,9 @@ class CodecLoopContainment(Rule):
     summary = ("instantiating `SegmentCodec`/`BoolEncoder`/`BoolDecoder` "
                "outside the session module (and the modules that define "
                "them) is forbidden — every entry point must drive the codec "
-               "through `EncodeSession`/`DecodeSession` or "
-               "`code_segment_records`, so there is exactly one coding loop "
-               "to qualify")
+               "through `compress`/`compress_chunked` (which code through "
+               "`code_segment_records`) or `DecodeSession`, so there is "
+               "exactly one coding loop to qualify")
     paper_ref = "§3.4 (one codec, many surfaces), §5.4/§5.7 (qualification)"
 
     #: The session plus the modules that *define* the codec classes.
@@ -552,5 +552,5 @@ class CodecLoopContainment(Rule):
                     info, node,
                     f"`{origin.split('.')[-1]}` instantiated outside "
                     "repro.core.session: drive the codec through "
-                    "EncodeSession/DecodeSession (or code_segment_records) "
-                    "— the segment-coding loop must not fork")
+                    "compress/compress_chunked (or code_segment_records) and "
+                    "DecodeSession — the segment-coding loop must not fork")

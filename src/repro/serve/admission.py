@@ -16,7 +16,7 @@ stay readable precisely when the data plane is saturated.
 import asyncio
 from typing import Optional
 
-from repro.obs import MetricsRegistry, get_registry
+from repro.obs import get_registry
 
 
 class Saturated(Exception):
@@ -45,15 +45,14 @@ class AdmissionGate:
     series.
     """
 
-    def __init__(self, max_inflight: int = 8, queue_depth: int = 16,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, max_inflight: int = 8, queue_depth: int = 16):
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if queue_depth < 0:
             raise ValueError("queue_depth must be >= 0")
         self.max_inflight = max_inflight
         self.queue_depth = queue_depth
-        self.registry = registry if registry is not None else get_registry()
+        self.registry = get_registry()
         self._semaphore = asyncio.Semaphore(max_inflight)
         self._inflight = 0
         self._waiting = 0

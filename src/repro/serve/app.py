@@ -37,7 +37,7 @@ from repro.core.errors import TimeoutExceeded
 from repro.core.lepton import FORMAT_LEPTON, LeptonConfig
 from repro.faults.killpoints import KillPoints
 from repro.faults.plan import FaultPlan
-from repro.obs import MetricsRegistry, get_registry
+from repro.obs import get_registry
 from repro.serve.admission import AdmissionGate, AdmitTimeout, Saturated
 from repro.serve.faults import LiveFaultInjector
 from repro.serve.http import (
@@ -168,32 +168,31 @@ class _MonotonicClock:
 class LeptonServer:
     """The HTTP front-end over a :class:`BlockStore` (one per process)."""
 
-    def __init__(self, config: Optional[ServeConfig] = None,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
-        self.registry = registry if registry is not None else get_registry()
+        #: The global registry: the codec and the store write it too, so
+        #: ``/metrics`` shows every layer.
+        self.registry = get_registry()
         self.quotas = QuotaBoard(limit_bytes=self.config.quota_bytes)
         self.injector = (
             LiveFaultInjector(self.config.fault_plan,
-                              seed=self.config.fault_seed,
-                              registry=self.registry)
+                              seed=self.config.fault_seed)
             if self.config.fault_plan is not None else None
         )
         self.store = self._build_store()
         self.uploads = self._build_uploads()
         self._attach_kill()
-        self.scrubber = Scrubber(self.store, registry=self.registry)
+        self.scrubber = Scrubber(self.store)
         self._scrub_task: Optional[asyncio.Task] = None
         self.shutoff = ShutoffSwitch(directory=self.config.shutoff_dir)
         self.gate = AdmissionGate(self.config.max_inflight,
-                                  self.config.queue_depth, self.registry)
+                                  self.config.queue_depth)
         self.breakers = BreakerBoard(
             _MonotonicClock(),
             template=CircuitBreaker(
                 failure_threshold=self.config.breaker_threshold,
                 reset_timeout=self.config.breaker_reset,
             ),
-            registry=self.registry,
         )
         self.draining = False
         self.port: Optional[int] = None

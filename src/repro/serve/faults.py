@@ -24,13 +24,11 @@ counted under the existing ``faults.injected{kind=...}`` family with
 live-specific kinds ``live_slow`` and ``live_drop``.
 """
 
-from typing import Optional
-
 import numpy as np
 
 from repro.faults.injector import ReadFaultInjector, _corrupt_payload
 from repro.faults.plan import FaultPlan
-from repro.obs import MetricsRegistry, get_registry
+from repro.obs import get_registry
 
 
 class LiveFaultInjector:
@@ -40,14 +38,12 @@ class LiveFaultInjector:
     #: by the window's ``factor``.
     SLOW_UNIT_SECONDS = 0.005
 
-    def __init__(self, plan: FaultPlan, seed: int = 0,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, plan: FaultPlan, seed: int = 0):
         self.plan = plan
-        self.registry = registry if registry is not None else get_registry()
+        self.registry = get_registry()
         self.rng = np.random.default_rng(seed)
         self.read_fault = (
-            ReadFaultInjector(plan.storage, seed=seed + 1,
-                              registry=self.registry)
+            ReadFaultInjector(plan.storage, seed=seed + 1)
             if plan.storage is not None else None
         )
         self._at_rest_budget = (

@@ -87,8 +87,9 @@ class BlockStore:
     rejected_roundtrips: int = 0
     lepton_bytes_in: int = 0
     lepton_bytes_out: int = 0
-    # Per-conversion exit codes are tabulated by the compress() layer into
-    # the global registry (lepton.compress.exit_codes — docs/observability.md).
+    # Each put's conversion records its §6.2 exit code and the other
+    # lepton.compress.* metrics in the global registry through the step
+    # compress() uses (repro.core.lepton.convert; docs/observability.md).
     # -- degraded-read mode (repro.faults / docs/deployment.md) ----------
     #: Keep a deflate copy of every admitted chunk's original bytes so a
     #: persistently corrupt Lepton payload can still serve the file.

@@ -48,3 +48,22 @@ def trailer_jpeg() -> bytes:
         pixels, quality=85, comment=b"shot on a synthetic camera",
         trailer=b"\x00\x01TV-FORMAT-TRAILER" * 3,
     )
+
+
+@pytest.fixture(scope="session")
+def drifting_dc_jpeg() -> bytes:
+    """A well-formed 631-byte baseline JPEG whose DC drifts past the
+    arithmetic coder's range: block i's DC is ``min(i, 12) * 2000``, so
+    every Huffman DC difference fits its category but the values exceed
+    the exponent cap (§6.2 "AC values out of range")."""
+    from repro.jpeg.parser import parse_jpeg
+    from repro.jpeg.scan_decode import decode_scan
+    from repro.jpeg.scan_encode import encode_scan
+
+    img = parse_jpeg(corpus_jpeg(seed=3, height=64, width=64, grayscale=True))
+    decode_scan(img)
+    blocks = img.coefficients[0].reshape(-1, 64)
+    for i in range(len(blocks)):
+        blocks[i, 0] = min(i, 12) * 2000
+    scan, _ = encode_scan(img)
+    return img.header_bytes + scan + img.trailer_bytes

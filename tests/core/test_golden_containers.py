@@ -22,6 +22,7 @@ import pytest
 
 from repro.baselines import mozjpeg_arith, packjpg_like
 from repro.core.chunks import compress_chunked
+from repro.core.format import read_container
 from repro.core.lepton import (
     FORMAT_DEFLATE,
     FORMAT_LEPTON,
@@ -191,6 +192,16 @@ def test_decode_of_golden_bytes_reproduces_input(case):
 def test_model_bins_and_bit_costs_are_pinned(case):
     want = _load_manifest()["stats"][case]
     assert _stats(STATS_CASES[case], INPUTS[case]()) == want
+
+
+def test_one_chunk_container_is_the_whole_file_container():
+    """``compress`` is the one-window case of the chunked encode, so a
+    chunk spanning the whole file codes from MCU 0 as ``compress`` does,
+    even when the first MCUs of a flat image code to under a byte."""
+    data = encode_baseline_jpeg(np.full((32, 32), 128, dtype=np.uint8))
+    [chunk] = compress_chunked(data, len(data))
+    assert chunk.payload == compress(data).payload
+    assert read_container(chunk.payload).segments[0].mcu_start == 0
 
 
 def regenerate() -> None:

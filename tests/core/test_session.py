@@ -1,29 +1,31 @@
 """The streaming CodecSession contract (repro.core.session).
 
-Three guarantees the session design exists to make structural:
+Three guarantees the one-pipeline design exists to make structural:
 
 * every decode entry point is the *same* pipeline — over a corruption
   corpus they must agree byte-for-byte on success and exception-type on
   failure;
 * the session streams: output begins before the final input chunk is
   consumed, observable through the `lepton.session.decode.*` telemetry;
-* the bare `EncodeSession` the figure benches time rejects exactly what
-  `compress` rejects (an old timed fork silently dropped the CMYK policy,
-  the memory budgets, and the deadline).
+* the store's chunked put stores what `compress` stores, with the same
+  §6.2 exit code: both run one encode pipeline through one classification
+  step (an old timed fork silently dropped the CMYK policy, the memory
+  budgets, and the deadline, and a later chunked twin dropped the budgets
+  and the out-of-range reject).
 """
 
+import hashlib
 import random
 import time
 import tracemalloc
 
 import pytest
 
-from repro.core.chunks import StoredChunk, decompress_chunk
+from repro.core.chunks import StoredChunk, compress_chunked, decompress_chunk
 from repro.core.errors import (
     ExitCode,
     FormatError,
     LeptonError,
-    MemoryLimitExceeded,
     TimeoutExceeded,
     VersionError,
 )
@@ -36,12 +38,13 @@ from repro.core.lepton import (
     decompress,
     decompress_chunks,
 )
-from repro.core.session import EncodeSession
+from repro.corpus import corruptions
 from repro.corpus.builder import corpus_jpeg
 from repro.corpus.images import synthetic_photo
 from repro.jpeg.errors import JpegError
 from repro.jpeg.writer import encode_baseline_jpeg
-from repro.obs import get_registry
+from repro.obs import ExitCodeSink, get_registry
+from repro.storage.blockstore import BlockStore
 from repro.storage.qualification import BUILDS
 
 
@@ -215,50 +218,92 @@ class TestStreaming:
         assert ttfb.count >= 1
 
 
-def _session_encode(data: bytes, **kwargs) -> bytes:
-    """Drive a bare session the way the fig. 8 bench times one."""
-    session = EncodeSession(**kwargs)
-    session.write(data)
-    return b"".join(session.finish())
+def _by_compress(data, config):
+    """``(format, exit code, payload md5)`` of one ``compress``."""
+    result = compress(data, config)
+    return (result.format, result.exit_code,
+            hashlib.md5(result.payload).hexdigest())
+
+
+def _by_store(data, config):
+    """``(format, exit code, payload md5)`` of one ``BlockStore`` put, as
+    the store records them: its one chunk's index entry, and the §6.2 code
+    the put adds to ``lepton.compress.exit_codes``."""
+    store = BlockStore(config=config)
+    sink = ExitCodeSink()
+    before = sink.counts()
+    [key] = store.put_file("f", data).chunk_keys
+    after = sink.counts()
+    [code] = [c for c, n in after.items() if n != before.get(c, 0)]
+    entry = store.entries[key]
+    return entry.format, code, entry.payload_md5
 
 
 class TestTimedEncodeParity:
-    """The figure benches time a bare ``EncodeSession``; it enforces the
-    same policy as ``compress``, which drives the same session."""
+    """The store's chunked put and ``compress`` (which the figure benches
+    time) run one pipeline through one classification step, so a put
+    stores what ``compress`` stores, under the same §6.2 exit code."""
+
+    def _assert_same(self, data, config, code, fmt):
+        by_compress = _by_compress(data, config)
+        assert by_compress[:2] == (fmt, code)
+        assert _by_store(data, config) == by_compress
 
     def test_cmyk_rejected_identically(self, cmyk_jpeg):
-        with pytest.raises(JpegError) as raised:
-            _session_encode(cmyk_jpeg)
+        self._assert_same(cmyk_jpeg, LeptonConfig(), ExitCode.CMYK,
+                          FORMAT_DEFLATE)
         result = compress(cmyk_jpeg, LeptonConfig(deflate_fallback=False))
-        assert result.format is None
-        assert result.detail == str(raised.value)
+        assert (result.format, result.exit_code) == (None, ExitCode.CMYK)
+        # The store keeps something whatever deflate_fallback says.
+        assert _by_store(cmyk_jpeg, LeptonConfig(deflate_fallback=False))[:2] \
+            == (FORMAT_DEFLATE, ExitCode.CMYK)
 
     def test_cmyk_allowed_identically(self, cmyk_jpeg):
-        payload = _session_encode(cmyk_jpeg, allow_cmyk=True)
-        assert compress(cmyk_jpeg, LeptonConfig(allow_cmyk=True)).payload \
-            == payload
-        assert decompress(payload) == cmyk_jpeg
+        config = LeptonConfig(allow_cmyk=True)
+        self._assert_same(cmyk_jpeg, config, ExitCode.SUCCESS, FORMAT_LEPTON)
+        assert decompress(compress(cmyk_jpeg, config).payload) == cmyk_jpeg
 
     def test_decode_memory_limit_enforced_identically(self):
-        data = corpus_jpeg(seed=5, height=64, width=64)
-        with pytest.raises(MemoryLimitExceeded):
-            _session_encode(data, decode_memory_limit=1024)
-        result = compress(data, LeptonConfig(decode_memory_limit=1024))
-        assert result.exit_code is ExitCode.DECODE_MEMORY_EXCEEDED
+        self._assert_same(corpus_jpeg(seed=5, height=64, width=64),
+                          LeptonConfig(decode_memory_limit=1000),
+                          ExitCode.DECODE_MEMORY_EXCEEDED, FORMAT_DEFLATE)
 
     def test_encode_memory_limit_enforced_identically(self):
-        data = corpus_jpeg(seed=5, height=64, width=64)
-        with pytest.raises(MemoryLimitExceeded):
-            _session_encode(data, encode_memory_limit=1024)
-        result = compress(data, LeptonConfig(encode_memory_limit=1024))
-        assert result.exit_code is ExitCode.ENCODE_MEMORY_EXCEEDED
+        self._assert_same(corpus_jpeg(seed=5, height=64, width=64),
+                          LeptonConfig(encode_memory_limit=1024),
+                          ExitCode.ENCODE_MEMORY_EXCEEDED, FORMAT_DEFLATE)
 
     def test_deadline_enforced_identically(self):
+        """``timeout_seconds`` is the §6.2 Timeout reject on both paths; a
+        caller's expired ``deadline`` raises instead and stores nothing."""
         data = corpus_jpeg(seed=5, height=64, width=64)
+        self._assert_same(data, LeptonConfig(timeout_seconds=-1.0),
+                          ExitCode.TIMEOUT, FORMAT_DEFLATE)
+        past = time.monotonic() - 1.0
         with pytest.raises(TimeoutExceeded):
-            _session_encode(data, deadline=-1.0)
-        result = compress(data, LeptonConfig(timeout_seconds=-1.0))
-        assert result.exit_code is ExitCode.TIMEOUT
+            compress_chunked(data, deadline=past)
+        store = BlockStore()
+        with pytest.raises(TimeoutExceeded):
+            store.put_file("f", data, deadline=past)
+        assert store.files == {} and store.entries == {}
+        assert list(store.backend.keys()) == []
+
+    @pytest.mark.parametrize("case, code", [
+        ("drifting_dc", ExitCode.AC_OUT_OF_RANGE),
+        ("progressive", ExitCode.PROGRESSIVE),
+        ("not_an_image", ExitCode.NOT_AN_IMAGE),
+        ("truncated", ExitCode.UNSUPPORTED_JPEG),
+    ])
+    def test_reject_classified_identically(self, case, code,
+                                           drifting_dc_jpeg):
+        base = corpus_jpeg(seed=5, height=64, width=64)
+        data = {
+            "drifting_dc": lambda: drifting_dc_jpeg,
+            "progressive": lambda: corruptions.make_progressive(base),
+            "not_an_image": lambda: corruptions.not_an_image(size=900, seed=2),
+            "truncated": lambda: corruptions.truncate(base, 0.5),
+        }[case]()
+        self._assert_same(data, LeptonConfig(), code, FORMAT_DEFLATE)
 
 
 def test_session_modules_are_in_lint_scope():

@@ -1,14 +1,15 @@
 """The timings the codec sessions record, as the fig. 1/7/8 benches read them.
 
 A decode's serial time is ``DecodeSession.wall_seconds`` and an encode's is
-``EncodeStats.encode_seconds`` (stages plus segments).  The modelled
-parallel time replaces the summed segment times with the longest segment.
+``EncodeStats.encode_seconds`` (stages plus segments) on a ``compress``
+result.  The modelled parallel time replaces the summed segment times with
+the longest segment.
 """
 
 import pytest
 
 from repro.core.lepton import LeptonConfig, compress, decompress
-from repro.core.session import DecodeSession, EncodeSession
+from repro.core.session import DecodeSession
 from repro.corpus.builder import corpus_jpeg
 
 
@@ -30,14 +31,16 @@ def _timed_decode(payload):
 
 
 def _timed_encode(data, threads):
-    """``(payload, modelled, serial)`` of one encode session."""
-    session = EncodeSession(threads=threads)
-    session.write(data)
-    payload = b"".join(session.finish())
-    serial = session.stats.encode_seconds
+    """``(payload, modelled, serial)`` of one ``compress``."""
+    result = compress(data, LeptonConfig(threads=threads))
+    stats = result.stats
+    serial = stats.encode_seconds
+    assert set(stats.stage_seconds) == {
+        "parse", "scan_decode", "verify_index", "container"}
+    assert len(stats.segment_seconds) == len(stats.segment_sizes)
     assert serial == pytest.approx(
-        sum(session.stage_seconds.values()) + sum(session.segment_seconds))
-    return payload, _modelled(serial, session.segment_seconds), serial
+        sum(stats.stage_seconds.values()) + sum(stats.segment_seconds))
+    return result.payload, _modelled(serial, stats.segment_seconds), serial
 
 
 class TestDecodeTimed:

@@ -1,12 +1,12 @@
-"""D6 fixture: the codec is driven through the session pipeline."""
+"""D6 fixture: the codec is driven through the one encode pipeline and the
+decode session."""
 
-from repro.core.session import DecodeSession, EncodeSession
+from repro.core.lepton import compress
+from repro.core.session import DecodeSession
 
 
-def compress_by_session(data):
-    session = EncodeSession()
-    session.write(data)
-    return b"".join(session.finish())
+def compress_by_pipeline(data):
+    return compress(data).payload
 
 
 def decompress_by_session(payload):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro.cli as cli
-import repro.core.lepton as lepton_mod
+import repro.core.chunks as chunks_mod
 from repro.core.errors import ExitCode, FormatError
 from repro.core.lepton import LeptonConfig, compress
 from repro.corpus.builder import corpus_jpeg
@@ -83,10 +83,10 @@ class TestExitCodeProduction:
         assert status == EXIT_STATUS[ExitCode.OOM_KILL] == 14
 
     def test_internal_invariant_breakage_is_impossible_bucket(self, monkeypatch):
-        def broken_finish(self):
+        def broken_write(lepton):
             raise FormatError("container writer invariant violated")
 
-        monkeypatch.setattr(lepton_mod.EncodeSession, "finish", broken_finish)
+        monkeypatch.setattr(chunks_mod, "write_container", broken_write)
         result = compress(corpus_jpeg(seed=3, height=32, width=32))
         assert result.exit_code is ExitCode.IMPOSSIBLE
         assert "FormatError" in result.detail

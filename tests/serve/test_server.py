@@ -308,6 +308,34 @@ def test_metrics_scrape_has_full_serve_surface(small_jpeg):
     with_server(scenario)
 
 
+def test_metrics_show_the_exit_code_of_a_put():
+    """A put's conversion records its §6.2 exit code in the one registry
+    ``/metrics`` renders, the same as a ``compress`` call does."""
+    async def scenario(server, client):
+        put = await client.put_file(b"plain text, not an image " * 40)
+        assert put.status == 201, put.body
+        scrape = (await client.request("GET", "/metrics")).body.decode()
+        assert "lepton.compress.exit_codes{code=Not an image}" in scrape
+        assert "lepton.compress.fallbacks" in scrape
+
+    with_server(scenario)
+
+
+def test_out_of_range_jpeg_is_stored_not_a_server_error(drifting_dc_jpeg,
+                                                        small_jpeg):
+    """A JPEG the coder cannot represent is a §6.2 reject stored as
+    Deflate: repeated uploads of it neither fail nor open the breaker."""
+    async def scenario(server, client):
+        for attempt in range(5):
+            put = await client.put_file(drifting_dc_jpeg)
+            assert put.status == (201 if attempt == 0 else 200), put.body
+        got = await client.get_file(put.json()["id"])
+        assert got.body == drifting_dc_jpeg
+        assert (await client.put_file(small_jpeg)).status == 201
+
+    with_server(scenario)
+
+
 def test_keep_alive_and_connection_close(small_jpeg):
     async def scenario(server, client):
         for _ in range(3):   # several requests over one connection
