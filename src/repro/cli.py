@@ -169,47 +169,33 @@ def _chaos(args) -> int:
     switches to the durability drill (docs/durability.md): the crash-
     recovery kill-point sweep plus the replicated scrub/repair exercise.
     ``--live`` goes further: it SIGKILLs *real* server subprocesses at
-    every kill point and proves recovery over the wire (docs/serve.md);
-    exit 0 iff the full sweep is survivable.
+    every kill point and proves recovery over the wire (docs/serve.md).
+    Every mode prints one :class:`~repro.faults.report.ChaosReport` and
+    exits 0 iff its verdict (``no_wrong_bytes``, ``durable`` or
+    ``survivable``) holds.
     """
     from repro.faults.chaos import run_backend_chaos, run_chaos
     from repro.faults.plan import FaultPlan
 
+    plan = None
+    if args.plan is not None and not args.live:  # the live drill takes none
+        with open(args.plan, "r") as handle:
+            plan = FaultPlan.from_json(handle.read())
     if args.live:
         from repro.faults.livechaos import run_live_chaos
 
-        live = run_live_chaos(seed=args.seed)
-        print(live.to_json() if args.as_json else live.render(), end="")
-        # Survivable = killed everywhere, lost nothing acked, served no
-        # wrong byte, resumed every interrupted upload, bounded downtime.
-        return 0 if live.survivable else 1
-
-    plan = None
-    if args.plan is not None:
-        with open(args.plan, "r") as handle:
-            plan = FaultPlan.from_json(handle.read())
-    if args.backend:
+        report = run_live_chaos(seed=args.seed)
+    elif args.backend:
         if plan is None:
             plan = FaultPlan.generate(seed=args.seed,
                                       duration=args.hours * 3600.0)
-        durability = run_backend_chaos(
-            plan, seed=args.seed, reads=args.reads, replicas=args.replicas,
-        )
-        print(durability.to_json() if args.as_json else durability.render(),
-              end="")
-        # A lost acknowledged put, a wrong byte, or an unhealed replica
-        # all void the §5.7 promise.
-        return 0 if durability.durable else 1
-    report = run_chaos(
-        plan=plan,
-        seed=args.seed,
-        hours=args.hours,
-        reads=args.reads,
-        policies=not args.no_policies,
-    )
+        report = run_backend_chaos(plan, seed=args.seed, reads=args.reads,
+                                   replicas=args.replicas)
+    else:
+        report = run_chaos(plan=plan, seed=args.seed, hours=args.hours,
+                           reads=args.reads, policies=not args.no_policies)
     print(report.to_json() if args.as_json else report.render(), end="")
-    # Wrong bytes served is the one unforgivable outcome (§5.7).
-    return 1 if report.wrong_bytes else 0
+    return 0 if report.ok else 1
 
 
 def _serve(args, config: LeptonConfig) -> int:

@@ -1,10 +1,13 @@
 """Deterministic fault injection (repro.faults).
 
 Plans are data (:mod:`repro.faults.plan`), injectors apply them
-(:mod:`repro.faults.injector`), and the chaos harness
-(:mod:`repro.faults.chaos` — imported directly, never from here, because
-it imports the fleet which imports this package) turns a ``(seed, plan)``
-pair into a byte-reproducible :class:`~repro.faults.report.ChaosReport`.
+(:mod:`repro.faults.injector`), and the chaos drills turn a
+``(seed, plan)`` pair into one byte-reproducible
+:class:`~repro.faults.report.ChaosReport`: a JSON document plus the one
+verdict the exit code follows — ``no_wrong_bytes`` and ``durable`` from
+:mod:`repro.faults.chaos` (imported directly, never from here, because
+it imports the fleet which imports this package), ``survivable`` from
+:mod:`repro.faults.livechaos`.
 """
 
 from repro.faults.injector import (

@@ -10,6 +10,11 @@ Two halves, mirroring the system's two failure surfaces:
   persistent at-rest bit-flips, read back ``reads`` times and compared
   byte-for-byte with the originals.
 
+``lepton chaos --backend`` (:func:`run_backend_chaos`) stores and reads
+the same corpus with the same helpers, on replicated durable storage.
+Each drill returns one :class:`~repro.faults.report.ChaosReport`, judged
+by :func:`no_wrong_bytes` or :func:`durable`.
+
 This module imports the fleet, which imports :mod:`repro.faults` — so it
 is deliberately *not* re-exported from the package ``__init__``; import it
 as ``repro.faults.chaos``.
@@ -26,7 +31,7 @@ from repro.corpus.builder import corpus_jpeg
 from repro.faults.injector import ReadFaultInjector, corrupt_backend_at_rest
 from repro.faults.killpoints import PUT_KILL_POINTS, KillPointError, KillPoints
 from repro.faults.plan import FaultPlan, StorageFaultConfig
-from repro.faults.report import ChaosReport, DurabilityReport
+from repro.faults.report import ChaosReport
 from repro.obs import MetricsRegistry
 from repro.storage.backends import MemoryBackend, ReplicatedBackend
 from repro.storage.blockstore import (
@@ -69,6 +74,45 @@ def run_fleet_chaos(
     return metrics, sim.breakers
 
 
+def _store_corpus(store: BlockStore) -> Dict[str, bytes]:
+    """Put the chaos corpus into ``store``; returns name → original."""
+    files: Dict[str, bytes] = {}
+    for jpeg_seed, height, width in _CORPUS_SHAPES:
+        name = f"photo-{jpeg_seed}.jpg"
+        data = corpus_jpeg(seed=jpeg_seed, height=height, width=width)
+        store.put_file(name, data)
+        files[name] = data
+    return files
+
+
+def _read_back(store: BlockStore, files: Dict[str, bytes],
+               rng: np.random.Generator, reads: int) -> Dict[str, int]:
+    """Read ``reads`` random corpus files and compare each served byte.
+
+    A mismatch counts under ``wrong_bytes`` (the §5.7 never-wrong-bytes
+    invariant — expected to be zero no matter what is injected).
+    """
+    counts = dict.fromkeys(("reads_attempted", "reads_served",
+                            "reads_degraded", "reads_failed",
+                            "wrong_bytes"), 0)
+    names = sorted(files)
+    for _ in range(reads):
+        name = names[int(rng.integers(len(names)))]
+        counts["reads_attempted"] += 1
+        fallbacks_before = store.degraded_fallbacks
+        try:
+            data = store.get_file(name)
+        except (IntegrityError, LeptonError):
+            counts["reads_failed"] += 1
+            continue
+        counts["reads_served"] += 1
+        if store.degraded_fallbacks > fallbacks_before:
+            counts["reads_degraded"] += 1
+        if data != files[name]:
+            counts["wrong_bytes"] += 1
+    return counts
+
+
 def run_storage_chaos(
     plan: FaultPlan,
     seed: int = 0,
@@ -76,54 +120,19 @@ def run_storage_chaos(
     policies: bool = True,
     registry: Optional[MetricsRegistry] = None,
 ) -> Dict[str, int]:
-    """Store real JPEGs, corrupt them per the plan, read them back.
-
-    Every served read is compared byte-for-byte with the original upload;
-    a mismatch counts under ``wrong_bytes`` (the §5.7 never-wrong-bytes
-    invariant — expected to be zero no matter what is injected).
-    """
+    """Store real JPEGs, corrupt them per the plan, read them back."""
     registry = registry if registry is not None else MetricsRegistry()
-    storage = plan.storage
     store = BlockStore(keep_originals=policies)
-    files: Dict[str, bytes] = {}
-    for jpeg_seed, height, width in _CORPUS_SHAPES:
-        name = f"photo-{jpeg_seed}.jpg"
-        data = corpus_jpeg(seed=jpeg_seed, height=height, width=width)
-        store.put_file(name, data)
-        files[name] = data
+    files = _store_corpus(store)
     rng = np.random.default_rng(seed)
-    injected_at_rest = 0
-    if storage is not None:
-        injected_at_rest = corrupt_backend_at_rest(store.backend, storage,
-                                                   rng, registry=registry)
-        store.read_fault = ReadFaultInjector(storage, seed=seed + 1,
+    if plan.storage is not None:
+        corrupt_backend_at_rest(store.backend, plan.storage, rng,
+                                registry=registry)
+        store.read_fault = ReadFaultInjector(plan.storage, seed=seed + 1,
                                              registry=registry)
     if policies:
         store.read_retry = RetryPolicy(max_attempts=3)
-    names = sorted(files)
-    stats = {
-        "reads_attempted": 0,
-        "reads_served": 0,
-        "reads_degraded": 0,
-        "reads_failed": 0,
-        "wrong_bytes": 0,
-        "at_rest_corruptions": injected_at_rest,
-    }
-    for _ in range(reads):
-        name = names[int(rng.integers(len(names)))]
-        stats["reads_attempted"] += 1
-        fallbacks_before = store.degraded_fallbacks
-        try:
-            data = store.get_file(name)
-        except (IntegrityError, LeptonError):
-            stats["reads_failed"] += 1
-            continue
-        stats["reads_served"] += 1
-        if store.degraded_fallbacks > fallbacks_before:
-            stats["reads_degraded"] += 1
-        if data != files[name]:
-            stats["wrong_bytes"] += 1
-    return stats
+    return _read_back(store, files, rng, reads)
 
 
 #: The kill points whose crash lands *after* the commit record is
@@ -201,8 +210,7 @@ def run_backend_chaos(
     seed: int = 0,
     reads: int = 120,
     replicas: int = 3,
-    registry: Optional[MetricsRegistry] = None,
-) -> DurabilityReport:
+) -> ChaosReport:
     """The ``lepton chaos --backend`` drill: crash sweep + scrub drill.
 
     Half one crashes a scripted workload at every registered kill point
@@ -213,14 +221,12 @@ def run_backend_chaos(
     two is read through while damaged — validated replicated reads must
     repair in-band and serve zero wrong bytes.  A final scrub pass must
     then find nothing, and every replica must hold byte-identical blobs.
-    Deterministic for a given ``(seed, plan)``.
+    Deterministic for a given ``(seed, plan)``; judged by :func:`durable`.
     """
-    registry = registry if registry is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     storage_cfg = (plan.storage if plan.storage is not None
                    else StorageFaultConfig())
-    report = DurabilityReport(seed=seed, replicas=replicas,
-                              plan_summary=plan.summary(),
-                              kill_points=_kill_sweep())
+    kill_points = _kill_sweep()
     root = tempfile.mkdtemp(prefix="lepton-durability-")
     try:
         members = [MemoryBackend() for _ in range(replicas)]
@@ -229,58 +235,63 @@ def run_backend_chaos(
             root, backends=[backend], chunk_size=_DRILL_CHUNK,
             read_retry=RetryPolicy(max_attempts=3),
         )
-        files: Dict[str, bytes] = {}
-        for jpeg_seed, height, width in _CORPUS_SHAPES:
-            name = f"photo-{jpeg_seed}.jpg"
-            data = corpus_jpeg(seed=jpeg_seed, height=height, width=width)
-            store.put_file(name, data)
-            files[name] = data
-        report.files = len(files)
-        report.chunks = len(store.entries)
+        files = _store_corpus(store)
         rng = np.random.default_rng(seed)
         scrubber = Scrubber(store, registry=registry)
         # Round one: rot at rest, then let the scrub loop — not a read —
         # find and heal it from the surviving replicas.
-        report.at_rest_corruptions = corrupt_backend_at_rest(
-            members[0], storage_cfg, rng, registry=registry)
+        at_rest = corrupt_backend_at_rest(members[0], storage_cfg, rng,
+                                          registry=registry)
         first = scrubber.run_once()
         # Round two: rot again and read straight through the damage;
         # validated replicated reads repair in-band.
-        report.at_rest_corruptions += corrupt_backend_at_rest(
-            members[0], storage_cfg, rng, registry=registry)
-        names = sorted(files)
-        for _ in range(reads):
-            name = names[int(rng.integers(len(names)))]
-            report.reads_attempted += 1
-            fallbacks_before = store.degraded_fallbacks
-            try:
-                data = store.get_file(name)
-            except (IntegrityError, LeptonError):
-                report.reads_failed += 1
-                continue
-            report.reads_served += 1
-            if store.degraded_fallbacks > fallbacks_before:
-                report.reads_degraded += 1
-            if data != files[name]:
-                report.wrong_bytes += 1
+        at_rest += corrupt_backend_at_rest(members[0], storage_cfg, rng,
+                                           registry=registry)
+        read_counts = _read_back(store, files, rng, reads)
         heal = scrubber.run_once()  # sweep up anything the reads missed
         final = scrubber.run_once()
-        report.scrub_detected = (first.corruptions_detected
-                                 + heal.corruptions_detected)
-        report.scrub_repaired = first.repairs + heal.repairs
-        report.scrub_unrepairable = (first.unrepairable + heal.unrepairable
-                                     + final.unrepairable)
-        report.second_pass_clean = (final.corruptions_detected == 0
-                                    and final.repairs == 0)
-        report.replicas_converged = _replicas_converged(members)
-        report.read_repairs = sum(
-            int(counter.value)
-            for _labels, counter in registry.series("replication.read_repairs")
-        )
-        report.faults_injected = _fault_counts(registry)
+        fields = {
+            "seed": seed,
+            "replicas": replicas,
+            "plan": dict(sorted(plan.summary().items())),
+            "kill_points": dict(sorted(kill_points.items())),
+            "scrub_drill": {
+                "files": len(files),
+                "chunks": len(store.entries),
+                "at_rest_corruptions": at_rest,
+                **read_counts,
+                "read_repairs": sum(
+                    int(counter.value) for _labels, counter
+                    in registry.series("replication.read_repairs")),
+                "scrub_detected": (first.corruptions_detected
+                                   + heal.corruptions_detected),
+                "scrub_repaired": first.repairs + heal.repairs,
+                "scrub_unrepairable": (first.unrepairable + heal.unrepairable
+                                       + final.unrepairable),
+                "second_pass_clean": (final.corruptions_detected == 0
+                                      and final.repairs == 0),
+                "replicas_converged": _replicas_converged(members),
+            },
+            "faults_injected": _fault_counts(registry),
+        }
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    return report
+    return ChaosReport("durability report", fields, "durable",
+                       durable(fields))
+
+
+def durable(fields: dict) -> bool:
+    """The ``--backend`` verdict (§5.7): every kill point rolled back or
+    redone, no wrong byte served, no chunk left unrepairable, a clean
+    final scrub pass, and converged replicas."""
+    drill = fields["scrub_drill"]
+    outcomes = fields["kill_points"].values()
+    return (bool(outcomes)
+            and all(o in ("rolled_back", "redone") for o in outcomes)
+            and drill["wrong_bytes"] == 0
+            and drill["scrub_unrepairable"] == 0
+            and drill["second_pass_clean"]
+            and drill["replicas_converged"])
 
 
 def _replicas_converged(members) -> bool:
@@ -304,7 +315,7 @@ def _fault_counts(*registries: MetricsRegistry) -> Dict[str, int]:
         for labels, counter in registry.series("faults.injected"):
             kind = labels["kind"]
             out[kind] = out.get(kind, 0) + int(counter.value)
-    return out
+    return dict(sorted(out.items()))
 
 
 def run_chaos(
@@ -314,33 +325,49 @@ def run_chaos(
     reads: int = 200,
     policies: bool = True,
 ) -> ChaosReport:
-    """The ``lepton chaos`` entry point: fleet + storage under one plan."""
+    """The ``lepton chaos`` entry point: fleet + storage under one plan,
+    judged by :func:`no_wrong_bytes`."""
     if plan is None:
         plan = FaultPlan.generate(seed=seed, duration=hours * 3600.0)
     metrics, breakers = run_fleet_chaos(plan, seed=seed, hours=hours,
                                         policies=policies)
     storage_registry = MetricsRegistry()
-    storage_stats = run_storage_chaos(plan, seed=seed, reads=reads,
-                                      policies=policies,
-                                      registry=storage_registry)
+    read_counts = run_storage_chaos(plan, seed=seed, reads=reads,
+                                    policies=policies,
+                                    registry=storage_registry)
     percentiles = metrics.latency_percentiles(qs=(50, 99))
-    return ChaosReport(
-        seed=seed,
-        plan_summary=plan.summary(),
-        jobs_submitted=metrics._counter_total("fleet.jobs.submitted"),
-        jobs_completed=metrics._counter_total("fleet.jobs.completed"),
-        jobs_abandoned=metrics.abandoned(),
-        retries=metrics._counter_total("retry.attempts"),
-        hedges_launched=metrics._counter_total("hedge.launched"),
-        hedges_won=metrics._counter_total("hedge.won"),
-        breaker_trips=breakers.trip_count() if breakers is not None else 0,
-        failures_by_reason=metrics.failures_by_reason(),
-        latency_p50=percentiles[50],
-        latency_p99=percentiles[99],
-        reads_attempted=storage_stats["reads_attempted"],
-        reads_served=storage_stats["reads_served"],
-        reads_degraded=storage_stats["reads_degraded"],
-        reads_failed=storage_stats["reads_failed"],
-        wrong_bytes=storage_stats["wrong_bytes"],
-        faults_injected=_fault_counts(metrics.registry, storage_registry),
-    )
+    attempted = read_counts["reads_attempted"]
+    read_availability = (read_counts["reads_served"] / attempted
+                         if attempted else 1.0)
+    fields = {
+        "seed": seed,
+        "plan": dict(sorted(plan.summary().items())),
+        "fleet": {
+            "availability": f"{metrics.availability():.6f}",
+            "jobs_submitted": metrics._counter_total("fleet.jobs.submitted"),
+            "jobs_completed": metrics._counter_total("fleet.jobs.completed"),
+            "jobs_abandoned": metrics.abandoned(),
+            "retries": metrics._counter_total("retry.attempts"),
+            "hedges_launched": metrics._counter_total("hedge.launched"),
+            "hedges_won": metrics._counter_total("hedge.won"),
+            "breaker_trips": (breakers.trip_count()
+                              if breakers is not None else 0),
+            "failures_by_reason": dict(
+                sorted(metrics.failures_by_reason().items())),
+            "latency_p50": f"{percentiles[50]:.6f}",
+            "latency_p99": f"{percentiles[99]:.6f}",
+        },
+        "storage": {
+            "read_availability": f"{read_availability:.6f}",
+            **read_counts,
+        },
+        "faults_injected": _fault_counts(metrics.registry, storage_registry),
+    }
+    return ChaosReport("chaos report", fields, "no_wrong_bytes",
+                       no_wrong_bytes(fields))
+
+
+def no_wrong_bytes(fields: dict) -> bool:
+    """The plain ``lepton chaos`` verdict: whatever the plan broke, no
+    read served a wrong byte — the one unforgivable outcome (§5.7)."""
+    return fields["storage"]["wrong_bytes"] == 0

@@ -18,11 +18,13 @@ server over the same data directory, and then holds the survivor to the
 * recovery-before-listen finishes inside a bounded downtime.
 
 One sweep entry per kill point, three server lives per entry (baseline,
-armed victim, recovery).  The emitted
-:class:`~repro.faults.report.LiveChaosReport` is byte-reproducible for a
-given seed: the wall-clock measurements this module necessarily takes
-(it times real process restarts — the reason it sits outside lint rule
-D2's scope) are folded into booleans before they reach the report.
+armed victim, recovery).  The sweep emits the one
+:class:`~repro.faults.report.ChaosReport`, judged by :func:`survivable`
+(``lepton chaos --live`` exits 0 iff it holds).  The report is
+byte-reproducible for a given seed: the wall-clock measurements this
+module necessarily takes (it times real process restarts — the reason it
+sits outside lint rule D2's scope) are folded into booleans before they
+reach the report's fields.
 """
 
 import asyncio
@@ -45,7 +47,7 @@ from repro.faults.killpoints import (
     KILL_POINT_ENV,
     READ_KILL_POINTS,
 )
-from repro.faults.report import LiveChaosReport
+from repro.faults.report import ChaosReport
 from repro.serve.client import ServeClient, UploadIncomplete
 
 #: The cut-down sweep the test suite (and ``make live-chaos``) runs: one
@@ -259,7 +261,7 @@ def run_live_chaos(points: Optional[Sequence[str]] = None, seed: int = 0,
                    file_bytes: int = 48_000, upload_bytes: int = 120_000,
                    part_size: int = 24_000, max_resumes: int = 8,
                    downtime_bound: float = 60.0,
-                   base_dir: Optional[str] = None) -> LiveChaosReport:
+                   base_dir: Optional[str] = None) -> ChaosReport:
     """Run the kill-and-recover sweep; returns the report.
 
     ``points`` defaults to every registered kill point (the full
@@ -279,25 +281,59 @@ def run_live_chaos(points: Optional[Sequence[str]] = None, seed: int = 0,
         if point not in KILL_POINTS:
             raise ValueError(f"unknown kill point {point!r}")
     data_a, data_b = _payloads(seed, file_bytes, upload_bytes)
-    report = LiveChaosReport(
-        seed=seed, file_bytes=file_bytes, upload_bytes=upload_bytes,
-        part_size=part_size, downtime_bound=downtime_bound,
-    )
+    outcome = {
+        "wrong_bytes": 0,
+        "lost_acked_bytes": 0,
+        "reads_interrupted": 0,
+        "uploads_interrupted": 0,
+        "uploads_resumed": 0,
+        "downtime_bounded": True,
+        "retries_bounded": True,
+    }
+    kill_points: Dict[str, str] = {}
     root = base_dir or tempfile.mkdtemp(prefix="lepton-livechaos-")
     for point in sweep:
         point_dir = os.path.join(root, point.replace(".", "_"))
         os.makedirs(point_dir, exist_ok=True)
-        report.points[point] = _run_point(
+        kill_points[point] = _run_point(
             point, point_dir, data_a, data_b, part_size,
-            max_resumes, downtime_bound, report,
+            max_resumes, downtime_bound, outcome,
         )
-    return report
+    fields = {
+        "seed": seed,
+        "workload": {
+            "file_bytes": file_bytes,
+            "upload_bytes": upload_bytes,
+            "part_size": part_size,
+            "downtime_bound": f"{downtime_bound:.1f}",
+        },
+        "kill_points": dict(sorted(kill_points.items())),
+        "outcome": outcome,
+    }
+    return ChaosReport("live chaos report", fields, "survivable",
+                       survivable(fields))
+
+
+def survivable(fields: dict) -> bool:
+    """The ``--live`` verdict: every point swept and survived, nothing
+    wrong served, nothing acked lost, every interrupted upload resumed,
+    and downtime and client retries bounded."""
+    outcome = fields["outcome"]
+    words = fields["kill_points"].values()
+    return (bool(words)
+            and all(word == "survived" for word in words)
+            and outcome["wrong_bytes"] == 0
+            and outcome["lost_acked_bytes"] == 0
+            and outcome["uploads_resumed"] == outcome["uploads_interrupted"]
+            and outcome["downtime_bounded"]
+            and outcome["retries_bounded"])
 
 
 def _run_point(point: str, data_dir: str, data_a: bytes, data_b: bytes,
                part_size: int, max_resumes: int, downtime_bound: float,
-               report: LiveChaosReport) -> str:
-    """Sweep one kill point; returns its outcome word."""
+               outcome: dict) -> str:
+    """Sweep one kill point; returns its outcome word and tallies the
+    sweep's ``outcome`` counters."""
     servers = []
     try:
         # Life 1: baseline — durable file A, clean drain.
@@ -321,7 +357,7 @@ def _run_point(point: str, data_dir: str, data_a: bytes, data_b: bytes,
                 # The armed point never severed the read.
                 victim.sigterm()
                 return "not_killed"
-            report.reads_interrupted += 1
+            outcome["reads_interrupted"] += 1
         else:
             upload_id, acked, completed = asyncio.run(
                 _upload_until_severed(victim.host, victim.port,
@@ -329,7 +365,7 @@ def _run_point(point: str, data_dir: str, data_a: bytes, data_b: bytes,
             if completed:
                 victim.sigterm()
                 return "not_killed"
-            report.uploads_interrupted += 1
+            outcome["uploads_interrupted"] += 1
         code = victim.wait(timeout=30.0)
         if code != -signal.SIGKILL:
             victim.stop_hard()
@@ -346,13 +382,13 @@ def _run_point(point: str, data_dir: str, data_a: bytes, data_b: bytes,
             return "recovery_failed"
         downtime = time.monotonic() - down_started
         if downtime > downtime_bound:
-            report.downtime_bounded = False
+            outcome["downtime_bounded"] = False
             return "downtime_exceeded"
 
         # Acked-byte durability + zero wrong bytes on the victim file.
         body = asyncio.run(_read_fully(recovery.host, recovery.port, file_a))
         if body != data_a:
-            report.wrong_bytes += 1
+            outcome["wrong_bytes"] += 1
             return "wrong_bytes"
 
         # The interrupted upload: nothing acked may be lost, and the
@@ -365,7 +401,7 @@ def _run_point(point: str, data_dir: str, data_a: bytes, data_b: bytes,
                     # The create ack was never durable — only legal when
                     # nothing after it was acked either.
                     if acked > 0:
-                        report.lost_acked_bytes += acked
+                        outcome["lost_acked_bytes"] += acked
                         return "lost_acked_bytes"
                     upload_id = None
                 else:
@@ -373,24 +409,24 @@ def _run_point(point: str, data_dir: str, data_a: bytes, data_b: bytes,
                                if progress["state"] == "completed"
                                else progress["offset"])
                     if durable < acked:
-                        report.lost_acked_bytes += acked - durable
+                        outcome["lost_acked_bytes"] += acked - durable
                         return "lost_acked_bytes"
             try:
                 final = asyncio.run(_resume_upload(
                     recovery.host, recovery.port, data_b, part_size,
                     upload_id, max_resumes))
             except UploadIncomplete:
-                report.retries_bounded = False
+                outcome["retries_bounded"] = False
                 return "resume_failed"
             if (final.status not in (200, 201)
                     or final.headers.get("x-lepton-upload-state")
                     != "completed"):
                 return "resume_failed"
-            report.uploads_resumed += 1
+            outcome["uploads_resumed"] += 1
             body_b = asyncio.run(_read_fully(
                 recovery.host, recovery.port, final.json()["id"]))
             if body_b != data_b:
-                report.wrong_bytes += 1
+                outcome["wrong_bytes"] += 1
                 return "wrong_bytes"
         recovery.sigterm()
         return "survived"

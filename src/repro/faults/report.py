@@ -1,350 +1,53 @@
-"""Chaos-run report: availability/durability numbers, rendered bytes.
+"""The one chaos report every ``lepton chaos`` drill prints.
 
-The report is the artifact ``lepton chaos`` prints and tests compare: the
-same ``(seed, plan)`` must produce byte-identical output across runs, so
-everything here renders from sorted dicts with fixed formatting and no
-wall-clock timestamps.
+A report is a title, a JSON document (``fields``) and one named boolean
+verdict the exit code follows.  ``fields`` holds scalars and sections
+(dicts whose values are scalars or flat dicts), in display order; the
+drills build them with no paths, ports or clock readings, so the same
+``(seed, plan)`` renders byte-identical text and JSON across runs.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChaosReport:
-    """Availability and durability outcome of one chaos run."""
+    """One drill's outcome: ``fields`` plus the ``verdict`` it earned."""
 
-    seed: int
-    plan_summary: Dict[str, object]
-    # -- fleet side ------------------------------------------------------
-    jobs_submitted: int = 0
-    jobs_completed: int = 0
-    jobs_abandoned: int = 0
-    retries: int = 0
-    hedges_launched: int = 0
-    hedges_won: int = 0
-    breaker_trips: int = 0
-    failures_by_reason: Dict[str, int] = field(default_factory=dict)
-    latency_p50: float = 0.0
-    latency_p99: float = 0.0
-    # -- storage side ----------------------------------------------------
-    reads_attempted: int = 0
-    reads_served: int = 0
-    reads_degraded: int = 0
-    reads_failed: int = 0
-    wrong_bytes: int = 0
-    faults_injected: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def availability(self) -> float:
-        if self.jobs_submitted == 0:
-            return 1.0
-        return self.jobs_completed / self.jobs_submitted
-
-    @property
-    def read_availability(self) -> float:
-        if self.reads_attempted == 0:
-            return 1.0
-        return self.reads_served / self.reads_attempted
+    title: str
+    fields: Dict[str, object]
+    #: JSON key of the verdict; the process exits 0 iff ``ok``.
+    verdict: str
+    ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "plan": dict(sorted(self.plan_summary.items())),
-            "fleet": {
-                "availability": f"{self.availability:.6f}",
-                "jobs_submitted": self.jobs_submitted,
-                "jobs_completed": self.jobs_completed,
-                "jobs_abandoned": self.jobs_abandoned,
-                "retries": self.retries,
-                "hedges_launched": self.hedges_launched,
-                "hedges_won": self.hedges_won,
-                "breaker_trips": self.breaker_trips,
-                "failures_by_reason": dict(
-                    sorted(self.failures_by_reason.items())
-                ),
-                "latency_p50": f"{self.latency_p50:.6f}",
-                "latency_p99": f"{self.latency_p99:.6f}",
-            },
-            "storage": {
-                "read_availability": f"{self.read_availability:.6f}",
-                "reads_attempted": self.reads_attempted,
-                "reads_served": self.reads_served,
-                "reads_degraded": self.reads_degraded,
-                "reads_failed": self.reads_failed,
-                "wrong_bytes": self.wrong_bytes,
-            },
-            "faults_injected": dict(sorted(self.faults_injected.items())),
-        }
+        return {**self.fields, self.verdict: self.ok}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def render(self) -> str:
-        """Human-readable report (still byte-deterministic)."""
-        lines = [
-            "chaos report",
-            "============",
-            f"seed: {self.seed}",
-            "plan: " + ", ".join(
-                f"{k}={v}" for k, v in sorted(self.plan_summary.items())
-            ),
-            "",
-            "fleet",
-            "-----",
-            f"  availability:    {self.availability:.4%}"
-            f" ({self.jobs_completed}/{self.jobs_submitted})",
-            f"  abandoned:       {self.jobs_abandoned}",
-            f"  retries:         {self.retries}",
-            f"  hedges:          {self.hedges_won}/{self.hedges_launched} won",
-            f"  breaker trips:   {self.breaker_trips}",
-            f"  latency p50/p99: {self.latency_p50:.3f}s / {self.latency_p99:.3f}s",
-        ]
-        for reason, count in sorted(self.failures_by_reason.items()):
-            lines.append(f"  failed ({reason}): {count}")
-        lines += [
-            "",
-            "storage",
-            "-------",
-            f"  read availability: {self.read_availability:.4%}"
-            f" ({self.reads_served}/{self.reads_attempted})",
-            f"  degraded reads:    {self.reads_degraded}",
-            f"  failed reads:      {self.reads_failed}",
-            f"  wrong bytes:       {self.wrong_bytes}",
-            "",
-            "faults injected",
-            "---------------",
-        ]
-        if self.faults_injected:
-            for kind, count in sorted(self.faults_injected.items()):
-                lines.append(f"  {kind}: {count}")
-        else:
-            lines.append("  (none)")
+        """Title, ``key: value`` header lines, one padded block per
+        section, and the verdict line last."""
+        lines = [self.title, "=" * len(self.title)]
+        sections = []
+        for key, value in self.fields.items():
+            if isinstance(value, dict):
+                sections.append((key, value))
+            else:
+                lines.append(f"{key}: {value}")
+        for name, section in sections:
+            lines += ["", name, "-" * len(name)]
+            width = max((len(key) for key in section), default=0) + 1
+            lines += [f"  {key + ':':<{width}} {_text(value)}"
+                      for key, value in section.items()] or ["  (none)"]
+        lines += ["", f"{self.verdict}: {self.ok}"]
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class LiveChaosReport:
-    """Outcome of one ``lepton chaos --live`` run: the kill-and-recover
-    sweep against real server subprocesses (docs/serve.md).
-
-    Each kill point maps to a single outcome word; ``"survived"`` means
-    the armed server was really SIGKILLed there, restarted, and then
-    served every previously-acknowledged byte unchanged and drove every
-    interrupted upload to completion.  Byte-reproducible for a given
-    seed: wall-clock measurements are folded into the booleans
-    (``downtime_bounded``, ``retries_bounded``) before rendering — no
-    timings, ports, or paths appear in the output.
-    """
-
-    seed: int
-    file_bytes: int          # size of the streamed-read victim file
-    upload_bytes: int        # size of the interrupted resumable upload
-    part_size: int
-    downtime_bound: float    # seconds allowed from SIGKILL to ready
-    #: kill point → "survived", or the first failure observed there:
-    #: "not_killed" (the armed point never fired), "recovery_failed",
-    #: "lost_acked_bytes", "wrong_bytes", "resume_failed",
-    #: "downtime_exceeded".
-    points: Dict[str, str] = field(default_factory=dict)
-    wrong_bytes: int = 0
-    lost_acked_bytes: int = 0
-    reads_interrupted: int = 0
-    uploads_interrupted: int = 0
-    uploads_resumed: int = 0
-    downtime_bounded: bool = True
-    retries_bounded: bool = True
-
-    @property
-    def survivable(self) -> bool:
-        """The exit-0 verdict: every point swept and survived."""
-        return (
-            bool(self.points)
-            and all(v == "survived" for v in self.points.values())
-            and self.wrong_bytes == 0
-            and self.lost_acked_bytes == 0
-            and self.uploads_resumed == self.uploads_interrupted
-            and self.downtime_bounded
-            and self.retries_bounded
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "workload": {
-                "file_bytes": self.file_bytes,
-                "upload_bytes": self.upload_bytes,
-                "part_size": self.part_size,
-                "downtime_bound": f"{self.downtime_bound:.1f}",
-            },
-            "kill_points": dict(sorted(self.points.items())),
-            "outcome": {
-                "wrong_bytes": self.wrong_bytes,
-                "lost_acked_bytes": self.lost_acked_bytes,
-                "reads_interrupted": self.reads_interrupted,
-                "uploads_interrupted": self.uploads_interrupted,
-                "uploads_resumed": self.uploads_resumed,
-                "downtime_bounded": self.downtime_bounded,
-                "retries_bounded": self.retries_bounded,
-            },
-            "survivable": self.survivable,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def render(self) -> str:
-        """Human-readable report (still byte-deterministic)."""
-        lines = [
-            "live chaos report",
-            "=================",
-            f"seed: {self.seed}",
-            f"workload: file={self.file_bytes}B"
-            f" upload={self.upload_bytes}B"
-            f" parts={self.part_size}B"
-            f" downtime_bound={self.downtime_bound:.1f}s",
-            "",
-            "kill-and-recover sweep",
-            "----------------------",
-        ]
-        for point, outcome in sorted(self.points.items()):
-            lines.append(f"  {point}: {outcome}")
-        lines += [
-            "",
-            "outcome",
-            "-------",
-            f"  wrong bytes:         {self.wrong_bytes}",
-            f"  lost acked bytes:    {self.lost_acked_bytes}",
-            f"  reads interrupted:   {self.reads_interrupted}",
-            f"  uploads interrupted: {self.uploads_interrupted}",
-            f"  uploads resumed:     {self.uploads_resumed}",
-            f"  downtime bounded:    {self.downtime_bounded}",
-            f"  retries bounded:     {self.retries_bounded}",
-            "",
-            f"survivable: {self.survivable}",
-        ]
-        return "\n".join(lines) + "\n"
-
-
-@dataclass
-class DurabilityReport:
-    """Outcome of one ``lepton chaos --backend`` run: the crash-recovery
-    kill-point sweep plus the replicated scrub/repair drill.
-
-    Byte-reproducible for a given ``(seed, plan)``: no paths, no clocks —
-    the temp directories the drill runs in never appear here.
-    """
-
-    seed: int
-    replicas: int
-    plan_summary: Dict[str, object]
-    # -- crash-recovery sweep -------------------------------------------
-    #: kill point → outcome: "rolled_back" (pre-commit crash left no
-    #: trace) or "redone" (post-commit crash recovered the put); any
-    #: other value is a broken recovery and fails the run.
-    kill_points: Dict[str, str] = field(default_factory=dict)
-    # -- replicated scrub drill -----------------------------------------
-    files: int = 0
-    chunks: int = 0
-    at_rest_corruptions: int = 0
-    reads_attempted: int = 0
-    reads_served: int = 0
-    reads_degraded: int = 0
-    reads_failed: int = 0
-    wrong_bytes: int = 0
-    read_repairs: int = 0
-    scrub_detected: int = 0
-    scrub_repaired: int = 0
-    scrub_unrepairable: int = 0
-    second_pass_clean: bool = False
-    replicas_converged: bool = False
-    faults_injected: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def kill_points_ok(self) -> bool:
-        return bool(self.kill_points) and all(
-            outcome in ("rolled_back", "redone")
-            for outcome in self.kill_points.values()
-        )
-
-    @property
-    def durable(self) -> bool:
-        """The §5.7 verdict: nothing lost, nothing wrong, all healed."""
-        return (self.kill_points_ok and self.wrong_bytes == 0
-                and self.scrub_unrepairable == 0 and self.second_pass_clean
-                and self.replicas_converged)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "replicas": self.replicas,
-            "plan": dict(sorted(self.plan_summary.items())),
-            "kill_points": dict(sorted(self.kill_points.items())),
-            "scrub_drill": {
-                "files": self.files,
-                "chunks": self.chunks,
-                "at_rest_corruptions": self.at_rest_corruptions,
-                "reads_attempted": self.reads_attempted,
-                "reads_served": self.reads_served,
-                "reads_degraded": self.reads_degraded,
-                "reads_failed": self.reads_failed,
-                "wrong_bytes": self.wrong_bytes,
-                "read_repairs": self.read_repairs,
-                "scrub_detected": self.scrub_detected,
-                "scrub_repaired": self.scrub_repaired,
-                "scrub_unrepairable": self.scrub_unrepairable,
-                "second_pass_clean": self.second_pass_clean,
-                "replicas_converged": self.replicas_converged,
-            },
-            "faults_injected": dict(sorted(self.faults_injected.items())),
-            "durable": self.durable,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def render(self) -> str:
-        """Human-readable report (still byte-deterministic)."""
-        lines = [
-            "durability report",
-            "=================",
-            f"seed: {self.seed}",
-            f"replicas: {self.replicas}",
-            "plan: " + ", ".join(
-                f"{k}={v}" for k, v in sorted(self.plan_summary.items())
-            ),
-            "",
-            "crash-recovery kill sweep",
-            "-------------------------",
-        ]
-        for point, outcome in sorted(self.kill_points.items()):
-            lines.append(f"  {point}: {outcome}")
-        lines += [
-            "",
-            "replicated scrub drill",
-            "----------------------",
-            f"  files/chunks:        {self.files}/{self.chunks}",
-            f"  at-rest corruptions: {self.at_rest_corruptions}",
-            f"  reads served:        {self.reads_served}"
-            f"/{self.reads_attempted}"
-            f" (degraded {self.reads_degraded},"
-            f" failed {self.reads_failed})",
-            f"  wrong bytes:         {self.wrong_bytes}",
-            f"  read repairs:        {self.read_repairs}",
-            f"  scrub detected:      {self.scrub_detected}",
-            f"  scrub repaired:      {self.scrub_repaired}",
-            f"  unrepairable:        {self.scrub_unrepairable}",
-            f"  second pass clean:   {self.second_pass_clean}",
-            f"  replicas converged:  {self.replicas_converged}",
-            "",
-            "faults injected",
-            "---------------",
-        ]
-        if self.faults_injected:
-            for kind, count in sorted(self.faults_injected.items()):
-                lines.append(f"  {kind}: {count}")
-        else:
-            lines.append("  (none)")
-        lines += ["", f"durable: {self.durable}"]
-        return "\n".join(lines) + "\n"
+def _text(value: object) -> str:
+    if isinstance(value, dict):
+        return ", ".join(f"{k}={v}" for k, v in value.items()) or "(none)"
+    return str(value)

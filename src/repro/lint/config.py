@@ -33,8 +33,10 @@ CODED_PATH = (
 #: faults package is listed module by module: ``repro.faults.livechaos``
 #: is deliberately absent — it boots real server subprocesses and times
 #: real recoveries, so it legitimately reads wall clocks (the same
-#: carve-out as ``repro.serve`` and ``repro.cli``).  Its *report* stays
-#: deterministic and stays in scope via ``repro.faults.report``.
+#: carve-out as ``repro.serve`` and ``repro.cli``).  It folds those
+#: timings into booleans before building its fields, and renders them
+#: through the one ``ChaosReport``, which stays in scope via
+#: ``repro.faults.report``.
 DETERMINISTIC = (
     "repro.core.*",
     "repro.corpus.*",

@@ -443,8 +443,8 @@ class LeptonServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             raise
         except IntegrityError as exc:
-            # Verification failed mid-stream, after the head went out:
-            # abort rather than complete a response with unverified bytes.
+            # A digest gate failed (a read's first chunk, or a put's
+            # round trip): sever rather than answer from unverified bytes.
             self._count(request.method, route, "aborted")
             if breaker_route is not None:
                 self.breakers.failure(breaker_route)
@@ -942,12 +942,17 @@ class LeptonServer:
                 # Each chunk decodes on the executor; the loop stays free
                 # and decoded pieces stream out ahead of the rest.
                 piece = await loop.run_in_executor(None, next, pieces, _DONE)
-            except TimeoutExceeded as exc:
-                # Head and some bytes are already out: a mid-stream
-                # deadline abort must sever, never pad — the client sees
-                # a short read against Content-Length.
-                self.registry.counter("serve.deadline_exceeded",
-                                      route="/files/{id}").inc()
+            except Exception as exc:
+                # Head and some bytes are already out: any failure now
+                # must sever, never pad or append an error response — the
+                # client sees a short read against Content-Length (§5.7).
+                # A deadline is the client's budget, not endpoint health,
+                # so only other failures count against the breaker.
+                if isinstance(exc, TimeoutExceeded):
+                    self.registry.counter("serve.deadline_exceeded",
+                                          route="/files/{id}").inc()
+                else:
+                    self.breakers.failure("/files/{id}")
                 self._count(request.method, "/files/{id}", "aborted")
                 raise ConnectionResetError(str(exc)) from exc
         await writer.drain()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.chunks import StoredChunk, compress_chunked, decompress_chunk
-from repro.core.errors import LeptonError, TimeoutExceeded
+from repro.core.errors import TimeoutExceeded
 from repro.core.lepton import FORMAT_LEPTON, LeptonConfig
 from repro.faults.killpoints import KillPoints
 from repro.obs import get_registry
@@ -457,10 +457,12 @@ class BlockStore:
     def get_chunk(self, key: str, deadline: Optional[float] = None) -> bytes:
         """Retrieve and decode one chunk, verifying payload integrity.
 
-        A verification failure triggers a bounded re-read (``read_retry``)
-        and then the original-JPEG fallback (``keep_originals``); corrupt
-        Lepton output is *never* returned — both digest gates sit in front
-        of every exit.
+        Any failed attempt but a deadline — a digest mismatch, a backend
+        error, or a decoder that raises on intact bytes (§6.7's rollback
+        incident: one build could not decode another's files) — triggers
+        a bounded re-read (``read_retry``) and then the original-JPEG
+        fallback (``keep_originals``); corrupt Lepton output is *never*
+        returned — both digest gates sit in front of every exit.
         """
         entry = self.entries[key]
         registry = get_registry()
@@ -481,10 +483,11 @@ class BlockStore:
                 # payload rotting: re-reading or serving the fallback
                 # would defeat the cancellation.
                 raise
-            except (IntegrityError, LeptonError, BackendError) as exc:
+            except Exception as exc:
                 error = exc
-        # Out of re-reads: the payload is rotten at rest.  Serve the kept
-        # original if we have one — the §5.7 durability promise.
+        # Out of re-reads: the payload is rotten at rest or undecodable by
+        # this build.  Serve the kept original if we have one — the §5.7
+        # durability promise.
         original = self._original(key)
         if original is not None:
             try:

@@ -33,6 +33,7 @@ class TestChaosCommand:
         report = json.loads(out_a)
         assert report["seed"] == 3
         assert report["storage"]["wrong_bytes"] == 0
+        assert report["no_wrong_bytes"] is True
 
     def test_plan_file_round_trips(self, capsys, tmp_path):
         plan = FaultPlan.generate(seed=11, duration=0.05 * 3600.0,

@@ -1,17 +1,24 @@
 """`lepton chaos --backend`: the byte-reproducible durability report."""
 
+import copy
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import main
-from repro.faults.chaos import run_backend_chaos
+from repro.faults.chaos import durable, run_backend_chaos
 from repro.faults.killpoints import PUT_KILL_POINTS
 from repro.faults.plan import FaultPlan
 
 pytestmark = [pytest.mark.chaos, pytest.mark.durability]
 
 ARGS = ["chaos", "--backend", "--seed", "3", "--reads", "40"]
+
+#: ``lepton chaos --backend --seed 3 --reads 40 --json``, pinned across
+#: commits: the JSON is the machine contract of the durability drill.
+GOLDEN = (pathlib.Path(__file__).with_name("golden")
+          / "chaos_backend_seed3.json")
 
 
 def _run(capsys, argv):
@@ -25,14 +32,15 @@ class TestBackendChaosCommand:
         code_b, out_b = _run(capsys, ARGS)
         assert code_a == code_b == 0
         assert out_a == out_b
-        assert "crash-recovery kill sweep" in out_a
-        assert "replicas converged:  True" in out_a
+        assert "\nkill_points\n-----------\n" in out_a
+        assert "replicas_converged:  True" in out_a
 
     def test_json_mode_parses_and_verdicts(self, capsys):
         code_a, out_a = _run(capsys, ARGS + ["--json"])
         code_b, out_b = _run(capsys, ARGS + ["--json"])
         assert code_a == 0
         assert out_a == out_b
+        assert out_a + "\n" == GOLDEN.read_text()
         report = json.loads(out_a)
         assert report["durable"] is True
         assert report["scrub_drill"]["wrong_bytes"] == 0
@@ -50,37 +58,35 @@ class TestBackendChaosCommand:
 def test_run_backend_chaos_drill_is_durable_and_exercises_both_paths():
     plan = FaultPlan.generate(seed=3, duration=60.0)
     report = run_backend_chaos(plan, seed=3, reads=40, replicas=3)
-    assert report.durable
-    assert report.kill_points_ok
-    assert report.at_rest_corruptions > 0
+    drill = report.fields["scrub_drill"]
+    assert report.ok and report.verdict == "durable"
+    assert durable(report.fields)
+    assert report.fields["kill_points"]
+    assert all(outcome in ("rolled_back", "redone")
+               for outcome in report.fields["kill_points"].values())
+    assert drill["at_rest_corruptions"] > 0
     # Round one healed by the scrubber, round two by in-band read repair.
-    assert report.scrub_repaired > 0
-    assert report.read_repairs > 0
-    assert report.reads_served == report.reads_attempted == 40
-    assert report.wrong_bytes == 0
-    assert report.replicas_converged
+    assert drill["scrub_repaired"] > 0
+    assert drill["read_repairs"] > 0
+    assert drill["reads_served"] == drill["reads_attempted"] == 40
+    assert drill["wrong_bytes"] == 0
+    assert drill["replicas_converged"]
 
 
 def test_durability_report_verdict_gates():
-    from repro.faults.report import DurabilityReport
-
-    good = DurabilityReport(
-        seed=0, replicas=3, plan_summary={},
-        kill_points={p: "rolled_back" for p in PUT_KILL_POINTS},
-        second_pass_clean=True, replicas_converged=True)
-    assert good.durable
-    for breakage in (
-        {"kill_points": {"journal.intent.post": "FAILED: lost a.jpg"}},
-        {"kill_points": {}},
-        {"wrong_bytes": 1},
-        {"scrub_unrepairable": 1},
-        {"second_pass_clean": False},
-        {"replicas_converged": False},
+    good = json.loads(GOLDEN.read_text())
+    assert durable(good)
+    for section, key, value in (
+        ("kill_points", "journal.intent.post", "FAILED: lost a.jpg"),
+        ("kill_points", None, {}),
+        ("scrub_drill", "wrong_bytes", 1),
+        ("scrub_drill", "scrub_unrepairable", 1),
+        ("scrub_drill", "second_pass_clean", False),
+        ("scrub_drill", "replicas_converged", False),
     ):
-        bad = DurabilityReport(
-            seed=0, replicas=3, plan_summary={},
-            kill_points={p: "redone" for p in PUT_KILL_POINTS},
-            second_pass_clean=True, replicas_converged=True)
-        for field_name, value in breakage.items():
-            setattr(bad, field_name, value)
-        assert not bad.durable, breakage
+        bad = copy.deepcopy(good)
+        if key is None:
+            bad[section] = value
+        else:
+            bad[section][key] = value
+        assert not durable(bad), (section, key, value)
