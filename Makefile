@@ -50,10 +50,10 @@ lint-tests:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m lint
 
 # The HTTP front-end (docs/serve.md).  `serve` runs it on port 8080;
-# `serve-smoke` boots an in-process server on an ephemeral port,
-# round-trips one fig. 1 corpus file over a real socket (full + ranged
-# GET), and scrapes /metrics — the one-command "is the service alive"
-# gate CI runs.
+# `serve-smoke` boots an in-process server on an ephemeral port and
+# calls every route of the route table once over a real socket (PUT,
+# full + ranged GET, a resumable upload, /healthz, /metrics, /tenants)
+# — the one-command "is the service alive" gate CI runs.
 serve:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli serve --port 8080
 

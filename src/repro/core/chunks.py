@@ -58,12 +58,20 @@ class StoredChunk:
 
 def chunk_ranges(total_size: int, chunk_size: int = CHUNK_SIZE) -> List["tuple[int, int]"]:
     """Byte ranges ``[a, b)`` of each chunk of a file."""
+    if chunk_size <= 0:
+        raise ValueError("chunk_size must be positive")
     if total_size == 0:
         return []
     return [
         (start, min(start + chunk_size, total_size))
         for start in range(0, total_size, chunk_size)
     ]
+
+
+def split_chunks(data: bytes, chunk_size: int = CHUNK_SIZE) -> List[bytes]:
+    """``data`` cut at :func:`chunk_ranges`: the chunks the back-end
+    content-addresses by SHA-256 (§5.6's backfill scans hash these)."""
+    return [data[a:b] for a, b in chunk_ranges(len(data), chunk_size)]
 
 
 def compress_chunked(

@@ -67,14 +67,6 @@ class AdmissionGate:
     def waiting(self) -> int:
         return self._waiting
 
-    async def __aenter__(self):
-        await self.admit()
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb):
-        self.release()
-        return False
-
     async def admit(self, timeout: Optional[float] = None) -> None:
         """Wait for a slot, or raise :class:`Saturated` if the queue is full.
 

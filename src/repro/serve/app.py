@@ -1,26 +1,31 @@
 """``lepton serve``: the asyncio HTTP storage front-end.
 
-Everything below PR 3's streaming substrate already existed — compression
-sessions, the verified chunk store, degraded reads, quotas.  This module
-is the network skin over it: the endpoints in `ENDPOINTS`, a closed set of
-status codes (:data:`~repro.serve.http.STATUS_REASONS`), admission
-control at the door, §5.7's shutoff switch and graceful drain, live
-fault injection from a PR-4 plan, resumable journal-backed uploads,
-end-to-end request deadlines, and per-endpoint circuit breakers.  The
-full API contract lives in ``docs/serve.md`` and is enforced both ways
-by ``tests/test_docs.py``.
+This module is the network skin over the verified chunk store.  One route
+table, :data:`ROUTES`, names each ``(method, route)``'s handler and the
+gates it passes; :meth:`LeptonServer._handle` applies those gates once, in
+the one order of :data:`GATES` — the endpoint's circuit breaker, live
+fault injection from a fault plan, graceful drain, §5.7's shutoff switch
+on encoding routes, then the ``X-Lepton-Deadline`` parse and admission
+control at the door (§5.5's backpressure) — and each handler does only
+its own work.  Status codes come from a closed set
+(:data:`~repro.serve.http.STATUS_REASONS`), and uploads may be resumable
+and journal-backed.  The full API contract, gates included, lives in
+``docs/serve.md`` and is enforced both ways by ``tests/test_docs.py``.
 
 Design notes:
 
-* The event loop never runs codec work: compress/decode execute on the
-  default thread executor (GIL-bound, but the loop stays responsive), so
-  concurrent requests genuinely meet at the admission gate — saturation
-  sheds immediate ``503``s instead of silently serializing in socket
-  buffers — and ``/healthz`` answers while the codec is busy.
+* The event loop never runs codec work: every blocking step (codec,
+  digests, journal fsyncs, backend walks) goes through
+  :meth:`LeptonServer._offload` to the loop's default executor
+  (GIL-bound, but the loop stays responsive), so concurrent requests
+  genuinely meet at the admission gate — saturation sheds immediate
+  ``503``s instead of silently serializing in socket buffers — and
+  ``/healthz`` answers while the codec is busy.
 * A GET never serves a wrong byte: every streamed piece sits behind the
-  block store's two digest gates.  A verification failure *after* the
-  response head has been written aborts the connection — the client sees
-  a short read against ``Content-Length``, never silently bad bytes.
+  block store's two digest gates.  A failure *after* the response head
+  has been written severs the connection (:meth:`LeptonServer._sever`)
+  — the client sees a short read against ``Content-Length``, never
+  silently bad bytes.
 * Every ``serve.*`` instrument is created at startup, so a scrape of a
   freshly booted server already shows the whole metric surface.
 """
@@ -31,7 +36,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.errors import TimeoutExceeded
 from repro.core.lepton import FORMAT_LEPTON, LeptonConfig
@@ -66,25 +71,49 @@ from repro.storage.uploads import (
     UploadLedger,
 )
 
-#: The documented API surface: every (method, route) the server answers.
-#: ``tests/test_docs.py`` diffs this against the docs/serve.md endpoint
-#: table in both directions.
-ENDPOINTS: Tuple[Tuple[str, str], ...] = (
-    ("PUT", "/files"),
-    ("GET", "/files/{id}"),
-    ("POST", "/uploads"),
-    ("PUT", "/uploads/{id}"),
-    ("HEAD", "/uploads/{id}"),
-    ("GET", "/healthz"),
-    ("GET", "/metrics"),
-    ("GET", "/tenants"),
-)
+#: The gates a request may pass, in the one order :meth:`LeptonServer._handle`
+#: applies them.  ``admission`` parses the request's deadline first: the
+#: remaining budget bounds the queued wait.
+GATES: Tuple[str, ...] = ("breaker", "faults", "drain", "shutoff",
+                          "admission")
 
-#: Routes behind the per-endpoint circuit breakers (the data plane; the
-#: monitoring plane must stay reachable while breakers are open).
-BREAKER_ROUTES: Tuple[str, ...] = (
-    "/files", "/files/{id}", "/uploads", "/uploads/{id}",
-)
+
+@dataclass(frozen=True)
+class Route:
+    """One ``(method, route)``: the handler method and its gates."""
+
+    handler: str
+    gates: Tuple[str, ...] = ()
+
+
+#: The route table.  The data plane sits behind its endpoint's breaker,
+#: which the monitoring plane skips so it stays reachable while breakers
+#: are open; the shutoff gates only the routes that encode, because §5.7's
+#: kill file disables encoding while reads stay up.  ``tests/test_docs.py``
+#: diffs the table, gates included, against docs/serve.md both ways.
+ROUTES: Dict[Tuple[str, str], Route] = {
+    ("PUT", "/files"): Route(
+        "_put_file", ("breaker", "faults", "drain", "shutoff", "admission")),
+    ("GET", "/files/{id}"): Route(
+        "_get_file", ("breaker", "faults", "drain", "admission")),
+    ("POST", "/uploads"): Route(
+        "_post_upload", ("breaker", "drain", "shutoff", "admission")),
+    ("PUT", "/uploads/{id}"): Route(
+        "_put_upload", ("breaker", "drain", "shutoff", "admission")),
+    # A resuming client must learn its durable offset even while the
+    # data plane is saturated or draining.
+    ("HEAD", "/uploads/{id}"): Route("_head_upload", ("breaker",)),
+    ("GET", "/healthz"): Route("_get_healthz"),
+    ("GET", "/metrics"): Route("_get_metrics"),
+    ("GET", "/tenants"): Route("_get_tenants"),
+}
+
+#: The documented API surface: every (method, route) the server answers.
+ENDPOINTS: Tuple[Tuple[str, str], ...] = tuple(ROUTES)
+
+#: Routes with a circuit breaker (one per route, whatever the method).
+BREAKER_ROUTES: Tuple[str, ...] = tuple(dict.fromkeys(
+    route for (_, route), spec in ROUTES.items() if "breaker" in spec.gates))
 
 #: Header naming the tenant a request is accounted to.
 TENANT_HEADER = "x-lepton-tenant"
@@ -102,6 +131,9 @@ UPLOAD_STATE_HEADER = "x-lepton-upload-state"
 #: File id of a completed upload (HEAD responses after finalize).
 UPLOAD_FILE_HEADER = "x-lepton-file"
 
+#: Largest file one ``PUT /files`` or ``POST /uploads`` may declare.
+MAX_FILE_BYTES = 64 * 1024 * 1024
+
 _READ_PIECE = 64 * 1024
 
 #: End-of-stream marker for pulling a sync generator through the executor.
@@ -118,7 +150,6 @@ class ServeConfig:
     queue_depth: int = 16
     retry_after: int = 1               # seconds, on every 503
     quota_bytes: Optional[int] = None  # per-tenant logical budget
-    max_file_bytes: int = 64 * 1024 * 1024
     chunk_size: int = 1 << 22          # the production 4 MiB
     lepton: LeptonConfig = field(default_factory=LeptonConfig)
     keep_originals: bool = True
@@ -204,34 +235,26 @@ class LeptonServer:
     def _build_store(self) -> BlockStore:
         """The verified chunk store — on filesystem replicas when
         ``data_dir`` is set, in memory otherwise."""
-        read_retry = RetryPolicy(max_attempts=self.config.read_retry_attempts)
-        read_fault = (self.injector.read_fault
-                      if self.injector is not None else None)
+        options = dict(
+            chunk_size=self.config.chunk_size,
+            config=self.config.lepton,
+            keep_originals=self.config.keep_originals,
+            read_retry=RetryPolicy(
+                max_attempts=self.config.read_retry_attempts),
+            read_fault=(self.injector.read_fault
+                        if self.injector is not None else None),
+            quotas=self.quotas,
+        )
         if self.config.data_dir is None:
-            return BlockStore(
-                chunk_size=self.config.chunk_size,
-                config=self.config.lepton,
-                keep_originals=self.config.keep_originals,
-                read_retry=read_retry,
-                read_fault=read_fault,
-                quotas=self.quotas,
-            )
+            return BlockStore(**options)
         # Crash recovery (journal replay, rollback, index rebuild) runs
         # here, before the socket opens: a request can never observe a
         # half-recovered store.  The kill harness is deliberately NOT
         # passed in: recovery itself reaches kill points (checkpoint),
         # and an armed point firing mid-recovery would wedge the
         # crash-restart-recover cycle; see :meth:`_attach_kill`.
-        return open_durable_store(
-            self.config.data_dir,
-            replicas=self.config.replicas,
-            chunk_size=self.config.chunk_size,
-            config=self.config.lepton,
-            keep_originals=self.config.keep_originals,
-            quotas=self.quotas,
-            read_retry=read_retry,
-            read_fault=read_fault,
-        )
+        return open_durable_store(self.config.data_dir,
+                                  replicas=self.config.replicas, **options)
 
     def _build_uploads(self) -> UploadLedger:
         """The resumable-upload ledger over the store's backend, with its
@@ -272,10 +295,17 @@ class LeptonServer:
 
     async def _scrub_loop(self) -> None:
         """Periodic scrub passes, off the event loop (lint D7)."""
-        loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.config.scrub_interval)
-            await loop.run_in_executor(None, self.scrubber.run_once)
+            await self._offload(self.scrubber.run_once)
+
+    @staticmethod
+    async def _offload(fn, *args):
+        """Run blocking work — codec, digests, journal fsyncs, backend
+        walks — on the loop's default executor, so the loop stays free
+        for every other connection (lint D7)."""
+        return await asyncio.get_running_loop().run_in_executor(
+            None, fn, *args)
 
     async def drain(self) -> None:
         """Graceful §5.7 drain: refuse new work, finish in-flight, close.
@@ -387,48 +417,49 @@ class LeptonServer:
                 pass
 
     async def _handle(self, request: Request, reader, writer) -> bool:
-        """Dispatch one request; returns whether to keep the connection."""
+        """Run one request through its route's gates, in :data:`GATES`
+        order, then its handler; returns whether to keep the connection."""
         started = time.monotonic()
         route = "*"
-        breaker_route = None
         try:
-            route = self._route(request)
-            if route in BREAKER_ROUTES:
-                breaker_route = route
+            route, spec = self._route(request)
+            gates = spec.gates
+            if "breaker" in gates:
                 self._check_breaker(route)
-            if self.injector is not None and route.startswith("/files"):
+            if "faults" in gates and self.injector is not None:
                 if self.injector.should_drop(self._now()):
                     return False  # severed: the plan's network-loss window
                 delay = self.injector.response_delay(self._now())
                 if delay:
                     await asyncio.sleep(delay)
-            if route == "/healthz":
-                await self._get_healthz(request, writer)
-            elif route == "/metrics":
-                await self._get_metrics(request, writer)
-            elif route == "/tenants":
-                await self._get_tenants(request, writer)
-            elif route == "/files":
-                await self._put_file(request, reader, writer)
-            elif route == "/files/{id}":
-                await self._get_file(request, writer)
-            elif route == "/uploads":
-                await self._post_upload(request, reader, writer)
-            elif route == "/uploads/{id}":
-                if request.method == "HEAD":
-                    await self._head_upload(request, writer)
-                else:
-                    await self._put_upload(request, reader, writer)
-            else:
-                raise HttpError(404, "not_found", f"no route for {request.path}")
-            if breaker_route is not None:
-                self.breakers.success(breaker_route)
+            if "drain" in gates and self.draining:
+                raise HttpError(503, "draining", "server is draining")
+            if "shutoff" in gates and self.shutoff.engaged:
+                raise HttpError(503, "shutoff",
+                                "encoding disabled by shutoff switch")
+            admitted = "admission" in gates
+            deadline = self._deadline_of(request) if admitted else None
+            if admitted:
+                # The remaining budget bounds the queued wait.
+                wait = (None if deadline is None
+                        else max(0.0, deadline - time.monotonic()))
+                try:
+                    await self.gate.admit(timeout=wait)
+                except Saturated as exc:
+                    raise HttpError(503, "saturated", str(exc)) from exc
+            try:
+                await getattr(self, spec.handler)(request, reader, writer,
+                                                  deadline)
+            finally:
+                if admitted:
+                    self.gate.release()
+            if "breaker" in gates:
+                self.breakers.success(route)
         except HttpError as exc:
             # 4xx/503 are the client's (or load's) fault, not the
             # endpoint's: only a 500-class response may trip a breaker.
-            if breaker_route is not None and exc.status >= 500 \
-                    and exc.status not in (503, 504):
-                self.breakers.failure(breaker_route)
+            if exc.status >= 500 and exc.status not in (503, 504):
+                self._breaker_failure(route)
             await self._send_error(writer, request, route, exc)
         except (TimeoutExceeded, AdmitTimeout) as exc:
             # The end-to-end deadline expired — queued, mid-codec, or
@@ -443,15 +474,11 @@ class LeptonServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             raise
         except IntegrityError as exc:
-            # A digest gate failed (a read's first chunk, or a put's
-            # round trip): sever rather than answer from unverified bytes.
-            self._count(request.method, route, "aborted")
-            if breaker_route is not None:
-                self.breakers.failure(breaker_route)
-            raise ConnectionResetError(str(exc)) from exc
+            # A read's first chunk failed a digest gate: sever rather
+            # than answer from unverified bytes.
+            raise self._sever(request, route, exc) from exc
         except Exception as exc:
-            if breaker_route is not None:
-                self.breakers.failure(breaker_route)
+            self._breaker_failure(route)
             await self._send_error(
                 writer, request, route,
                 HttpError(500, "internal_error", f"{type(exc).__name__}: {exc}"),
@@ -462,6 +489,21 @@ class LeptonServer:
                 time.monotonic() - started
             )
         return request.keep_alive and not request.body_pending
+
+    def _route(self, request: Request) -> Tuple[str, Route]:
+        """Map a request to its route pattern and table entry: ``404`` for
+        an unknown path, ``405`` (with ``Allow``) for a wrong method."""
+        path = request.path.rstrip("/") or "/"
+        first, nested, _ = path[1:].partition("/")
+        route = f"/{first}/{{id}}" if nested else path
+        allowed = [method for method, pattern in ROUTES if pattern == route]
+        if not allowed:
+            raise HttpError(404, "not_found", f"no route for {request.path}")
+        if request.method not in allowed:
+            raise HttpError(405, "method_not_allowed",
+                            f"{request.method} {route}",
+                            headers={"Allow": ", ".join(allowed)})
+        return route, ROUTES[request.method, route]
 
     def _check_breaker(self, route: str) -> None:
         """Refuse a data-plane request whose endpoint breaker is open.
@@ -479,6 +521,29 @@ class LeptonServer:
             f"endpoint breaker open for {route}",
             headers={"Retry-After": str(retry_after)},
         )
+
+    def _breaker_failure(self, route: str) -> None:
+        """Count a failure against ``route``'s breaker, if it has one."""
+        if route in BREAKER_ROUTES:
+            self.breakers.failure(route)
+
+    def _sever(self, request: Request, route: str,
+               exc: Exception) -> ConnectionResetError:
+        """Account for an exchange that must end without a (further)
+        response, and return the error that cuts its connection.
+
+        Both severing paths come here: a digest gate that fails before the
+        head, and any failure once a GET's head is out.  A deadline is the
+        client's budget, not endpoint health, so only other failures count
+        against the breaker.
+        """
+        if isinstance(exc, TimeoutExceeded):
+            self.registry.counter("serve.deadline_exceeded",
+                                  route=route).inc()
+        else:
+            self._breaker_failure(route)
+        self._count(request.method, route, "aborted")
+        return ConnectionResetError(str(exc))
 
     def _deadline_of(self, request: Request) -> Optional[float]:
         """Parse :data:`DEADLINE_HEADER` into a monotonic deadline.
@@ -500,49 +565,6 @@ class LeptonServer:
             raise TimeoutExceeded(
                 f"deadline budget {budget!r}s already spent")
         return time.monotonic() + budget
-
-    @staticmethod
-    def _remaining(deadline: Optional[float]) -> Optional[float]:
-        """Seconds left before ``deadline`` (None = unbounded)."""
-        if deadline is None:
-            return None
-        return max(0.0, deadline - time.monotonic())
-
-    def _route(self, request: Request) -> str:
-        """Map a request to its route pattern, enforcing allowed methods."""
-        path = request.path.rstrip("/") or "/"
-        for exact in ("/healthz", "/metrics", "/tenants"):
-            if path == exact:
-                if request.method != "GET":
-                    raise HttpError(405, "method_not_allowed",
-                                    f"{request.method} {exact}",
-                                    headers={"Allow": "GET"})
-                return exact
-        if path == "/files":
-            if request.method != "PUT":
-                raise HttpError(405, "method_not_allowed",
-                                f"{request.method} /files",
-                                headers={"Allow": "PUT"})
-            return "/files"
-        if path.startswith("/files/"):
-            if request.method != "GET":
-                raise HttpError(405, "method_not_allowed",
-                                f"{request.method} /files/{{id}}",
-                                headers={"Allow": "GET"})
-            return "/files/{id}"
-        if path == "/uploads":
-            if request.method != "POST":
-                raise HttpError(405, "method_not_allowed",
-                                f"{request.method} /uploads",
-                                headers={"Allow": "POST"})
-            return "/uploads"
-        if path.startswith("/uploads/"):
-            if request.method not in ("PUT", "HEAD"):
-                raise HttpError(405, "method_not_allowed",
-                                f"{request.method} /uploads/{{id}}",
-                                headers={"Allow": "PUT, HEAD"})
-            return "/uploads/{id}"
-        raise HttpError(404, "not_found", f"no route for {request.path}")
 
     # -- responses ---------------------------------------------------------
 
@@ -572,9 +594,9 @@ class LeptonServer:
             headers["Connection"] = "close"
         await self._send(writer, request, route, exc.status, body, headers)
 
-    # -- endpoints ---------------------------------------------------------
+    # -- endpoints: each handler runs after its route's gates ------------
 
-    async def _get_healthz(self, request, writer) -> None:
+    async def _get_healthz(self, request, reader, writer, deadline) -> None:
         if self.draining:
             state, status = "draining", 503
         elif self.shutoff.engaged:
@@ -588,9 +610,7 @@ class LeptonServer:
         payload["uploads"] = self.uploads.describe()
         # Backend description walks the filesystem (key counts): blocking
         # I/O, so it runs on the executor like the codec.
-        loop = asyncio.get_running_loop()
-        payload["backend"] = await loop.run_in_executor(
-            None, self.store.backend.describe)
+        payload["backend"] = await self._offload(self.store.backend.describe)
         payload["backend"]["damaged_entries"] = self.store.damaged_entries
         payload["scrub"] = self.scrubber.describe()
         body, headers = json_body(payload)
@@ -598,43 +618,26 @@ class LeptonServer:
             headers["Retry-After"] = str(self.config.retry_after)
         await self._send(writer, request, "/healthz", status, body, headers)
 
-    async def _get_metrics(self, request, writer) -> None:
+    async def _get_metrics(self, request, reader, writer, deadline) -> None:
         text = self.registry.render() + "\n"
         await self._send(writer, request, "/metrics", 200, text.encode(),
                          {"Content-Type": "text/plain; charset=utf-8"})
 
-    async def _get_tenants(self, request, writer) -> None:
+    async def _get_tenants(self, request, reader, writer, deadline) -> None:
         body, headers = json_body({
             "limit_bytes": self.quotas.limit_bytes,
             "tenants": self.quotas.snapshot(),
         })
         await self._send(writer, request, "/tenants", 200, body, headers)
 
-    async def _put_file(self, request, reader, writer) -> None:
-        if self.draining:
-            raise HttpError(503, "draining", "server is draining")
-        if self.shutoff.engaged:
-            # §5.7: the kill file disables *encoding*; reads stay up.
-            raise HttpError(503, "shutoff", "encoding disabled by shutoff switch")
-        deadline = self._deadline_of(request)
-        try:
-            await self.gate.admit(timeout=self._remaining(deadline))
-        except Saturated as exc:
-            raise HttpError(503, "saturated", str(exc)) from exc
-        try:
-            await self._put_file_admitted(request, reader, writer, deadline)
-        finally:
-            self.gate.release()
-
-    async def _put_file_admitted(self, request, reader, writer,
-                                 deadline=None) -> None:
+    async def _put_file(self, request, reader, writer, deadline) -> None:
         length = request.content_length
         if length is None:
             raise HttpError(411, "length_required",
                             "PUT /files requires Content-Length")
-        if length > self.config.max_file_bytes:
+        if length > MAX_FILE_BYTES:
             raise HttpError(413, "file_too_large",
-                            f"{length} > {self.config.max_file_bytes} bytes")
+                            f"{length} > {MAX_FILE_BYTES} bytes")
         tenant = request.headers.get(TENANT_HEADER, DEFAULT_TENANT)
         try:
             self.quotas.reserve(tenant, length)
@@ -642,31 +645,25 @@ class LeptonServer:
             self.registry.counter("serve.quota.rejected").inc()
             raise HttpError(413, "quota_exceeded", str(exc)) from exc
         try:
-            data = await self._read_body(reader, length)
+            data = await self._read_body(request, reader, length)
         except Exception:
             self.quotas.release(tenant, length)
             raise
-        request.body_consumed = True
         self.registry.counter("serve.bytes_in").inc(length)
-        loop = asyncio.get_running_loop()
         # Content addressing hashes the whole body — CPU time proportional
         # to the upload, so it belongs on the executor with the codec.
-        file_id = await loop.run_in_executor(
-            None, lambda: hashlib.sha256(data).hexdigest())
+        file_id = await self._offload(
+            lambda: hashlib.sha256(data).hexdigest())
         existed = file_id in self.store.files
-        try:
-            # Chunk + compress + verify off the event loop: the gate, not
-            # the codec, decides what the next connection experiences.
-            # The deadline rides along: an expired budget cancels the
-            # segment coder between row bands (504), instead of finishing
-            # a compression nobody is waiting for.
-            record = await loop.run_in_executor(
-                None, lambda: self.store.put_file(
-                    file_id, data, tenant=tenant, reserved=length,
-                    deadline=deadline))
-        except QuotaExceeded as exc:  # pragma: no cover - reserve covered it
-            self.registry.counter("serve.quota.rejected").inc()
-            raise HttpError(413, "quota_exceeded", str(exc)) from exc
+        # Chunk + compress + verify off the event loop: the gate, not the
+        # codec, decides what the next connection experiences.  The
+        # deadline rides along: an expired budget cancels the segment
+        # coder between row bands (504), instead of finishing a
+        # compression nobody is waiting for.  The reservation made above
+        # covers the whole body, so the put cannot run out of quota.
+        record = await self._offload(lambda: self.store.put_file(
+            file_id, data, tenant=tenant, reserved=length,
+            deadline=deadline))
         if self.injector is not None:
             self.injector.corrupt_after_put(self.store)
         if not existed:
@@ -694,44 +691,37 @@ class LeptonServer:
         headers["Location"] = f"/files/{file_id}"
         return body, headers
 
-    async def _read_body(self, reader, length: int) -> bytes:
+    async def _read_body(self, request, reader, length: int) -> bytes:
+        """Read the declared body off the stream and mark it consumed, so
+        the response may keep the connection alive."""
         pieces = []
         remaining = length
         while remaining:
-            read = reader.read(min(_READ_PIECE, remaining))
-            if self.config.idle_timeout is not None:
-                try:
-                    piece = await asyncio.wait_for(
-                        read, self.config.idle_timeout)
-                except asyncio.TimeoutError:
-                    # Slow-loris body: the client stalled mid-upload while
-                    # holding an admission slot.  408 and close.
-                    self.registry.counter("serve.timeouts",
-                                          stage="body").inc()
-                    raise HttpError(
-                        408, "request_timeout",
-                        f"body stalled at {length - remaining}/{length} "
-                        f"bytes", headers={"Connection": "close"},
-                    ) from None
-            else:
-                piece = await read
+            try:
+                piece = await asyncio.wait_for(
+                    reader.read(min(_READ_PIECE, remaining)),
+                    self.config.idle_timeout)
+            except asyncio.TimeoutError:
+                # Slow-loris body: the client stalled mid-upload while
+                # holding an admission slot.  408 and close.
+                self.registry.counter("serve.timeouts", stage="body").inc()
+                raise HttpError(
+                    408, "request_timeout",
+                    f"body stalled at {length - remaining}/{length} bytes",
+                    headers={"Connection": "close"},
+                ) from None
             if not piece:
                 raise HttpError(400, "bad_request",
                                 f"body truncated at {length - remaining}"
                                 f"/{length} bytes")
             pieces.append(piece)
             remaining -= len(piece)
+        request.body_consumed = True
         return b"".join(pieces)
 
     # -- resumable uploads (docs/serve.md, "Request lifecycle") -----------
 
-    async def _post_upload(self, request, reader, writer) -> None:
-        if self.draining:
-            raise HttpError(503, "draining", "server is draining")
-        if self.shutoff.engaged:
-            raise HttpError(503, "shutoff",
-                            "encoding disabled by shutoff switch")
-        deadline = self._deadline_of(request)
+    async def _post_upload(self, request, reader, writer, deadline) -> None:
         raw = request.headers.get(UPLOAD_LENGTH_HEADER)
         if raw is None:
             raise HttpError(
@@ -742,29 +732,21 @@ class LeptonServer:
         except ValueError:
             raise HttpError(400, "bad_request",
                             f"unparseable upload length {raw!r}") from None
-        if declared > self.config.max_file_bytes:
+        if declared > MAX_FILE_BYTES:
             raise HttpError(413, "file_too_large",
-                            f"{declared} > {self.config.max_file_bytes} bytes")
+                            f"{declared} > {MAX_FILE_BYTES} bytes")
         if request.content_length:
-            await self._read_body(reader, request.content_length)
-            request.body_consumed = True
+            await self._read_body(request, reader, request.content_length)
         tenant = request.headers.get(TENANT_HEADER, DEFAULT_TENANT)
         try:
-            await self.gate.admit(timeout=self._remaining(deadline))
-        except Saturated as exc:
-            raise HttpError(503, "saturated", str(exc)) from exc
-        loop = asyncio.get_running_loop()
-        try:
             # Session create fsyncs a journal record: executor, not loop.
-            session = await loop.run_in_executor(
-                None, lambda: self.uploads.create(tenant, declared))
+            session = await self._offload(self.uploads.create,
+                                          tenant, declared)
         except QuotaExceeded as exc:
             self.registry.counter("serve.quota.rejected").inc()
             raise HttpError(413, "quota_exceeded", str(exc)) from exc
         except UploadError as exc:
             raise HttpError(400, "bad_request", str(exc)) from exc
-        finally:
-            self.gate.release()
         self.registry.counter("serve.uploads.created").inc()
         self.registry.gauge("serve.uploads.open").set(
             self.uploads.open_sessions())
@@ -775,10 +757,8 @@ class LeptonServer:
     def _upload_id_of(self, request) -> str:
         return request.path.rstrip("/").rsplit("/", 1)[-1]
 
-    async def _head_upload(self, request, writer) -> None:
-        """Durable progress report.  Deliberately ungated: a client
-        deciding where to resume must get an answer even while the data
-        plane is saturated or draining."""
+    async def _head_upload(self, request, reader, writer, deadline) -> None:
+        """Durable progress report (no drain or admission gate)."""
         upload_id = self._upload_id_of(request)
         try:
             session = self.uploads.get(upload_id)
@@ -794,13 +774,7 @@ class LeptonServer:
             headers[UPLOAD_FILE_HEADER] = session.file_id
         await self._send(writer, request, "/uploads/{id}", 200, b"", headers)
 
-    async def _put_upload(self, request, reader, writer) -> None:
-        if self.draining:
-            raise HttpError(503, "draining", "server is draining")
-        if self.shutoff.engaged:
-            raise HttpError(503, "shutoff",
-                            "encoding disabled by shutoff switch")
-        deadline = self._deadline_of(request)
+    async def _put_upload(self, request, reader, writer, deadline) -> None:
         length = request.content_length
         if length is None:
             raise HttpError(411, "length_required",
@@ -815,29 +789,15 @@ class LeptonServer:
         except ValueError:
             raise HttpError(400, "bad_request",
                             f"unparseable offset {raw!r}") from None
-        try:
-            await self.gate.admit(timeout=self._remaining(deadline))
-        except Saturated as exc:
-            raise HttpError(503, "saturated", str(exc)) from exc
-        try:
-            await self._put_upload_admitted(request, reader, writer,
-                                            offset, length, deadline)
-        finally:
-            self.gate.release()
-
-    async def _put_upload_admitted(self, request, reader, writer,
-                                   offset, length, deadline) -> None:
         upload_id = self._upload_id_of(request)
         # Read the body before judging the offset: answering 409 with
         # unread bytes in the pipe would desync keep-alive framing, and
         # resuming clients *expect* the occasional conflict.
-        data = await self._read_body(reader, length)
-        request.body_consumed = True
-        loop = asyncio.get_running_loop()
+        data = await self._read_body(request, reader, length)
         try:
             # Part append = backend write + journal fsync: executor work.
-            session = await loop.run_in_executor(
-                None, lambda: self.uploads.append(upload_id, offset, data))
+            session = await self._offload(self.uploads.append,
+                                          upload_id, offset, data)
         except UnknownUpload:
             raise HttpError(404, "not_found",
                             f"no upload {upload_id!r}") from None
@@ -857,9 +817,8 @@ class LeptonServer:
             # offset): promote through the ordinary durable put, under
             # the reservation made at create.
             try:
-                record = await loop.run_in_executor(
-                    None, lambda: self.uploads.finalize(
-                        upload_id, self.store, deadline=deadline))
+                record = await self._offload(lambda: self.uploads.finalize(
+                    upload_id, self.store, deadline=deadline))
             except UploadError as exc:
                 raise HttpError(400, "bad_request", str(exc)) from exc
             session = self.uploads.get(upload_id)
@@ -867,41 +826,24 @@ class LeptonServer:
             self.registry.counter("serve.files.stored").inc()
             self.registry.gauge("serve.uploads.open").set(
                 self.uploads.open_sessions())
-            body, headers = self._file_response(session.file_id, record,
-                                                session.tenant)
-            headers[UPLOAD_STATE_HEADER] = "completed"
-            await self._send(writer, request, "/uploads/{id}", 201,
-                             body, headers)
-            return
-        if session.state == "completed":
+            status = 201
+        elif session.state == "completed":
             # Idempotent re-finalize: the client lost the completion ack.
-            record = self.store.files[session.file_id]
-            body, headers = self._file_response(session.file_id, record,
-                                                session.tenant)
-            headers[UPLOAD_STATE_HEADER] = "completed"
+            record, status = self.store.files[session.file_id], 200
+        else:
+            body, headers = json_body(session.describe())
+            headers[UPLOAD_OFFSET_HEADER] = str(session.received)
+            headers[UPLOAD_STATE_HEADER] = session.state
             await self._send(writer, request, "/uploads/{id}", 200,
                              body, headers)
             return
-        body, headers = json_body(session.describe())
-        headers[UPLOAD_OFFSET_HEADER] = str(session.received)
-        headers[UPLOAD_STATE_HEADER] = session.state
-        await self._send(writer, request, "/uploads/{id}", 200, body, headers)
+        body, headers = self._file_response(session.file_id, record,
+                                            session.tenant)
+        headers[UPLOAD_STATE_HEADER] = "completed"
+        await self._send(writer, request, "/uploads/{id}", status,
+                         body, headers)
 
-    async def _get_file(self, request, writer) -> None:
-        if self.draining:
-            raise HttpError(503, "draining", "server is draining")
-        deadline = self._deadline_of(request)
-        try:
-            await self.gate.admit(timeout=self._remaining(deadline))
-        except Saturated as exc:
-            raise HttpError(503, "saturated", str(exc)) from exc
-        try:
-            await self._get_file_admitted(request, writer, deadline)
-        finally:
-            self.gate.release()
-
-    async def _get_file_admitted(self, request, writer,
-                                 deadline=None) -> None:
+    async def _get_file(self, request, reader, writer, deadline) -> None:
         started = time.monotonic()
         file_id = request.path.rstrip("/").rsplit("/", 1)[-1]
         record = self.store.files.get(file_id)
@@ -918,43 +860,31 @@ class LeptonServer:
             start, stop = window
             status = 206
             headers["Content-Range"] = f"bytes {start}-{stop - 1}/{record.size}"
-        loop = asyncio.get_running_loop()
         pieces = self.store.stream_range(file_id, start, stop,
                                          deadline=deadline)
         # Decode the first piece *before* committing to a response head:
         # a deadline that expires during the first chunk's decode can
         # still answer with a clean 504 instead of a severed stream.
-        piece = await loop.run_in_executor(None, next, pieces, _DONE)
+        piece = await self._offload(next, pieces, _DONE)
         writer.write(render_head(status, headers,
                                  content_length=stop - start))
-        first = True
+        if piece is not _DONE:
+            self.registry.histogram("serve.ttfb_seconds").observe(
+                time.monotonic() - started)
         sent = 0
         while piece is not _DONE:
-            if first:
-                first = False
-                self.registry.histogram("serve.ttfb_seconds").observe(
-                    time.monotonic() - started
-                )
             writer.write(piece)
             sent += len(piece)
             await writer.drain()
             try:
                 # Each chunk decodes on the executor; the loop stays free
                 # and decoded pieces stream out ahead of the rest.
-                piece = await loop.run_in_executor(None, next, pieces, _DONE)
+                piece = await self._offload(next, pieces, _DONE)
             except Exception as exc:
                 # Head and some bytes are already out: any failure now
                 # must sever, never pad or append an error response — the
                 # client sees a short read against Content-Length (§5.7).
-                # A deadline is the client's budget, not endpoint health,
-                # so only other failures count against the breaker.
-                if isinstance(exc, TimeoutExceeded):
-                    self.registry.counter("serve.deadline_exceeded",
-                                          route="/files/{id}").inc()
-                else:
-                    self.breakers.failure("/files/{id}")
-                self._count(request.method, "/files/{id}", "aborted")
-                raise ConnectionResetError(str(exc)) from exc
+                raise self._sever(request, "/files/{id}", exc) from exc
         await writer.drain()
         self.registry.counter("serve.bytes_out").inc(sent)
         self._count(request.method, "/files/{id}", status)

@@ -16,9 +16,11 @@ from repro.obs import get_registry
 from repro.storage.retry import RetryPolicy
 
 #: Methods safe to replay blindly: a GET/HEAD that died on the wire can
-#: be reissued without risking a double side effect.  A PUT is retried
-#: only once, on a dead *kept-alive* socket (the server never saw it).
+#: be reissued without risking a double side effect.
 IDEMPOTENT_METHODS = ("GET", "HEAD")
+
+#: Wire failures of one exchange.
+_WIRE_ERRORS = (ConnectionError, asyncio.IncompleteReadError, OSError)
 
 
 @dataclass
@@ -45,23 +47,33 @@ class UploadIncomplete(ConnectionError):
     budget (the server stayed down, or kept conflicting)."""
 
 
+class _Unanswered(ConnectionError):
+    """The connection failed before any byte of the response arrived."""
+
+
 class ServeClient:
     """One keep-alive connection to a server; reconnects transparently.
 
-    With a :class:`~repro.storage.retry.RetryPolicy` attached, idempotent
-    requests (:data:`IDEMPOTENT_METHODS`) additionally survive connection
-    resets/refusals mid-exchange: up to ``retry.max_attempts`` tries with
-    the policy's seeded capped-exponential backoff — e.g. riding out a
-    fault plan's network-loss window that severs connections before the
-    response head.  Non-idempotent methods keep only the single
-    dead-keep-alive reconnect (replaying a PUT blindly could double
-    apply).  Retries count under ``retry.attempts{scope=serve_client}``.
+    A request is sent again in three cases, all in :meth:`request`'s one
+    loop:
 
-    A ``503`` carrying ``Retry-After`` is obeyed *ahead of* the policy's
-    computed backoff: the server knows exactly how long its breaker or
-    drain will refuse traffic, so its number beats the client's guess.
-    The policy still bounds total attempts (and stays the fallback delay
-    when the header is absent).
+    * a reused keep-alive socket fails before any response byte arrives:
+      the server closed it before reading the request, so any method is
+      sent once more on a fresh connection (with or without a policy);
+    * with a :class:`~repro.storage.retry.RetryPolicy` attached, an
+      idempotent request (:data:`IDEMPOTENT_METHODS`) whose exchange died
+      on the wire — reset, refused, or severed — is retried with the
+      policy's seeded capped-exponential backoff, e.g. riding out a fault
+      plan's network-loss window.  Other methods are never replayed
+      blindly: the server may have applied them before the cut;
+    * with a policy attached, a ``503`` is retried for any method (the
+      server refused it without work).  Its ``Retry-After`` is obeyed
+      *ahead of* the policy's backoff: the server knows exactly how long
+      its breaker or drain will refuse traffic, so its number beats the
+      client's guess.
+
+    The policy bounds the attempts of the last two cases, which count
+    under ``retry.attempts{scope=serve_client}``.
     """
 
     def __init__(self, host: str, port: int,
@@ -101,78 +113,46 @@ class ServeClient:
     async def request(self, method: str, target: str,
                       body: bytes = b"",
                       headers: Optional[Dict[str, str]] = None) -> Response:
-        """Issue one request; retries once on a dead kept-alive socket,
-        and — with a :class:`RetryPolicy` attached — keeps retrying
-        idempotent methods through resets/refusals with backoff, and any
-        method through ``503`` + ``Retry-After`` (the server's own
-        back-off estimate; the policy's schedule is the fallback when
-        the header is missing and the bound on total attempts either way).
-        """
-        if self.retry is None:
-            return await self._request_once(method, target, body,
-                                            headers or {})
-        registry = get_registry()
+        """Issue one request and return its response, sending it again
+        only in the cases the class docstring lists."""
+        headers = headers or {}
         policy = self.retry
         started = time.monotonic()
         attempt = 1
         while True:
-            response = await self._request_once(method, target, body,
-                                                headers or {})
-            if response.status != 503:
-                return response
-            if not policy.should_retry(attempt,
-                                       time.monotonic() - started):
-                return response
-            header = response.headers.get("retry-after")
-            if header is not None:
-                try:
-                    delay = max(0.0, float(header))
-                except ValueError:
-                    delay = policy.backoff(attempt, rng=self._retry_rng)
-            else:
+            reused = self._writer is not None
+            try:
+                if not reused:
+                    await self._connect()
+                response = await self._round_trip(method, target, body,
+                                                  headers)
+            except _WIRE_ERRORS as exc:
+                await self.close()
+                if reused and isinstance(exc, _Unanswered):
+                    continue  # a stale keep-alive socket; now a fresh one
+                if (policy is None
+                        or method.upper() not in IDEMPOTENT_METHODS
+                        or not policy.should_retry(
+                            attempt, time.monotonic() - started)):
+                    raise
                 delay = policy.backoff(attempt, rng=self._retry_rng)
+            else:
+                if (response.status != 503 or policy is None
+                        or not policy.should_retry(
+                            attempt, time.monotonic() - started)):
+                    return response
+                delay = self._retry_after(response, attempt)
             await asyncio.sleep(delay)
-            registry.counter("retry.attempts", scope="serve_client").inc()
+            get_registry().counter("retry.attempts",
+                                   scope="serve_client").inc()
             attempt += 1
 
-    async def _request_once(self, method: str, target: str, body: bytes,
-                            headers: Dict[str, str]) -> Response:
-        """One wire exchange, with the connection-level retry ladder."""
+    def _retry_after(self, response: Response, attempt: int) -> float:
+        """The server's ``Retry-After``, else the policy's backoff."""
         try:
-            if self._writer is None:
-                await self._connect()
-            return await self._round_trip(method, target, body, headers)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
-            await self.close()
-            if (self.retry is not None
-                    and method.upper() in IDEMPOTENT_METHODS):
-                return await self._retry_idempotent(method, target, body,
-                                                    headers, exc)
-            await self._connect()
-            return await self._round_trip(method, target, body, headers)
-
-    async def _retry_idempotent(self, method, target, body, headers,
-                                first_error: Exception) -> Response:
-        """Bounded policy-driven retries after the first attempt died."""
-        registry = get_registry()
-        policy = self.retry
-        started = time.monotonic()
-        error = first_error
-        # The caller's try was attempt 1; ``retry_no`` numbers the retries.
-        for retry_no in range(1, policy.max_attempts):
-            if not policy.should_retry(retry_no,
-                                       time.monotonic() - started):
-                break
-            await asyncio.sleep(policy.backoff(retry_no, rng=self._retry_rng))
-            registry.counter("retry.attempts", scope="serve_client").inc()
-            try:
-                await self._connect()
-                return await self._round_trip(method, target, body, headers)
-            except (ConnectionError, asyncio.IncompleteReadError,
-                    OSError) as exc:
-                error = exc
-                await self.close()
-        raise error
+            return max(0.0, float(response.headers["retry-after"]))
+        except (KeyError, ValueError):
+            return self.retry.backoff(attempt, rng=self._retry_rng)
 
     async def _round_trip(self, method, target, body, headers) -> Response:
         lines = [f"{method} {target} HTTP/1.1",
@@ -181,12 +161,18 @@ class ServeClient:
             lines.append(f"Content-Length: {len(body)}")
         for name, value in headers.items():
             lines.append(f"{name}: {value}")
-        self._writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-        self._writer.write(body)
-        started = time.monotonic()
-        await self._writer.drain()
-
-        head = await self._reader.readuntil(b"\r\n\r\n")
+        try:
+            self._writer.write(
+                ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
+            self._writer.write(body)
+            started = time.monotonic()
+            await self._writer.drain()
+            first = await self._reader.read(1)
+        except _WIRE_ERRORS as exc:
+            raise _Unanswered(f"{method} {target}: {exc}") from exc
+        if not first:
+            raise _Unanswered(f"{method} {target}: connection closed")
+        head = first + await self._reader.readuntil(b"\r\n\r\n")
         head_lines = head.decode("latin-1").split("\r\n")
         status = int(head_lines[0].split(" ")[1])
         resp_headers: Dict[str, str] = {}

@@ -2,8 +2,8 @@
 
 Functional pieces (real bytes flow through the real codec):
 
-* :mod:`repro.storage.chunking` / :mod:`repro.storage.blockstore` —
-  4-MiB content-addressed chunk storage with round-trip admission.
+* :mod:`repro.storage.blockstore` — 4-MiB content-addressed chunk
+  storage with round-trip admission.
 * :mod:`repro.storage.safety` — shutoff switch, safety net, alert pipeline.
 * :mod:`repro.storage.qualification` — the pre-deployment corpus run.
 * :mod:`repro.storage.deployment` — qualified-build registry (and the

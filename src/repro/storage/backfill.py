@@ -17,10 +17,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import hashlib
 
+from repro.core.chunks import CHUNK_SIZE, split_chunks
 from repro.core.errors import ExitCode
 from repro.core.lepton import LeptonConfig, compress
 from repro.obs import ExitCodeSink, MetricsRegistry, get_registry, trace_span
-from repro.storage.chunking import CHUNK_SIZE, split_chunks
 from repro.storage.qualification import BUILDS
 from repro.storage.retry import RetryPolicy
 from repro.storage.simclock import SimClock

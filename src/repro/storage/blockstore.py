@@ -14,9 +14,14 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.core.chunks import StoredChunk, compress_chunked, decompress_chunk
+from repro.core.chunks import (
+    CHUNK_SIZE,
+    StoredChunk,
+    compress_chunked,
+    decompress_chunk,
+)
 from repro.core.errors import TimeoutExceeded
-from repro.core.lepton import FORMAT_LEPTON, LeptonConfig
+from repro.core.lepton import FORMAT_DEFLATE, FORMAT_LEPTON, LeptonConfig
 from repro.faults.killpoints import KillPoints
 from repro.obs import get_registry
 from repro.storage.backends import (
@@ -29,7 +34,6 @@ from repro.storage.backends import (
     decode_blob,
     encode_blob,
 )
-from repro.storage.chunking import CHUNK_SIZE
 from repro.storage.journal import Journal, MemoryJournal
 from repro.storage.quotas import QuotaBoard
 from repro.storage.retry import RetryPolicy
@@ -46,6 +50,17 @@ DAMAGED_FORMAT = "damaged"
 
 class IntegrityError(RuntimeError):
     """Stored payload no longer matches its recorded digest."""
+
+
+def _round_trips(chunk: StoredChunk, original: bytes) -> bool:
+    """The §5.7 admission rule: does ``chunk`` decode to ``original``?
+
+    A decode that raises fails the rule too, a decoder bug included.
+    """
+    try:
+        return decompress_chunk(chunk) == original
+    except Exception:
+        return False
 
 
 @dataclass
@@ -84,7 +99,6 @@ class BlockStore:
     entries: Dict[str, StoreEntry] = field(default_factory=dict)
     files: Dict[str, FileRecord] = field(default_factory=dict)
     admissions: int = 0
-    rejected_roundtrips: int = 0
     lepton_bytes_in: int = 0
     lepton_bytes_out: int = 0
     # Each put's conversion records its §6.2 exit code and the other
@@ -193,26 +207,29 @@ class BlockStore:
             pos += size
         return pos == len(data)
 
-    def _compress_verified(self, name: str, data: bytes,
+    def _compress_verified(self, data: bytes,
                            deadline: Optional[float] = None,
                            ) -> List[Tuple[str, StoredChunk, bytes]]:
-        """Compress ``data`` and run every chunk through the round-trip
-        admission gate; pure compute, no store mutation."""
+        """Compress ``data`` and run every chunk through the §5.7
+        round-trip gate; pure compute, no store mutation.
+
+        A chunk whose payload does not decode identically (or whose
+        decode raises) fails the gate, and then every chunk of the file
+        is stored as Deflate instead, as for a §6.2 reject.
+        """
         chunks = compress_chunked(data, self.chunk_size, self.config,
                                   deadline=deadline)
-        verified = []
-        for chunk in chunks:
-            a, b = chunk.original_range
-            original = data[a:b]
-            # Admission rule: the stored payload must decode identically.
-            if decompress_chunk(chunk) != original:
-                self.rejected_roundtrips += 1
-                raise IntegrityError(
-                    f"chunk {chunk.index} of {name!r} failed the round-trip gate"
-                )
-            verified.append(
-                (hashlib.sha256(original).hexdigest(), chunk, original))
-        return verified
+        originals = [data[a:b] for a, b in
+                     (chunk.original_range for chunk in chunks)]
+        if not all(_round_trips(chunk, original)
+                   for chunk, original in zip(chunks, originals)):
+            get_registry().counter("lepton.verify.roundtrip_failures").inc()
+            chunks = [StoredChunk(chunk.index, FORMAT_DEFLATE,
+                                  zlib.compress(original, 6),
+                                  chunk.original_range)
+                      for chunk, original in zip(chunks, originals)]
+        return [(hashlib.sha256(original).hexdigest(), chunk, original)
+                for chunk, original in zip(chunks, originals)]
 
     def _admit_file(self, name: str, data: bytes, tenant: str = "default",
                     deadline: Optional[float] = None):
@@ -225,7 +242,8 @@ class BlockStore:
         ``repro.faults.killpoints.KILL_POINTS``):
 
         1. append the **intent** record (names the put and its chunk keys);
-        2. write every chunk blob, then every kept-original blob;
+        2. write every chunk blob the index does not hold yet, then
+           every kept-original blob;
         3. append the **commit** record carrying the *full* file meta —
            this fsync is the point of no return: before it, recovery
            rolls the put back; after it, recovery redoes it;
@@ -237,7 +255,7 @@ class BlockStore:
         """
         if self._is_duplicate_put(name, data):
             return None, 0
-        verified = self._compress_verified(name, data, deadline=deadline)
+        verified = self._compress_verified(data, deadline=deadline)
         keys = [key for key, _chunk, _original in verified]
         stored = sum(len(chunk.payload) for _key, chunk, _original in verified)
         with self._put_lock:
@@ -250,10 +268,14 @@ class BlockStore:
             )
             self._reach("journal.intent.post")
             for i, (key, chunk, original) in enumerate(verified):
-                meta = {"index": chunk.index, "format": chunk.format,
-                        "osize": len(original)}
-                self.backend.write(f"chunk/{key}",
-                                   encode_blob(meta, chunk.payload))
+                # A stored chunk keeps the blob its index entry describes:
+                # another encode of the same bytes (a Deflate fallback, a
+                # new build) would no longer match the entry's md5.
+                if key not in self.entries:
+                    meta = {"index": chunk.index, "format": chunk.format,
+                            "osize": len(original)}
+                    self.backend.write(f"chunk/{key}",
+                                       encode_blob(meta, chunk.payload))
                 if i == 0:
                     self._reach("backend.chunk.first")
             self._reach("backend.chunk.rest")

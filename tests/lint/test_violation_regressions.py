@@ -143,8 +143,8 @@ class TestD7ContentHashOffTheEventLoop:
         pass actually guards this site rather than happening to be quiet."""
         from repro.lint import lint_source
         source = self.app_source()
-        fixed = ("file_id = await loop.run_in_executor(\n"
-                 "            None, lambda: hashlib.sha256(data).hexdigest())")
+        fixed = ("file_id = await self._offload(\n"
+                 "            lambda: hashlib.sha256(data).hexdigest())")
         assert fixed in source
         reverted = source.replace(
             fixed, "file_id = hashlib.sha256(data).hexdigest()")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.chunks import split_chunks
 from repro.core.errors import ExitCode
 from repro.core.lepton import LeptonConfig
 from repro.corpus import corruptions
@@ -14,7 +15,6 @@ from repro.storage.backfill import (
 )
 from repro.storage.backends import decode_blob, encode_blob
 from repro.storage.blockstore import BlockStore, IntegrityError
-from repro.storage.chunking import chunk_refs, is_jpeg_start, split_chunks
 from repro.storage.simclock import SimClock
 
 
@@ -24,17 +24,6 @@ class TestChunking:
         chunks = split_chunks(data, 300)
         assert b"".join(chunks) == data
         assert all(len(c) <= 300 for c in chunks)
-
-    def test_refs_are_content_addressed(self):
-        data = b"A" * 700
-        refs = chunk_refs(data, 256)
-        assert refs[0].sha256 == refs[1].sha256  # identical content
-        assert refs[0].index != refs[1].index
-
-    def test_jpeg_start_detection(self):
-        assert is_jpeg_start(b"\xFF\xD8\xFF\xE0")
-        assert not is_jpeg_start(b"\x89PNG")
-        assert not is_jpeg_start(b"\xFF")
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError):

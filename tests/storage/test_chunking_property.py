@@ -1,11 +1,9 @@
-"""Property tests on the content-addressing layer."""
-
-import hashlib
+"""Property tests on the chunking of the content-addressing layer."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.chunking import chunk_refs, is_jpeg_start, split_chunks
+from repro.core.chunks import split_chunks
 
 
 @settings(max_examples=80, deadline=None)
@@ -15,21 +13,3 @@ def test_split_partitions_exactly(data, chunk_size):
     assert b"".join(chunks) == data
     assert all(len(c) <= chunk_size for c in chunks)
     assert all(len(c) == chunk_size for c in chunks[:-1])
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.binary(min_size=1, max_size=2048), st.integers(1, 500))
-def test_refs_match_manual_hashes(data, chunk_size):
-    refs = chunk_refs(data, chunk_size)
-    chunks = split_chunks(data, chunk_size)
-    assert len(refs) == len(chunks)
-    for ref, chunk in zip(refs, chunks):
-        assert ref.sha256 == hashlib.sha256(chunk).hexdigest()
-        assert ref.size == len(chunk)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.binary(max_size=16))
-def test_jpeg_start_only_on_soi(prefix):
-    expected = len(prefix) >= 2 and prefix[0] == 0xFF and prefix[1] == 0xD8
-    assert is_jpeg_start(prefix) == expected

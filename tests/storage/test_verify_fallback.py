@@ -1,0 +1,86 @@
+"""A put that fails the §5.7 verify decode is stored as Deflate.
+
+The store decodes every chunk a put is about to admit; a payload that
+does not decode to its input is never admitted as Lepton.  The whole file
+is stored as Deflate instead (a file is never a mix of formats): the put
+succeeds, the read returns the original bytes, and no breaker counts it.
+A chunk the store already holds keeps its verified blob, whatever format
+another file's put chose for the same bytes.
+"""
+
+import pytest
+
+from repro.core.lepton import FORMAT_LEPTON
+from repro.corpus.builder import corpus_jpeg
+from repro.obs import get_registry
+from repro.serve.app import ServeConfig
+from repro.storage import blockstore
+from repro.storage.blockstore import BlockStore
+
+from tests.serve.conftest import with_server
+
+PHOTO = corpus_jpeg(seed=1, height=64, width=64)
+_REAL_DECODE = blockstore.decompress_chunk
+
+
+def _flipping(chunk, **kwargs):
+    """The Lepton decode with its first output byte flipped."""
+    data = _REAL_DECODE(chunk, **kwargs)
+    if chunk.format == FORMAT_LEPTON:
+        data = bytes([data[0] ^ 1]) + data[1:]
+    return data
+
+
+def _roundtrip_failures() -> float:
+    return get_registry().counter("lepton.verify.roundtrip_failures").value
+
+
+@pytest.mark.serve
+def test_failed_verify_decode_stores_the_file_as_deflate(monkeypatch):
+    async def scenario(server, client):
+        before = _roundtrip_failures()
+        monkeypatch.setattr(blockstore, "decompress_chunk", _flipping)
+        put = await client.put_file(PHOTO)
+        got = await client.get_file(put.json()["id"])
+        failures = server.breakers.describe()["/files"]["failures"]
+        return put, got, _roundtrip_failures() - before, failures
+
+    put, got, roundtrip_failures, failures = with_server(
+        scenario, ServeConfig(chunk_size=len(PHOTO) // 2))
+    assert put.status == 201, put.body
+    meta = put.json()
+    assert meta["format"] == "deflate"
+    assert meta["chunks"] >= 2
+    assert got.status == 200
+    assert got.body == PHOTO
+    assert roundtrip_failures == 1
+    assert failures == 0
+
+
+def test_a_failed_verify_leaves_a_stored_chunk_alone(monkeypatch):
+    """The same bytes under a second name share the first file's chunk:
+    the fallback must not overwrite that chunk's verified Lepton blob,
+    which the first file still reads without any fallback."""
+    store = BlockStore(keep_originals=False)
+    store.put_file("a.jpg", PHOTO)
+    monkeypatch.setattr(blockstore, "decompress_chunk", _flipping)
+    store.put_file("b.jpg", PHOTO)
+    monkeypatch.setattr(blockstore, "decompress_chunk", _REAL_DECODE)
+    assert store.get_file("a.jpg") == PHOTO
+    assert store.get_file("b.jpg") == PHOTO
+    assert store.degraded_fallbacks == 0
+
+
+def test_a_deflate_copy_leaves_a_stored_lepton_chunk_alone():
+    """A truncated copy is a §6.2 reject stored as Deflate, yet its first
+    chunk has the photo's bytes: writing its Deflate payload over the
+    photo's Lepton blob left both files failing the md5 gate."""
+    photo = corpus_jpeg(seed=1, height=96, width=96)
+    store = BlockStore(keep_originals=False, chunk_size=1024)
+    store.put_file("a.jpg", photo)
+    store.put_file("partial.jpg", photo[:-300])
+    shared = store.files["a.jpg"].chunk_keys[0]
+    assert store.files["partial.jpg"].chunk_keys[0] == shared
+    assert store.get_file("a.jpg") == photo
+    assert store.get_file("partial.jpg") == photo[:-300]
+    assert store.degraded_fallbacks == 0

@@ -137,6 +137,33 @@ def test_every_serve_endpoint_is_documented_and_vice_versa():
     )
 
 
+def test_every_route_gate_is_documented_and_vice_versa():
+    """The endpoint table's gate columns and the route table must agree:
+    one column per gate, and a tick exactly where a route passes it."""
+    from repro.serve.app import GATES, ROUTES
+
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in _serve_doc().splitlines()
+            if line.startswith("| Endpoint |")
+            or re.match(r"\| `[A-Z]+ /", line)]
+    header = rows[0]
+    columns = [name for name in header if name in GATES]
+    assert columns == list(GATES), f"gate columns {header} != {GATES}"
+    documented = {}
+    for row in rows[1:]:
+        method, route = row[0].strip("`").split(" ")
+        documented[method, route] = tuple(
+            gate for gate in GATES if row[header.index(gate)] == "✓")
+    served = {key: spec.gates for key, spec in ROUTES.items()}
+    missing = set(served.items()) - set(documented.items())
+    stale = set(documented.items()) - set(served.items())
+    assert not missing and not stale, (
+        f"undocumented gates: {sorted(missing)}; "
+        f"documented but not in the route table: {sorted(stale)}")
+    for gates in served.values():
+        assert list(gates) == [g for g in GATES if g in gates], gates
+
+
 def test_every_serve_status_is_documented_and_vice_versa():
     """The status table and the closed STATUS_REASONS set must agree."""
     from repro.serve import STATUS_REASONS
