@@ -15,13 +15,20 @@ window spanning the whole file, both through the same §6.2 classification
 step, :func:`~repro.core.lepton.convert`.
 """
 
+import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.errors import ExitCode, MemoryLimitExceeded
 from repro.core.format import LeptonFile, write_container
-from repro.core.lepton import FORMAT_LEPTON, LeptonConfig, convert, decompress
+from repro.core.lepton import (
+    FORMAT_DEFLATE,
+    FORMAT_LEPTON,
+    LeptonConfig,
+    convert,
+    decompress,
+)
 from repro.core.session import (
     EncodeStats,
     code_segment_records,
@@ -72,6 +79,13 @@ def split_chunks(data: bytes, chunk_size: int = CHUNK_SIZE) -> List[bytes]:
     """``data`` cut at :func:`chunk_ranges`: the chunks the back-end
     content-addresses by SHA-256 (§5.6's backfill scans hash these)."""
     return [data[a:b] for a, b in chunk_ranges(len(data), chunk_size)]
+
+
+def deflate_chunks(data: bytes, ranges) -> List[StoredChunk]:
+    """Every byte window of ``data`` as a Deflate chunk: the one fallback
+    for a §6.2 reject and for a chunk that fails the §5.7 verify."""
+    return [StoredChunk(i, FORMAT_DEFLATE, zlib.compress(data[a:b], 6), (a, b))
+            for i, (a, b) in enumerate(ranges)]
 
 
 def compress_chunked(

@@ -161,7 +161,7 @@ def convert(data: bytes, ranges, config: LeptonConfig,
     :class:`~repro.core.errors.TimeoutExceeded` instead, because nobody
     is waiting for the result.
     """
-    from repro.core.chunks import StoredChunk, encode_windows  # imports us
+    from repro.core.chunks import deflate_chunks, encode_windows  # imports us
 
     registry = get_registry()
     registry.counter("lepton.compress.attempts").inc()
@@ -183,11 +183,7 @@ def convert(data: bytes, ranges, config: LeptonConfig,
                 raise
             exit_code, detail = _classify_reject(data, exc)
             stats = None
-            chunks = [
-                StoredChunk(i, FORMAT_DEFLATE, zlib.compress(data[a:b], 6),
-                            (a, b))
-                for i, (a, b) in enumerate(ranges)
-            ] if fallback else None
+            chunks = deflate_chunks(data, ranges) if fallback else None
     registry.histogram("lepton.compress.seconds").observe(
         time.monotonic() - start  # lint: disable=D2
     )

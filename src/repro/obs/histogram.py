@@ -89,6 +89,26 @@ class StreamingHistogram:
                 self.min = bound if self.min is None else min(self.min, bound)
                 self.max = bound if self.max is None else max(self.max, bound)
 
+    def state(self) -> Dict[str, object]:
+        """The sketch as JSON-friendly data (:meth:`from_state` inverts it)."""
+        return {"accuracy": self.relative_accuracy,
+                "positive": sorted(self._positive.items()),
+                "negative": sorted(self._negative.items()),
+                "zero": self._zero_count, "count": self.count,
+                "total": self.total, "min": self.min, "max": self.max}
+
+    @classmethod
+    def from_state(cls, state: Dict[str, object]) -> "StreamingHistogram":
+        sketch = cls(state["accuracy"])
+        sketch._positive = {int(i): int(n) for i, n in state["positive"]}
+        sketch._negative = {int(i): int(n) for i, n in state["negative"]}
+        sketch._zero_count = state["zero"]
+        sketch.count = state["count"]
+        sketch.total = state["total"]
+        sketch.min = state["min"]
+        sketch.max = state["max"]
+        return sketch
+
     # -- queries ---------------------------------------------------------
 
     @property

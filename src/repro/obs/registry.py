@@ -164,6 +164,31 @@ class MetricsRegistry:
                 lines.append(f"{name}{label_text} {entry['kind']} {value_text}")
         return "\n".join(lines)
 
+    def export(self) -> List[list]:
+        """Every instrument as JSON-friendly ``[kind, name, labels, value]``
+        rows, histograms as their sketch state: what a codec worker sends
+        back with each job (repro.storage.workers)."""
+        with self._lock:
+            items = sorted(self._metrics.items())
+        return [[instrument.kind, name, dict(labels_key),
+                 instrument.state() if isinstance(instrument,
+                                                  StreamingHistogram)
+                 else instrument.value]
+                for (name, labels_key), instrument in items]
+
+    def replay(self, rows: List[list]) -> None:
+        """Fold :meth:`export` rows into this registry: counters add,
+        gauges take the value, histograms merge."""
+        for kind, name, labels, value in rows:
+            if kind == "counter":
+                self.counter(name, **labels).inc(value)
+            elif kind == "gauge":
+                self.gauge(name, **labels).set(value)
+            else:
+                state = StreamingHistogram.from_state(value)
+                self.histogram(name, state.relative_accuracy,
+                               **labels).merge(state)
+
     def reset(self) -> None:
         """Drop every instrument (test isolation; see tests/conftest.py)."""
         with self._lock:

@@ -119,6 +119,25 @@ class Tracer:
 
     # -- export ----------------------------------------------------------
 
+    def export(self) -> List[dict]:
+        """The buffered spans as JSON-friendly dicts, in seconds
+        (:meth:`replay` inverts it)."""
+        return [{"name": s.name, "wall": s.wall_seconds,
+                 "cpu": s.cpu_seconds, "depth": s.depth, "parent": s.parent,
+                 "labels": {k: v if isinstance(v, (int, float)) else str(v)
+                            for k, v in s.labels.items()},
+                 "error": s.error} for s in self.spans]
+
+    def replay(self, spans: List[dict]) -> None:
+        """Buffer spans another process exported.  Their
+        ``span.<name>.wall_seconds`` histograms travel in that process's
+        registry export, so they are not observed again here."""
+        records = [SpanRecord(s["name"], s["wall"], s["cpu"], s["depth"],
+                              s["parent"], s["labels"], s["error"])
+                   for s in spans]
+        with self._lock:
+            self._spans.extend(records)
+
     def to_jsonl(self) -> str:
         """The buffered spans, one JSON object per line."""
         return "\n".join(json.dumps(s.to_dict(), sort_keys=True) for s in self.spans)

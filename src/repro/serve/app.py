@@ -16,11 +16,14 @@ Design notes:
 
 * The event loop never runs codec work: every blocking step (codec,
   digests, journal fsyncs, backend walks) goes through
-  :meth:`LeptonServer._offload` to the loop's default executor
-  (GIL-bound, but the loop stays responsive), so concurrent requests
-  genuinely meet at the admission gate — saturation sheds immediate
-  ``503``s instead of silently serializing in socket buffers — and
-  ``/healthz`` answers while the codec is busy.
+  :meth:`LeptonServer._offload` to the loop's default executor, so
+  concurrent requests genuinely meet at the admission gate — saturation
+  sheds immediate ``503``s instead of silently serializing in socket
+  buffers — and ``/healthz`` answers while the codec is busy.  The codec
+  itself runs in worker processes (:mod:`repro.storage.workers`, one per
+  CPU, shared by every server in the process): an executor thread
+  waits on a pipe, not on the GIL, and a GET's later chunks decode on
+  idle workers while earlier ones stream out.
 * A GET never serves a wrong byte: every streamed piece sits behind the
   block store's two digest gates.  A failure *after* the response head
   has been written severs the connection (:meth:`LeptonServer._sever`)
@@ -70,6 +73,7 @@ from repro.storage.uploads import (
     UploadError,
     UploadLedger,
 )
+from repro.storage.workers import shared_pool
 
 #: The gates a request may pass, in the one order :meth:`LeptonServer._handle`
 #: applies them.  ``admission`` parses the request's deadline first: the
@@ -210,6 +214,8 @@ class LeptonServer:
                               seed=self.config.fault_seed)
             if self.config.fault_plan is not None else None
         )
+        #: The process's codec worker pool, which every server shares.
+        self.codec = shared_pool()
         self.store = self._build_store()
         self.uploads = self._build_uploads()
         self._attach_kill()
@@ -244,6 +250,7 @@ class LeptonServer:
             read_fault=(self.injector.read_fault
                         if self.injector is not None else None),
             quotas=self.quotas,
+            codec=self.codec,
         )
         if self.config.data_dir is None:
             return BlockStore(**options)
@@ -575,7 +582,8 @@ class LeptonServer:
     async def _send(self, writer, request: Optional[Request], route: str,
                     status: int, body: bytes, headers: dict) -> None:
         writer.write(render_head(status, headers, content_length=len(body)))
-        writer.write(body)
+        if request is None or request.method != "HEAD":
+            writer.write(body)  # a HEAD response ends at its head
         await writer.drain()
         method = request.method if request is not None else "?"
         self._count(method, route, status)
@@ -613,6 +621,7 @@ class LeptonServer:
         payload["backend"] = await self._offload(self.store.backend.describe)
         payload["backend"]["damaged_entries"] = self.store.damaged_entries
         payload["scrub"] = self.scrubber.describe()
+        payload["workers"] = self.codec.describe()
         body, headers = json_body(payload)
         if status == 503:
             headers["Retry-After"] = str(self.config.retry_after)

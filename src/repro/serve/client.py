@@ -182,7 +182,9 @@ class ServeClient:
             name, _, value = line.partition(":")
             resp_headers[name.strip().lower()] = value.strip()
 
-        length = int(resp_headers.get("content-length", "0"))
+        # A HEAD response ends at its head, whatever its Content-Length.
+        length = (0 if method == "HEAD"
+                  else int(resp_headers.get("content-length", "0")))
         ttfb = None
         pieces = []
         remaining = length

@@ -5,7 +5,8 @@ an ephemeral port and call every ``(method, route)`` of the route table
 once over a real socket — PUT one fig. 1 corpus file and GET it back
 (full and ranged), upload it again through a resumable session and probe
 the session, then read ``/healthz``, ``/metrics`` and ``/tenants`` —
-asserting byte identity and each status.  The server's own
+asserting byte identity and each status, and that ``/healthz`` reports
+every codec worker live.  The server's own
 ``serve.requests`` accounting must show exactly the routes in
 :data:`~repro.serve.app.ENDPOINTS`.  Any broken link in the chain —
 routing, codec, store, uploads, quota accounting, metrics — is a
@@ -75,7 +76,11 @@ async def _calls(client: ServeClient, jpeg: bytes) -> dict:
     for name in ("serve.requests", "serve.bytes_in", "serve.ttfb_seconds"):
         _check(name in scrape, f"{name} missing from /metrics")
     _check("default" in tenants.json()["tenants"], "tenant ledger empty")
-    return meta
+    workers = health.json()["workers"]
+    _check(workers["live"] == workers["size"] == len(workers["pids"]) >= 1,
+           f"/healthz reports {workers['live']} of {workers['size']} "
+           "codec workers live")
+    return {**meta, "workers": workers["live"]}
 
 
 async def _smoke() -> int:
@@ -101,7 +106,8 @@ async def _smoke() -> int:
     print(
         f"serve-smoke ok: {len(called)} routes; {meta['bytes']} bytes -> "
         f"{meta['stored_bytes']} stored ({meta['format']}, "
-        f"{meta['chunks']} chunks, savings {meta['savings']:.3f})"
+        f"{meta['chunks']} chunks, savings {meta['savings']:.3f}); "
+        f"{meta['workers']} codec workers"
     )
     return 0
 

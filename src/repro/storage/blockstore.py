@@ -11,17 +11,20 @@ import os
 import threading
 import time
 import zlib
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Union
 
 from repro.core.chunks import (
     CHUNK_SIZE,
     StoredChunk,
+    chunk_ranges,
     compress_chunked,
     decompress_chunk,
+    deflate_chunks,
 )
 from repro.core.errors import TimeoutExceeded
-from repro.core.lepton import FORMAT_DEFLATE, FORMAT_LEPTON, LeptonConfig
+from repro.core.lepton import FORMAT_LEPTON, LeptonConfig
 from repro.faults.killpoints import KillPoints
 from repro.obs import get_registry
 from repro.storage.backends import (
@@ -52,15 +55,41 @@ class IntegrityError(RuntimeError):
     """Stored payload no longer matches its recorded digest."""
 
 
-def _round_trips(chunk: StoredChunk, original: bytes) -> bool:
-    """The §5.7 admission rule: does ``chunk`` decode to ``original``?
+class InProcessCodec:
+    """The default codec runner: the store's two codec calls run in this
+    process, on the caller's thread, through the names this module
+    imports (so whatever replaces one of them sees every call).
 
-    A decode that raises fails the rule too, a decoder bug included.
+    A runner has four methods.  :meth:`encode` and :meth:`decode` are the
+    two calls; :meth:`start` begins a decode on an idle worker and returns
+    a future of its bytes, or ``None`` when no worker is idle; and
+    :meth:`idle_workers` counts them.  ``lepton serve`` passes the worker
+    pool instead (:class:`repro.storage.workers.CodecPool`), whose workers
+    give :meth:`BlockStore.stream_range` and the §5.7 verify decodes to
+    run ahead on.
     """
-    try:
-        return decompress_chunk(chunk) == original
-    except Exception:
-        return False
+
+    def encode(self, data: bytes, chunk_size: int, config: LeptonConfig,
+               deadline: Optional[float] = None) -> List[StoredChunk]:
+        return compress_chunked(data, chunk_size, config, deadline=deadline)
+
+    def decode(self, chunk: StoredChunk,
+               deadline: Optional[float] = None) -> bytes:
+        return decompress_chunk(chunk, deadline=deadline)
+
+    def start(self, chunk: StoredChunk, deadline: Optional[float] = None):
+        return None  # no worker to run ahead on
+
+    def idle_workers(self) -> int:
+        return 0
+
+
+class _Ahead(NamedTuple):
+    """A chunk payload :meth:`BlockStore.stream_range` read ahead, and its
+    decode running on a worker (``None`` when no worker was idle)."""
+
+    payload: bytes
+    job: Optional[Future]
 
 
 @dataclass
@@ -133,9 +162,17 @@ class BlockStore:
     recovered_files: int = 0
     rolled_back_puts: int = 0
     damaged_entries: int = 0
+    #: Runs the codec calls: in this process by default, on the worker
+    #: pool under ``lepton serve`` (repro.storage.workers).
+    codec: InProcessCodec = field(default_factory=InProcessCodec)
     _put_lock: threading.Lock = field(default_factory=threading.Lock,
                                       repr=False)
     _put_seq: int = 0
+    #: Chunks :meth:`stream_range` read ahead of its :meth:`get_chunk`
+    #: calls, by key.  Concurrent streams share it without a lock: a race
+    #: costs at most a second decode of a chunk, because get_chunk uses an
+    #: entry's decode only for the very bytes it decoded.
+    _ahead: Dict[str, _Ahead] = field(default_factory=dict, repr=False)
 
     def _reach(self, name: str) -> None:
         if self.kill is not None:
@@ -207,9 +244,9 @@ class BlockStore:
             pos += size
         return pos == len(data)
 
-    def _compress_verified(self, data: bytes,
+    def _compress_verified(self, data: bytes, originals: List[bytes],
                            deadline: Optional[float] = None,
-                           ) -> List[Tuple[str, StoredChunk, bytes]]:
+                           ) -> List[StoredChunk]:
         """Compress ``data`` and run every chunk through the §5.7
         round-trip gate; pure compute, no store mutation.
 
@@ -217,26 +254,46 @@ class BlockStore:
         decode raises) fails the gate, and then every chunk of the file
         is stored as Deflate instead, as for a §6.2 reject.
         """
-        chunks = compress_chunked(data, self.chunk_size, self.config,
-                                  deadline=deadline)
-        originals = [data[a:b] for a, b in
-                     (chunk.original_range for chunk in chunks)]
-        if not all(_round_trips(chunk, original)
-                   for chunk, original in zip(chunks, originals)):
+        chunks = self.codec.encode(data, self.chunk_size, self.config,
+                                   deadline)
+        if not self._round_trips(chunks, originals, deadline):
             get_registry().counter("lepton.verify.roundtrip_failures").inc()
-            chunks = [StoredChunk(chunk.index, FORMAT_DEFLATE,
-                                  zlib.compress(original, 6),
-                                  chunk.original_range)
-                      for chunk, original in zip(chunks, originals)]
-        return [(hashlib.sha256(original).hexdigest(), chunk, original)
-                for chunk, original in zip(chunks, originals)]
+            chunks = deflate_chunks(data, [c.original_range for c in chunks])
+        return chunks
+
+    def _round_trips(self, chunks: List[StoredChunk], originals: List[bytes],
+                     deadline: Optional[float]) -> bool:
+        """The §5.7 admission rule: does every chunk decode to its
+        original?  A decode that raises fails it, a decoder bug included;
+        a deadline does not, it ends the put.  The decodes start at once
+        on idle workers, in order, and each freed worker takes the next.
+        """
+        ahead = []
+        for i, (chunk, original) in enumerate(zip(chunks, originals)):
+            while i + len(ahead) < len(chunks):
+                job = self.codec.start(chunks[i + len(ahead)], deadline)
+                if job is None:
+                    break
+                ahead.append(job)
+            try:
+                data = (ahead.pop(0).result() if ahead
+                        else self.codec.decode(chunk, deadline))
+            except TimeoutExceeded:
+                raise
+            except Exception:
+                return False
+            if data != original:
+                return False
+        return True
 
     def _admit_file(self, name: str, data: bytes, tenant: str = "default",
                     deadline: Optional[float] = None):
         """Journaled crash-safe admission; returns ``(record,
         stored_bytes)`` — ``record`` is ``None`` when ``name`` was already
         stored byte-identically (the put is idempotent: no recompression,
-        no re-charge).
+        no re-charge).  When the index already holds every chunk (stored
+        content under a new name) nothing is encoded or verified: the
+        stored blobs passed the gate when they were admitted.
 
         Protocol order (each step is a registered kill point — see
         ``repro.faults.killpoints.KILL_POINTS``):
@@ -255,9 +312,15 @@ class BlockStore:
         """
         if self._is_duplicate_put(name, data):
             return None, 0
-        verified = self._compress_verified(data, deadline=deadline)
-        keys = [key for key, _chunk, _original in verified]
-        stored = sum(len(chunk.payload) for _key, chunk, _original in verified)
+        originals = [data[a:b] for a, b in
+                     chunk_ranges(len(data), self.chunk_size)]
+        keys = [hashlib.sha256(original).hexdigest() for original in originals]
+        if all(key in self.entries for key in keys):
+            chunks = None
+            stored = sum(self.entries[key].stored_size for key in keys)
+        else:
+            chunks = self._compress_verified(data, originals, deadline)
+            stored = sum(len(chunk.payload) for chunk in chunks)
         with self._put_lock:
             self._put_seq += 1
             put_id = self._put_seq
@@ -267,20 +330,21 @@ class BlockStore:
                 kill_point="journal.intent.torn",
             )
             self._reach("journal.intent.post")
-            for i, (key, chunk, original) in enumerate(verified):
+            for i, key in enumerate(keys):
                 # A stored chunk keeps the blob its index entry describes:
                 # another encode of the same bytes (a Deflate fallback, a
                 # new build) would no longer match the entry's md5.
                 if key not in self.entries:
+                    chunk = chunks[i]
                     meta = {"index": chunk.index, "format": chunk.format,
-                            "osize": len(original)}
+                            "osize": chunk.original_size}
                     self.backend.write(f"chunk/{key}",
                                        encode_blob(meta, chunk.payload))
                 if i == 0:
                     self._reach("backend.chunk.first")
             self._reach("backend.chunk.rest")
             if self.keep_originals:
-                for key, _chunk, original in verified:
+                for key, original in zip(keys, originals):
                     self.backend.write(
                         f"orig/{key}",
                         encode_blob({"osize": len(original)},
@@ -296,7 +360,7 @@ class BlockStore:
             self._reach("journal.commit.post")
             self.backend.write(file_blob_key(name), encode_blob(file_meta, b""))
             self._reach("backend.file_record")
-            for key, chunk, _original in verified:
+            for key, chunk in zip(keys, chunks or ()):
                 self._index(key, StoreEntry(
                     chunk.index, chunk.format, chunk.original_size,
                     len(chunk.payload), hashlib.md5(chunk.payload).hexdigest(),
@@ -436,20 +500,29 @@ class BlockStore:
             return
         self._index(key, entry)
 
+    def _stored_chunk(self, entry: StoreEntry, payload: bytes) -> StoredChunk:
+        return StoredChunk(entry.index, entry.format, payload,
+                           (0, entry.original_size))
+
     def _verify_and_decode(self, key: str, entry: StoreEntry,
-                           payload: bytes,
-                           deadline: Optional[float] = None) -> bytes:
+                           payload: bytes, deadline: Optional[float] = None,
+                           ahead: Optional[_Ahead] = None) -> bytes:
         """Both integrity gates over one (possibly faulted) payload read.
 
-        The decode is the put gate's own ``decompress_chunk``, with or
-        without a deadline (the session cancels between row bands once it
-        passes), so every read records the same decode telemetry.
+        The decode is the put gate's own runner call, with or without a
+        deadline (the session cancels between row bands once it passes),
+        so every read records the same decode telemetry.  ``ahead`` is a
+        decode :meth:`stream_range` started early; it stands in for the
+        decode only if it decoded these very bytes.
         """
         if hashlib.md5(payload).hexdigest() != entry.payload_md5:
             raise IntegrityError(f"payload digest mismatch for {key[:12]}")
-        data = decompress_chunk(StoredChunk(
-            entry.index, entry.format, payload, (0, entry.original_size)),
-            deadline=deadline)
+        if ahead is not None and ahead.job is not None \
+                and ahead.payload == payload:
+            data = ahead.job.result()
+        else:
+            data = self.codec.decode(self._stored_chunk(entry, payload),
+                                     deadline)
         if hashlib.sha256(data).hexdigest() != entry.original_sha256:
             raise IntegrityError(f"decode digest mismatch for {key[:12]}")
         return data
@@ -491,15 +564,18 @@ class BlockStore:
         attempts = (self.read_retry.max_attempts
                     if self.read_retry is not None else 1)
         error: Exception = IntegrityError(f"unreadable chunk {key[:12]}")
+        # The first attempt takes the payload stream_range read ahead.
+        ahead = self._ahead.pop(key, None)
         for attempt in range(1, attempts + 1):
             if attempt > 1:
                 registry.counter("retry.attempts", scope="blockstore").inc()
             try:
-                payload = self._payload(key)
+                payload = (ahead.payload if ahead is not None
+                           else self._payload(key))
                 if self.read_fault is not None:
                     payload = self.read_fault(key, payload, attempt)
                 return self._verify_and_decode(key, entry, payload,
-                                               deadline=deadline)
+                                               deadline, ahead)
             except TimeoutExceeded:
                 # A deadline abort is the *request* giving up, not the
                 # payload rotting: re-reading or serving the fallback
@@ -507,6 +583,7 @@ class BlockStore:
                 raise
             except Exception as exc:
                 error = exc
+            ahead = None
         # Out of re-reads: the payload is rotten at rest or undecodable by
         # this build.  Serve the kept original if we have one — the §5.7
         # durability promise.
@@ -567,11 +644,15 @@ class BlockStore:
         request for a file tail never touches its head.  Each chunk passes
         both digest gates of :meth:`get_chunk` *before* any of its bytes
         are yielded (the degraded-read contract forbids streaming bytes a
-        later check could disown).  Feeds the same ``blockstore.read.*``
-        histograms as whole-file reads.  ``deadline`` cancels the decode
-        between row bands once it passes; the ``store.stream.first`` kill
-        point fires after the first verified piece is handed to the
-        caller — the mid-stream crash the live chaos harness drills.
+        later check could disown).  The first chunk decodes alone, so the
+        first byte waits for nothing else; after it, every chunk not yet
+        yielded starts decoding on an idle worker of the codec runner, in
+        order, while earlier ones stream out.  Feeds the same
+        ``blockstore.read.*`` histograms as whole-file reads.
+        ``deadline`` cancels the decode between row bands once it passes;
+        the ``store.stream.first`` kill point fires after the first
+        verified piece is handed to the caller — the mid-stream crash the
+        live chaos harness drills.
         """
         record = self.files[name]
         start = max(0, start)
@@ -579,22 +660,54 @@ class BlockStore:
         registry = get_registry()
         # Telemetry only: never feeds a coded decision.
         begin = time.monotonic()  # lint: disable=D2
-        first = True
-        for key, a, b in self.chunk_spans(name):
-            if b <= start or a >= stop:
-                continue
-            data = self.get_chunk(key, deadline=deadline)
-            if first:
-                registry.histogram("blockstore.read.ttfb_seconds").observe(
-                    time.monotonic() - begin  # lint: disable=D2
-                )
-            yield data[max(start, a) - a:min(stop, b) - a]
-            if first:
-                first = False
-                self._reach("store.stream.first")
+        spans = [(key, a, b) for key, a, b in self.chunk_spans(name)
+                 if a < stop and b > start]
+        started: Dict[str, _Ahead] = {}
+        try:
+            for i, (key, a, b) in enumerate(spans):
+                if i:
+                    self._read_ahead([key for key, _a, _b in spans[i:]],
+                                     deadline, started)
+                data = self.get_chunk(key, deadline=deadline)
+                if not i:
+                    registry.histogram("blockstore.read.ttfb_seconds").observe(
+                        time.monotonic() - begin  # lint: disable=D2
+                    )
+                yield data[max(start, a) - a:min(stop, b) - a]
+                if not i:
+                    self._reach("store.stream.first")
+        finally:
+            # A stream that ends early leaves no read-ahead behind; a
+            # decode still running frees its worker when it finishes.
+            for key, ahead in started.items():
+                if self._ahead.get(key) is ahead:
+                    del self._ahead[key]
         registry.histogram("blockstore.read.seconds").observe(
             time.monotonic() - begin  # lint: disable=D2
         )
+
+    def _read_ahead(self, keys: List[str], deadline: Optional[float],
+                    started: Dict[str, _Ahead]) -> None:
+        """Read each of ``keys`` in order and start its decode, while the
+        codec runner has an idle worker, for :meth:`get_chunk` to take
+        up.  Never waits for a worker, and never starts a chunk past one
+        this stream has no decode running for."""
+        for key in keys:
+            ahead = self._ahead.get(key)
+            if ahead is not None and started.get(key) is ahead:
+                continue  # already ours
+            if ahead is not None or not self.codec.idle_workers():
+                return
+            entry = self.entries[key]
+            try:
+                payload = self._payload(key)
+            except IntegrityError:
+                return  # get_chunk reads it again, and retries
+            ahead = _Ahead(payload, self.codec.start(
+                self._stored_chunk(entry, payload), deadline))
+            self._ahead[key] = started[key] = ahead
+            if ahead.job is None:
+                return
 
     def stored_bytes_for(self, record: FileRecord) -> int:
         """Stored (compressed) footprint of one file's chunks, from the
@@ -625,6 +738,7 @@ def open_durable_store(
     read_retry: Optional[RetryPolicy] = None,
     read_fault: Optional[Callable[[str, bytes, int], bytes]] = None,
     kill: Optional[KillPoints] = None,
+    codec: Optional[InProcessCodec] = None,
 ) -> BlockStore:
     """Open (or create) a crash-consistent store rooted at ``root``.
 
@@ -633,9 +747,10 @@ def open_durable_store(
     > 1, with blob self-validation driving read-repair) plus
     ``root/journal.wal``.  ``backends`` overrides the replica set — the
     chaos harness passes :class:`~repro.storage.backends.FaultyBackend`
-    wrappers here.  Startup recovery runs before the store is returned,
-    so an acknowledged put from the previous life is readable and a
-    partial one is gone.
+    wrappers here, and ``codec`` is the store's codec runner
+    (:class:`InProcessCodec` by default).  Startup recovery runs before
+    the store is returned, so an acknowledged put from the previous life
+    is readable and a partial one is gone.
     """
     if backends is None:
         backends = [
@@ -655,6 +770,7 @@ def open_durable_store(
         backend=backend,
         journal=journal,
         kill=kill,
+        codec=codec if codec is not None else InProcessCodec(),
     )
     store.recover()
     return store

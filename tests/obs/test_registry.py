@@ -1,5 +1,7 @@
 """MetricsRegistry: label keying, families, snapshot/render, reset."""
 
+import json
+
 import pytest
 
 from repro.obs import Counter, Gauge, MetricsRegistry, StreamingHistogram, get_registry
@@ -113,3 +115,24 @@ def test_global_registry_is_a_singleton():
     get_registry().counter("test.global.counter").inc()
     assert get_registry().get("test.global.counter").value == 1
     # The autouse conftest fixture resets it between tests.
+
+
+def test_export_replays_through_json_into_another_registry(registry):
+    """What a codec worker sends back with a job: counters add, gauges
+    take the value, histograms merge bucket for bucket."""
+    registry.counter("jobs", kind="decode").inc(3)
+    registry.gauge("level").set(7)
+    for value in (0.001, 0.002, 0.5):
+        registry.histogram("seconds").observe(value)
+    target = MetricsRegistry()
+    target.counter("jobs", kind="decode").inc(1)
+    target.histogram("seconds").observe(0.25)
+    target.replay(json.loads(json.dumps(registry.export())))
+    assert target.counter("jobs", kind="decode").value == 4
+    assert target.gauge("level").value == 7
+    merged = target.histogram("seconds")
+    assert merged.count == 4 and merged.max == 0.5 and merged.min == 0.001
+    expected = StreamingHistogram()
+    for value in (0.001, 0.002, 0.5, 0.25):
+        expected.observe(value)
+    assert merged.percentiles() == expected.percentiles()

@@ -123,3 +123,19 @@ def test_full_buffer_keeps_the_newest_spans_in_order(monkeypatch):
             pass
     assert [s.name for s in tracer.spans] == ["s4", "s5", "s6"]
     assert tracer.spans[1:] == tracer.spans[-2:]
+
+
+def test_exported_spans_replay_without_observing_again():
+    """A worker's spans travel as JSON; their histograms travel in its
+    registry export, so a replay buffers the spans and observes nothing."""
+    worker = Tracer(registry=MetricsRegistry())
+    with worker.span("outer", kind="decode"):
+        with worker.span("inner"):
+            pass
+    server_registry = MetricsRegistry()
+    server = Tracer(registry=server_registry)
+    server.replay(json.loads(json.dumps(worker.export())))
+    assert [(s.name, s.depth, s.parent) for s in server.spans] == [
+        ("inner", 1, "outer"), ("outer", 0, None)]
+    assert server.spans[1].labels == {"kind": "decode"}
+    assert server_registry.names() == []

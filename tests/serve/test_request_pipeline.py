@@ -72,6 +72,32 @@ async def _raw(server, head: bytes, body: bytes = b""):
         writer.close()
 
 
+async def _head(server, target: str, headers: dict):
+    """A HEAD on a fresh socket: ``(status, headers, bytes after the
+    head)``.  A HEAD response ends at its head, so nothing may follow it
+    before the server closes the connection or goes quiet."""
+    reader, writer = await asyncio.open_connection(server.config.host,
+                                                   server.port)
+    try:
+        writer.write(f"HEAD {target} HTTP/1.1\r\n".encode() + b"".join(
+            f"{name}: {value}\r\n".encode()
+            for name, value in headers.items()) + b"\r\n")
+        await writer.drain()
+        lines = (await reader.readuntil(b"\r\n\r\n")).decode().split("\r\n")
+        response_headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            if name:
+                response_headers[name.strip().lower()] = value.strip()
+        try:
+            after = await asyncio.wait_for(reader.read(1), 0.2)
+        except asyncio.TimeoutError:
+            after = b""
+        return int(lines[0].split(" ")[1]), response_headers, after
+    finally:
+        writer.close()
+
+
 async def _prepare(client):
     """A stored file and an open upload for the routes that need them."""
     put = await client.put_file(STORED)
@@ -113,6 +139,8 @@ def test_each_data_plane_route_meets_each_gate(route, condition, tmp_path):
         else:
             headers["X-Lepton-Deadline"] = "0"
         try:
+            if method == "HEAD":
+                return await _head(server, target, headers)
             response = await client.request(method, target, body=body,
                                             headers=headers)
         finally:
@@ -122,6 +150,12 @@ def test_each_data_plane_route_meets_each_gate(route, condition, tmp_path):
 
     response = with_server(scenario, _config(tmp_path))
     status, error, retry_after = EXPECTED[condition][route]
+    if route.startswith("HEAD"):
+        got, response_headers, after = response
+        assert got == status
+        assert ("retry-after" in response_headers) == retry_after
+        assert after == b""
+        return
     assert response.status == status, response.body
     if error is None:
         assert response.body in (b"", STORED)   # HEAD, or the stored bytes

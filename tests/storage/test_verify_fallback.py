@@ -23,12 +23,36 @@ PHOTO = corpus_jpeg(seed=1, height=64, width=64)
 _REAL_DECODE = blockstore.decompress_chunk
 
 
-def _flipping(chunk, **kwargs):
-    """The Lepton decode with its first output byte flipped."""
-    data = _REAL_DECODE(chunk, **kwargs)
+def _flip(chunk, data: bytes) -> bytes:
+    """``chunk``'s decode with its first byte flipped, if it is Lepton."""
     if chunk.format == FORMAT_LEPTON:
         data = bytes([data[0] ^ 1]) + data[1:]
     return data
+
+
+def _flipping(chunk, **kwargs):
+    """The Lepton decode with its first output byte flipped."""
+    return _flip(chunk, _REAL_DECODE(chunk, **kwargs))
+
+
+class _FlippingCodec:
+    """A store's codec runner with :func:`_flipping`'s decode: every
+    decode, the verify's included, runs through :meth:`decode`."""
+
+    def __init__(self, runner):
+        self.runner = runner
+
+    def encode(self, *args):
+        return self.runner.encode(*args)
+
+    def decode(self, chunk, deadline=None):
+        return _flip(chunk, self.runner.decode(chunk, deadline))
+
+    def start(self, chunk, deadline=None):
+        return None
+
+    def idle_workers(self):
+        return 0
 
 
 def _roundtrip_failures() -> float:
@@ -39,7 +63,8 @@ def _roundtrip_failures() -> float:
 def test_failed_verify_decode_stores_the_file_as_deflate(monkeypatch):
     async def scenario(server, client):
         before = _roundtrip_failures()
-        monkeypatch.setattr(blockstore, "decompress_chunk", _flipping)
+        monkeypatch.setattr(server.store, "codec",
+                            _FlippingCodec(server.store.codec))
         put = await client.put_file(PHOTO)
         got = await client.get_file(put.json()["id"])
         failures = server.breakers.describe()["/files"]["failures"]

@@ -55,7 +55,9 @@ def _emitted_metric_names(small_jpeg):
     from repro.core.lepton import LeptonConfig
     from repro.obs import MetricsRegistry, get_registry
     from repro.storage.backfill import BackfillWorker, Metaserver, UserFile
+    from repro.storage.blockstore import BlockStore
     from repro.storage.fleet import FleetConfig, FleetSim
+    from repro.storage.workers import shared_pool
 
     names = set()
 
@@ -64,6 +66,12 @@ def _emitted_metric_names(small_jpeg):
     result = compress(small_jpeg)
     decompress(result.payload)
     compress(b"not a jpeg")                       # Deflate fallback
+    names.update(get_registry().names())
+
+    # The same codec on the worker pool (its telemetry is replayed here).
+    store = BlockStore(chunk_size=1024, codec=shared_pool())
+    store.put_file("a.jpg", small_jpeg)
+    store.get_file("a.jpg")
     names.update(get_registry().names())
 
     # Backfill path (private registry).
@@ -224,8 +232,9 @@ def test_every_serve_metric_is_documented_and_vice_versa(small_jpeg):
 
 def test_healthz_carries_the_documented_sections(small_jpeg):
     """docs/serve.md names the /healthz sections (`breakers` board with
-    per-route state, `uploads` progress counters); a live response must
-    really carry them, with exactly the documented keys."""
+    per-route state, `uploads` progress counters, the codec `workers`); a
+    live response must really carry them, with exactly the documented
+    keys."""
     import asyncio
 
     from repro.serve import LeptonServer, ServeClient, ServeConfig
@@ -244,6 +253,8 @@ def test_healthz_carries_the_documented_sections(small_jpeg):
     health = asyncio.run(_main())
     assert set(health["uploads"]) == {"open", "completed", "recovered",
                                       "dropped_parts"}
+    assert set(health["workers"]) == {"size", "live", "pids", "busy",
+                                      "restarts"}
     board = health["breakers"]
     assert board, "no breaker entries after data-plane traffic"
     for route, entry in board.items():
