@@ -3,7 +3,8 @@
 * :func:`compress` runs the one encode pipeline
   (:func:`repro.core.chunks.encode_windows`) over a whole file, and
   :func:`convert` is the §6.2 classification step it shares with the
-  store's chunked put;
+  store's chunked put (:func:`convert_lost` counts a conversion whose
+  worker died the same way);
 * :func:`decompress_chunks` is the one decode implementation, a stream of
   stored-payload chunks in, original bytes out;
 * :func:`decompress` is its bytes-level join, which owns the decode
@@ -163,8 +164,7 @@ def convert(data: bytes, ranges, config: LeptonConfig,
     """
     from repro.core.chunks import deflate_chunks, encode_windows  # imports us
 
-    registry = get_registry()
-    registry.counter("lepton.compress.attempts").inc()
+    get_registry().counter("lepton.compress.attempts").inc()
     # Telemetry, and a timeout (wall-clock by definition, §6.6) only ever
     # *rejects* a conversion: neither can alter the coded bytes of one.
     start = time.monotonic()  # lint: disable=D2
@@ -184,6 +184,33 @@ def convert(data: bytes, ranges, config: LeptonConfig,
             exit_code, detail = _classify_reject(data, exc)
             stats = None
             chunks = deflate_chunks(data, ranges) if fallback else None
+    _record_conversion(data, exit_code, chunks, start)
+    return exit_code, detail, stats, chunks
+
+
+def convert_lost(data: bytes, ranges, exit_code: ExitCode, start: float):
+    """The §6.2 reject of a conversion begun at ``start`` (monotonic)
+    whose encoder died before it answered: a codec worker killed by a
+    signal, whose own telemetry died with it.  Counted as :func:`convert`
+    counts a reject under ``exit_code``, its ``lepton.compress`` span
+    included; every window of ``ranges`` is stored as Deflate.
+    """
+    from repro.core.chunks import deflate_chunks  # imports us
+
+    get_registry().counter("lepton.compress.attempts").inc()
+    with trace_span("lepton.compress", input_bytes=len(data)):
+        chunks = deflate_chunks(data, ranges)
+    _record_conversion(data, exit_code, chunks, start)
+    return chunks
+
+
+def _record_conversion(data: bytes, exit_code: ExitCode, chunks,
+                       start: float) -> None:
+    """A finished conversion's ``lepton.compress.*`` rows: its seconds,
+    §6.2 exit code and input bytes, and the bytes of its stored
+    ``chunks`` (``None`` when nothing was stored), a fallback's counted
+    as one."""
+    registry = get_registry()
     registry.histogram("lepton.compress.seconds").observe(
         time.monotonic() - start  # lint: disable=D2
     )
@@ -194,7 +221,6 @@ def convert(data: bytes, ranges, config: LeptonConfig,
             sum(len(chunk.payload) for chunk in chunks))
         if exit_code is not ExitCode.SUCCESS:
             registry.counter("lepton.compress.fallbacks").inc()
-    return exit_code, detail, stats, chunks
 
 
 def compress(data: bytes, config: Optional[LeptonConfig] = None) -> CompressionResult:

@@ -45,12 +45,11 @@ from repro.core.chunks import (
     chunk_ranges,
     compress_chunked,
     decompress_chunk,
-    deflate_chunks,
 )
 from repro.core.errors import ExitCode, TimeoutExceeded
-from repro.core.lepton import LeptonConfig
+from repro.core.lepton import LeptonConfig, convert_lost
 from repro.core.model import ModelConfig
-from repro.obs import ExitCodeSink, exit_code_for_signal, get_registry
+from repro.obs import exit_code_for_signal, get_registry
 from repro.obs import get_tracer, trace_span
 
 #: Frame prefix: header length, body length.
@@ -221,16 +220,14 @@ class CodecPool:
                deadline: Optional[float] = None) -> List[StoredChunk]:
         header = {"chunk_size": chunk_size,
                   "config": dataclasses.asdict(config)}
+        start = time.monotonic()  # lint: disable=D2 - telemetry only
         try:
             return self._run("encode", header, data, deadline)
         except WorkerLost as lost:
             # A conversion that died with its worker is a §6.2 reject
             # under the killing signal's exit code, stored as Deflate.
-            registry = get_registry()
-            registry.counter("lepton.compress.attempts").inc()
-            ExitCodeSink().record(lost.exit_code)
-            registry.counter("lepton.compress.fallbacks").inc()
-            return deflate_chunks(data, chunk_ranges(len(data), chunk_size))
+            return convert_lost(data, chunk_ranges(len(data), chunk_size),
+                                lost.exit_code, start)
 
     def decode(self, chunk: StoredChunk,
                deadline: Optional[float] = None) -> bytes:

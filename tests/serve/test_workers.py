@@ -88,21 +88,71 @@ def test_a_worker_killed_mid_get_costs_the_client_nothing(busy):
     assert fallbacks == 0        # ... and did not need the original
 
 
+def _conversions() -> dict:
+    """The ``lepton.compress.*`` rows a conversion adds to, with the
+    ``OOM kill`` exit code's."""
+    registry = get_registry()
+    counters = {name: registry.counter("lepton.compress." + name).value
+                for name in ("attempts", "fallbacks", "input_bytes",
+                             "output_bytes")}
+    return {**counters,
+            "oom_kills": registry.counter("lepton.compress.exit_codes",
+                                          code="OOM kill").value,
+            "seconds": registry.histogram("lepton.compress.seconds").count,
+            "spans": registry.histogram(
+                "span.lepton.compress.wall_seconds").count}
+
+
 def test_a_worker_killed_mid_put_stores_the_file_as_deflate():
+    """The killed conversion counts as a §6.2 reject under SIGKILL's
+    exit code, with the rows an in-process reject records."""
     async def scenario(server, client):
         # Every worker is up before the put, so the kill lands in it.
         await _until(lambda: server.codec.idle_workers()
                      == server.codec.size)
+        before = _conversions()
         put = asyncio.ensure_future(client.put_file(PHOTO))
         await _kill_workers_when_busy(server)
         put = await asyncio.wait_for(put, 60)
+        after = _conversions()
         got = await client.get_file(put.json()["id"])
-        return put, got
+        return put, got, {k: after[k] - before[k] for k in after}
 
-    put, got = with_server(scenario, ServeConfig(chunk_size=CHUNK))
+    put, got, counted = with_server(scenario, ServeConfig(chunk_size=CHUNK))
     assert put.status == 201
     assert put.json()["format"] == "deflate"
     assert got.status == 200 and got.body == PHOTO
+    assert counted == {"attempts": 1, "fallbacks": 1,
+                       "input_bytes": len(PHOTO),
+                       "output_bytes": put.json()["stored_bytes"],
+                       "oom_kills": 1, "seconds": 1, "spans": 1}
+
+
+def test_a_chunk_rotten_on_every_replica_is_served_from_its_original(
+        tmp_path):
+    """The read-ahead reads a later chunk whose blob no replica holds
+    intact: that read fails, and get_chunk reads it again, retries and
+    serves the kept original, as it does without read-ahead."""
+    photo = corpus_jpeg(seed=6, height=96, width=96)
+    config = ServeConfig(chunk_size=-(-len(photo) // 4), replicas=2,
+                         data_dir=str(tmp_path / "data"))
+
+    async def scenario(server, client):
+        put = await client.put_file(photo)
+        assert put.status == 201 and put.json()["format"] == "lepton"
+        keys = server.store.files[put.json()["id"]].chunk_keys
+        assert len(keys) == 4
+        for replica in server.store.backend.replicas:
+            replica.write(f"chunk/{keys[1]}", b"rotten bytes at rest")
+        got = await client.get_file(put.json()["id"])
+        failures = server.breakers.describe()["/files"]["failures"]
+        return got, server.store.degraded_fallbacks, failures
+
+    got, fallbacks, failures = with_server(scenario, config)
+    assert got.status == 200
+    assert got.body == photo
+    assert fallbacks == 1
+    assert failures == 0
 
 
 def test_the_pool_respawns_a_killed_worker_and_counts_it():

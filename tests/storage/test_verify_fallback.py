@@ -14,39 +14,31 @@ from repro.core.lepton import FORMAT_LEPTON
 from repro.corpus.builder import corpus_jpeg
 from repro.obs import get_registry
 from repro.serve.app import ServeConfig
-from repro.storage import blockstore
 from repro.storage.blockstore import BlockStore
 
 from tests.serve.conftest import with_server
 
 PHOTO = corpus_jpeg(seed=1, height=64, width=64)
-_REAL_DECODE = blockstore.decompress_chunk
-
-
-def _flip(chunk, data: bytes) -> bytes:
-    """``chunk``'s decode with its first byte flipped, if it is Lepton."""
-    if chunk.format == FORMAT_LEPTON:
-        data = bytes([data[0] ^ 1]) + data[1:]
-    return data
-
-
-def _flipping(chunk, **kwargs):
-    """The Lepton decode with its first output byte flipped."""
-    return _flip(chunk, _REAL_DECODE(chunk, **kwargs))
 
 
 class _FlippingCodec:
-    """A store's codec runner with :func:`_flipping`'s decode: every
-    decode, the verify's included, runs through :meth:`decode`."""
+    """A store's codec runner whose Lepton decodes come back with their
+    first byte flipped: every decode, the verify's included, runs
+    through :meth:`decode`, which counts them."""
 
     def __init__(self, runner):
         self.runner = runner
+        self.decodes = 0
 
     def encode(self, *args):
         return self.runner.encode(*args)
 
     def decode(self, chunk, deadline=None):
-        return _flip(chunk, self.runner.decode(chunk, deadline))
+        data = self.runner.decode(chunk, deadline)
+        if chunk.format == FORMAT_LEPTON:
+            self.decodes += 1
+            data = bytes([data[0] ^ 1]) + data[1:]
+        return data
 
     def start(self, chunk, deadline=None):
         return None
@@ -82,17 +74,27 @@ def test_failed_verify_decode_stores_the_file_as_deflate(monkeypatch):
     assert failures == 0
 
 
-def test_a_failed_verify_leaves_a_stored_chunk_alone(monkeypatch):
-    """The same bytes under a second name share the first file's chunk:
-    the fallback must not overwrite that chunk's verified Lepton blob,
-    which the first file still reads without any fallback."""
-    store = BlockStore(keep_originals=False)
-    store.put_file("a.jpg", PHOTO)
-    monkeypatch.setattr(blockstore, "decompress_chunk", _flipping)
-    store.put_file("b.jpg", PHOTO)
-    monkeypatch.setattr(blockstore, "decompress_chunk", _REAL_DECODE)
-    assert store.get_file("a.jpg") == PHOTO
-    assert store.get_file("b.jpg") == PHOTO
+def test_a_failed_verify_leaves_a_stored_chunk_alone():
+    """A photo with trailing bytes shares the photo's first chunk: the
+    Deflate fallback of its failed verify must not overwrite that
+    chunk's verified Lepton blob, which the photo still reads without
+    any fallback."""
+    photo = corpus_jpeg(seed=1, height=96, width=96)
+    tailed = photo + b"trailing bytes"
+    store = BlockStore(keep_originals=False, chunk_size=1024)
+    store.put_file("a.jpg", photo)
+    runner = store.codec
+    store.codec = flipping = _FlippingCodec(runner)
+    store.put_file("b.jpg", tailed)
+    store.codec = runner
+    assert flipping.decodes >= 1
+    shared = store.files["a.jpg"].chunk_keys[0]
+    assert store.files["b.jpg"].chunk_keys[0] == shared
+    assert store.entries[shared].format == FORMAT_LEPTON
+    assert store.entries[store.files["b.jpg"].chunk_keys[1]].format \
+        == "deflate"
+    assert store.get_file("a.jpg") == photo
+    assert store.get_file("b.jpg") == tailed
     assert store.degraded_fallbacks == 0
 
 
