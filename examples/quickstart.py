@@ -17,8 +17,9 @@ def main() -> None:
     print(f"input JPEG:      {len(jpeg_bytes):6d} bytes")
 
     # Compress.  The result carries the §6.2 exit code, the payload, and
-    # per-component statistics.
-    result = compress(jpeg_bytes, LeptonConfig(threads=2))
+    # per-component statistics (the Figure-4 breakdown only when asked).
+    result = compress(jpeg_bytes, LeptonConfig(threads=2,
+                                               collect_breakdown=True))
     assert result.ok, result.exit_code
     print(f"lepton payload:  {result.output_size:6d} bytes "
           f"({100 * result.savings_fraction:.1f}% saved, "

@@ -18,7 +18,7 @@ step, :func:`~repro.core.lepton.convert`.
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.errors import ExitCode, MemoryLimitExceeded
 from repro.core.format import LeptonFile, write_container
@@ -93,6 +93,7 @@ def compress_chunked(
     chunk_size: int = CHUNK_SIZE,
     config: Optional[LeptonConfig] = None,
     deadline: Optional[float] = None,
+    on_window: Optional[Callable[[StoredChunk], None]] = None,
 ) -> List[StoredChunk]:
     """Split ``data`` into chunks and compress each independently.
 
@@ -103,10 +104,12 @@ def compress_chunked(
     production.  ``deadline`` (a monotonic timestamp) propagates into the
     segment coder, which raises :class:`~repro.core.errors.TimeoutExceeded`
     between segments once it passes — the serve path's end-to-end deadline
-    reaching actual codec work.
+    reaching actual codec work.  ``on_window`` sees each Lepton chunk as
+    soon as it is coded (see :func:`encode_windows`).
     """
     _, _, _, chunks = convert(data, chunk_ranges(len(data), chunk_size),
-                              config or LeptonConfig(), deadline=deadline)
+                              config or LeptonConfig(), deadline=deadline,
+                              on_window=on_window)
     return chunks
 
 
@@ -121,7 +124,9 @@ def _stage(stats: EncodeStats, name: str, fn, *args):
 
 def encode_windows(data: bytes, ranges, config: LeptonConfig,
                    stats: EncodeStats, deadline: Optional[float] = None,
-                   account: bool = False) -> List[StoredChunk]:
+                   account: bool = False,
+                   on_window: Optional[Callable[[StoredChunk], None]] = None,
+                   ) -> List[StoredChunk]:
     """The one encode pipeline: one Lepton container per byte window.
 
     Parse, Huffman-decode and verify the whole file once (§5.7), check
@@ -130,7 +135,9 @@ def encode_windows(data: bytes, ranges, config: LeptonConfig,
     container.  A whole-file ``compress`` is the one-window case.  Any
     reject raises; :func:`~repro.core.lepton.convert` classifies it.
     Stage and segment timings land on ``stats``; the Figure-4 accounting
-    runs only with ``account``.
+    runs only with ``account``.  ``on_window`` gets each window's chunk
+    as soon as its container is written, so a caller can verify it while
+    the next window codes; a later window may still reject the file.
     """
     img = _stage(stats, "parse", parse_jpeg, data,
                  4 if config.allow_cmyk else 3)
@@ -215,6 +222,8 @@ def encode_windows(data: bytes, ranges, config: LeptonConfig,
         payload = _stage(stats, "container", write_container, lepton)
         stats.output_size += len(payload)
         chunks.append(StoredChunk(index, FORMAT_LEPTON, payload, (a, b)))
+        if on_window is not None:
+            on_window(chunks[-1])
     if config.collect_breakdown:
         stats.original_bits = huffman_bit_breakdown(img)
     return chunks

@@ -55,6 +55,9 @@ class LeptonConfig:
     encode_memory_limit: Optional[int] = ENCODE_MEMORY_LIMIT
     timeout_seconds: Optional[float] = None
     deflate_fallback: bool = True
+    #: The Figure-4 accounting: ``stats.bit_costs`` per coded category
+    #: and ``stats.original_bits`` per JPEG category.  It costs
+    #: ``compress`` a few percent, so it runs only when asked.
     collect_breakdown: bool = False
     #: §6.2: production rejects 4-colour JPEGs "for simplicity"; the codec
     #: itself handles them (a fourth per-channel model) when enabled.
@@ -149,14 +152,16 @@ _EXIT_SINK = ExitCodeSink(metric="lepton.compress.exit_codes")
 
 def convert(data: bytes, ranges, config: LeptonConfig,
             deadline: Optional[float] = None, fallback: bool = True,
-            account: bool = False):
+            account: bool = False, on_window=None):
     """The §6.2 classification step around the one encode pipeline.
 
     Runs :func:`repro.core.chunks.encode_windows` over the byte windows
     ``ranges`` and returns ``(exit_code, detail, stats, chunks)``.  A
     reject gets its §6.2 exit code and, with ``fallback``, every window is
     stored as Deflate instead (``chunks`` is ``None`` without it).  Every
-    call records the ``lepton.compress`` span and metrics.
+    call records the ``lepton.compress`` span and metrics.  ``on_window``
+    sees each coded window as :func:`~repro.core.chunks.encode_windows`
+    writes it, before a later window may reject the file.
     ``config.timeout_seconds`` is the §6.2 Timeout reject; a caller
     ``deadline`` (monotonic) that passes raises
     :class:`~repro.core.errors.TimeoutExceeded` instead, because nobody
@@ -175,7 +180,8 @@ def convert(data: bytes, ranges, config: LeptonConfig,
     with trace_span("lepton.compress", input_bytes=len(data)):
         try:
             chunks = encode_windows(data, ranges, config, stats,
-                                    min(limits, default=None), account)
+                                    min(limits, default=None), account,
+                                    on_window)
             exit_code, detail = ExitCode.SUCCESS, ""
         except (JpegError, LeptonError) as exc:
             if (isinstance(exc, TimeoutExceeded) and deadline is not None
@@ -235,7 +241,7 @@ def compress(data: bytes, config: Optional[LeptonConfig] = None) -> CompressionR
     config = config or LeptonConfig()
     exit_code, detail, stats, chunks = convert(
         data, [(0, len(data))], config, fallback=config.deflate_fallback,
-        account=True)
+        account=config.collect_breakdown)
     if chunks is None:
         return CompressionResult(exit_code, None, None, len(data), None, detail)
     return CompressionResult(exit_code, chunks[0].format, chunks[0].payload,

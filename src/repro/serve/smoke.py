@@ -2,11 +2,14 @@
 
 The ``make serve-smoke`` target runs this: start an in-process server on
 an ephemeral port and call every ``(method, route)`` of the route table
-once over a real socket — PUT one fig. 1 corpus file and GET it back
-(full and ranged), upload it again through a resumable session and probe
-the session, then read ``/healthz``, ``/metrics`` and ``/tenants`` —
-asserting byte identity and each status, and that ``/healthz`` reports
-every codec worker live.  The server's own
+once over a real socket — PUT one fig. 1 corpus file of four chunks and
+GET it back (full and ranged), upload it again through a resumable
+session and probe the session, then read ``/healthz``, ``/metrics`` and
+``/tenants`` — asserting byte identity and each status, and that
+``/healthz`` reports every codec worker live.  The PUT and the full GET
+are each alone in the server, so they take both fan-out paths: the put
+verifies each coded window while the next encodes, and the GET starts
+every chunk with its first.  The server's own
 ``serve.requests`` accounting must show exactly the routes in
 :data:`~repro.serve.app.ENDPOINTS`.  Any broken link in the chain —
 routing, codec, store, uploads, quota accounting, metrics — is a
@@ -45,6 +48,8 @@ async def _calls(client: ServeClient, jpeg: bytes) -> dict:
     put = await client.put_file(jpeg)
     _check(put.status == 201, f"PUT /files returned {put.status}")
     meta = put.json()
+    _check(meta["format"] == "lepton" and meta["chunks"] >= 3,
+           f"PUT /files stored {meta['chunks']} {meta['format']} chunks")
     got = await client.get_file(meta["id"])
     _check(got.status == 200 and got.body == jpeg, "GET round-trip mismatch")
     ranged = await client.get_file(meta["id"], byte_range="bytes=0-99")
@@ -86,7 +91,7 @@ async def _calls(client: ServeClient, jpeg: bytes) -> dict:
 async def _smoke() -> int:
     corpus = jpeg_sweep(1, seed=1000, sizes=(96,), qualities=(85,))
     jpeg = corpus[0].data
-    server = LeptonServer(ServeConfig(chunk_size=4096))
+    server = LeptonServer(ServeConfig(chunk_size=-(-len(jpeg) // 4)))
     await server.start()
     try:
         before = _served(server)

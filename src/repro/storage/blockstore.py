@@ -41,6 +41,7 @@ from repro.storage.backends import (
 from repro.storage.journal import Journal, MemoryJournal
 from repro.storage.quotas import QuotaBoard
 from repro.storage.retry import RetryPolicy
+from repro.storage.workers import WorkerLost
 
 
 def file_blob_key(name: str) -> str:
@@ -62,8 +63,9 @@ class InProcessCodec:
     imports (so whatever replaces one of them sees every call).
 
     A runner has four methods.  :meth:`encode` and :meth:`decode` are the
-    two calls; :meth:`start` begins a decode on an idle worker and returns
-    a future of its bytes, or ``None`` when no worker is idle; and
+    two calls (``encode`` hands each coded window to ``on_window`` as soon
+    as it is coded); :meth:`start` begins a decode on an idle worker and
+    returns a future of its bytes, or ``None`` when no worker is idle; and
     :meth:`idle_workers` counts them.  ``lepton serve`` passes the worker
     pool instead (:class:`repro.storage.workers.CodecPool`), whose workers
     give :meth:`BlockStore.stream_range` and the §5.7 verify decodes to
@@ -71,8 +73,11 @@ class InProcessCodec:
     """
 
     def encode(self, data: bytes, chunk_size: int, config: LeptonConfig,
-               deadline: Optional[float] = None) -> List[StoredChunk]:
-        return compress_chunked(data, chunk_size, config, deadline=deadline)
+               deadline: Optional[float] = None,
+               on_window: Optional[Callable[[StoredChunk], None]] = None,
+               ) -> List[StoredChunk]:
+        return compress_chunked(data, chunk_size, config, deadline=deadline,
+                                on_window=on_window)
 
     def decode(self, chunk: StoredChunk,
                deadline: Optional[float] = None) -> bytes:
@@ -86,8 +91,8 @@ class InProcessCodec:
 
 
 class _Ahead(NamedTuple):
-    """A chunk payload :meth:`BlockStore.stream_range` read ahead, and its
-    decode running on a worker."""
+    """A chunk payload whose decode started on a worker before it was
+    needed (a read ahead, or a put's verify of a window just coded)."""
 
     payload: bytes
     job: Future
@@ -175,6 +180,12 @@ class BlockStore:
     #: Runs the codec calls: in this process by default, on the worker
     #: pool under ``lepton serve`` (repro.storage.workers).
     codec: InProcessCodec = field(default_factory=InProcessCodec)
+    #: The server's count of admitted data-plane requests, the caller's
+    #: included; ``None`` for a store with no server.  A request alone in
+    #: the server (a count of 1) starts codec work on idle workers before
+    #: it needs it: every chunk of a GET, and each coded window's verify
+    #: of a multi-chunk put.  A bare store is never alone.
+    admitted: Optional[Callable[[], int]] = None
     _put_lock: threading.Lock = field(default_factory=threading.Lock,
                                       repr=False)
     _put_seq: int = 0
@@ -249,6 +260,10 @@ class BlockStore:
             pos += size
         return pos == len(data)
 
+    def _alone(self) -> bool:
+        """Is the caller the one request the server has admitted?"""
+        return self.admitted is not None and self.admitted() == 1
+
     def _compress_verified(self, data: bytes, originals: List[bytes],
                            deadline: Optional[float] = None,
                            ) -> List[StoredChunk]:
@@ -257,39 +272,78 @@ class BlockStore:
 
         A chunk whose payload does not decode identically (or whose
         decode raises) fails the gate, and then every chunk of the file
-        is stored as Deflate instead, as for a §6.2 reject.
+        is stored as Deflate instead, as for a §6.2 reject.  Under a
+        server, a multi-chunk put has the encode report each window as
+        it is coded; while the put is alone in the server, that window's
+        verify starts on an idle worker while the next one encodes.
         """
+        started: Dict[int, _Ahead] = {}
+
+        def verify_early(chunk: StoredChunk) -> None:
+            if self._alone():
+                job = self.codec.start(chunk, deadline)
+                if job is not None:
+                    started[chunk.index] = _Ahead(chunk.payload, job)
+
+        on_window = (verify_early
+                     if len(originals) > 1 and self.admitted is not None
+                     else None)
         chunks = self.codec.encode(data, self.chunk_size, self.config,
-                                   deadline)
-        if not self._round_trips(chunks, originals, deadline):
+                                   deadline, on_window)
+        # A window a later one rejected was stored as Deflate: its early
+        # verify decoded other bytes and is dropped.
+        jobs = {i: ahead.job for i, ahead in started.items()
+                if chunks[i].payload == ahead.payload}
+        try:
+            verified = self._round_trips(chunks, originals, deadline, jobs)
+        except WorkerLost:
+            # No decode gave a verdict; an unverified file is Deflate.
+            verified = None
+        if verified is False:
             get_registry().counter("lepton.verify.roundtrip_failures").inc()
+        if not verified:
             chunks = deflate_chunks(data, [c.original_range for c in chunks])
         return chunks
 
     def _round_trips(self, chunks: List[StoredChunk], originals: List[bytes],
-                     deadline: Optional[float]) -> bool:
+                     deadline: Optional[float],
+                     jobs: Dict[int, Future]) -> bool:
         """The §5.7 admission rule: does every chunk decode to its
-        original?  A decode that raises fails it, a decoder bug included;
-        a deadline does not, it ends the put.  The decodes start at once
-        on idle workers, in order, and each freed worker takes the next.
+        original?  A decode that returns other bytes or raises in the
+        codec fails it, a decoder bug included; a deadline does not, it
+        ends the put.  ``jobs`` are verify decodes already started, by
+        chunk; the rest start on idle workers, in order, and each freed
+        worker takes the next.  A worker that dies under a decode gives
+        no verdict: the decode runs once more, as a read retries, and a
+        second loss raises :class:`WorkerLost`.
         """
-        ahead = []
         for i, (chunk, original) in enumerate(zip(chunks, originals)):
-            while i + len(ahead) < len(chunks):
-                job = self.codec.start(chunks[i + len(ahead)], deadline)
-                if job is None:
-                    break
-                ahead.append(job)
+            for later in range(i, len(chunks)):
+                if later not in jobs:
+                    job = self.codec.start(chunks[later], deadline)
+                    if job is None:
+                        break
+                    jobs[later] = job
             try:
-                data = (ahead.pop(0).result() if ahead
-                        else self.codec.decode(chunk, deadline))
-            except TimeoutExceeded:
+                data = self._verify_decode(chunk, jobs.pop(i, None), deadline)
+            except (TimeoutExceeded, WorkerLost):
                 raise
             except Exception:
                 return False
             if data != original:
                 return False
         return True
+
+    def _verify_decode(self, chunk: StoredChunk, job: Optional[Future],
+                       deadline: Optional[float]) -> bytes:
+        """One verify decode: the bytes of ``job`` if it was started, else
+        a decode now.  A worker that died under it gave no verdict, so
+        the decode runs once more, as a read retries."""
+        try:
+            return (job.result() if job is not None
+                    else self.codec.decode(chunk, deadline))
+        except WorkerLost:
+            return self.codec.decode(chunk, deadline)
 
     def _admit_file(self, name: str, data: bytes, tenant: str = "default",
                     deadline: Optional[float] = None):
@@ -648,8 +702,11 @@ class BlockStore:
         request for a file tail never touches its head.  Each chunk passes
         both digest gates of :meth:`get_chunk` *before* any of its bytes
         are yielded (the degraded-read contract forbids streaming bytes a
-        later check could disown).  The first chunk decodes alone, so the
-        first byte waits for nothing else; after it, every chunk not yet
+        later check could disown).  Under a server, the first chunk's
+        decode goes to an idle worker before any other payload is read;
+        a request then alone in the server starts every later chunk on
+        idle workers too.  Otherwise the first chunk decodes alone, so the
+        first byte waits for nothing else.  After it, every chunk not yet
         yielded starts decoding on an idle worker of the codec runner, in
         order, while earlier ones stream out.  Feeds the same
         ``blockstore.read.*`` histograms as whole-file reads.
@@ -666,13 +723,19 @@ class BlockStore:
         begin = time.monotonic()  # lint: disable=D2
         spans = [(key, a, b) for key, a, b in self.chunk_spans(name)
                  if a < stop and b > start]
+        keys = [key for key, _a, _b in spans]
         # A stream that ends early drops its read-ahead; a decode still
         # running frees its worker when it finishes.
         started: Dict[str, _Ahead] = {}
+        if self.admitted is not None:
+            self._read_ahead(keys[:1], deadline, started)
+            # Counted after that dispatch, so two requests admitted in
+            # the same loop turn see each other.
+            if self._alone():
+                self._read_ahead(keys[1:], deadline, started)
         for i, (key, a, b) in enumerate(spans):
             if i:
-                self._read_ahead([key for key, _a, _b in spans[i:]],
-                                 deadline, started)
+                self._read_ahead(keys[i:], deadline, started)
             token = _AHEAD.set(started.pop(key, None))
             try:
                 data = self.get_chunk(key, deadline=deadline)

@@ -9,7 +9,9 @@ stdout pipes: "encode a file's chunk windows" or "decode one stored
 chunk".  A frame is a JSON header plus raw bytes.  A reply's header
 carries the job's telemetry (registry rows and spans), which the server
 replays into its own registry and tracer; nothing a worker sends is ever
-unpickled or run.
+unpickled or run.  An encode asked for its windows sends each coded
+window in a frame of its own before the final reply, so the server can
+start that window's §5.7 verify while the next window encodes.
 
 The pool is a codec runner for :class:`~repro.storage.blockstore.BlockStore`
 (its in-process default is :class:`~repro.storage.blockstore.InProcessCodec`).
@@ -38,7 +40,7 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.core.chunks import (
     StoredChunk,
@@ -92,26 +94,38 @@ def _read_frame(stream):
     return json.loads(raw), body
 
 
+def _chunk_fields(chunk: StoredChunk) -> list:
+    return [chunk.index, chunk.format, *chunk.original_range]
+
+
 def _chunk_header(chunk: StoredChunk) -> dict:
-    return {"chunk": [chunk.index, chunk.format, *chunk.original_range]}
+    return {"chunk": _chunk_fields(chunk)}
+
+
+def _chunk(fields: list, payload: bytes) -> StoredChunk:
+    index, fmt, start, stop = fields
+    return StoredChunk(index, fmt, payload, (start, stop))
 
 
 # -- the worker side ----------------------------------------------------------
 
 
-def _encode(header: dict, body: bytes, deadline: Optional[float]):
+def _encode(header: dict, body: bytes, deadline: Optional[float], replies):
     fields = dict(header["config"])
     config = LeptonConfig(**{**fields, "model": ModelConfig(**fields["model"])})
+
+    def report(chunk: StoredChunk) -> None:
+        _write_frame(replies, {"window": _chunk_fields(chunk)}, chunk.payload)
+
     chunks = compress_chunked(body, header["chunk_size"], config,
-                              deadline=deadline)
-    return ({"chunks": [[c.index, c.format, *c.original_range, len(c.payload)]
-                        for c in chunks]},
+                              deadline=deadline,
+                              on_window=report if header["windows"] else None)
+    return ({"chunks": [[*_chunk_fields(c), len(c.payload)] for c in chunks]},
             b"".join(c.payload for c in chunks))
 
 
-def _decode(header: dict, body: bytes, deadline: Optional[float]):
-    index, fmt, start, stop = header["chunk"]
-    return {}, decompress_chunk(StoredChunk(index, fmt, body, (start, stop)),
+def _decode(header: dict, body: bytes, deadline: Optional[float], replies):
+    return {}, decompress_chunk(_chunk(header["chunk"], body),
                                 deadline=deadline)
 
 
@@ -124,7 +138,9 @@ def _serve_jobs(jobs, replies) -> None:
 
     Each job runs with a fresh registry and tracer, whose contents go back
     with the reply, a failed job's included.  ``budget`` is the seconds
-    left of the request's deadline when it was sent.
+    left of the request's deadline when it was sent.  The ``workers.job``
+    span's ``started`` label is the job's start on the host's monotonic
+    clock, which the server and its workers share.
     """
     registry, tracer = get_registry(), get_tracer()
     _write_frame(replies, {"pid": os.getpid()})
@@ -136,11 +152,13 @@ def _serve_jobs(jobs, replies) -> None:
         registry.reset()
         tracer.clear()
         budget = header["budget"]
-        deadline = (None if budget is None
-                    else time.monotonic() + budget)  # lint: disable=D2
+        started = time.monotonic()  # lint: disable=D2 - telemetry, budget
+        deadline = None if budget is None else started + budget
         try:
-            with trace_span("workers.job", kind=header["job"]):
-                reply, out = _JOBS[header["job"]](header, body, deadline)
+            with trace_span("workers.job", kind=header["job"],
+                            started=started):
+                reply, out = _JOBS[header["job"]](header, body, deadline,
+                                                  replies)
         except Exception as exc:
             reply, out = {"error": type(exc).__name__, "detail": str(exc)}, b""
         reply["registry"] = registry.export()
@@ -167,13 +185,24 @@ def main() -> None:
 # -- the server side ----------------------------------------------------------
 
 
+class _Job(NamedTuple):
+    """A job sent to a worker: what it is, who waits on it, where its
+    coded windows go (an encode that asked for them), and when it was
+    sent (monotonic)."""
+
+    kind: str
+    future: Future
+    on_window: Optional[Callable[[StoredChunk], None]]
+    sent: float
+
+
 class _Worker:
     """One worker process and the job it is running, if any."""
 
     def __init__(self, slot: int, proc: subprocess.Popen):
         self.slot = slot
         self.proc = proc
-        self.job: Optional[tuple] = None  # (kind, future)
+        self.job: Optional[_Job] = None
         self.dead = False
 
 
@@ -186,11 +215,16 @@ def _outcome(kind: str, header: dict, body: bytes):
     if kind == "decode":
         return body
     chunks, pos = [], 0
-    for index, fmt, start, stop, size in header["chunks"]:
-        chunks.append(StoredChunk(index, fmt, body[pos:pos + size],
-                                  (start, stop)))
+    for *fields, size in header["chunks"]:
+        chunks.append(_chunk(fields, body[pos:pos + size]))
         pos += size
     return chunks
+
+
+def _busy_seconds(spans: List[dict]) -> float:
+    """The wall time of a reply's ``workers.job`` span."""
+    return next((s["wall"] for s in spans if s["name"] == "workers.job"),
+                0.0)
 
 
 class CodecPool:
@@ -200,8 +234,9 @@ class CodecPool:
     than the request's deadline: then :class:`TimeoutExceeded`) and hold
     it for one job.  :meth:`start` takes an idle worker only, so a request
     that already holds one never waits for a second.  One listener thread
-    per worker reads its replies, replays their telemetry, frees the
-    worker and resolves the job.
+    per worker reads its replies, hands an encode's coded windows to its
+    ``on_window`` as they arrive, frees the worker as soon as the final
+    reply is read, then replays the job's telemetry and resolves it.
     """
 
     def __init__(self, size: int):
@@ -217,12 +252,18 @@ class CodecPool:
     # -- the runner interface (see blockstore.InProcessCodec) ---------------
 
     def encode(self, data: bytes, chunk_size: int, config: LeptonConfig,
-               deadline: Optional[float] = None) -> List[StoredChunk]:
+               deadline: Optional[float] = None,
+               on_window: Optional[Callable[[StoredChunk], None]] = None,
+               ) -> List[StoredChunk]:
+        """Encode on a worker.  ``on_window`` gets each coded window as
+        soon as the worker sends it, on this worker's listener thread, so
+        it must not block; the result still carries every window."""
         header = {"chunk_size": chunk_size,
-                  "config": dataclasses.asdict(config)}
+                  "config": dataclasses.asdict(config),
+                  "windows": on_window is not None}
         start = time.monotonic()  # lint: disable=D2 - telemetry only
         try:
-            return self._run("encode", header, data, deadline)
+            return self._run("encode", header, data, deadline, on_window)
         except WorkerLost as lost:
             # A conversion that died with its worker is a §6.2 reject
             # under the killing signal's exit code, stored as Deflate.
@@ -314,32 +355,34 @@ class CodecPool:
         return worker
 
     def _submit(self, worker: _Worker, kind: str, header: dict, body: bytes,
-                deadline: Optional[float]) -> Optional[Future]:
+                deadline: Optional[float],
+                on_window=None) -> Optional[Future]:
         """Send one job; ``None`` if ``worker`` died idle (its listener
         may not have seen it yet) and so never received it."""
         future: Future = Future()
+        sent = time.monotonic()  # lint: disable=D2 - telemetry and budget
         header = {**header, "job": kind,
-                  "budget": None if deadline is None
-                  else deadline - time.monotonic()}  # lint: disable=D2
+                  "budget": None if deadline is None else deadline - sent}
         with self._cond:
             if worker.dead:
                 return None
-            worker.job = (kind, future)
+            worker.job = _Job(kind, future, on_window, sent)
         try:
             _write_frame(worker.proc.stdin, header, body)
         except OSError:
             with self._cond:
-                if worker.job is not None and worker.job[1] is future:
+                if worker.job is not None and worker.job.future is future:
                     worker.job = None
             return None
         get_registry().counter("workers.jobs", kind=kind).inc()
         return future
 
     def _run(self, kind: str, header: dict, body: bytes,
-             deadline: Optional[float]):
+             deadline: Optional[float], on_window=None):
         while True:
             worker = self._acquire(deadline, wait=True)
-            future = self._submit(worker, kind, header, body, deadline)
+            future = self._submit(worker, kind, header, body, deadline,
+                                  on_window)
             if future is not None:
                 return future.result()
 
@@ -355,17 +398,27 @@ class CodecPool:
             if frame is None:
                 break
             header, body = frame
+            if "window" in header:
+                # One coded window of a running encode.
+                worker.job.on_window(_chunk(header["window"], body))
+                continue
+            with self._cond:
+                job, worker.job = worker.job, None
+            # The worker is done: free it before the replay, which is
+            # this thread's work, not the worker's.
+            self._free(worker)
             # Telemetry first: whoever waits on the job sees it recorded.
             registry.replay(header.pop("registry"))
-            tracer.replay(header.pop("spans"))
-            with self._cond:
-                (kind, future), worker.job = worker.job, None
-            self._free(worker)
-            result = _outcome(kind, header, body)
+            spans = header.pop("spans")
+            tracer.replay(spans)
+            result = _outcome(job.kind, header, body)
+            registry.histogram("workers.overhead_seconds").observe(max(
+                0.0, time.monotonic() - job.sent  # lint: disable=D2
+                - _busy_seconds(spans)))
             if isinstance(result, Exception):
-                future.set_exception(result)
+                job.future.set_exception(result)
             else:
-                future.set_result(result)
+                job.future.set_result(result)
         code = worker.proc.wait()
         stdout.close()
         try:
@@ -387,7 +440,7 @@ class CodecPool:
                 del self._live[worker.slot]
             self._cond.notify_all()
         if job is not None:
-            job[1].set_exception(WorkerLost(
+            job.future.set_exception(WorkerLost(
                 f"codec worker {worker.proc.pid} exited with {code}",
                 exit_code_for_signal(-code) if code < 0
                 else ExitCode.IMPOSSIBLE))

@@ -130,10 +130,11 @@ CODECS = {
 }
 
 #: Cases whose EncodeStats are pinned: bins touched and 2^16 fixed-point
-#: information content per Figure-4 category.
+#: information content per Figure-4 category (which only the breakdown
+#: collects).
 STATS_CASES = {
-    "color_420": LeptonConfig(threads=1),
-    "threads4": LeptonConfig(threads=4),
+    "color_420": LeptonConfig(threads=1, collect_breakdown=True),
+    "threads4": LeptonConfig(threads=4, collect_breakdown=True),
 }
 
 

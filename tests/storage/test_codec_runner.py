@@ -4,7 +4,8 @@
 runs them, a put and a get leave the same ``lepton.*`` telemetry: a
 worker sends its job's registry rows and spans back with the result, a
 failed job's included, and the server replays them.  A put of content
-the store already holds, under a new name, calls neither.
+the store already holds, under a new name, calls neither.  A bare store
+has no server, so it is never alone and starts nothing ahead.
 """
 
 import time
@@ -98,3 +99,42 @@ def test_stored_content_under_a_new_name_skips_the_codec(codec):
     assert store.stored_bytes_for(record) == store.stored_bytes_for(
         store.files["a.jpg"])
     assert store.get_file("b.jpg") == PHOTO
+
+
+class _Calls:
+    """A codec runner that logs each call the store makes of it."""
+
+    def __init__(self, runner):
+        self.runner = runner
+        self.calls = []
+
+    def encode(self, *args):
+        self.calls.append("encode")
+        return self.runner.encode(*args)
+
+    def decode(self, chunk, deadline=None):
+        self.calls.append(f"decode {chunk.index}")
+        return self.runner.decode(chunk, deadline)
+
+    def start(self, chunk, deadline=None):
+        self.calls.append(f"start {chunk.index}")
+        return self.runner.start(chunk, deadline)
+
+    def idle_workers(self):
+        self.calls.append("idle_workers")
+        return self.runner.idle_workers()
+
+
+def test_the_in_process_runner_gets_the_calls_it_always_got():
+    """A put encodes, then verifies each chunk in turn; a read decodes
+    each chunk in turn, asking before each later one for a worker to
+    read ahead on."""
+    runner = _Calls(InProcessCodec())
+    store = BlockStore(chunk_size=-(-len(PHOTO) // 4), codec=runner)
+    store.put_file("a.jpg", PHOTO)
+    assert b"".join(store.stream_range("a.jpg", 0, len(PHOTO))) == PHOTO
+    assert runner.calls == (
+        ["encode"] + [f"{call} {i}" for i in range(4)
+                      for call in ("start", "decode")]
+        + ["decode 0"] + [call for i in range(1, 4)
+                          for call in ("idle_workers", f"decode {i}")])

@@ -5,7 +5,9 @@ does not decode to its input is never admitted as Lepton.  The whole file
 is stored as Deflate instead (a file is never a mix of formats): the put
 succeeds, the read returns the original bytes, and no breaker counts it.
 A chunk the store already holds keeps its verified blob, whatever format
-another file's put chose for the same bytes.
+another file's put chose for the same bytes.  A verify decode whose
+worker died gave no verdict: it is decoded again, and never counted as a
+round-trip failure.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from repro.corpus.builder import corpus_jpeg
 from repro.obs import get_registry
 from repro.serve.app import ServeConfig
 from repro.storage.blockstore import BlockStore
+from repro.storage.workers import WorkerLost
 
 from tests.serve.conftest import with_server
 
@@ -39,6 +42,33 @@ class _FlippingCodec:
             self.decodes += 1
             data = bytes([data[0] ^ 1]) + data[1:]
         return data
+
+    def start(self, chunk, deadline=None):
+        return None
+
+    def idle_workers(self):
+        return 0
+
+
+class _LosingCodec:
+    """A store's codec runner whose first ``losses`` decodes raise
+    :class:`WorkerLost`, as when the worker running them is SIGKILLed or
+    OOM-killed; it starts nothing ahead, so every verify runs through
+    :meth:`decode`."""
+
+    def __init__(self, runner, losses=1):
+        self.runner = runner
+        self.losses = losses
+        self.lost = 0
+
+    def encode(self, *args):
+        return self.runner.encode(*args)
+
+    def decode(self, chunk, deadline=None):
+        if self.lost < self.losses:
+            self.lost += 1
+            raise WorkerLost(f"codec worker {self.lost} exited with -9")
+        return self.runner.decode(chunk, deadline)
 
     def start(self, chunk, deadline=None):
         return None
@@ -111,3 +141,37 @@ def test_a_deflate_copy_leaves_a_stored_lepton_chunk_alone():
     assert store.get_file("a.jpg") == photo
     assert store.get_file("partial.jpg") == photo[:-300]
     assert store.degraded_fallbacks == 0
+
+
+@pytest.mark.serve
+def test_a_verify_whose_worker_died_is_decoded_again(monkeypatch):
+    async def scenario(server, client):
+        before = _roundtrip_failures()
+        losing = _LosingCodec(server.store.codec)
+        monkeypatch.setattr(server.store, "codec", losing)
+        put = await client.put_file(PHOTO)
+        got = await client.get_file(put.json()["id"])
+        return put, got, _roundtrip_failures() - before, losing.lost
+
+    put, got, roundtrip_failures, lost = with_server(
+        scenario, ServeConfig(chunk_size=len(PHOTO) // 2))
+    assert put.status == 201, put.body
+    assert put.json()["format"] == "lepton"
+    assert got.status == 200
+    assert got.body == PHOTO
+    assert lost == 1
+    assert roundtrip_failures == 0
+
+
+def test_a_verify_lost_twice_stores_deflate_without_a_verdict():
+    """No decode answered, so nothing is admitted as Lepton, and nothing
+    counts as a round-trip failure."""
+    store = BlockStore(keep_originals=False, chunk_size=1024)
+    runner = store.codec
+    store.codec = _LosingCodec(runner, losses=2)
+    store.put_file("a.jpg", PHOTO)
+    store.codec = runner
+    assert {store.entries[k].format for k in store.files["a.jpg"].chunk_keys} \
+        == {"deflate"}
+    assert store.get_file("a.jpg") == PHOTO
+    assert _roundtrip_failures() == 0
