@@ -29,13 +29,19 @@ That is what lets one context function serve both directions
 (:mod:`repro.core.coefcoder`).  With an ``acct`` accumulator the encoder
 also adds each bit's fixed-point Shannon cost to ``acct[0]``.
 
+The encoder's one bit loop, :meth:`~BoolEncoder.code_words`, codes those
+calls packed into int64 *words*: Lepton's encode records a row band's
+words first, through a :class:`RecordingCoder`, and codes them after
+(:mod:`repro.core.session`); ``code_value``/``code_counter`` code a
+stream of one word.
+
 :meth:`~BoolEncoder.put` / :meth:`~BoolDecoder.get` code one bit under an
 explicit probability, for coders with their own model (the PAQ-like
 baseline).  The coder is deterministic, integer-only, and shared by
 Lepton, the packjpg-like baseline, and the mozjpeg-arithmetic baseline.
 """
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.errors import FormatError, ValueOutOfRange
 from repro.core.model import COST0, COST1, INITIAL_STATE, NEXT0, NEXT1, PROB
@@ -66,6 +72,15 @@ _TREE_SLOTS = [
      for v in range(1 << nbits)]
     for nbits in range(7)
 ]
+
+#: A *word* is one ``code_value``/``code_counter`` call packed into an
+#: int64, low bits first: the value plus :data:`WORD_BIAS` (16 bits), the
+#: exponent cap or counter width (4 bits), :data:`WORD_COUNTER` for a
+#: counter, an accounting tag (3 bits), then the context key.
+WORD_BIAS = 1 << 15
+WORD_COUNTER = 1 << 20
+WORD_TAG_SHIFT = 21
+WORD_KEY_SHIFT = 24
 
 
 def _carry(out: bytearray, count: int = 1) -> None:
@@ -108,7 +123,7 @@ class BoolEncoder:
 
         Each one-bit shift first carries a set bit 31 into the output, and
         every 8 shifts (24 for the first byte) the top byte is emitted;
-        ``code_value``/``code_counter`` inline this same arithmetic.
+        ``code_words`` inlines this same arithmetic.
         """
         rng, bottom, bc = self._range, self._bottom, self._bit_count
         shift = _NORM[rng]
@@ -130,69 +145,86 @@ class BoolEncoder:
                    acct: Optional[List[int]] = None) -> int:
         """Code the signed Exp-Golomb ``value`` (|value| < 2^max_exp) under
         the bins at ``key .. key + 255``; returns ``value``."""
-        mag = -value if value < 0 else value
-        exp = mag.bit_length()
-        if exp > max_exp:
+        if (-value if value < 0 else value) >> max_exp:
             raise ValueOutOfRange(f"value {value} exceeds exponent cap {max_exp}")
-        slots = _VALUE_SLOTS[max_exp][exp]
-        if exp:
-            # Unary ones (plus the terminating zero below the cap), the
-            # sign, then the residual bits, as one word read MSB first.
-            unary = ((1 << exp) - 1) << (exp < max_exp)
-            word = (((unary << 1) | (value < 0)) << (exp - 1)) | (
-                mag & ((1 << (exp - 1)) - 1))
-        else:
-            word = 0
-        self._code_bits(bins, key, slots, word, acct)
+        self.code_words(bins, ((key << WORD_KEY_SHIFT) | (max_exp << 16)
+                               | (value + WORD_BIAS),), (acct,))
         return value
 
     def code_counter(self, bins: dict, key: int, nbits: int, value: int,
                      acct: Optional[List[int]] = None) -> int:
         """Code the ``nbits``-wide ``value`` through its prefix tree of bins
         at ``key + 1 .. key + 2^nbits − 1``; returns ``value``."""
-        self._code_bits(bins, key, _TREE_SLOTS[nbits][value], value, acct)
+        self.code_words(bins, ((key << WORD_KEY_SHIFT) | WORD_COUNTER
+                               | (nbits << 16) | (value + WORD_BIAS),), (acct,))
         return value
 
-    def _code_bits(self, bins, key, slots, word, acct) -> None:
-        """Code the low ``len(slots)`` bits of ``word``, MSB first, the
-        bit for ``slots[i]`` in bin ``key + slots[i]``."""
+    def code_words(self, bins: dict, words,
+                   accounts: Sequence[Optional[List[int]]] = (None,)) -> None:
+        """Code a stream of packed calls (see :data:`WORD_KEY_SHIFT`) in
+        order, each as ``code_value``/``code_counter`` would; a word's
+        tag picks its accumulator from ``accounts`` (``None``: none).
+
+        This is the encoder's one bit loop: a value's unary exponent (plus
+        the terminating zero below the cap), sign and residual bits, or a
+        counter's prefix-tree path, as one word read MSB first, the bit for
+        ``slots[i]`` in bin ``key + slots[i]``.
+        """
         out = self._out
         rng, bottom, bc = self._range, self._bottom, self._bit_count
-        n = len(slots)
-        for slot in slots:
-            n -= 1
-            k = key + slot
-            state = bins.get(k, INITIAL_STATE)
-            prob = PROB[state]
-            split = 1 + (((rng - 1) * prob) >> 8)
-            if (word >> n) & 1:
-                bins[k] = NEXT1[state]
-                if acct is not None:
-                    acct[0] += COST1[prob]
-                bottom += split
-                rng -= split
-                if bottom >> 32:
-                    _carry(out)
-                    bottom &= 0xFFFFFFFF
+        for packed in words:
+            value = (packed & 0xFFFF) - WORD_BIAS
+            width = (packed >> 16) & 15
+            key = packed >> WORD_KEY_SHIFT
+            acct = accounts[(packed >> WORD_TAG_SHIFT) & 7]
+            if packed & WORD_COUNTER:
+                slots = _TREE_SLOTS[width][value]
+                word = value
             else:
-                bins[k] = NEXT0[state]
-                if acct is not None:
-                    acct[0] += COST0[prob]
-                rng = split
-            if rng < 128:
-                shift = _NORM[rng]
-                rng <<= shift
-                lead = shift if shift < bc else bc
-                if bottom >> (32 - lead):
-                    _carry(out, bin(bottom >> (32 - lead)).count("1"))
-                    bottom &= (1 << (32 - lead)) - 1
-                bottom <<= lead
-                if shift < bc:
-                    bc -= shift
+                mag = -value if value < 0 else value
+                exp = mag.bit_length()
+                slots = _VALUE_SLOTS[width][exp]
+                if exp:
+                    unary = ((1 << exp) - 1) << (exp < width)
+                    word = (((unary << 1) | (value < 0)) << (exp - 1)) | (
+                        mag & ((1 << (exp - 1)) - 1))
                 else:
-                    out.append(bottom >> 24)
-                    bottom = (bottom & 0xFFFFFF) << (shift - lead)
-                    bc += 8 - shift
+                    word = 0
+            n = len(slots)
+            for slot in slots:
+                n -= 1
+                k = key + slot
+                state = bins.get(k, INITIAL_STATE)
+                prob = PROB[state]
+                split = 1 + (((rng - 1) * prob) >> 8)
+                if (word >> n) & 1:
+                    bins[k] = NEXT1[state]
+                    if acct is not None:
+                        acct[0] += COST1[prob]
+                    bottom += split
+                    rng -= split
+                    if bottom >> 32:
+                        _carry(out)
+                        bottom &= 0xFFFFFFFF
+                else:
+                    bins[k] = NEXT0[state]
+                    if acct is not None:
+                        acct[0] += COST0[prob]
+                    rng = split
+                if rng < 128:
+                    shift = _NORM[rng]
+                    rng <<= shift
+                    lead = shift if shift < bc else bc
+                    if bottom >> (32 - lead):
+                        _carry(out, bin(bottom >> (32 - lead)).count("1"))
+                        bottom &= (1 << (32 - lead)) - 1
+                    bottom <<= lead
+                    if shift < bc:
+                        bc -= shift
+                    else:
+                        out.append(bottom >> 24)
+                        bottom = (bottom & 0xFFFFFF) << (shift - lead)
+                        bc += 8 - shift
         self._range, self._bottom, self._bit_count = rng, bottom, bc
 
     def finish(self) -> bytes:
@@ -211,6 +243,55 @@ class BoolEncoder:
 
     def __len__(self) -> int:
         return len(self._out)
+
+
+class RecordingCoder:
+    """An encode's modelling-stage coder: :class:`BoolEncoder`'s
+    ``code_value``/``code_counter`` signature, but each call only appends
+    its packed word (:data:`WORD_KEY_SHIFT`) to :attr:`words` and returns
+    the value, for :meth:`BoolEncoder.code_words` to code later.
+
+    A value past its exponent cap raises the same
+    :class:`~repro.core.errors.ValueOutOfRange` at the same call as the
+    coder would.  ``accounts`` are the modelling model's Figure-4
+    accumulators; a word's tag records which one its call named (1 for
+    the first), so the coding stage adds its bit costs to the same one.
+    """
+
+    __slots__ = ("words", "_append", "_tags")
+
+    def __init__(self, accounts: Optional[Dict[str, List[int]]] = None):
+        self.words: List[int] = []
+        self._append = self.words.append
+        self._tags = {id(acct): tag for tag, acct
+                      in enumerate((accounts or {}).values(), start=1)}
+
+    def code_value(self, bins: dict, key: int, value: int, max_exp: int,
+                   acct: Optional[List[int]] = None) -> int:
+        if (-value if value < 0 else value) >> max_exp:
+            raise ValueOutOfRange(
+                f"value {value} exceeds exponent cap {max_exp}")
+        word = (key << WORD_KEY_SHIFT) | (max_exp << 16) | (value + WORD_BIAS)
+        if acct is not None:
+            word |= self._tags[id(acct)] << WORD_TAG_SHIFT
+        self._append(word)
+        return value
+
+    def code_counter(self, bins: dict, key: int, nbits: int, value: int,
+                     acct: Optional[List[int]] = None) -> int:
+        word = ((key << WORD_KEY_SHIFT) | WORD_COUNTER | (nbits << 16)
+                | (value + WORD_BIAS))
+        if acct is not None:
+            word |= self._tags[id(acct)] << WORD_TAG_SHIFT
+        self._append(word)
+        return value
+
+    def take(self) -> List[int]:
+        """The words recorded since the last call."""
+        words = self.words
+        self.words = []
+        self._append = self.words.append
+        return words
 
 
 class BoolDecoder:

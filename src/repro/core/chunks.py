@@ -30,6 +30,7 @@ from repro.core.lepton import (
     decompress,
 )
 from repro.core.session import (
+    CodingStage,
     EncodeStats,
     code_segment_records,
     estimate_decode_memory,
@@ -94,6 +95,7 @@ def compress_chunked(
     config: Optional[LeptonConfig] = None,
     deadline: Optional[float] = None,
     on_window: Optional[Callable[[StoredChunk], None]] = None,
+    coding=CodingStage,
 ) -> List[StoredChunk]:
     """Split ``data`` into chunks and compress each independently.
 
@@ -105,11 +107,12 @@ def compress_chunked(
     segment coder, which raises :class:`~repro.core.errors.TimeoutExceeded`
     between segments once it passes — the serve path's end-to-end deadline
     reaching actual codec work.  ``on_window`` sees each Lepton chunk as
-    soon as it is coded (see :func:`encode_windows`).
+    soon as it is coded, and ``coding`` makes each segment's coding stage
+    (see :func:`encode_windows`).
     """
     _, _, _, chunks = convert(data, chunk_ranges(len(data), chunk_size),
                               config or LeptonConfig(), deadline=deadline,
-                              on_window=on_window)
+                              on_window=on_window, coding=coding)
     return chunks
 
 
@@ -126,7 +129,7 @@ def encode_windows(data: bytes, ranges, config: LeptonConfig,
                    stats: EncodeStats, deadline: Optional[float] = None,
                    account: bool = False,
                    on_window: Optional[Callable[[StoredChunk], None]] = None,
-                   ) -> List[StoredChunk]:
+                   coding=CodingStage) -> List[StoredChunk]:
     """The one encode pipeline: one Lepton container per byte window.
 
     Parse, Huffman-decode and verify the whole file once (§5.7), check
@@ -138,6 +141,8 @@ def encode_windows(data: bytes, ranges, config: LeptonConfig,
     runs only with ``account``.  ``on_window`` gets each window's chunk
     as soon as its container is written, so a caller can verify it while
     the next window codes; a later window may still reject the file.
+    ``coding`` makes each segment's coding stage (in this process by
+    default; see :func:`~repro.core.session.code_segment_records`).
     """
     img = _stage(stats, "parse", parse_jpeg, data,
                  4 if config.allow_cmyk else 3)
@@ -203,7 +208,7 @@ def encode_windows(data: bytes, ranges, config: LeptonConfig,
             # The one segment-coding loop (session.py); D6 forbids a fork here.
             segments = code_segment_records(
                 img, seg_ranges, positions, config.model, stats,
-                deadline=deadline, account=account,
+                deadline=deadline, account=account, coding=coding,
             )
 
         lepton = LeptonFile(

@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.core import format as lformat
-from repro.core.session import DecodeSession, EncodeStats, RoundtripMismatch
+from repro.core.session import (
+    CodingStage,
+    DecodeSession,
+    EncodeStats,
+    RoundtripMismatch,
+)
 from repro.core.errors import (
     REASON_TO_EXIT,
     ExitCode,
@@ -152,7 +157,7 @@ _EXIT_SINK = ExitCodeSink(metric="lepton.compress.exit_codes")
 
 def convert(data: bytes, ranges, config: LeptonConfig,
             deadline: Optional[float] = None, fallback: bool = True,
-            account: bool = False, on_window=None):
+            account: bool = False, on_window=None, coding=CodingStage):
     """The §6.2 classification step around the one encode pipeline.
 
     Runs :func:`repro.core.chunks.encode_windows` over the byte windows
@@ -161,7 +166,8 @@ def convert(data: bytes, ranges, config: LeptonConfig,
     stored as Deflate instead (``chunks`` is ``None`` without it).  Every
     call records the ``lepton.compress`` span and metrics.  ``on_window``
     sees each coded window as :func:`~repro.core.chunks.encode_windows`
-    writes it, before a later window may reject the file.
+    writes it, before a later window may reject the file, and ``coding``
+    makes each segment's coding stage.
     ``config.timeout_seconds`` is the §6.2 Timeout reject; a caller
     ``deadline`` (monotonic) that passes raises
     :class:`~repro.core.errors.TimeoutExceeded` instead, because nobody
@@ -181,7 +187,7 @@ def convert(data: bytes, ranges, config: LeptonConfig,
         try:
             chunks = encode_windows(data, ranges, config, stats,
                                     min(limits, default=None), account,
-                                    on_window)
+                                    on_window, coding)
             exit_code, detail = ExitCode.SUCCESS, ""
         except (JpegError, LeptonError) as exc:
             if (isinstance(exc, TimeoutExceeded) and deadline is not None

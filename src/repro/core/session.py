@@ -11,9 +11,11 @@ benchmark — runs the same code with different plumbing.  This module holds:
   band; :func:`repro.core.lepton.decompress_chunks` is the only code that
   builds one;
 * :func:`code_segment_records`, the *only* place a
-  :class:`~repro.core.coefcoder.SegmentCodec` drives a
-  :class:`~repro.core.bool_coder.BoolEncoder` over an MCU range, with the
-  admission helpers of the one encode pipeline that calls it
+  :class:`~repro.core.coefcoder.SegmentCodec` models an MCU range and a
+  :class:`~repro.core.bool_coder.BoolEncoder` codes it (in two stages:
+  :class:`RecordingCoder` records each row band's symbols and
+  :class:`CodingStage` codes them), with the admission helpers of the one
+  encode pipeline that calls it
   (:func:`repro.core.chunks.encode_windows`).  Lint rule D6
   (``codec-loop-containment``) forbids re-growing forked copies of this
   loop elsewhere, which is how the whole-buffer entry points of earlier
@@ -39,9 +41,9 @@ keeping a forked copy of the codec loop with inline clocks.
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
-from repro.core.bool_coder import BoolDecoder, BoolEncoder
+from repro.core.bool_coder import BoolDecoder, BoolEncoder, RecordingCoder
 from repro.core.coefcoder import SegmentCodec
 from repro.core.errors import FormatError, LeptonError, TimeoutExceeded
 from repro.core.format import ContainerReader, LeptonFile, SegmentRecord
@@ -209,6 +211,71 @@ def verify_and_index(img: JpegImage):
     return positions
 
 
+class CodedSegment(NamedTuple):
+    """One segment out of the coding stage: its arithmetic-coded bytes,
+    the bins its model touched, and its Figure-4 bit costs (empty unless
+    accounted)."""
+
+    data: bytes
+    bins: int
+    costs: Dict[str, float]
+
+
+class CodingStage:
+    """The coding stage of one segment: replays each band of recorded
+    words through :class:`BoolEncoder` under the segment's own
+    :class:`Model`, in the order they were recorded.
+
+    :meth:`band` takes one MCU row band's words; the segment's last band
+    returns its :class:`CodedSegment`.  :func:`code_segment_records` runs
+    it in this process, one band right after it is recorded; a codec
+    worker lending its CPU to another's encode runs it on bands that
+    arrive over its pipe (:mod:`repro.storage.workers`).
+    """
+
+    def __init__(self, model_config: ModelConfig, account: bool = False):
+        self._model = Model(model_config, account=account)
+        self._encoder = BoolEncoder()
+        self._accounts = (None, *(self._model.accounts or {}).values())
+
+    def band(self, words, last: bool) -> Optional[CodedSegment]:
+        """Code one band's words; the coded segment after its ``last``."""
+        self._encoder.code_words(self._model.bins, words, self._accounts)
+        if not last:
+            return None
+        return CodedSegment(self._encoder.finish(), self._model.bin_count,
+                            self._model.bit_costs)
+
+
+class CodingLost(LeptonError):
+    """The coding stage went away before it returned a segment (the
+    worker running it died); the segment is coded again in this process."""
+
+
+def _code_segment(img: JpegImage, mcu_start: int, mcu_end: int,
+                  model_config: ModelConfig, account: bool, stage,
+                  deadline: Optional[float]) -> CodedSegment:
+    """Model MCUs ``[mcu_start, mcu_end)`` one MCU row band at a time,
+    handing each band's words to the coding ``stage``; returns the coded
+    segment."""
+    frame = img.frame
+    model = Model(model_config, account=account)
+    codec = SegmentCodec(frame, img.quant_tables, img.coefficients,
+                         model_config, model)
+    recorder = RecordingCoder(model.accounts)
+    mcu = mcu_start
+    while True:
+        # Wall-clock by definition (§6.6); can only reject, never recode.
+        if deadline is not None and time.monotonic() > deadline:  # lint: disable=D2
+            raise TimeoutExceeded("encode exceeded its deadline")
+        band_end = min((mcu // frame.mcus_x + 1) * frame.mcus_x, mcu_end)
+        codec.encode(recorder, mcu, band_end, seg_start=mcu_start)
+        coded = stage.band(recorder.take(), band_end == mcu_end)
+        if coded is not None:
+            return coded
+        mcu = band_end
+
+
 def code_segment_records(
     img: JpegImage,
     seg_ranges,
@@ -217,38 +284,47 @@ def code_segment_records(
     stats: EncodeStats,
     deadline: Optional[float] = None,
     account: bool = False,
+    coding: Callable[[ModelConfig, bool], CodingStage] = CodingStage,
 ) -> List[SegmentRecord]:
     """Arithmetic-code the given MCU ranges into :class:`SegmentRecord`\\ s.
 
     This is the *only* segment-coding loop in the tree: every byte window
     of :func:`repro.core.chunks.encode_windows`, whole file or 4-MiB
     chunk, routes through it, and lint rule D6 rejects any new
-    ``SegmentCodec``/``BoolEncoder`` drive loop outside this module.  Model
-    construction and boolean coding are one interleaved stage: every coded
-    bit consults the adaptive bins it just updated.  Each segment's size
-    and span time land on ``stats``; the Figure-4 information accounting
-    runs only with ``account``.
+    ``SegmentCodec``/``BoolEncoder`` drive loop outside this module.
+
+    Each segment is coded in two stages.  The modelling stage runs
+    :class:`SegmentCodec` one MCU row band at a time against a
+    :class:`RecordingCoder`: contexts depend only on coefficients, never
+    on bin states, so the symbol stream can be recorded first.  The
+    coding stage, ``coding(model_config, account)`` per segment (a
+    :class:`CodingStage` in this process by default), replays each band
+    through the adaptive bins and the arithmetic coder, so the bytes are
+    those of one interleaved pass.  A coding stage that is lost
+    mid-segment raises :class:`CodingLost`; that segment and the rest are
+    then coded again in this process.  The deadline is checked between
+    bands.  Each segment's size and span time land on ``stats``; the
+    Figure-4 information accounting runs only with ``account``.
     """
-    frame = img.frame
     segments: List[SegmentRecord] = []
     for segment_index, (mcu_start, mcu_end) in enumerate(seg_ranges):
-        # Wall-clock by definition (§6.6); can only reject, never recode.
-        if deadline is not None and time.monotonic() > deadline:  # lint: disable=D2
-            raise TimeoutExceeded("encode exceeded its deadline")
         with trace_span("lepton.encode.code_segment", segment=segment_index) as rec:
-            model = Model(model_config, account=account)
-            codec = SegmentCodec(frame, img.quant_tables, img.coefficients,
-                                 model_config, model)
-            encoder = BoolEncoder()
-            codec.encode(encoder, mcu_start, mcu_end)
-            coded = encoder.finish()
+            try:
+                coded = _code_segment(img, mcu_start, mcu_end, model_config,
+                                      account, coding(model_config, account),
+                                      deadline)
+            except CodingLost:
+                coding = CodingStage
+                coded = _code_segment(img, mcu_start, mcu_end, model_config,
+                                      account, coding(model_config, account),
+                                      deadline)
         handover = HandoverWord.from_position(positions[mcu_start])
-        segments.append(SegmentRecord(mcu_start, mcu_end, handover, coded))
+        segments.append(SegmentRecord(mcu_start, mcu_end, handover, coded.data))
         stats.segment_seconds.append(rec.wall_seconds)
-        stats.segment_sizes.append(len(coded))
-        for category, bits in model.bit_costs.items():
+        stats.segment_sizes.append(len(coded.data))
+        for category, bits in coded.costs.items():
             stats.bit_costs[category] = stats.bit_costs.get(category, 0.0) + bits
-        stats.model_bins += model.bin_count
+        stats.model_bins += coded.bins
     return segments
 
 

@@ -64,18 +64,19 @@ class InProcessCodec:
 
     A runner has four methods.  :meth:`encode` and :meth:`decode` are the
     two calls (``encode`` hands each coded window to ``on_window`` as soon
-    as it is coded); :meth:`start` begins a decode on an idle worker and
-    returns a future of its bytes, or ``None`` when no worker is idle; and
-    :meth:`idle_workers` counts them.  ``lepton serve`` passes the worker
-    pool instead (:class:`repro.storage.workers.CodecPool`), whose workers
-    give :meth:`BlockStore.stream_range` and the §5.7 verify decodes to
-    run ahead on.
+    as it is coded, and with ``borrow`` may run its coding stage on a
+    second idle worker); :meth:`start` begins a decode on an idle worker
+    and returns a future of its bytes, or ``None`` when no worker is idle;
+    and :meth:`idle_workers` counts them.  ``lepton serve`` passes the
+    worker pool instead (:class:`repro.storage.workers.CodecPool`), whose
+    workers give :meth:`BlockStore.stream_range`, the §5.7 verify decodes
+    and a lone put's coding stage to run ahead on.
     """
 
     def encode(self, data: bytes, chunk_size: int, config: LeptonConfig,
                deadline: Optional[float] = None,
                on_window: Optional[Callable[[StoredChunk], None]] = None,
-               ) -> List[StoredChunk]:
+               borrow: bool = False) -> List[StoredChunk]:
         return compress_chunked(data, chunk_size, config, deadline=deadline,
                                 on_window=on_window)
 
@@ -288,8 +289,9 @@ class BlockStore:
         on_window = (verify_early
                      if len(originals) > 1 and self.admitted is not None
                      else None)
+        borrow = len(originals) == 1 and self._alone()
         chunks = self.codec.encode(data, self.chunk_size, self.config,
-                                   deadline, on_window)
+                                   deadline, on_window, borrow)
         # A window a later one rejected was stored as Deflate: its early
         # verify decoded other bytes and is dropped.
         jobs = {i: ahead.job for i, ahead in started.items()
@@ -572,11 +574,13 @@ class BlockStore:
         deadline (the session cancels between row bands once it passes),
         so every read records the same decode telemetry.  ``ahead`` is a
         decode :meth:`stream_range` started early; it stands in for the
-        decode only if it decoded these very bytes.
+        decode, and for the md5 that :meth:`_read_ahead` already checked,
+        only if ``payload`` is the very object it read.
         """
-        if hashlib.md5(payload).hexdigest() != entry.payload_md5:
+        early = ahead is not None and payload is ahead.payload
+        if not early and hashlib.md5(payload).hexdigest() != entry.payload_md5:
             raise IntegrityError(f"payload digest mismatch for {key[:12]}")
-        if ahead is not None and ahead.payload == payload:
+        if early:
             data = ahead.job.result()
         else:
             data = self.codec.decode(self._stored_chunk(entry, payload),

@@ -229,3 +229,34 @@ def test_a_deadline_that_passes_mid_encode_answers_504_and_stores_nothing():
     assert (tenant["logical_bytes"], tenant["reserved_bytes"]) == (kept, 0)
     assert failures == 0
     assert again.status == 201 and again.json()["format"] == "lepton"
+
+
+def test_a_lone_get_hashes_each_payload_once(monkeypatch):
+    """The read-ahead md5-checks each payload it reads; the chunk's turn
+    takes that very object and does not hash it again."""
+    from repro.storage import blockstore
+
+    hashed = []
+
+    class _Counting:
+        sha256 = staticmethod(hashlib.sha256)
+
+        @staticmethod
+        def md5(data):
+            hashed.append(hashlib.md5(data).hexdigest())
+            return hashlib.md5(data)
+
+    async def scenario(server, client):
+        put = await client.put_file(PHOTO)
+        assert put.status == 201 and put.json()["chunks"] == 4
+        entries = [server.store.entries[key] for key in
+                   server.store.files[put.json()["id"]].chunk_keys]
+        await _idle(server)
+        monkeypatch.setattr(blockstore, "hashlib", _Counting)
+        got = await client.get_file(put.json()["id"])
+        monkeypatch.undo()
+        return got, entries
+
+    got, entries = with_server(scenario, ServeConfig(chunk_size=CHUNK))
+    assert got.status == 200 and got.body == PHOTO
+    assert sorted(hashed) == sorted(e.payload_md5 for e in entries)
