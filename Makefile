@@ -58,8 +58,12 @@ lint-tests:
 serve:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli serve --port 8080
 
+# `serve-tests` runs the serve suite, then the rest of the codec runner's
+# own tests (the pool's scheduler and the store's codec seam), which need
+# no server.
 serve-tests:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m serve
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m "not serve" tests/storage/test_codec_runner.py tests/storage/test_verify_fallback.py
 
 serve-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.serve.smoke

@@ -127,7 +127,6 @@ def _stage(stats: EncodeStats, name: str, fn, *args):
 
 def encode_windows(data: bytes, ranges, config: LeptonConfig,
                    stats: EncodeStats, deadline: Optional[float] = None,
-                   account: bool = False,
                    on_window: Optional[Callable[[StoredChunk], None]] = None,
                    coding=CodingStage) -> List[StoredChunk]:
     """The one encode pipeline: one Lepton container per byte window.
@@ -138,9 +137,10 @@ def encode_windows(data: bytes, ranges, config: LeptonConfig,
     container.  A whole-file ``compress`` is the one-window case.  Any
     reject raises; :func:`~repro.core.lepton.convert` classifies it.
     Stage and segment timings land on ``stats``; the Figure-4 accounting
-    runs only with ``account``.  ``on_window`` gets each window's chunk
-    as soon as its container is written, so a caller can verify it while
-    the next window codes; a later window may still reject the file.
+    runs only with ``config.collect_breakdown``.  ``on_window`` gets each
+    window's chunk as soon as its container is written, so a caller can
+    verify it while the next window codes; a later window may still
+    reject the file.
     ``coding`` makes each segment's coding stage (in this process by
     default; see :func:`~repro.core.session.code_segment_records`).
     """
@@ -208,7 +208,8 @@ def encode_windows(data: bytes, ranges, config: LeptonConfig,
             # The one segment-coding loop (session.py); D6 forbids a fork here.
             segments = code_segment_records(
                 img, seg_ranges, positions, config.model, stats,
-                deadline=deadline, account=account, coding=coding,
+                deadline=deadline, account=config.collect_breakdown,
+                coding=coding,
             )
 
         lepton = LeptonFile(

@@ -157,7 +157,7 @@ _EXIT_SINK = ExitCodeSink(metric="lepton.compress.exit_codes")
 
 def convert(data: bytes, ranges, config: LeptonConfig,
             deadline: Optional[float] = None, fallback: bool = True,
-            account: bool = False, on_window=None, coding=CodingStage):
+            on_window=None, coding=CodingStage):
     """The §6.2 classification step around the one encode pipeline.
 
     Runs :func:`repro.core.chunks.encode_windows` over the byte windows
@@ -186,8 +186,8 @@ def convert(data: bytes, ranges, config: LeptonConfig,
     with trace_span("lepton.compress", input_bytes=len(data)):
         try:
             chunks = encode_windows(data, ranges, config, stats,
-                                    min(limits, default=None), account,
-                                    on_window, coding)
+                                    min(limits, default=None), on_window,
+                                    coding)
             exit_code, detail = ExitCode.SUCCESS, ""
         except (JpegError, LeptonError) as exc:
             if (isinstance(exc, TimeoutExceeded) and deadline is not None
@@ -246,8 +246,7 @@ def compress(data: bytes, config: Optional[LeptonConfig] = None) -> CompressionR
     """
     config = config or LeptonConfig()
     exit_code, detail, stats, chunks = convert(
-        data, [(0, len(data))], config, fallback=config.deflate_fallback,
-        account=config.collect_breakdown)
+        data, [(0, len(data))], config, fallback=config.deflate_fallback)
     if chunks is None:
         return CompressionResult(exit_code, None, None, len(data), None, detail)
     return CompressionResult(exit_code, chunks[0].format, chunks[0].payload,

@@ -22,11 +22,9 @@ Design notes:
   buffers — and ``/healthz`` answers while the codec is busy.  The codec
   itself runs in worker processes (:mod:`repro.storage.workers`, one per
   CPU, shared by every server in the process): an executor thread
-  waits on a pipe, not on the GIL, and a GET's later chunks decode on
-  idle workers while earlier ones stream out.  The store reads the
-  gate's count of admitted requests: a request alone in the server
-  starts every chunk of a GET, or each coded window's verify of a put,
-  on idle workers before it needs them.
+  waits on a pipe, not on the GIL.  The server hands the pool its
+  admission gate, whose count tells the pool's one scheduling rule
+  whether a request is alone (:class:`repro.storage.workers.CodecPool`).
 * A GET never serves a wrong byte: every streamed piece sits behind the
   block store's two digest gates.  A failure *after* the response head
   has been written severs the connection (:meth:`LeptonServer._sever`)
@@ -227,8 +225,7 @@ class LeptonServer:
         self.shutoff = ShutoffSwitch(directory=self.config.shutoff_dir)
         self.gate = AdmissionGate(self.config.max_inflight,
                                   self.config.queue_depth)
-        # A request the gate shows alone may fan out across the pool.
-        self.store.admitted = lambda: self.gate.inflight
+        self.codec.add_gate(self.gate)
         self.breakers = BreakerBoard(
             _MonotonicClock(),
             template=CircuitBreaker(

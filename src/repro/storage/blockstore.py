@@ -6,15 +6,15 @@ enforces that rule with real bytes through the real codec, plus the
 production md5-style integrity check of the stored payload.
 """
 
+import functools
 import hashlib
 import os
 import threading
 import time
 import zlib
-from concurrent.futures import Future
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from repro.core.chunks import (
     CHUNK_SIZE,
@@ -41,7 +41,7 @@ from repro.storage.backends import (
 from repro.storage.journal import Journal, MemoryJournal
 from repro.storage.quotas import QuotaBoard
 from repro.storage.retry import RetryPolicy
-from repro.storage.workers import WorkerLost
+from repro.storage.workers import Decode, WorkerLost
 
 
 def file_blob_key(name: str) -> str:
@@ -58,53 +58,42 @@ class IntegrityError(RuntimeError):
 
 
 class InProcessCodec:
-    """The default codec runner: the store's two codec calls run in this
-    process, on the caller's thread, through the names this module
-    imports (so whatever replaces one of them sees every call).
+    """The default codec runner: each request's codec work runs in this
+    process, in order, on the caller's thread, through the names this
+    module imports (so whatever replaces one of them sees every call).
 
-    A runner has four methods.  :meth:`encode` and :meth:`decode` are the
-    two calls (``encode`` hands each coded window to ``on_window`` as soon
-    as it is coded, and with ``borrow`` may run its coding stage on a
-    second idle worker); :meth:`start` begins a decode on an idle worker
-    and returns a future of its bytes, or ``None`` when no worker is idle;
-    and :meth:`idle_workers` counts them.  ``lepton serve`` passes the
-    worker pool instead (:class:`repro.storage.workers.CodecPool`), whose
-    workers give :meth:`BlockStore.stream_range`, the §5.7 verify decodes
-    and a lone put's coding stage to run ahead on.
+    A runner has three calls: :meth:`encode` hands back a put's turns
+    (its encode, then each chunk's verify decode), :meth:`read` a read's
+    turns, and :meth:`decode` runs a read's own decode, its retries and
+    a verify run again after a lost worker.  ``lepton serve`` passes the
+    worker pool instead (:class:`repro.storage.workers.CodecPool`), which
+    may start a turn's decode before its turn.  Here nothing starts
+    early: a verify decodes when its bytes are asked for, and each chunk
+    of a read decodes in :meth:`BlockStore.get_chunk`.
     """
 
     def encode(self, data: bytes, chunk_size: int, config: LeptonConfig,
-               deadline: Optional[float] = None,
-               on_window: Optional[Callable[[StoredChunk], None]] = None,
-               borrow: bool = False) -> List[StoredChunk]:
-        return compress_chunked(data, chunk_size, config, deadline=deadline,
-                                on_window=on_window)
+               deadline: Optional[float] = None) -> Iterator[Decode]:
+        for chunk in compress_chunked(data, chunk_size, config,
+                                      deadline=deadline):
+            yield Decode(chunk, functools.partial(self.decode, chunk,
+                                                  deadline))
+
+    def read(self, sources: list,
+             deadline: Optional[float] = None) -> Iterator[None]:
+        return (None for _source in sources)
 
     def decode(self, chunk: StoredChunk,
                deadline: Optional[float] = None) -> bytes:
         return decompress_chunk(chunk, deadline=deadline)
 
-    def start(self, chunk: StoredChunk, deadline: Optional[float] = None):
-        return None  # no worker to run ahead on
 
-    def idle_workers(self) -> int:
-        return 0
-
-
-class _Ahead(NamedTuple):
-    """A chunk payload whose decode started on a worker before it was
-    needed (a read ahead, or a put's verify of a window just coded)."""
-
-    payload: bytes
-    job: Future
-
-
-#: The read-ahead of the chunk whose :meth:`BlockStore.get_chunk` call
-#: :meth:`BlockStore.stream_range` is making, set for that call only.  It
-#: travels beside the call, not as an argument, because
-#: ``get_chunk(key, deadline=...)`` is a seam that fault drills and the
-#: benchmark's traced mode replace by name.
-_AHEAD: ContextVar[Optional[_Ahead]] = ContextVar("blockstore_ahead",
+#: The turn of the chunk whose :meth:`BlockStore.get_chunk` call
+#: :meth:`BlockStore.stream_range` is making, if the codec runner sent
+#: it, set for that call only.  It travels beside the call, not as an
+#: argument, because ``get_chunk(key, deadline=...)`` is a seam that
+#: fault drills and the benchmark's traced mode replace by name.
+_AHEAD: ContextVar[Optional[Decode]] = ContextVar("blockstore_ahead",
                                                   default=None)
 
 
@@ -181,12 +170,6 @@ class BlockStore:
     #: Runs the codec calls: in this process by default, on the worker
     #: pool under ``lepton serve`` (repro.storage.workers).
     codec: InProcessCodec = field(default_factory=InProcessCodec)
-    #: The server's count of admitted data-plane requests, the caller's
-    #: included; ``None`` for a store with no server.  A request alone in
-    #: the server (a count of 1) starts codec work on idle workers before
-    #: it needs it: every chunk of a GET, and each coded window's verify
-    #: of a multi-chunk put.  A bare store is never alone.
-    admitted: Optional[Callable[[], int]] = None
     _put_lock: threading.Lock = field(default_factory=threading.Lock,
                                       repr=False)
     _put_seq: int = 0
@@ -261,10 +244,6 @@ class BlockStore:
             pos += size
         return pos == len(data)
 
-    def _alone(self) -> bool:
-        """Is the caller the one request the server has admitted?"""
-        return self.admitted is not None and self.admitted() == 1
-
     def _compress_verified(self, data: bytes, originals: List[bytes],
                            deadline: Optional[float] = None,
                            ) -> List[StoredChunk]:
@@ -273,79 +252,49 @@ class BlockStore:
 
         A chunk whose payload does not decode identically (or whose
         decode raises) fails the gate, and then every chunk of the file
-        is stored as Deflate instead, as for a §6.2 reject.  Under a
-        server, a multi-chunk put has the encode report each window as
-        it is coded; while the put is alone in the server, that window's
-        verify starts on an idle worker while the next one encodes.
+        is stored as Deflate instead, as for a §6.2 reject.
         """
-        started: Dict[int, _Ahead] = {}
+        plan = self.codec.encode(data, self.chunk_size, self.config,
+                                 deadline)
+        return self._round_trips(plan, originals, deadline) or deflate_chunks(
+            data, chunk_ranges(len(data), self.chunk_size))
 
-        def verify_early(chunk: StoredChunk) -> None:
-            if self._alone():
-                job = self.codec.start(chunk, deadline)
-                if job is not None:
-                    started[chunk.index] = _Ahead(chunk.payload, job)
-
-        on_window = (verify_early
-                     if len(originals) > 1 and self.admitted is not None
-                     else None)
-        borrow = len(originals) == 1 and self._alone()
-        chunks = self.codec.encode(data, self.chunk_size, self.config,
-                                   deadline, on_window, borrow)
-        # A window a later one rejected was stored as Deflate: its early
-        # verify decoded other bytes and is dropped.
-        jobs = {i: ahead.job for i, ahead in started.items()
-                if chunks[i].payload == ahead.payload}
-        try:
-            verified = self._round_trips(chunks, originals, deadline, jobs)
-        except WorkerLost:
-            # No decode gave a verdict; an unverified file is Deflate.
-            verified = None
-        if verified is False:
-            get_registry().counter("lepton.verify.roundtrip_failures").inc()
-        if not verified:
-            chunks = deflate_chunks(data, [c.original_range for c in chunks])
+    def _round_trips(self, plan: Iterator[Decode], originals: List[bytes],
+                     deadline: Optional[float]) -> Optional[List[StoredChunk]]:
+        """The §5.7 admission rule: the encoded chunks of ``plan`` if
+        every one decodes to its original, else ``None``.  A decode that
+        returns other bytes or raises in the codec fails it, a decoder
+        bug included, and counts a round-trip failure; a deadline does
+        not, it ends the put.  A worker that dies under a decode gives no
+        verdict: the decode runs once more, as a read retries, and after
+        a second loss the file is unverified (``None``, not counted).
+        """
+        chunks = []
+        for turn, original in zip(plan, originals):
+            try:
+                data = self._verify_decode(turn, deadline)
+            except TimeoutExceeded:
+                raise
+            except WorkerLost:
+                return None
+            except Exception:
+                data = None
+            if data != original:
+                get_registry().counter(
+                    "lepton.verify.roundtrip_failures").inc()
+                return None
+            chunks.append(turn.chunk)
         return chunks
 
-    def _round_trips(self, chunks: List[StoredChunk], originals: List[bytes],
-                     deadline: Optional[float],
-                     jobs: Dict[int, Future]) -> bool:
-        """The §5.7 admission rule: does every chunk decode to its
-        original?  A decode that returns other bytes or raises in the
-        codec fails it, a decoder bug included; a deadline does not, it
-        ends the put.  ``jobs`` are verify decodes already started, by
-        chunk; the rest start on idle workers, in order, and each freed
-        worker takes the next.  A worker that dies under a decode gives
-        no verdict: the decode runs once more, as a read retries, and a
-        second loss raises :class:`WorkerLost`.
-        """
-        for i, (chunk, original) in enumerate(zip(chunks, originals)):
-            for later in range(i, len(chunks)):
-                if later not in jobs:
-                    job = self.codec.start(chunks[later], deadline)
-                    if job is None:
-                        break
-                    jobs[later] = job
-            try:
-                data = self._verify_decode(chunk, jobs.pop(i, None), deadline)
-            except (TimeoutExceeded, WorkerLost):
-                raise
-            except Exception:
-                return False
-            if data != original:
-                return False
-        return True
-
-    def _verify_decode(self, chunk: StoredChunk, job: Optional[Future],
+    def _verify_decode(self, turn: Decode,
                        deadline: Optional[float]) -> bytes:
-        """One verify decode: the bytes of ``job`` if it was started, else
-        a decode now.  A worker that died under it gave no verdict, so
-        the decode runs once more, as a read retries."""
+        """One verify decode, at its turn.  A worker that died under it
+        gave no verdict, so the decode runs once more, as a read
+        retries."""
         try:
-            return (job.result() if job is not None
-                    else self.codec.decode(chunk, deadline))
+            return turn.job()
         except WorkerLost:
-            return self.codec.decode(chunk, deadline)
+            return self.codec.decode(turn.chunk, deadline)
 
     def _admit_file(self, name: str, data: bytes, tenant: str = "default",
                     deadline: Optional[float] = None):
@@ -567,21 +516,20 @@ class BlockStore:
 
     def _verify_and_decode(self, key: str, entry: StoreEntry,
                            payload: bytes, deadline: Optional[float] = None,
-                           ahead: Optional[_Ahead] = None) -> bytes:
+                           ahead: Optional[Decode] = None) -> bytes:
         """Both integrity gates over one (possibly faulted) payload read.
 
         The decode is the put gate's own runner call, with or without a
         deadline (the session cancels between row bands once it passes),
         so every read records the same decode telemetry.  ``ahead`` is a
-        decode :meth:`stream_range` started early; it stands in for the
-        decode, and for the md5 that :meth:`_read_ahead` already checked,
+        decode :meth:`stream_range`'s plan started; it stands in for the
+        decode, and for the md5 that :meth:`_checked` already checked,
         only if ``payload`` is the very object it read.
         """
-        early = ahead is not None and payload is ahead.payload
-        if not early and hashlib.md5(payload).hexdigest() != entry.payload_md5:
+        if ahead is not None and payload is ahead.chunk.payload:
+            data = ahead.job()
+        elif hashlib.md5(payload).hexdigest() != entry.payload_md5:
             raise IntegrityError(f"payload digest mismatch for {key[:12]}")
-        if early:
-            data = ahead.job.result()
         else:
             data = self.codec.decode(self._stored_chunk(entry, payload),
                                      deadline)
@@ -632,7 +580,7 @@ class BlockStore:
             if attempt > 1:
                 registry.counter("retry.attempts", scope="blockstore").inc()
             try:
-                payload = (ahead.payload if ahead is not None
+                payload = (ahead.chunk.payload if ahead is not None
                            else self._payload(key))
                 if self.read_fault is not None:
                     payload = self.read_fault(key, payload, attempt)
@@ -706,13 +654,9 @@ class BlockStore:
         request for a file tail never touches its head.  Each chunk passes
         both digest gates of :meth:`get_chunk` *before* any of its bytes
         are yielded (the degraded-read contract forbids streaming bytes a
-        later check could disown).  Under a server, the first chunk's
-        decode goes to an idle worker before any other payload is read;
-        a request then alone in the server starts every later chunk on
-        idle workers too.  Otherwise the first chunk decodes alone, so the
-        first byte waits for nothing else.  After it, every chunk not yet
-        yielded starts decoding on an idle worker of the codec runner, in
-        order, while earlier ones stream out.  Feeds the same
+        later check could disown).  The codec runner's plan for the read
+        may start later chunks' decodes while earlier ones stream out
+        (:class:`repro.storage.workers.CodecPool`).  Feeds the same
         ``blockstore.read.*`` histograms as whole-file reads.
         ``deadline`` cancels the decode between row bands once it passes;
         the ``store.stream.first`` kill point fires after the first
@@ -727,20 +671,12 @@ class BlockStore:
         begin = time.monotonic()  # lint: disable=D2
         spans = [(key, a, b) for key, a, b in self.chunk_spans(name)
                  if a < stop and b > start]
-        keys = [key for key, _a, _b in spans]
-        # A stream that ends early drops its read-ahead; a decode still
-        # running frees its worker when it finishes.
-        started: Dict[str, _Ahead] = {}
-        if self.admitted is not None:
-            self._read_ahead(keys[:1], deadline, started)
-            # Counted after that dispatch, so two requests admitted in
-            # the same loop turn see each other.
-            if self._alone():
-                self._read_ahead(keys[1:], deadline, started)
-        for i, (key, a, b) in enumerate(spans):
-            if i:
-                self._read_ahead(keys[i:], deadline, started)
-            token = _AHEAD.set(started.pop(key, None))
+        # A stream that ends early drops its plan; a decode still running
+        # frees its worker when it finishes.
+        plan = self.codec.read([functools.partial(self._checked, key)
+                                for key, _a, _b in spans], deadline)
+        for i, ((key, a, b), turn) in enumerate(zip(spans, plan)):
+            token = _AHEAD.set(turn)
             try:
                 data = self.get_chunk(key, deadline=deadline)
             finally:
@@ -756,31 +692,18 @@ class BlockStore:
             time.monotonic() - begin  # lint: disable=D2
         )
 
-    def _read_ahead(self, keys: List[str], deadline: Optional[float],
-                    started: Dict[str, _Ahead]) -> None:
-        """Read each of ``keys`` in order and start its decode on an idle
-        worker of the codec runner, into ``started`` for :meth:`get_chunk`
-        to take up.  Never waits for a worker, and stops at the first
-        chunk it cannot start: one whose read fails or whose payload fails
-        the md5 gate is left to get_chunk, which reads it again, retries
-        and falls back."""
-        for key in keys:
-            if key in started:
-                continue
-            if not self.codec.idle_workers():
-                return
+    def _checked(self, key: str) -> Optional[StoredChunk]:
+        """``key``'s chunk with its payload read and md5-checked, for the
+        codec runner to decode; ``None`` if the read or the check fails
+        (:meth:`get_chunk` reads it again, retries and falls back)."""
+        try:
             entry = self.entries[key]
-            try:
-                payload = self._payload(key)
-            except Exception:
-                return
-            if hashlib.md5(payload).hexdigest() != entry.payload_md5:
-                return
-            job = self.codec.start(self._stored_chunk(entry, payload),
-                                   deadline)
-            if job is None:
-                return
-            started[key] = _Ahead(payload, job)
+            payload = self._payload(key)
+        except Exception:
+            return None
+        if hashlib.md5(payload).hexdigest() != entry.payload_md5:
+            return None
+        return self._stored_chunk(entry, payload)
 
     def stored_bytes_for(self, record: FileRecord) -> int:
         """Stored (compressed) footprint of one file's chunks, from the

@@ -37,6 +37,7 @@ end-of-file on its stdin and exits.
 
 import atexit
 import dataclasses
+import functools
 import json
 import os
 import signal
@@ -45,9 +46,10 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from array import array
 from concurrent.futures import Future
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from repro.core.chunks import (
     StoredChunk,
@@ -81,6 +83,14 @@ class WorkerLost(RuntimeError):
 class CodecJobError(RuntimeError):
     """A codec job raised in its worker; its type name and message came
     back in place of a result."""
+
+
+class Decode(NamedTuple):
+    """One chunk's turn: the chunk (a read's payload as read and
+    md5-checked) and ``job``, which returns its decoded bytes."""
+
+    chunk: StoredChunk
+    job: Callable[[], bytes]
 
 
 def _write_frame(stream, header: dict, body: bytes = b"") -> None:
@@ -344,17 +354,32 @@ def _busy_seconds(spans: List[dict]) -> float:
 
 
 class CodecPool:
-    """``size`` worker processes and the queue of idle ones.
+    """``size`` worker processes, and the one rule for when a request
+    may use more than one of them.
 
-    :meth:`encode` and :meth:`decode` wait for an idle worker (no longer
-    than the request's deadline: then :class:`TimeoutExceeded`) and hold
-    it for one job.  :meth:`start` takes an idle worker only, so a request
-    that already holds one never waits for a second.  One listener thread
-    per worker reads its replies, hands an encode's coded windows to its
-    ``on_window`` as they arrive, relays the frames of an encode that
-    borrowed a second worker for its coding stage, frees the worker as
-    soon as the final reply is read, then replays the job's telemetry and
-    resolves it.
+    The store hands the pool each request's codec work in one call,
+    :meth:`encode` for a put or :meth:`read` for a GET; :meth:`decode`
+    is a decode of its own.  A request's first job waits for a worker
+    (no longer than the request's deadline: then
+    :class:`TimeoutExceeded`): a put's encode, or a read's first chunk
+    (at once on an idle worker, else in the read's own decode).  Its
+    later jobs, a read's later chunks or a put's verify of each window,
+    take idle workers only, in order, up to the first that cannot start:
+    at once while the request is alone in the server, otherwise once its
+    first result is in (the encode returned, or the first chunk was
+    yielded).  An idle worker owed to a waiting job is that job's.
+    Alone means the gates of :meth:`add_gate` count one admitted request
+    in all: a read counts right after its first chunk is sent, so two
+    requests admitted in one loop turn see each other; a put counts as
+    each of its windows is coded, or, with one window, as its encode is
+    sent, and a lone one-window put also borrows an idle worker for its
+    coding stage.
+
+    One listener thread per worker reads its replies, hands an encode's
+    coded windows to its ``on_window`` as they arrive, relays the frames
+    of an encode that borrowed a second worker for its coding stage,
+    frees the worker as soon as the final reply is read, then replays
+    the job's telemetry and resolves it.
     """
 
     def __init__(self, size: int):
@@ -362,7 +387,11 @@ class CodecPool:
         self.restarts = 0
         self._cond = threading.Condition()
         self._idle: List[_Worker] = []
+        #: Jobs waiting for a worker: that many idle workers are theirs.
+        self._waiting = 0
         self._live: Dict[int, _Worker] = {}
+        #: The admission gates of the live servers this pool serves.
+        self._gates: "weakref.WeakSet" = weakref.WeakSet()
         self._closed = False
         for slot in range(size):
             self._spawn(slot)
@@ -370,41 +399,65 @@ class CodecPool:
     # -- the runner interface (see blockstore.InProcessCodec) ---------------
 
     def encode(self, data: bytes, chunk_size: int, config: LeptonConfig,
-               deadline: Optional[float] = None,
-               on_window: Optional[Callable[[StoredChunk], None]] = None,
-               borrow: bool = False) -> List[StoredChunk]:
-        """Encode on a worker.  ``on_window`` gets each coded window as
-        soon as the worker sends it, on this worker's listener thread, so
-        it must not block; the result still carries every window.  With
-        ``borrow``, a second worker idle at the start runs the coding
-        stage (:func:`~repro.core.session.code_segment_records`) one row
-        band behind the encode's modelling; the bytes are the same."""
+               deadline: Optional[float] = None) -> Iterator[Decode]:
+        """A put's codec work: the encode of ``data`` in windows of
+        ``chunk_size`` (run by the first step), then each window's turn
+        to verify, in order.  An early verify counts only for a window
+        whose final payload is the bytes it decoded."""
+        ranges = chunk_ranges(len(data), chunk_size)
+        early: Dict[int, Decode] = {}
+
+        def report(chunk: StoredChunk) -> None:  # the encoder's listener
+            if self._alone():
+                self._ahead({chunk.index: lambda: chunk}, [chunk.index],
+                            early, deadline)
+
         header = {"chunk_size": chunk_size,
                   "config": dataclasses.asdict(config),
-                  "windows": on_window is not None}
+                  "windows": len(ranges) > 1}
         start = time.monotonic()  # lint: disable=D2 - telemetry only
         try:
-            return self._run("encode", header, data, deadline, on_window,
-                             borrow)
+            chunks = self._run("encode", header, data, deadline, report,
+                               len(ranges) == 1 and self._alone())
         except WorkerLost as lost:
             # A conversion that died with its worker is a §6.2 reject
             # under the killing signal's exit code, stored as Deflate.
-            return convert_lost(data, chunk_ranges(len(data), chunk_size),
-                                lost.exit_code, start)
+            chunks = convert_lost(data, ranges, lost.exit_code, start)
+        started = {i: decode for i, decode in early.items()
+                   if decode.chunk == chunks[i]}
+        sources = [lambda chunk=chunk: chunk for chunk in chunks]
+        for i, chunk in enumerate(chunks):
+            self._ahead(sources, range(i, len(chunks)), started, deadline)
+            yield started.pop(i, None) or Decode(
+                chunk, functools.partial(self.decode, chunk, deadline))
+
+    def read(self, sources: list,
+             deadline: Optional[float] = None) -> Iterator[Optional[Decode]]:
+        """A read's codec work: ``sources`` are its chunks in order, each
+        a call that reads the chunk's payload and md5-checks it (``None``
+        if it cannot).  Each step is one chunk's turn: its
+        :class:`Decode`, or ``None`` for a chunk not sent, which the
+        caller reads and decodes itself."""
+        started: Dict[int, Decode] = {}
+        for i in range(len(sources)):
+            # The first turn sends the first chunk only, then counts.
+            self._ahead(sources, range(i, len(sources) if i else 1),
+                        started, deadline)
+            if not i and self._alone():
+                self._ahead(sources, range(1, len(sources)), started,
+                            deadline)
+            yield started.pop(i, None)
 
     def decode(self, chunk: StoredChunk,
                deadline: Optional[float] = None) -> bytes:
         return self._run("decode", _chunk_header(chunk), chunk.payload,
                          deadline)
 
-    def start(self, chunk: StoredChunk,
-              deadline: Optional[float] = None) -> Optional[Future]:
-        """Decode ``chunk`` on an idle worker; ``None`` if none is idle."""
-        worker = self._acquire(deadline, wait=False)
-        if worker is None:
-            return None
-        return self._submit(worker, "decode", _chunk_header(chunk),
-                            chunk.payload, deadline)
+    def add_gate(self, gate) -> None:
+        """Count ``gate.inflight``, a server's admitted requests, when
+        the pool asks whether a request is alone."""
+        with self._cond:
+            self._gates.add(gate)
 
     def idle_workers(self) -> int:
         with self._cond:
@@ -457,23 +510,21 @@ class CodecPool:
                  wait: bool) -> Optional[_Worker]:
         begin = time.monotonic()  # lint: disable=D2 - telemetry and timeout
         with self._cond:
-            while not self._idle:
-                if not wait:
-                    return None
+            if not wait:
+                return (self._idle.pop() if len(self._idle) > self._waiting
+                        else None)
+            self._waiting += 1
+            self._cond.wait_for(lambda: self._idle or not self._live,
+                                None if deadline is None else deadline - begin)
+            self._waiting -= 1
+            if not self._idle:
                 if not self._live:
                     raise WorkerLost("no codec worker is running")
-                timeout = None
-                if deadline is not None:
-                    timeout = deadline - time.monotonic()  # lint: disable=D2
-                    if timeout <= 0:
-                        raise TimeoutExceeded(
-                            "no codec worker was free before the "
-                            "deadline")
-                self._cond.wait(timeout)
+                raise TimeoutExceeded(
+                    "no codec worker was free before the deadline")
             worker = self._idle.pop()
-        if wait:
-            get_registry().histogram("workers.wait_seconds").observe(
-                time.monotonic() - begin)  # lint: disable=D2
+        get_registry().histogram("workers.wait_seconds").observe(
+            time.monotonic() - begin)  # lint: disable=D2
         return worker
 
     def _submit(self, worker: _Worker, kind: str, header: dict, body: bytes,
@@ -525,6 +576,33 @@ class CodecPool:
                         pair=pair) is None:
             return None
         return pair
+
+    # -- the scheduler (see the class docstring) -----------------------------
+
+    def _alone(self) -> bool:
+        with self._cond:
+            return sum(gate.inflight for gate in list(self._gates)) == 1
+
+    def _ahead(self, sources, turns, started: Dict[int, Decode],
+               deadline: Optional[float]) -> None:
+        """Send each chunk ``sources[i]()`` of ``turns`` not ``started``
+        yet to an idle worker to decode, in order, into ``started``; stop
+        at the first with no idle worker or no chunk."""
+        for i in turns:
+            if i in started:
+                continue
+            worker = self._acquire(deadline, wait=False)
+            if worker is None:
+                return
+            chunk = sources[i]()
+            if chunk is None:
+                self._free(worker)
+                return
+            job = self._submit(worker, "decode", _chunk_header(chunk),
+                               chunk.payload, deadline)
+            if job is None:
+                return
+            started[i] = Decode(chunk, job.result)
 
     # -- an encode's coding stage on its helper ------------------------------
 

@@ -9,6 +9,7 @@ from repro.core.lepton import (
     FORMAT_LEPTON,
     LeptonConfig,
     compress,
+    convert,
     decompress,
     decompress_chunks,
     roundtrip_check,
@@ -75,6 +76,19 @@ class TestCompressionBehaviour:
         assert set(stats.bit_costs) == {"nnz", "7x7", "edge", "dc"}
         assert stats.original_bits["header"] > 0
         assert stats.original_bits["7x7"] > 0
+
+    @pytest.mark.parametrize("breakdown", [True, False])
+    def test_a_chunked_encode_accounts_only_with_collect_breakdown(
+            self, small_jpeg, breakdown):
+        """``collect_breakdown`` is the one switch for both halves of the
+        Figure-4 accounting, whatever the windows."""
+        half = len(small_jpeg) // 2
+        _code, _detail, stats, chunks = convert(
+            small_jpeg, [(0, half), (half, len(small_jpeg))],
+            LeptonConfig(collect_breakdown=breakdown))
+        assert [c.format for c in chunks] == [FORMAT_LEPTON] * 2
+        assert bool(stats.bit_costs) is breakdown
+        assert bool(stats.original_bits) is breakdown
 
     def test_segment_count_matches_container(self, small_jpeg):
         result = compress(small_jpeg, LeptonConfig(threads=4))

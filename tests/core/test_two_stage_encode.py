@@ -8,6 +8,7 @@ runs in process over a corpus sweep, and the recording coder's
 out-of-range reject against the coder's own.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -69,6 +70,14 @@ def pool():
         pool.close()
 
 
+def _encode(pool, data, chunk_size, config):
+    """Encode on one worker with its coding stage borrowed on the other,
+    whatever the count of windows."""
+    header = {"chunk_size": chunk_size,
+              "config": dataclasses.asdict(config), "windows": False}
+    return pool._run("encode", header, data, None, None, True)
+
+
 def _idle(pool, seconds=30.0):
     limit = time.monotonic() + seconds
     while pool.idle_workers() < pool.size:
@@ -86,7 +95,7 @@ def test_local_and_remote_coding_stages_give_identical_bytes(pool, case):
     local = compress_chunked(data, chunk_size, config)
     _idle(pool)
     before = _code_jobs()
-    remote = pool.encode(data, chunk_size, config, None, None, True)
+    remote = _encode(pool, data, chunk_size, config)
     assert _code_jobs() == before + 1  # a second worker coded it
     assert [c.format for c in local] == [FORMAT_LEPTON] * len(local)
     assert ([(c.index, c.format, c.payload, c.original_range)
@@ -104,8 +113,7 @@ def test_the_drifting_dc_fixture_is_rejected_alike(pool, drifting_dc_jpeg):
     before = codes.value
     local = compress_chunked(drifting_dc_jpeg, WHOLE)
     _idle(pool)
-    remote = pool.encode(drifting_dc_jpeg, WHOLE, LeptonConfig(), None,
-                         None, True)
+    remote = _encode(pool, drifting_dc_jpeg, WHOLE, LeptonConfig())
     assert codes.value == before + 2
     assert [c.format for c in local] == [c.format for c in remote] == [
         FORMAT_DEFLATE]

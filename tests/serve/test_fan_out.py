@@ -4,9 +4,10 @@ A GET that the admission gate shows alone starts every chunk's decode on
 idle workers with its first; a put alone verifies each coded window
 while the next one encodes.  A request with company behaves as it would
 without the rule: its first chunk decodes alone and its verifies start
-after the encode.  Whatever ran early, the verdicts stay in the server:
-a window a later one rejected is stored as Deflate with no round-trip
-failure counted, and a deadline that passes mid-encode stores nothing.
+after the encode.  Company is counted over every server that shares the
+pool.  Whatever ran early, the verdicts stay in the server: a window a
+later one rejected is stored as Deflate with no round-trip failure
+counted, and a deadline that passes mid-encode stores nothing.
 """
 
 import asyncio
@@ -18,7 +19,7 @@ import pytest
 
 from repro.corpus.builder import corpus_jpeg
 from repro.obs import get_registry, get_tracer
-from repro.serve.app import ServeConfig
+from repro.serve.app import LeptonServer, ServeConfig
 from repro.serve.client import ServeClient
 from repro.storage.workers import shared_pool
 
@@ -38,34 +39,23 @@ def _two_workers():
 
 
 class _Dispatches:
-    """A codec runner that logs each decode it sends to a worker, in the
-    order they were sent: ``(index, format, payload md5)``."""
+    """Logs each decode ``pool`` sends to a worker, in the order they
+    were sent: ``(index, format, payload md5)``."""
 
-    def __init__(self, runner):
-        self.runner = runner
+    def __init__(self, pool, monkeypatch):
         self.sent = []
-        self._lock = threading.Lock()
+        lock = threading.Lock()
+        submit = pool._submit
 
-    def _log(self, chunk):
-        with self._lock:
-            self.sent.append((chunk.index, chunk.format,
-                              hashlib.md5(chunk.payload).hexdigest()))
+        def logged(worker, kind, header, body, *args, **kwargs):
+            if kind == "decode":
+                index, fmt, _start, _stop = header["chunk"]
+                with lock:
+                    self.sent.append((index, fmt,
+                                      hashlib.md5(body).hexdigest()))
+            return submit(worker, kind, header, body, *args, **kwargs)
 
-    def encode(self, *args):
-        return self.runner.encode(*args)
-
-    def decode(self, chunk, deadline=None):
-        self._log(chunk)
-        return self.runner.decode(chunk, deadline)
-
-    def start(self, chunk, deadline=None):
-        job = self.runner.start(chunk, deadline)
-        if job is not None:
-            self._log(chunk)
-        return job
-
-    def idle_workers(self):
-        return self.runner.idle_workers()
+        monkeypatch.setattr(pool, "_submit", logged)
 
 
 async def _idle(server, seconds=30.0):
@@ -115,7 +105,8 @@ def test_a_lone_get_starts_its_second_chunk_before_its_first_is_yielded(
     assert decodes[1][0] < first_chunk_out
 
 
-def test_two_gets_admitted_together_start_both_first_chunks_first():
+def test_two_gets_admitted_together_start_both_first_chunks_first(
+        monkeypatch):
     """Neither GET is alone, so neither reads ahead before its first chunk
     is out: both first chunks take the two workers."""
     photos = [PHOTO, corpus_jpeg(seed=6, height=256, width=256)]
@@ -131,7 +122,7 @@ def test_two_gets_admitted_together_start_both_first_chunks_first():
             for index, key in enumerate(server.store.files[file_id].chunk_keys):
                 entry = server.store.entries[key]
                 chunks[index, entry.format, entry.payload_md5] = (n, index)
-        server.store.codec = log = _Dispatches(server.store.codec)
+        log = _Dispatches(server.codec, monkeypatch)
         others = [ServeClient(server.config.host, server.port)
                   for _ in ids]
         try:
@@ -170,15 +161,69 @@ def test_a_lone_put_verifies_window_zero_while_it_encodes():
     assert decodes[0][0] < encode_end
 
 
+def test_a_put_with_company_starts_no_verify_before_its_encode_returns():
+    """Another admitted request is in the server, so the put verifies
+    none of its windows while it encodes."""
+    async def scenario(server, client):
+        await _idle(server)
+        await server.gate.admit()  # a request that holds its slot
+        try:
+            since = time.monotonic()
+            put = await client.put_file(PHOTO)
+        finally:
+            server.gate.release()
+        return put, _jobs("encode", since), _jobs("decode", since)
+
+    put, encodes, decodes = with_server(scenario,
+                                        ServeConfig(chunk_size=CHUNK))
+    assert put.status == 201 and put.json()["format"] == "lepton"
+    [(_encode_start, encode_end)] = encodes
+    assert len(decodes) == 4
+    assert all(start > encode_end for start, _end in decodes)
+
+
+def test_a_get_sees_the_requests_of_another_server_on_the_pool(
+        monkeypatch):
+    """Two servers in one process share the codec pool, so a request
+    admitted by one is company for a GET on the other: that GET starts
+    its second chunk only after its first is yielded."""
+    async def scenario(server, client):
+        put = await client.put_file(PHOTO)
+        assert put.status == 201 and put.json()["chunks"] == 4
+        other = LeptonServer(ServeConfig(chunk_size=CHUNK))
+        yielded = []
+        stream_range = server.store.stream_range
+
+        def timed(*args, **kwargs):
+            for piece in stream_range(*args, **kwargs):
+                yielded.append(time.monotonic())
+                yield piece
+
+        monkeypatch.setattr(server.store, "stream_range", timed)
+        await _idle(server)
+        await other.gate.admit()
+        try:
+            since = time.monotonic()
+            got = await client.get_file(put.json()["id"])
+        finally:
+            other.gate.release()
+        return got, yielded, _jobs("decode", since)
+
+    got, yielded, decodes = with_server(scenario, ServeConfig(chunk_size=CHUNK))
+    assert got.status == 200 and got.body == PHOTO
+    assert len(decodes) == 4
+    assert decodes[1][0] > yielded[0]
+
+
 def test_a_put_rejected_after_a_reported_window_stores_deflate(
-        drifting_dc_jpeg):
+        drifting_dc_jpeg, monkeypatch):
     """The first two 160-byte windows hold only the JPEG header and code
     fine; the third holds DC values past the coder's range, so the file
     is a §6.2 reject.  The verifies already started decoded Lepton
     windows the store no longer holds: they are dropped, and no
     round-trip failure is counted."""
     async def scenario(server, client):
-        server.store.codec = log = _Dispatches(server.store.codec)
+        log = _Dispatches(server.codec, monkeypatch)
         await _idle(server)
         before = _roundtrip_failures()
         put = await client.put_file(drifting_dc_jpeg)

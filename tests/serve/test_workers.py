@@ -238,31 +238,42 @@ def test_more_requests_than_workers_all_finish():
         assert put.status == 201 and put.json()["chunks"] >= 4
 
 
+class _BrokenGate:
+    """An admission gate whose count cannot be read: the pool's handler
+    of each coded window, which asks it, raises."""
+
+    @property
+    def inflight(self):
+        raise BrokenPipeError("the gate's server is gone")
+
+
 def test_a_raising_window_handler_fails_its_job_and_keeps_the_worker():
-    """An encode's ``on_window`` that raises fails that encode, within a
+    """An encode's window handler that raises fails that encode, within a
     bounded time, and its worker's listener keeps reading: the worker is
     freed and serves the next job."""
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.core.chunks import compress_chunked
     from repro.core.lepton import LeptonConfig
+    from repro.storage.workers import CodecPool
 
-    pool = shared_pool()
-
-    def broken(chunk):
-        raise BrokenPipeError("the relay's peer is gone")
-
-    limit = time.monotonic() + 30
-    while pool.idle_workers() < pool.size:
-        assert time.monotonic() < limit
-        time.sleep(0.01)
-    with ThreadPoolExecutor(1) as runner:
-        encode = runner.submit(pool.encode, PHOTO, CHUNK, LeptonConfig(),
-                               None, broken)
-        with pytest.raises(BrokenPipeError):
-            encode.result(timeout=60)
-    while pool.idle_workers() < pool.size:
-        assert time.monotonic() < limit
-        time.sleep(0.01)
-    [chunk, *_] = compress_chunked(PHOTO, CHUNK)
-    assert pool.decode(chunk) == PHOTO[:CHUNK]
+    pool = CodecPool(1)
+    gate = _BrokenGate()
+    pool.add_gate(gate)
+    try:
+        limit = time.monotonic() + 30
+        while pool.idle_workers() < pool.size:
+            assert time.monotonic() < limit
+            time.sleep(0.01)
+        with ThreadPoolExecutor(1) as runner:
+            encode = runner.submit(list, pool.encode(PHOTO, CHUNK,
+                                                     LeptonConfig()))
+            with pytest.raises(BrokenPipeError):
+                encode.result(timeout=60)
+        while pool.idle_workers() < pool.size:
+            assert time.monotonic() < limit
+            time.sleep(0.01)
+        [chunk, *_] = compress_chunked(PHOTO, CHUNK)
+        assert pool.decode(chunk) == PHOTO[:CHUNK]
+    finally:
+        pool.close()

@@ -10,6 +10,8 @@ worker died gave no verdict: it is decoded again, and never counted as a
 round-trip failure.
 """
 
+import functools
+
 import pytest
 
 from repro.core.lepton import FORMAT_LEPTON
@@ -17,24 +19,40 @@ from repro.corpus.builder import corpus_jpeg
 from repro.obs import get_registry
 from repro.serve.app import ServeConfig
 from repro.storage.blockstore import BlockStore
-from repro.storage.workers import WorkerLost
+from repro.storage.workers import Decode, WorkerLost
 
 from tests.serve.conftest import with_server
 
 PHOTO = corpus_jpeg(seed=1, height=64, width=64)
 
 
-class _FlippingCodec:
-    """A store's codec runner whose Lepton decodes come back with their
-    first byte flipped: every decode, the verify's included, runs
-    through :meth:`decode`, which counts them."""
+class _Through:
+    """A store's codec runner over ``runner`` whose every decode, each
+    turn's included, runs through its own :meth:`decode`."""
 
     def __init__(self, runner):
         self.runner = runner
-        self.decodes = 0
 
-    def encode(self, *args):
-        return self.runner.encode(*args)
+    def encode(self, data, chunk_size, config, deadline=None):
+        return self._through(
+            self.runner.encode(data, chunk_size, config, deadline), deadline)
+
+    def read(self, sources, deadline=None):
+        return self._through(self.runner.read(sources, deadline), deadline)
+
+    def _through(self, turns, deadline):
+        for turn in turns:
+            yield turn and Decode(turn.chunk, functools.partial(
+                self.decode, turn.chunk, deadline))
+
+
+class _FlippingCodec(_Through):
+    """A store's codec runner whose Lepton decodes come back with their
+    first byte flipped; it counts them."""
+
+    def __init__(self, runner):
+        super().__init__(runner)
+        self.decodes = 0
 
     def decode(self, chunk, deadline=None):
         data = self.runner.decode(chunk, deadline)
@@ -43,38 +61,22 @@ class _FlippingCodec:
             data = bytes([data[0] ^ 1]) + data[1:]
         return data
 
-    def start(self, chunk, deadline=None):
-        return None
 
-    def idle_workers(self):
-        return 0
-
-
-class _LosingCodec:
+class _LosingCodec(_Through):
     """A store's codec runner whose first ``losses`` decodes raise
     :class:`WorkerLost`, as when the worker running them is SIGKILLed or
-    OOM-killed; it starts nothing ahead, so every verify runs through
-    :meth:`decode`."""
+    OOM-killed."""
 
     def __init__(self, runner, losses=1):
-        self.runner = runner
+        super().__init__(runner)
         self.losses = losses
         self.lost = 0
-
-    def encode(self, *args):
-        return self.runner.encode(*args)
 
     def decode(self, chunk, deadline=None):
         if self.lost < self.losses:
             self.lost += 1
             raise WorkerLost(f"codec worker {self.lost} exited with -9")
         return self.runner.decode(chunk, deadline)
-
-    def start(self, chunk, deadline=None):
-        return None
-
-    def idle_workers(self):
-        return 0
 
 
 def _roundtrip_failures() -> float:
