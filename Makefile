@@ -11,7 +11,7 @@ test:
 
 # The format-freeze gate for hot-loop edits (well under a minute): golden
 # containers, exponent-cap digests, Huffman scan round trips, handover
-# resumes, and the coding stage on a second worker against the one in
+# resumes, and the coding stage in a worker's coder against the one in
 # process.  A codec speed change must pass it unedited.
 golden:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q tests/core/test_golden_containers.py tests/core/test_exponent_caps.py tests/jpeg/test_scan_roundtrip.py tests/jpeg/test_handover_property.py tests/core/test_two_stage_encode.py

@@ -229,8 +229,9 @@ class CodingStage:
     :meth:`band` takes one MCU row band's words; the segment's last band
     returns its :class:`CodedSegment`.  :func:`code_segment_records` runs
     it in this process, one band right after it is recorded; a codec
-    worker lending its CPU to another's encode runs it on bands that
-    arrive over its pipe (:mod:`repro.storage.workers`).
+    worker's coder, a child process that codes the bands of its worker's
+    encode on a second CPU, runs it on bands that arrive over its pipe
+    (:mod:`repro.storage.workers`).
     """
 
     def __init__(self, model_config: ModelConfig, account: bool = False):
@@ -249,7 +250,8 @@ class CodingStage:
 
 class CodingLost(LeptonError):
     """The coding stage went away before it returned a segment (the
-    worker running it died); the segment is coded again in this process."""
+    coder running it died, or could not code a band); the segment is
+    coded again in this process."""
 
 
 def _code_segment(img: JpegImage, mcu_start: int, mcu_end: int,

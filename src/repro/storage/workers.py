@@ -5,18 +5,19 @@ stored chunk decodes without any other chunk (§3.4).  :class:`CodecPool`
 keeps one worker per CPU this process may run on.  Each is a plain
 ``python -m repro.storage.workers`` subprocess that imports the same
 ``repro`` as the server and takes length-prefixed jobs over its stdin and
-stdout pipes: "encode a file's chunk windows", "decode one stored
-chunk", or "code another worker's encode".  A frame is a JSON header
-plus raw bytes.  A reply's header carries the job's telemetry (registry
-rows and spans), which the server replays into its own registry and
-tracer; nothing a worker sends is ever unpickled or run.  An encode
-asked for its windows sends each coded window in a frame of its own
-before the final reply, so the server can start that window's §5.7
-verify while the next window encodes.  An encode that borrowed a second
-worker sends each MCU row band's recorded symbols in a frame instead;
-the server relays them to a ``code`` job on that worker, which runs the
-arithmetic coder one band behind, and relays each coded segment back
-(:func:`repro.core.session.code_segment_records`).
+stdout pipes: "encode a file's chunk windows" or "decode one stored
+chunk".  A frame is a JSON header plus raw bytes.  A reply's header
+carries the job's telemetry (registry rows and spans), which the server
+replays into its own registry and tracer; nothing a worker sends is ever
+unpickled or run.  An encode asked for its windows sends each coded
+window in a frame of its own before the final reply, so the server can
+start that window's §5.7 verify while the next window encodes.
+
+Each worker forks a *coder* before its first job: a child process joined
+to it by two pipes that the server never touches.  An encode that
+borrowed a second CPU sends each MCU row band's recorded symbols to its
+coder, which runs the arithmetic coder one band behind, and reads each
+coded segment back (:func:`repro.core.session.code_segment_records`).
 
 The pool is a codec runner for :class:`~repro.storage.blockstore.BlockStore`
 (its in-process default is :class:`~repro.storage.blockstore.InProcessCodec`).
@@ -30,9 +31,10 @@ A worker that dies mid-job (SIGKILL, the OOM killer) is respawned and
 counted under ``workers.restarts``; its job fails with
 :class:`WorkerLost`.  A read retries on another worker; a put stores the
 file as Deflate, the §6.2 reject path, under the killing signal's exit
-code.  A borrowed worker that dies costs its encode only the time to
-code the lost segment itself.  A worker whose server dies reads
-end-of-file on its stdin and exits.
+code.  A coder that dies costs its encode only the time to code the lost
+segment itself; its worker then retires and is respawned.  A worker
+whose server dies reads end-of-file on its stdin and exits, and its
+coder with it.
 """
 
 import atexit
@@ -128,19 +130,97 @@ def _chunk(fields: list, payload: bytes) -> StoredChunk:
 # -- the worker side ----------------------------------------------------------
 
 
-class _RemoteStage:
-    """The coding stage of one segment, run by a code job on another
-    worker: each band goes out as a frame, which the server relays to
-    that worker, and the last band waits for the coded segment to come
-    back the same way.  The first band names the model to code under.
+class _Coder:
+    """This worker's coder: a child process, forked before the worker's
+    first job, that runs the coding stage of each encode that borrowed a
+    second CPU.  Bands go to it on ``bands`` and coded segments come back
+    on ``segments``; ``gone`` is set once either pipe breaks (it died).
 
-    A segment's bytes are read before the next segment's bands are sent,
-    so the server never holds frames in both directions at once.
+    At the fork the worker runs no other Python thread.  numpy's BLAS
+    threads are not copied, so the coder must call no BLAS routine, and
+    :class:`CodingStage` calls none.
     """
 
-    def __init__(self, jobs, replies, model_config: ModelConfig,
+    def __init__(self):
+        bands_r, bands_w = os.pipe()
+        segments_r, segments_w = os.pipe()
+        self.pid = os.fork()
+        if not self.pid:
+            try:
+                # Bands come in on stdin, in place of the server's job
+                # pipe, and segments go out on stdout.  Every other
+                # descriptor but stderr closes: above all the worker's
+                # reply pipe, which would hide its worker's death from
+                # the pool.
+                os.dup2(bands_r, 0)
+                os.dup2(segments_w, 1)
+                os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+                _code_bands(os.fdopen(0, "rb"), os.fdopen(1, "wb"))
+            finally:
+                os._exit(0)
+        os.close(bands_r)
+        os.close(segments_w)
+        self.bands = os.fdopen(bands_w, "wb")
+        self.segments = os.fdopen(segments_r, "rb")
+        self.gone = False
+
+    def close(self) -> None:
+        """End the coder, which exits at end of file on ``bands``, and
+        reap it."""
+        for stream in (self.bands, self.segments):
+            try:
+                stream.close()
+            except OSError:
+                pass  # a band the coder died before it read
+        os.waitpid(self.pid, 0)
+
+
+def _code_bands(bands, segments) -> None:
+    """The coder's loop: code each band from ``bands`` as it arrives and
+    answer a segment's last band on ``segments`` with its bytes, until
+    ``bands`` ends (the worker is gone).  A band that carries ``open``
+    starts a fresh segment, which discards one its encode abandoned (a
+    deadline, or a reject).  A band that fails to code stops its segment,
+    whose last band is then answered ``lost``: the encode codes that
+    segment itself."""
+    stage, error = None, None
+    while True:
+        frame = _read_frame(bands)
+        if frame is None:
+            return
+        band, words = frame
+        coded = None
+        try:
+            if "open" in band:
+                error = None
+                stage = CodingStage(ModelConfig(**band["open"]["model"]),
+                                    band["open"]["account"])
+            if error is None:
+                packed = array("q")
+                packed.frombytes(words)
+                coded = stage.band(packed, band["band"])
+        except Exception as exc:
+            error = exc
+        if error is not None and band["band"]:
+            _write_frame(segments,
+                         {"lost": f"{type(error).__name__}: {error}"})
+        elif coded is not None:
+            _write_frame(segments, {"segment": {"bins": coded.bins,
+                                                "costs": coded.costs}},
+                         coded.data)
+
+
+class _RemoteStage:
+    """The coding stage of one segment, run by this worker's coder: each
+    band goes out on the coder's pipe, and the last band waits for the
+    coded segment to come back.  The first band names the model to code
+    under.  A coder that is gone raises :class:`CodingLost` and is marked
+    ``gone``.
+    """
+
+    def __init__(self, coder: _Coder, model_config: ModelConfig,
                  account: bool):
-        self._jobs, self._replies = jobs, replies
+        self._coder = coder
         self._open = {"model": dataclasses.asdict(model_config),
                       "account": account}
 
@@ -148,21 +228,27 @@ class _RemoteStage:
         header = {"band": last}
         if self._open is not None:
             header["open"], self._open = self._open, None
-        _write_frame(self._replies, header, array("q", words).tobytes())
-        if not last:
-            return None
-        frame = _read_frame(self._jobs)
+        try:
+            _write_frame(self._coder.bands, header,
+                         array("q", words).tobytes())
+            if not last:
+                return None
+            frame = _read_frame(self._coder.segments)
+        except BrokenPipeError:
+            frame = None
         if frame is None:
-            raise BrokenPipeError("the server closed the job pipe")
+            self._coder.gone = True
+            raise CodingLost(f"coder {self._coder.pid} is gone")
         reply, data = frame
         if "lost" in reply:
             raise CodingLost(reply["lost"])
+        get_registry().counter("workers.coder.segments").inc()
         return CodedSegment(data, reply["segment"]["bins"],
                             reply["segment"]["costs"])
 
 
-def _encode(header: dict, body: bytes, deadline: Optional[float], jobs,
-            replies):
+def _encode(header: dict, body: bytes, deadline: Optional[float], replies,
+            coder: _Coder):
     fields = dict(header["config"])
     config = LeptonConfig(**{**fields, "model": ModelConfig(**fields["model"])})
 
@@ -170,7 +256,7 @@ def _encode(header: dict, body: bytes, deadline: Optional[float], jobs,
         _write_frame(replies, {"window": _chunk_fields(chunk)}, chunk.payload)
 
     def remote(model_config: ModelConfig, account: bool) -> _RemoteStage:
-        return _RemoteStage(jobs, replies, model_config, account)
+        return _RemoteStage(coder, model_config, account)
 
     chunks = compress_chunked(body, header["chunk_size"], config,
                               deadline=deadline,
@@ -180,67 +266,32 @@ def _encode(header: dict, body: bytes, deadline: Optional[float], jobs,
             b"".join(c.payload for c in chunks))
 
 
-def _decode(header: dict, body: bytes, deadline: Optional[float], jobs,
-            replies):
+def _decode(header: dict, body: bytes, deadline: Optional[float], replies,
+            coder: _Coder):
     return {}, decompress_chunk(_chunk(header["chunk"], body),
                                 deadline=deadline)
 
 
-def _code(header: dict, body: bytes, deadline: Optional[float], jobs,
-          replies):
-    """The coding stage of another worker's encode: code each segment's
-    bands as they arrive and reply with its bytes after its last band,
-    until the server says the encode is over.  A band that fails to code
-    stops the coding; the segment's last band is then answered with
-    ``lost``, so the encode codes it itself.  Every frame up to ``end``
-    is read either way: the next job's header follows it."""
-    stage, error = None, None
-    while True:
-        frame = _read_frame(jobs)
-        if frame is None:
-            raise BrokenPipeError("the server closed the job pipe")
-        band, words = frame
-        if "end" in band:
-            if error is not None:
-                raise error
-            return {}, b""
-        coded = None
-        if error is None:
-            try:
-                if "open" in band:
-                    stage = CodingStage(ModelConfig(**band["open"]["model"]),
-                                        band["open"]["account"])
-                packed = array("q")
-                packed.frombytes(words)
-                coded = stage.band(packed, band["band"])
-            except Exception as exc:
-                error = exc
-        if error is not None and band["band"]:
-            _write_frame(replies, {"lost": f"{type(error).__name__}: {error}"})
-        elif coded is not None:
-            _write_frame(replies, {"segment": {"bins": coded.bins,
-                                               "costs": coded.costs}},
-                         coded.data)
+_JOBS = {"encode": _encode, "decode": _decode}
 
 
-_JOBS = {"encode": _encode, "decode": _decode, "code": _code}
-
-
-def _serve_jobs(jobs, replies) -> None:
-    """The worker loop: announce this process, then answer each job frame
-    from ``jobs`` on ``replies`` until ``jobs`` ends (the server is gone).
+def _serve_jobs(jobs, replies, coder: _Coder) -> None:
+    """The worker loop: announce this process and its coder, then answer
+    each job frame from ``jobs`` on ``replies`` until ``jobs`` ends (the
+    server is gone) or the coder is gone.  The reply of the job that
+    found the coder gone says ``retire``: the pool sends this worker no
+    further job, and respawns it once it exits.
 
     Each job runs with a fresh registry and tracer, whose contents go back
-    with the reply, a failed job's included.  A job may read further
-    frames from ``jobs`` and send frames of its own before its reply.
-    ``budget`` is the seconds left of the request's deadline when it was
-    sent.  The ``workers.job`` span's ``started`` label is the job's
-    start on the host's monotonic clock, which the server and its workers
-    share.
+    with the reply, a failed job's included.  A job may send frames of
+    its own before its reply.  ``budget`` is the seconds left of the
+    request's deadline when it was sent.  The ``workers.job`` span's
+    ``started`` label is the job's start on the host's monotonic clock,
+    which the server and its workers share.
     """
     registry, tracer = get_registry(), get_tracer()
-    _write_frame(replies, {"pid": os.getpid()})
-    while True:
+    _write_frame(replies, {"pid": os.getpid(), "coder": coder.pid})
+    while not coder.gone:
         frame = _read_frame(jobs)
         if frame is None:
             return
@@ -254,11 +305,13 @@ def _serve_jobs(jobs, replies) -> None:
             with trace_span("workers.job", kind=header["job"],
                             started=started):
                 reply, out = _JOBS[header["job"]](header, body, deadline,
-                                                  jobs, replies)
+                                                  replies, coder)
         except Exception as exc:
             reply, out = {"error": type(exc).__name__, "detail": str(exc)}, b""
         reply["registry"] = registry.export()
         reply["spans"] = tracer.export()
+        if coder.gone:
+            reply["retire"] = True
         _write_frame(replies, reply, out)
 
 
@@ -270,66 +323,42 @@ def main() -> None:
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
     sys.stdout = sys.stderr
+    # Forked before the first job, so before the first untrusted byte
+    # (§5.1): a worker never forks after it.
+    coder = _Coder()
     try:
-        _serve_jobs(sys.stdin.buffer, replies)
+        _serve_jobs(sys.stdin.buffer, replies, coder)
     except BrokenPipeError:
         # The server died while this worker ran its job: exit without
         # flushing the reply nobody will read.
         os._exit(0)
+    coder.close()
 
 
 # -- the server side ----------------------------------------------------------
 
 
-class _Pair:
-    """An encode job whose coding stage runs as a code job on a second
-    worker, the *helper*.  The encoder's listener relays its bands to the
-    helper and the helper's listener relays each coded segment back.
-
-    ``awaiting``: the encoder sent a segment's last band and waits for
-    its bytes.  ``lost``: the helper is gone, so bands are dropped and a
-    waiting encoder is told (it codes the segment itself).  ``ended``:
-    the encode job is over and the helper was told to stop.
-    """
-
-    def __init__(self, encoder: "_Worker", helper: "_Worker"):
-        self.encoder = encoder
-        self.helper = helper
-        self.awaiting = False
-        self.lost = False
-        self.ended = False
-
-
 class _Job(NamedTuple):
     """A job sent to a worker: what it is, who waits on it, where its
-    coded windows go (an encode that asked for them), when it was sent
-    (monotonic), and the encode/code pair it belongs to, if any."""
+    coded windows go (an encode that asked for them), and when it was
+    sent (monotonic)."""
 
     kind: str
     future: Future
     on_window: Optional[Callable[[StoredChunk], None]]
     sent: float
-    pair: Optional[_Pair] = None
 
 
 class _Worker:
-    """One worker process and the job it is running, if any."""
+    """One worker process, its coder's pid (once it said hello), and the
+    job it is running, if any."""
 
     def __init__(self, slot: int, proc: subprocess.Popen):
         self.slot = slot
         self.proc = proc
+        self.coder: Optional[int] = None
         self.job: Optional[_Job] = None
         self.dead = False
-        #: Serialises frames to the worker's stdin: a job's relays come
-        #: from two listener threads.
-        self.stdin_lock = threading.Lock()
-
-
-def _send(worker: _Worker, header: dict, body: bytes = b"") -> None:
-    """One frame to ``worker``; raises :class:`OSError` or
-    :class:`ValueError` if its stdin is gone (it died)."""
-    with worker.stdin_lock:
-        _write_frame(worker.proc.stdin, header, body)
 
 
 def _outcome(kind: str, header: dict, body: bytes):
@@ -375,11 +404,13 @@ class CodecPool:
     sent, and a lone one-window put also borrows an idle worker for its
     coding stage.
 
-    One listener thread per worker reads its replies, hands an encode's
-    coded windows to its ``on_window`` as they arrive, relays the frames
-    of an encode that borrowed a second worker for its coding stage,
-    frees the worker as soon as the final reply is read, then replays
-    the job's telemetry and resolves it.
+    A borrowing encode reserves the idle worker: that worker runs
+    nothing until the encode's job ends, while the encode's own coder
+    uses its CPU.  One listener thread per worker reads its replies,
+    hands an encode's coded windows to its ``on_window`` as they arrive,
+    frees the worker as soon as the final reply is read (unless the reply
+    says the worker retires), then replays the job's telemetry and
+    resolves it.
     """
 
     def __init__(self, size: int):
@@ -464,12 +495,14 @@ class CodecPool:
             return len(self._idle)
 
     def describe(self) -> dict:
-        """The ``/healthz`` view: the live workers' pids, those running a
-        job, and restarts."""
+        """The ``/healthz`` view: the live workers' pids and their coders'
+        pids, the pids of those running a job, and restarts."""
         with self._cond:
             live = [w for w in self._live.values() if not w.dead]
             return {"size": self.size, "live": len(live),
                     "pids": sorted(w.proc.pid for w in live),
+                    "coders": sorted(w.coder for w in live
+                                     if w.coder is not None),
                     "busy": sorted(w.proc.pid for w in live
                                    if w.job is not None),
                     "restarts": self.restarts}
@@ -528,8 +561,7 @@ class CodecPool:
         return worker
 
     def _submit(self, worker: _Worker, kind: str, header: dict, body: bytes,
-                deadline: Optional[float], on_window=None,
-                pair: Optional[_Pair] = None) -> Optional[Future]:
+                deadline: Optional[float], on_window=None) -> Optional[Future]:
         """Send one job; ``None`` if ``worker`` died idle (its listener
         may not have seen it yet) and so never received it."""
         future: Future = Future()
@@ -539,10 +571,10 @@ class CodecPool:
         with self._cond:
             if worker.dead:
                 return None
-            worker.job = _Job(kind, future, on_window, sent, pair)
+            worker.job = _Job(kind, future, on_window, sent)
         try:
-            _send(worker, header, body)
-        except (OSError, ValueError):
+            _write_frame(worker.proc.stdin, header, body)
+        except (OSError, ValueError):  # its stdin is gone: it died
             with self._cond:
                 if worker.job is not None and worker.job.future is future:
                     worker.job = None
@@ -554,28 +586,17 @@ class CodecPool:
              deadline: Optional[float], on_window=None, borrow=False):
         while True:
             worker = self._acquire(deadline, wait=True)
-            pair = self._borrow(worker, deadline) if borrow else None
+            reserved = self._acquire(deadline, wait=False) if borrow else None
             if kind == "encode":
-                header = {**header, "coding": pair is not None}
-            future = self._submit(worker, kind, header, body, deadline,
-                                  on_window, pair)
-            if future is not None:
-                return future.result()
-            if pair is not None:
-                self._end(pair)
-
-    def _borrow(self, worker: _Worker,
-                deadline: Optional[float]) -> Optional[_Pair]:
-        """Start a code job for ``worker``'s encode on an idle worker;
-        ``None`` if none is idle."""
-        helper = self._acquire(deadline, wait=False)
-        if helper is None:
-            return None
-        pair = _Pair(worker, helper)
-        if self._submit(helper, "code", {}, b"", deadline,
-                        pair=pair) is None:
-            return None
-        return pair
+                header = {**header, "coding": reserved is not None}
+            try:
+                future = self._submit(worker, kind, header, body, deadline,
+                                      on_window)
+                if future is not None:
+                    return future.result()
+            finally:
+                if reserved is not None:
+                    self._free(reserved)
 
     # -- the scheduler (see the class docstring) -----------------------------
 
@@ -604,82 +625,18 @@ class CodecPool:
                 return
             started[i] = Decode(chunk, job.result)
 
-    # -- an encode's coding stage on its helper ------------------------------
-
-    def _relay_band(self, pair: _Pair, header: dict, body: bytes) -> None:
-        """One band from the encoder, to its helper (encoder's listener)."""
-        with self._cond:
-            lost = pair.lost
-            if header["band"] and not lost:
-                pair.awaiting = True
-        if not lost:
-            try:
-                _send(pair.helper, header, body)
-                return
-            except (OSError, ValueError):
-                self._lose(pair)
-        elif header["band"]:
-            self._tell_lost(pair)
-
-    def _relay_segment(self, pair: _Pair, header: dict, body: bytes) -> None:
-        """The helper's answer to a segment's last band (its bytes, or
-        ``lost``), to its encoder (helper's listener)."""
-        with self._cond:
-            pair.awaiting = False
-        try:
-            _send(pair.encoder, header, body)
-        except (OSError, ValueError):
-            pass  # the encoder died; its own listener ends the pair
-
-    def _lose(self, pair: _Pair) -> None:
-        """The helper is gone: an encoder waiting for a segment is told."""
-        with self._cond:
-            pair.lost = True
-            waiting, pair.awaiting = pair.awaiting, False
-        if waiting:
-            self._tell_lost(pair)
-
-    def _tell_lost(self, pair: _Pair) -> None:
-        try:
-            _send(pair.encoder, {"lost": f"codec worker "
-                                 f"{pair.helper.proc.pid} left the encode"})
-        except (OSError, ValueError):
-            pass  # the encoder died too
-
-    def _release(self, job: _Job) -> None:
-        """``job`` is over: an encode's helper stops, and a helper that
-        died is lost to an encoder still waiting on it."""
-        if job.pair is None:
-            return
-        if job.kind == "code":
-            self._lose(job.pair)
-        else:
-            self._end(job.pair)
-
-    def _end(self, pair: _Pair) -> None:
-        """The encode job is over: tell the helper to stop (encoder's
-        listener, or the request that failed to send the encode)."""
-        with self._cond:
-            if pair.ended:
-                return
-            pair.ended = True
-            pair.awaiting = False
-            lost = pair.lost
-        if not lost:
-            try:
-                _send(pair.helper, {"end": True})
-            except (OSError, ValueError):
-                pass  # the helper died; its listener respawns it
-
     def _listen(self, worker: _Worker) -> None:
         """Read ``worker``'s replies until it dies, then respawn it.
 
         A frame handler that raises (an encode's ``on_window``) fails that
-        job when its reply arrives; the listener keeps reading."""
+        job when its reply arrives, and so does a reply this thread cannot
+        handle; the listener keeps reading."""
         registry, tracer = get_registry(), get_tracer()
         stdout = worker.proc.stdout
-        ready = _read_frame(stdout) is not None
+        hello = _read_frame(stdout)
+        ready = hello is not None
         if ready:
+            worker.coder = hello[0]["coder"]
             self._free(worker)
         failure: Optional[Exception] = None
         while ready:
@@ -687,12 +644,6 @@ class CodecPool:
             if frame is None:
                 break
             header, body = frame
-            if "band" in header:
-                self._relay_band(worker.job.pair, header, body)
-                continue
-            if "segment" in header or "lost" in header:
-                self._relay_segment(worker.job.pair, header, body)
-                continue
             if "window" in header:
                 # One coded window of a running encode.
                 try:
@@ -702,19 +653,24 @@ class CodecPool:
                 continue
             with self._cond:
                 job, worker.job = worker.job, None
-            # The worker is done: free it before the replay, which is
-            # this thread's work, not the worker's.
-            self._free(worker)
-            self._release(job)
-            # Telemetry first: whoever waits on the job sees it recorded.
-            registry.replay(header.pop("registry"))
-            spans = header.pop("spans")
-            tracer.replay(spans)
-            result = failure or _outcome(job.kind, header, body)
+            try:
+                # The worker is done: free it before the replay, which is
+                # this thread's work, not the worker's.  One that retires
+                # exits next, and its slot respawns.
+                if "retire" not in header:
+                    self._free(worker)
+                # Telemetry first: whoever waits on the job sees it
+                # recorded.
+                registry.replay(header.pop("registry"))
+                spans = header.pop("spans")
+                tracer.replay(spans)
+                result = failure or _outcome(job.kind, header, body)
+                registry.histogram("workers.overhead_seconds").observe(max(
+                    0.0, time.monotonic() - job.sent  # lint: disable=D2
+                    - _busy_seconds(spans)))
+            except Exception as exc:
+                result = exc
             failure = None
-            registry.histogram("workers.overhead_seconds").observe(max(
-                0.0, time.monotonic() - job.sent  # lint: disable=D2
-                - _busy_seconds(spans)))
             if isinstance(result, Exception):
                 job.future.set_exception(result)
             else:
@@ -740,7 +696,6 @@ class CodecPool:
                 del self._live[worker.slot]
             self._cond.notify_all()
         if job is not None:
-            self._release(job)
             job.future.set_exception(WorkerLost(
                 f"codec worker {worker.proc.pid} exited with {code}",
                 exit_code_for_signal(-code) if code < 0
@@ -751,6 +706,8 @@ class CodecPool:
 
     def _free(self, worker: _Worker) -> None:
         with self._cond:
+            if worker.dead:
+                return  # its slot respawned: the new worker frees itself
             self._idle.append(worker)
             self._cond.notify()
 

@@ -1,10 +1,10 @@
 """The two-stage segment coder: model a band, then code it (repro.core.session).
 
 Every encode records each MCU row band's symbol stream first and codes
-it after, in this process or on a second codec worker.  Contexts never
-read bin states, so neither choice may change a container byte: these
-tests pin the coding stage that runs on a worker against the one that
-runs in process over a corpus sweep, and the recording coder's
+it after, in this process or in a codec worker's coder on a second CPU.
+Contexts never read bin states, so neither choice may change a container
+byte: these tests pin the coding stage that runs in a coder against the
+one that runs in process over a corpus sweep, and the recording coder's
 out-of-range reject against the coder's own.
 """
 
@@ -21,6 +21,7 @@ from repro.core.model import Model, ModelConfig
 from repro.corpus.builder import corpus_jpeg
 from repro.corpus.images import synthetic_photo
 from repro.jpeg.writer import encode_baseline_jpeg
+from repro.core.session import CodingStage
 from repro.obs import get_registry
 from repro.storage.workers import CodecPool
 
@@ -62,7 +63,8 @@ CASES = {
 
 @pytest.fixture(scope="module")
 def pool():
-    """Two workers whatever the host: one models, one codes."""
+    """Two workers whatever the host: one models while its coder codes,
+    and one is reserved for the coder's CPU."""
     pool = CodecPool(2)
     try:
         yield pool
@@ -71,8 +73,8 @@ def pool():
 
 
 def _encode(pool, data, chunk_size, config):
-    """Encode on one worker with its coding stage borrowed on the other,
-    whatever the count of windows."""
+    """Encode on one worker with its coding stage in that worker's coder,
+    the other worker reserved, whatever the count of windows."""
     header = {"chunk_size": chunk_size,
               "config": dataclasses.asdict(config), "windows": False}
     return pool._run("encode", header, data, None, None, True)
@@ -85,18 +87,25 @@ def _idle(pool, seconds=30.0):
         time.sleep(0.005)
 
 
-def _code_jobs() -> float:
-    return get_registry().counter("workers.jobs", kind="code").value
+def _coded_by_coders() -> float:
+    return get_registry().counter("workers.coder.segments").value
+
+
+def _segments() -> int:
+    return get_registry().histogram(
+        "span.lepton.encode.code_segment.wall_seconds").count
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_local_and_remote_coding_stages_give_identical_bytes(pool, case):
     data, chunk_size, config = CASES[case]
+    segments = _segments()
     local = compress_chunked(data, chunk_size, config)
+    segments = _segments() - segments
     _idle(pool)
-    before = _code_jobs()
+    before = _coded_by_coders()
     remote = _encode(pool, data, chunk_size, config)
-    assert _code_jobs() == before + 1  # a second worker coded it
+    assert _coded_by_coders() == before + segments  # a coder coded each
     assert [c.format for c in local] == [FORMAT_LEPTON] * len(local)
     assert ([(c.index, c.format, c.payload, c.original_range)
              for c in remote]
@@ -136,29 +145,48 @@ def test_the_recorder_rejects_what_the_coder_rejects(value, max_exp):
     assert len(recorder.take()) == 1 and recorder.take() == []
 
 
-def test_a_code_job_that_fails_answers_lost_and_reads_to_its_end():
-    """A band the helper cannot code stops its coding: the segment's last
-    band is answered with ``lost`` (its encode codes the segment itself),
-    and every frame up to ``end`` is read, so none is taken for the next
-    job's header."""
+def test_the_coder_answers_a_failed_band_lost_and_codes_the_next_one():
+    """A band the coder cannot code stops its segment: the segment's last
+    band is answered with ``lost`` (its encode codes the segment itself).
+    A band that carries ``open`` starts a fresh segment, discarding one
+    its encode abandoned, and the next segment codes to the in-process
+    bytes."""
     import io
     from array import array
 
     from repro.storage import workers
 
-    jobs, replies = io.BytesIO(), io.BytesIO()
+    bands, coded = [], []
+
+    class Tap(CodingStage):
+        def band(self, words, last):
+            bands.append((array("q", words).tobytes(), last))
+            coded.append(super().band(words, last))
+            return coded[-1]
+
+    data, chunk_size, config = CASES["420"]
+    compress_chunked(data, chunk_size, config, coding=Tap)
+    lasts = [last for _words, last in bands]  # one segment, several bands
+    assert len(lasts) > 1 and lasts == [False] * (len(lasts) - 1) + [True]
+    opened = {"model": dataclasses.asdict(config.model), "account": False}
+    frames = io.BytesIO()
     bad = (15 << 16) | 1  # a value word with an exponent cap past 14
-    workers._write_frame(jobs, {"band": False, "open": {
-        "model": {"edge_mode": "lakhani", "dc_mode": "gradient",
-                  "max_value_exponent": 14}, "account": False}},
-        array("q", [bad]).tobytes())
-    workers._write_frame(jobs, {"band": True}, b"")
-    workers._write_frame(jobs, {"end": True})
-    workers._write_frame(jobs, {"job": "decode"})  # the next job's header
-    jobs.seek(0)
-    with pytest.raises(IndexError):
-        workers._code({}, b"", None, jobs, replies)
-    replies.seek(0)
-    answer, _body = workers._read_frame(replies)
-    assert "lost" in answer
-    assert workers._read_frame(jobs)[0] == {"job": "decode"}
+    workers._write_frame(frames, {"band": False, "open": opened},
+                         array("q", [bad]).tobytes())
+    workers._write_frame(frames, {"band": True}, b"")
+    # A segment abandoned after its first band (its deadline passed).
+    workers._write_frame(frames, {"band": False, "open": opened},
+                         bands[0][0])
+    for i, (words, last) in enumerate(bands):
+        header = {"band": last, **({"open": opened} if i == 0 else {})}
+        workers._write_frame(frames, header, words)
+    frames.seek(0)
+    segments = io.BytesIO()
+    workers._code_bands(frames, segments)  # returns at end of file
+    segments.seek(0)
+    lost, _body = workers._read_frame(segments)
+    assert "lost" in lost and lost["lost"].startswith("IndexError")
+    reply, body = workers._read_frame(segments)
+    assert body == coded[-1].data
+    assert reply["segment"]["bins"] == coded[-1].bins
+    assert workers._read_frame(segments) is None

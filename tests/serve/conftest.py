@@ -2,6 +2,8 @@
 
 pytest-asyncio is not a dependency; every test is a plain sync function
 that drives its scenario with ``asyncio.run`` via :func:`with_server`.
+:func:`gone` and :func:`parent` read a codec process's state in
+``/proc``.
 """
 
 import asyncio
@@ -27,3 +29,18 @@ def with_server(scenario, config=None):
             await server.drain()
 
     return asyncio.run(_main())
+
+
+def gone(pid: int) -> bool:
+    """Has ``pid`` exited (a zombie counts: it runs no code)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def parent(pid: int) -> int:
+    """The pid of ``pid``'s parent: a coder's is its worker's."""
+    with open(f"/proc/{pid}/stat") as handle:
+        return int(handle.read().rsplit(")", 1)[1].split()[1])

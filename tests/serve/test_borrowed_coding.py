@@ -1,12 +1,13 @@
-"""A lone one-chunk put borrows a second worker for its coding stage.
+"""A lone one-chunk put borrows a second CPU for its coding stage.
 
-The encode job models each MCU row band and sends its words on; the
-server relays them to a ``code`` job on an idle worker, which runs the
-arithmetic coder one band behind and sends each segment's bytes back
-the same way.  Whatever happens to either worker, the put is answered
-as it would be without the split: a lost helper's segment is coded
-again by the encode job, a lost encoder stores Deflate, a deadline
-answers 504, and every worker comes back.
+The encode job models each MCU row band and sends its words to its
+worker's coder, a child process forked before the worker's first job,
+which runs the arithmetic coder one band behind and sends each segment's
+bytes back; an idle worker is reserved meanwhile, so the coder has its
+CPU.  Whatever happens to the encoder, its coder or the reserved worker,
+the put is answered as it would be without the split: a lost coder's
+segment is coded again by the encode job, a lost encoder stores Deflate,
+a deadline answers 504, and every worker comes back.
 """
 
 import asyncio
@@ -17,12 +18,12 @@ import time
 import pytest
 
 from repro.corpus.builder import corpus_jpeg
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_registry
 from repro.serve.app import ServeConfig
 from repro.serve.client import ServeClient
 from repro.storage.workers import shared_pool
 
-from tests.serve.conftest import with_server
+from tests.serve.conftest import gone, parent, with_server
 
 pytestmark = pytest.mark.serve
 
@@ -44,83 +45,109 @@ async def _idle(server, seconds=30.0):
         await asyncio.sleep(0.005)
 
 
-def _code_jobs() -> float:
-    return get_registry().counter("workers.jobs", kind="code").value
+def _coded() -> float:
+    """Segments coded by a worker's coder so far."""
+    return get_registry().counter("workers.coder.segments").value
 
 
-async def _kill_when_running(server, kind) -> int:
-    """SIGKILL the worker running a ``kind`` job as soon as one is."""
+def _restarts() -> float:
+    return get_registry().counter("workers.restarts").value
+
+
+async def _mid_encode(server) -> dict:
+    """The pids of a borrowing encode, as soon as a worker runs one: its
+    ``encoder``, the encoder's ``coder`` (found through ``/healthz``'s
+    ``coders``) and the ``reserved`` worker whose CPU the coder uses."""
+    pool = server.codec
     limit = time.monotonic() + 30
     while True:
-        busy = [w for w in list(server.codec._live.values())
-                if w.job is not None and w.job.kind == kind]
-        if busy:
-            os.kill(busy[0].proc.pid, signal.SIGKILL)
-            return busy[0].proc.pid
-        assert time.monotonic() < limit, f"no {kind} job ever ran"
+        live = [w for w in list(pool._live.values()) if not w.dead]
+        encoders = [w for w in live
+                    if w.job is not None and w.job.kind == "encode"]
+        if encoders:
+            [encoder] = encoders
+            [reserved] = [w for w in live
+                          if w.job is None and w not in pool._idle]
+            [coder] = [pid for pid in pool.describe()["coders"]
+                       if parent(pid) == encoder.proc.pid]
+            return {"encoder": encoder.proc.pid, "coder": coder,
+                    "reserved": reserved.proc.pid}
+        assert time.monotonic() < limit, "no encode ever ran"
         await asyncio.sleep(0.0005)
 
 
-def _jobs(kind, since):
-    """``(started, ended)`` of each ``workers.job`` span of ``kind`` that
-    started after ``since`` (the host's monotonic clock), by start."""
-    return sorted((s.labels["started"], s.labels["started"] + s.wall_seconds)
-                  for s in get_tracer().spans
-                  if s.name == "workers.job" and s.labels["kind"] == kind
-                  and s.labels["started"] >= since)
+class _Encodes:
+    """Whether each encode ``pool`` sends borrowed a second CPU for its
+    coder (the job header's ``coding``), in the order they were sent."""
+
+    def __init__(self, pool, monkeypatch):
+        self.coding = []
+        submit = pool._submit
+
+        def logged(worker, kind, header, *args, **kwargs):
+            if kind == "encode":
+                self.coding.append(header["coding"])
+            return submit(worker, kind, header, *args, **kwargs)
+
+        monkeypatch.setattr(pool, "_submit", logged)
 
 
-def test_a_lone_put_codes_on_a_second_worker_while_it_models():
+def test_a_lone_put_codes_on_a_second_worker_while_it_models(monkeypatch):
     async def scenario(server, client):
         await _idle(server)
-        since = time.monotonic()
+        encodes = _Encodes(server.codec, monkeypatch)
+        before = _coded()
         put = await client.put_file(PHOTO)
-        # The helper's reply, and so its span, may land after the put's.
-        limit = time.monotonic() + 30
-        while not _jobs("code", since):
-            assert time.monotonic() < limit, "no code job was replayed"
-            await asyncio.sleep(0.005)
-        return put, _jobs("encode", since), _jobs("code", since)
+        got = await client.get_file(put.json()["id"])
+        return put, got, encodes.coding, _coded() - before
 
-    put, encodes, codes = with_server(scenario, ONE_CHUNK)
+    put, got, coding, coded = with_server(scenario, ONE_CHUNK)
     assert put.status == 201 and put.json()["format"] == "lepton"
     assert put.json()["chunks"] == 1
-    [(_encode_start, encode_end)] = encodes
-    [(code_start, _code_end)] = codes
-    assert code_start < encode_end
+    assert got.status == 200 and got.body == PHOTO
+    assert coding == [True]
+    assert coded == 1  # its one segment, by the encoder's coder
 
 
-def test_a_helper_killed_mid_encode_leaves_the_put_to_its_encoder():
+def test_a_coder_killed_mid_encode_leaves_the_put_to_its_encoder():
     """The encode job codes the lost segment itself: the put is stored
-    as Lepton, and reads back byte for byte."""
-    def restarts():
-        return get_registry().counter("workers.restarts").value
-
+    as Lepton and reads back byte for byte.  The worker then retires,
+    and the pool respawns it."""
     async def scenario(server, client):
         await _idle(server)
-        before = restarts()
+        before = _restarts()
         put = asyncio.ensure_future(client.put_file(PHOTO))
-        await _kill_when_running(server, "code")
+        os.kill((await _mid_encode(server))["coder"], signal.SIGKILL)
         put = await asyncio.wait_for(put, 60)
         got = await client.get_file(put.json()["id"])
+        limit = time.monotonic() + 30
+        while _restarts() == before:
+            assert time.monotonic() < limit, "the worker never retired"
+            await asyncio.sleep(0.005)
         await _idle(server)
-        return put, got, restarts() - before
+        return put, got, _restarts() - before, server.codec.describe()
 
-    put, got, restarted = with_server(scenario, ONE_CHUNK)
+    put, got, restarted, workers = with_server(scenario, ONE_CHUNK)
     assert put.status == 201
     assert put.json()["format"] == "lepton"
     assert got.status == 200 and got.body == PHOTO
     assert restarted == 1
+    assert len(workers["coders"]) == workers["live"] == workers["size"]
 
 
 def test_an_encoder_killed_mid_encode_stores_deflate_and_frees_its_helper():
     async def scenario(server, client):
         await _idle(server)
         put = asyncio.ensure_future(client.put_file(PHOTO))
-        await _kill_when_running(server, "encode")
+        pids = await _mid_encode(server)
+        os.kill(pids["encoder"], signal.SIGKILL)
         put = await asyncio.wait_for(put, 60)
         got = await client.get_file(put.json()["id"])
         await _idle(server)
+        limit = time.monotonic() + 30
+        while not gone(pids["coder"]):
+            assert time.monotonic() < limit, "the coder outlived its worker"
+            await asyncio.sleep(0.01)
         return put, got, server.codec.describe()
 
     put, got, workers = with_server(scenario, ONE_CHUNK)
@@ -131,7 +158,34 @@ def test_an_encoder_killed_mid_encode_stores_deflate_and_frees_its_helper():
     assert workers["busy"] == []
 
 
-def test_a_deadline_that_passes_mid_encode_answers_504_and_frees_both():
+def test_the_reserved_worker_killed_mid_encode_costs_the_put_nothing():
+    """The encode never needed the reserved worker, only its CPU: the put
+    is stored as Lepton.  The dead worker is respawned, and is not put
+    back on the idle list beside its replacement when the encode ends."""
+    async def scenario(server, client):
+        await _idle(server)
+        before = _restarts()
+        put = asyncio.ensure_future(client.put_file(PHOTO))
+        os.kill((await _mid_encode(server))["reserved"], signal.SIGKILL)
+        put = await asyncio.wait_for(put, 60)
+        got = await client.get_file(put.json()["id"])
+        limit = time.monotonic() + 30
+        while _restarts() == before:
+            assert time.monotonic() < limit, "the worker never respawned"
+            await asyncio.sleep(0.005)
+        await _idle(server)
+        return put, got, server.codec.idle_workers(), server.codec.size
+
+    put, got, idle, size = with_server(scenario, ONE_CHUNK)
+    assert put.status == 201 and put.json()["format"] == "lepton"
+    assert got.status == 200 and got.body == PHOTO
+    assert idle == size
+
+
+def test_a_deadline_that_passes_mid_encode_answers_504_and_frees_both(
+        monkeypatch):
+    """The encode abandons its segment between bands; the coder discards
+    it at the next segment it is sent, and lives on."""
     photo = corpus_jpeg(seed=7, height=256, width=256)
     timing = corpus_jpeg(seed=8, height=256, width=256)
 
@@ -142,17 +196,20 @@ def test_a_deadline_that_passes_mid_encode_answers_504_and_frees_both():
         assert put.status == 201 and put.json()["format"] == "lepton"
         budget = (time.monotonic() - begin) / 4
         await _idle(server)
-        before = _code_jobs()
+        encodes = _Encodes(server.codec, monkeypatch)
+        before = _restarts()
         late = await client.put_file(photo, deadline=budget)
-        borrowed = _code_jobs() - before
         await _idle(server)
-        return late, borrowed, server.codec.describe()
+        return late, encodes.coding, _restarts() - before, \
+            server.codec.describe()
 
-    late, borrowed, workers = with_server(scenario, ONE_CHUNK)
+    late, coding, restarted, workers = with_server(scenario, ONE_CHUNK)
     assert late.status == 504
     assert late.json()["error"] == "deadline_exceeded"
-    assert borrowed == 1
-    assert workers["live"] == workers["size"] and workers["busy"] == []
+    assert coding == [True]
+    assert restarted == 0
+    assert len(workers["coders"]) == workers["live"] == workers["size"]
+    assert workers["busy"] == []
 
 
 def test_two_puts_admitted_together_borrow_no_worker():
@@ -165,14 +222,15 @@ def test_two_puts_admitted_together_borrow_no_worker():
             for other in others:  # connected before the puts are sent
                 assert (await other.request("GET", "/healthz")).status == 200
             await _idle(server)
-            before = _code_jobs()
+            before = _coded()
             puts = await asyncio.gather(*(other.put_file(photo) for other,
                                           photo in zip(others, photos)))
         finally:
             for other in others:
                 await other.close()
-        return puts, _code_jobs() - before
+        return puts, _coded() - before
 
-    puts, borrowed = with_server(scenario, ONE_CHUNK)
+    puts, coded = with_server(scenario, ONE_CHUNK)
     assert [p.status for p in puts] == [201, 201]
-    assert borrowed == 0
+    assert [p.json()["format"] for p in puts] == ["lepton", "lepton"]
+    assert coded == 0

@@ -2,10 +2,10 @@
 
 A SIGKILLed worker costs a request nothing it can see: a GET retries the
 chunk on another worker, a PUT stores the file as Deflate (the §6.2
-reject path), and the pool respawns the worker and counts it.  A
-SIGKILLed server leaves no worker behind, and more concurrent requests
-than workers all finish: a request never waits for a worker while it
-holds one.
+reject path), and the pool respawns the worker and counts it.  No
+codec process, worker or coder, outlives its server, whether the server
+is SIGKILLed or exits, and more concurrent requests than workers all
+finish: a request never waits for a worker while it holds one.
 """
 
 import asyncio
@@ -14,6 +14,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 
@@ -25,22 +26,13 @@ from repro.serve.app import ServeConfig
 from repro.serve.client import ServeClient
 from repro.storage.workers import shared_pool
 
-from tests.serve.conftest import with_server
+from tests.serve.conftest import gone, parent, with_server
 
 pytestmark = pytest.mark.serve
 
 #: Four chunks whose decodes take long enough to be killed midway.
 PHOTO = corpus_jpeg(seed=5, height=256, width=256)
 CHUNK = -(-len(PHOTO) // 4)
-
-
-def _gone(pid: int) -> bool:
-    """Has ``pid`` exited (a zombie counts: it runs no code)?"""
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
-    except FileNotFoundError:
-        return True
 
 
 async def _kill_workers_when_busy(server, busy: int = 1) -> list:
@@ -59,6 +51,13 @@ async def _until(predicate, seconds=30.0):
     while not predicate():
         assert time.monotonic() < limit
         await asyncio.sleep(0.01)
+
+
+def _wait_gone(pids, seconds=30.0) -> None:
+    limit = time.monotonic() + seconds
+    while not all(gone(pid) for pid in pids):
+        assert time.monotonic() < limit, pids
+        time.sleep(0.05)
 
 
 @pytest.mark.parametrize("busy", [1, 2], ids=["first_chunk", "fan_out"])
@@ -164,18 +163,23 @@ def test_the_pool_respawns_a_killed_worker_and_counts_it():
                      == server.codec.size)
         before, counted_before = server.codec.describe(), counted()
         victim = before["pids"][0]
+        [coder] = [pid for pid in before["coders"] if parent(pid) == victim]
         os.kill(victim, signal.SIGKILL)
         await _until(lambda: server.codec.describe()["restarts"]
                      > before["restarts"])
         await _until(lambda: server.codec.idle_workers()
                      == server.codec.size)
+        await _until(lambda: gone(coder))
         health = (await client.request("GET", "/healthz")).json()
-        return before, victim, health["workers"], counted() - counted_before
+        return before, victim, coder, health["workers"], \
+            counted() - counted_before
 
-    before, victim, workers, restarts = with_server(scenario)
+    before, victim, coder, workers, restarts = with_server(scenario)
     assert workers["restarts"] == before["restarts"] + 1
     assert workers["live"] == workers["size"] == before["size"]
     assert victim not in workers["pids"]
+    assert coder not in workers["coders"]
+    assert len(workers["coders"]) == workers["live"]
     assert restarts == 1
 
 
@@ -190,20 +194,76 @@ def test_a_killed_server_leaves_no_worker_alive(tmp_path):
         line = proc.stderr.readline()
         assert "serving on http://" in line, line
         url = line.split("serving on ", 1)[1].strip()
-        with urllib.request.urlopen(url + "/healthz", timeout=30) as resp:
-            workers = json.loads(resp.read())["workers"]
+        limit = time.monotonic() + 30
+        while True:  # until every worker has said hello and named its coder
+            with urllib.request.urlopen(url + "/healthz", timeout=30) as resp:
+                workers = json.loads(resp.read())["workers"]
+            if len(workers["coders"]) == workers["live"]:
+                break
+            assert time.monotonic() < limit, workers
+            time.sleep(0.05)
         assert workers["live"] == workers["size"] >= 1
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
-        limit = time.monotonic() + 30
-        while not all(_gone(pid) for pid in workers["pids"]):
-            assert time.monotonic() < limit, workers["pids"]
-            time.sleep(0.05)
+        _wait_gone(workers["pids"] + workers["coders"])
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
         proc.stderr.close()
+
+
+#: A server run as perfbench runs one: in this process, on a durable
+#: store, drained before a normal exit.  It puts one lone one-chunk
+#: photo, so that a coder codes, and prints what ``/healthz`` and the
+#: registry said.
+_SERVE_ONE_PUT = """
+import asyncio, json, sys
+from repro.corpus.builder import corpus_jpeg
+from repro.obs import get_registry
+from repro.serve.app import LeptonServer, ServeConfig
+from repro.serve.client import ServeClient
+
+async def main():
+    server = LeptonServer(ServeConfig(data_dir=sys.argv[1],
+                                      chunk_size=1 << 22))
+    await server.start()
+    try:
+        while server.codec.idle_workers() < server.codec.size:
+            await asyncio.sleep(0.01)
+        async with ServeClient(server.config.host, server.port) as client:
+            put = await client.put_file(
+                corpus_jpeg(seed=5, height=256, width=256))
+            health = (await client.request("GET", "/healthz")).json()
+    finally:
+        await server.drain()
+    print(json.dumps({
+        "status": put.status, "format": put.json()["format"],
+        "workers": health["workers"],
+        "coded": get_registry().counter("workers.coder.segments").value}))
+
+asyncio.run(main())
+"""
+
+
+def test_a_server_that_exits_leaves_no_codec_process_alive(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.join(
+        os.path.dirname(__file__), "..", "..", "src")}
+    # Not a pipe: every worker and coder holds the server's stderr, and
+    # reading a pipe to its end would wait for the last of them to exit.
+    with open(tmp_path / "stderr", "w+") as stderr:
+        run = subprocess.run(
+            [sys.executable, "-c", _SERVE_ONE_PUT, str(tmp_path / "data")],
+            env=env, stdout=subprocess.PIPE, stderr=stderr, text=True,
+            timeout=120)
+        stderr.seek(0)
+        assert run.returncode == 0, stderr.read()
+    report = json.loads(run.stdout.splitlines()[-1])
+    workers = report["workers"]
+    assert report["status"] == 201 and report["format"] == "lepton"
+    assert len(workers["coders"]) == workers["live"] == workers["size"] >= 1
+    assert report["coded"] == (1 if workers["size"] > 1 else 0)
+    _wait_gone(workers["pids"] + workers["coders"])
 
 
 def test_more_requests_than_workers_all_finish():
@@ -275,5 +335,72 @@ def test_a_raising_window_handler_fails_its_job_and_keeps_the_worker():
             time.sleep(0.01)
         [chunk, *_] = compress_chunked(PHOTO, CHUNK)
         assert pool.decode(chunk) == PHOTO[:CHUNK]
+    finally:
+        pool.close()
+
+
+def test_a_reply_the_listener_cannot_handle_fails_its_job_and_keeps_the_worker(
+        monkeypatch):
+    """A reply whose handling raises in the listener (here the telemetry
+    replay) fails that job, within a bounded time, instead of ending the
+    listener: the worker is freed and serves the next job."""
+    from concurrent.futures import Future
+
+    from repro.core.chunks import compress_chunked
+    from repro.storage.workers import CodecPool
+
+    registry = get_registry()
+    replay, calls = registry.replay, []
+
+    def replay_once(rows):
+        calls.append(rows)
+        if len(calls) == 1:
+            raise RuntimeError("a registry row this server cannot read")
+        replay(rows)
+
+    [chunk, *_] = compress_chunked(PHOTO, CHUNK)
+    pool = CodecPool(1)
+    try:
+        limit = time.monotonic() + 30
+        while pool.idle_workers() < pool.size:
+            assert time.monotonic() < limit
+            time.sleep(0.01)
+        monkeypatch.setattr(registry, "replay", replay_once)
+        decode: Future = Future()
+
+        def run():  # on a daemon thread: a decode that hangs ends no test
+            try:
+                decode.set_result(pool.decode(chunk))
+            except Exception as exc:
+                decode.set_exception(exc)
+
+        threading.Thread(target=run, daemon=True).start()
+        with pytest.raises(RuntimeError, match="cannot read"):
+            decode.result(timeout=60)
+        assert pool.decode(chunk) == PHOTO[:CHUNK]
+        assert len(calls) == 2
+    finally:
+        pool.close()
+
+
+def test_a_worker_that_dies_while_held_is_not_freed():
+    """A worker taken off the idle list dies, say while its request reads
+    a chunk, and its slot respawns: freeing the dead one afterwards
+    leaves the pool at its size, with no dead worker to hand out."""
+    from repro.storage.workers import CodecPool
+
+    pool = CodecPool(1)
+    try:
+        limit = time.monotonic() + 30
+        while pool.idle_workers() < pool.size:
+            assert time.monotonic() < limit
+            time.sleep(0.01)
+        held = pool._acquire(None, wait=False)
+        os.kill(held.proc.pid, signal.SIGKILL)
+        while pool.restarts < 1 or pool.idle_workers() < pool.size:
+            assert time.monotonic() < limit
+            time.sleep(0.01)
+        pool._free(held)
+        assert pool.idle_workers() == pool.size
     finally:
         pool.close()

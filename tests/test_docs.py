@@ -253,8 +253,8 @@ def test_healthz_carries_the_documented_sections(small_jpeg):
     health = asyncio.run(_main())
     assert set(health["uploads"]) == {"open", "completed", "recovered",
                                       "dropped_parts"}
-    assert set(health["workers"]) == {"size", "live", "pids", "busy",
-                                      "restarts"}
+    assert set(health["workers"]) == {"size", "live", "pids", "coders",
+                                      "busy", "restarts"}
     board = health["breakers"]
     assert board, "no breaker entries after data-plane traffic"
     for route, entry in board.items():
