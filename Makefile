@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test golden lint lint-json lint-changed lint-bench lint-tests chaos durability serve serve-tests serve-smoke live-chaos live-chaos-full bench-selftest
+.PHONY: test golden lint lint-json lint-tests chaos durability serve serve-tests serve-smoke live-chaos live-chaos-full bench-selftest
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -35,15 +35,6 @@ lint:
 
 lint-json:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.lint --json src/repro
-
-# Incremental lint: only files differing from git HEAD, with the
-# content-hash result cache (invalidated whenever repro.lint changes).
-lint-changed:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.lint src/repro --changed --cache
-
-# Full-vs-incremental runtime comparison (benchmarks/results/lint_runtime.txt).
-lint-bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q benchmarks/bench_lint_runtime.py
 
 # Just the lint-marked portion of the test suite (self-clean gate,
 # fixture corpus, reporter schema).

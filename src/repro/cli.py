@@ -10,7 +10,6 @@ docs/observability.md for the contract).
 
 import argparse
 import sys
-from typing import Optional
 
 from repro.core.errors import ExitCode
 from repro.core.lepton import (
@@ -133,34 +132,6 @@ def _stats_command(data: bytes, config: LeptonConfig) -> int:
     return EXIT_STATUS[result.exit_code]
 
 
-def _lint(path: str, as_json: bool, quiet: bool,
-          changed: bool = False, cache_path: Optional[str] = None) -> int:
-    """Run the determinism/safety static analysis (docs/lint.md)."""
-    from pathlib import Path
-
-    from repro.lint import LintEngine, collect_files, render_json, render_text
-    from repro.lint.cache import GitUnavailable, LintCache, changed_files
-    from repro.lint.engine import load_module
-
-    files = collect_files([path])
-    if changed:
-        try:
-            touched = set(changed_files(Path(path)))
-            files = [f for f in files if f.resolve() in touched]
-        except GitUnavailable as exc:
-            print(f"lepton lint: --changed needs git ({exc}); "
-                  "linting everything", file=sys.stderr)
-    cache = LintCache(cache_path) if cache_path else None
-    findings = LintEngine().run_modules([load_module(p) for p in files],
-                                        cache=cache)
-    if cache is not None:
-        cache.save()
-    render = render_json if as_json else render_text
-    if not quiet or findings:
-        print(render(findings, files_scanned=len(files)))
-    return 1 if findings else 0
-
-
 def _chaos(args) -> int:
     """Run a deterministic chaos experiment and print the report.
 
@@ -261,8 +232,10 @@ def _dispatch(args, config: LeptonConfig) -> int:
         return _qualify(args.input, config, args.quiet)
 
     if args.command == "lint":
-        return _lint(args.input, args.as_json, args.quiet,
-                     changed=args.changed, cache_path=args.lint_cache)
+        from repro.lint import lint_paths
+
+        return lint_paths([args.input], as_json=args.as_json,
+                          quiet=args.quiet)
 
     if args.command == "stats":
         return _stats_command(_read(args.input), config)
@@ -335,8 +308,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("input",
-                        help="input path (- for stdin); for qualify/lint: "
-                             "a directory; unused by chaos/serve")
+                        help="input path (- for stdin); for qualify: a "
+                             "directory; for lint: a file or directory; "
+                             "unused by chaos/serve")
     parser.add_argument("output", nargs="?", default=None,
                         help="output path, or - for stdout")
     parser.add_argument("--threads", type=int, default=None,
@@ -351,13 +325,6 @@ def main(argv=None) -> int:
                         help="write the span trace (JSON lines) to PATH")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="for lint/chaos: emit a JSON report")
-    parser.add_argument("--changed", action="store_true",
-                        help="for lint: only files differing from git HEAD "
-                             "(falls back to a full run without git)")
-    parser.add_argument("--cache", metavar="PATH", dest="lint_cache",
-                        nargs="?", const=".lint-cache.json", default=None,
-                        help="for lint: content-hash result cache file "
-                             "(default %(const)s when given bare)")
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--seed", type=int, default=0,
                         help="for chaos: the experiment seed")

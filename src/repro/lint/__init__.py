@@ -9,7 +9,8 @@ probability model.  This package enforces those invariants *statically*:
 * ``lint_source(code)`` — lint an in-memory snippet (docs/tests);
 * ``check_shipped_tree()`` — lint the installed ``repro`` package
   (memoised; the qualification gate and CI call this);
-* ``python -m repro.lint src/repro [--json]`` or ``lepton lint`` — CLI.
+* ``python -m repro.lint src/repro [--json]`` or ``lepton lint`` — CLI;
+  both parse their own flags and call :func:`lint_paths`.
 
 Rules (documented in ``docs/lint.md``): D1 no floats on the coded path,
 D2 no ambient entropy in deterministic modules, D3 exit-code
@@ -18,16 +19,15 @@ D6 codec-loop containment — plus the dataflow rules over per-function
 CFGs: D7 no blocking calls on the event loop, D8 verified-byte taint
 (never serve an unverified byte), D9 no ``await`` while a threading lock
 is held, D10 resource lifecycle (released on every path).  Suppress
-intentional sites with ``# lint: disable=<rule>``.  ``--changed`` lints
-only files differing from git HEAD; ``--cache PATH`` memoises per-module
-findings by content hash (see ``repro.lint.cache``).
+intentional sites with ``# lint: disable=<rule>``.  Naming some paths
+lints just those files; the project-wide rules then see only them.
 """
 
+import sys
 import threading
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.cache import LintCache, changed_files, ruleset_version
 from repro.lint.config import DEFAULT_SCOPES, LintConfig, default_config
 from repro.lint.engine import (
     Finding,
@@ -48,25 +48,26 @@ from repro.lint.rules import RULES, all_rules
 __all__ = [
     "DEFAULT_SCOPES",
     "Finding",
-    "LintCache",
     "LintConfig",
     "LintEngine",
     "RULES",
     "SCHEMA_VERSION",
     "all_rules",
-    "changed_files",
     "check_shipped_tree",
     "collect_files",
     "default_config",
+    "lint_paths",
     "lint_source",
     "main",
     "parse_pragmas",
     "render_json",
     "render_text",
-    "ruleset_version",
     "run_lint",
     "to_json_dict",
 ]
+
+#: The installed ``repro`` package: what a run over no paths lints.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 _shipped_lock = threading.Lock()
 _shipped_memo: dict = {}
@@ -81,15 +82,32 @@ def check_shipped_tree(refresh: bool = False) -> List[Finding]:
     """
     with _shipped_lock:
         if refresh or "findings" not in _shipped_memo:
-            package_root = Path(__file__).resolve().parent.parent
-            _shipped_memo["findings"] = run_lint([package_root])
+            _shipped_memo["findings"] = run_lint([_PACKAGE_ROOT])
         return list(_shipped_memo["findings"])
 
 
+def lint_paths(paths: Sequence, as_json: bool = False,
+               quiet: bool = False) -> int:
+    """Lint ``paths`` (files or directories; none: the installed ``repro``
+    package), print the text or JSON report, and return the status: 0
+    clean, 1 findings, 2 for a path that is not a Python file or
+    directory.  ``quiet`` prints the report only when there are findings.
+    """
+    try:
+        files = collect_files(paths or [_PACKAGE_ROOT])
+    except FileNotFoundError as exc:
+        print(f"repro.lint: {exc}", file=sys.stderr)
+        return 2
+    findings = run_lint(files)
+    if findings or not quiet:
+        render = render_json if as_json else render_text
+        print(render(findings, files_scanned=len(files)))
+    return 1 if findings else 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.lint [paths...] [--json] [--changed] [--cache]``."""
+    """``python -m repro.lint [paths...] [--json]``."""
     import argparse
-    import sys
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
@@ -101,41 +119,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "repro package)")
     parser.add_argument("--json", action="store_true",
                         help="emit the version-2 JSON report instead of text")
-    parser.add_argument("--changed", action="store_true",
-                        help="lint only files differing from git HEAD "
-                             "(tracked diffs + untracked); falls back to a "
-                             "full run if git is unavailable")
-    parser.add_argument("--cache", metavar="PATH", nargs="?",
-                        const=".lint-cache.json", default=None,
-                        help="content-hash result cache file (default "
-                             "%(const)s when the flag is given bare); "
-                             "invalidated whenever repro.lint itself changes")
     args = parser.parse_args(argv)
-
-    from repro.lint.cache import GitUnavailable, LintCache, changed_files
-    from repro.lint.engine import load_module
-
-    paths = args.paths or [Path(__file__).resolve().parent.parent]
-    try:
-        files = collect_files(paths)
-    except FileNotFoundError as exc:
-        print(f"repro.lint: {exc}", file=sys.stderr)
-        return 2
-    if args.changed:
-        try:
-            changed = set()
-            for path in paths:
-                changed.update(changed_files(Path(path)))
-            files = [f for f in files if f.resolve() in changed]
-        except GitUnavailable as exc:
-            print(f"repro.lint: --changed needs git ({exc}); "
-                  "linting everything", file=sys.stderr)
-
-    cache = LintCache(args.cache) if args.cache else None
-    findings = LintEngine().run_modules([load_module(p) for p in files],
-                                        cache=cache)
-    if cache is not None:
-        cache.save()
-    render = render_json if args.json else render_text
-    print(render(findings, files_scanned=len(files)))
-    return 1 if findings else 0
+    return lint_paths(args.paths, as_json=args.json)

@@ -16,7 +16,7 @@ Resolution is deliberately modest (and documented in ``docs/lint.md``):
   caller's own module* bears the bare name ``m`` — ambiguous names stay
   unresolved rather than guessing, and cross-module bare names are never
   guessed at all (resolution must not depend on which files share the
-  run, or ``--changed`` subsets would diverge from full runs);
+  run, or a run over named paths would diverge from a full run);
 * a call directly under ``await`` never blocks the loop (that is the
   point of awaiting it), and calling a *generator* function merely builds
   the generator — the work happens at ``next()``, which is itself a
@@ -101,14 +101,12 @@ def own_nodes(func: ast.AST):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _classify_call(call: ast.Call, imports: Dict[str, str],
-                   extra_blocking: frozenset) -> CallSite:
+def _classify_call(call: ast.Call, imports: Dict[str, str]) -> CallSite:
     site = CallSite(node=call)
     func = call.func
     origin = dotted_name(func, imports)
     site.origin = origin
-    if origin in BLOCKING_CALLS or origin in BLOCKING_PROJECT_FUNCTIONS \
-            or origin in extra_blocking:
+    if origin in BLOCKING_CALLS or origin in BLOCKING_PROJECT_FUNCTIONS:
         site.blocking = f"`{origin}` blocks the calling thread"
     if isinstance(func, ast.Attribute):
         site.method = func.attr
@@ -122,17 +120,15 @@ def _classify_call(call: ast.Call, imports: Dict[str, str],
 
 
 def build_summaries(modules: Sequence[ModuleInfo],
-                    extra_blocking: frozenset = frozenset(),
                     ) -> Dict[str, FunctionSummary]:
     """Summarise every function definition across the given modules."""
     summaries: Dict[str, FunctionSummary] = {}
     for info in modules:
-        _summarise(info, summaries, extra_blocking)
+        _summarise(info, summaries)
     return summaries
 
 
-def _summarise(info: ModuleInfo, out: Dict[str, FunctionSummary],
-               extra_blocking: frozenset) -> None:
+def _summarise(info: ModuleInfo, out: Dict[str, FunctionSummary]) -> None:
     def walk(node: ast.AST, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
@@ -156,7 +152,7 @@ def _summarise(info: ModuleInfo, out: Dict[str, FunctionSummary],
                         summary.is_generator = True
                     elif isinstance(sub, ast.Call) and id(sub) not in awaited:
                         summary.calls.append(
-                            _classify_call(sub, info.imports, extra_blocking))
+                            _classify_call(sub, info.imports))
                 out[summary.key] = summary
                 walk(child, f"{prefix}{child.name}.")  # nested defs
 
@@ -186,7 +182,7 @@ def resolve_callee(site: CallSite, caller: FunctionSummary,
     if site.method is not None:
         # Only the caller's own module: the bare name ``m`` resolving
         # against *other* modules would make the answer depend on which
-        # files happen to share the run — a `--changed` subset must see
+        # files happen to share the run — a run over named paths must see
         # exactly what the full tree sees.
         candidates = [key for key in by_name.get(site.method, [])
                       if summaries[key].module == caller.module]

@@ -48,25 +48,23 @@ DETERMINISTIC = (
     "repro.faults.report",
 )
 
+#: The packages that share state across threads: the storage service and
+#: its codec pool, the metrics registry and tracer, fault injection, the
+#: HTTP front end, and the linter itself.  The lock rules (D4, D9) bind
+#: here.
+THREADED = (
+    "repro.storage.*",
+    "repro.obs.*",
+    "repro.faults.*",
+    "repro.serve.*",
+    "repro.lint.*",
+)
+
 DEFAULT_SCOPES: Dict[str, Tuple[str, ...]] = {
     "D1": CODED_PATH,
     "D2": DETERMINISTIC,
     "D3": ("repro.*",),
-    "D4": (
-        "repro.storage.fleet",
-        "repro.storage.blockserver",
-        "repro.storage.backfill",
-        "repro.storage.qualification",
-        "repro.storage.retry",
-        "repro.storage.quotas",
-        "repro.storage.backends",
-        "repro.storage.journal",
-        "repro.storage.scrub",
-        "repro.storage.uploads",
-        "repro.faults.*",
-        "repro.serve.*",
-        "repro.lint.*",
-    ),
+    "D4": THREADED,
     # repro.serve is deliberately absent from D2: a live network server
     # legitimately reads wall clocks (same carve-out as repro.cli).
     "D5": ("repro.core.*", "repro.storage.*", "repro.corpus.*", "repro.obs.*",
@@ -79,24 +77,10 @@ DEFAULT_SCOPES: Dict[str, Tuple[str, ...]] = {
            "repro.serve.*"),
     # D7 scopes the whole tree because the call-graph summary pass must see
     # potential callees everywhere; findings are only emitted for async
-    # bodies in the serve path (the rule's `async_scopes` option).
+    # bodies in the serve path.
     "D7": ("repro.*",),
     "D8": ("repro.serve.*",),
-    "D9": (
-        "repro.storage.fleet",
-        "repro.storage.blockserver",
-        "repro.storage.backfill",
-        "repro.storage.qualification",
-        "repro.storage.retry",
-        "repro.storage.quotas",
-        "repro.storage.backends",
-        "repro.storage.journal",
-        "repro.storage.scrub",
-        "repro.storage.uploads",
-        "repro.faults.*",
-        "repro.serve.*",
-        "repro.lint.*",
-    ),
+    "D9": THREADED,
     "D10": ("repro.serve.*", "repro.storage.*", "repro.core.*",
             "repro.lint.*"),
 }

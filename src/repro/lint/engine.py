@@ -111,7 +111,7 @@ def collect_files(paths: Sequence) -> List[Path]:
         path = Path(raw)
         if path.is_dir():
             files.extend(sorted(path.rglob("*.py")))
-        elif path.suffix == ".py":
+        elif path.suffix == ".py" and path.is_file():
             files.append(path)
         else:
             raise FileNotFoundError(f"not a python file or directory: {path}")
@@ -128,53 +128,29 @@ class LintEngine:
         self.config = config or default_config()
         self.rules = list(rules) if rules is not None else all_rules()
 
-    def run(self, paths: Sequence, cache=None) -> List[Finding]:
-        modules = [load_module(path) for path in collect_files(paths)]
-        return self.run_modules(modules, cache=cache)
+    def run(self, paths: Sequence) -> List[Finding]:
+        return self.run_modules([load_module(path)
+                                 for path in collect_files(paths)])
 
-    def run_modules(self, modules: Sequence[ModuleInfo],
-                    cache=None) -> List[Finding]:
-        """Run all rules; ``cache`` (a :class:`repro.lint.cache.LintCache`)
-        short-circuits the per-module passes for unchanged files.  Only
-        per-module findings are cached — project-wide rules see cross-file
-        state and always recompute."""
-        pragma_index = {str(m.path): m.pragmas for m in modules}
-
-        def _surviving(raw: Iterable[Finding]) -> List[Finding]:
-            return [
-                f for f in raw
-                if not pragma_index.get(f.path,
-                                        FilePragmas()).suppresses(f.rule, f.line)
-            ]
-
-        module_rules = [r for r in self.rules if not r.project_wide]
-        project_rules = [r for r in self.rules if r.project_wide]
-
+    def run_modules(self, modules: Sequence[ModuleInfo]) -> List[Finding]:
+        """Run each rule over the modules in its scope, one at a time or
+        (project-wide rules) all at once, and drop the findings a pragma
+        suppresses."""
         findings: List[Finding] = []
-        for info in modules:
-            cached = cache.get(info) if cache is not None else None
-            if cached is not None:
-                findings.extend(cached)
-                continue
-            raw: List[Finding] = []
-            for rule in module_rules:
-                if self.config.in_scope(rule.id, info.module, info.in_package):
-                    raw.extend(rule.check_module(info, self.config))
-            kept = _surviving(raw)
-            kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-            if cache is not None:
-                cache.put(info, kept)
-            findings.extend(kept)
+        for rule in self.rules:
+            scoped = [m for m in modules
+                      if self.config.in_scope(rule.id, m.module, m.in_package)]
+            if not rule.project_wide:
+                for info in scoped:
+                    findings.extend(rule.check_module(info, self.config))
+            elif scoped:
+                findings.extend(rule.check_project(scoped, self.config))
 
-        for rule in project_rules:
-            scoped = [
-                m for m in modules
-                if self.config.in_scope(rule.id, m.module, m.in_package)
-            ]
-            if scoped:
-                findings.extend(_surviving(rule.check_project(scoped,
-                                                              self.config)))
-
+        pragmas = {str(m.path): m.pragmas for m in modules}
+        findings = [
+            f for f in findings
+            if not pragmas.get(f.path, FilePragmas()).suppresses(f.rule, f.line)
+        ]
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings
 

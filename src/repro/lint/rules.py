@@ -535,13 +535,11 @@ class CodecLoopContainment(Rule):
     paper_ref = "§3.4 (one codec, many surfaces), §5.4/§5.7 (qualification)"
 
     #: The session plus the modules that *define* the codec classes.
-    _DEFAULT_ALLOWED = ("repro.core.session", "repro.core.bool_coder",
-                        "repro.core.coefcoder")
+    _ALLOWED = ("repro.core.session", "repro.core.bool_coder",
+                "repro.core.coefcoder")
 
     def check_module(self, info, config):
-        allowed = config.option(self.id, "allowed_modules",
-                                self._DEFAULT_ALLOWED)
-        if info.module in allowed:
+        if info.module in self._ALLOWED:
             return
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call):

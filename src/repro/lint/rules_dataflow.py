@@ -44,7 +44,6 @@ from repro.lint.cfg import (
     build_cfg,
     function_defs,
 )
-from repro.lint.config import LintConfig
 from repro.lint.dataflow import exit_state, solve, visit
 from repro.lint.engine import Finding, ModuleInfo, dotted_name
 from repro.lint.rules import Rule, register
@@ -94,14 +93,11 @@ class BlockingCallInAsync(Rule):
 
     #: Only async functions in these modules are judged; the rest of the
     #: D7 scope ("repro.*") exists to summarise potential callees.
-    _DEFAULT_ASYNC_SCOPES = ("repro.serve.*",)
+    _ASYNC_SCOPES = ("repro.serve.*",)
 
     def check_project(self, modules, config):
-        async_scopes = config.option(self.id, "async_scopes",
-                                     self._DEFAULT_ASYNC_SCOPES)
-        extra = frozenset(config.option(self.id, "blocking_calls", ()))
         info_by_module: Dict[str, ModuleInfo] = {m.module: m for m in modules}
-        summaries = build_summaries(modules, extra_blocking=extra)
+        summaries = build_summaries(modules)
         by_name: Dict[str, List[str]] = {}
         for key, summary in summaries.items():
             by_name.setdefault(summary.name, []).append(key)
@@ -115,7 +111,7 @@ class BlockingCallInAsync(Rule):
             info = info_by_module[summary.module]
             if info.in_package and not any(
                     fnmatchcase(summary.module, pattern)
-                    for pattern in async_scopes):
+                    for pattern in self._ASYNC_SCOPES):
                 continue
             for site in summary.calls:
                 label = ast.unparse(site.node.func)
@@ -146,30 +142,22 @@ class VerifiedByteTaint(Rule):
 
     id = "D8"
     name = "verified-byte-taint"
-    summary = ("bytes read out of the block store (`.payload` attributes, "
-               "configured source calls) are tainted until they flow "
-               "through a `verify*` call; passing a tainted value to a "
-               "socket sink (`.write()`/`.sendall()`/`.send()`) is a "
-               "finding — the never-serve-a-wrong-byte contract, enforced "
-               "per CFG path")
+    summary = ("bytes read out of the block store (`.payload` attributes) "
+               "are tainted until they flow through a `verify*` call; "
+               "passing a tainted value to a socket sink "
+               "(`.write()`/`.sendall()`/`.send()`) is a finding — the "
+               "never-serve-a-wrong-byte contract, enforced per CFG path")
     paper_ref = "abstract (never serves a wrong byte), §4.4 (verification)"
 
-    _DEFAULT_SOURCES = ("payload",)
-    _DEFAULT_SINKS = ("write", "sendall", "send")
+    _SOURCES = ("payload",)
+    _SINKS = ("write", "sendall", "send")
     #: Calls through which taint flows; every *other* call is assumed to
     #: produce fresh (derived, non-servable) data — `len(payload)` or a
     #: parsed header is not the stored byte stream any more.
-    _DEFAULT_PROPAGATORS = ("bytes", "bytearray", "memoryview", "iter",
-                            "next", "join", "run_in_executor")
+    _PROPAGATORS = ("bytes", "bytearray", "memoryview", "iter", "next",
+                    "join", "run_in_executor")
 
     def check_module(self, info, config):
-        sources = tuple(config.option(self.id, "source_attrs",
-                                      self._DEFAULT_SOURCES))
-        sinks = tuple(config.option(self.id, "sink_methods",
-                                    self._DEFAULT_SINKS))
-        propagators = tuple(config.option(self.id, "propagate_calls",
-                                          self._DEFAULT_PROPAGATORS))
-
         for func in function_defs(info.tree):
             cfg = build_cfg(func)
 
@@ -179,31 +167,26 @@ class VerifiedByteTaint(Rule):
                 stmt = node.stmt
                 if node.kind == ITER:
                     self._mark(out, _target_names(stmt.target),
-                               self._tainted(stmt.iter, state, sources,
-                                             propagators))
+                               self._tainted(stmt.iter, state))
                 elif node.kind == WITH_ENTER:
                     for item in stmt.items:
                         if item.optional_vars is not None:
                             self._mark(
                                 out, _target_names(item.optional_vars),
-                                self._tainted(item.context_expr, state,
-                                              sources, propagators))
+                                self._tainted(item.context_expr, state))
                 elif node.kind == STMT:
                     if isinstance(stmt, ast.Assign):
-                        value_tainted = self._tainted(stmt.value, state,
-                                                      sources, propagators)
+                        value_tainted = self._tainted(stmt.value, state)
                         for target in stmt.targets:
                             self._mark(out, _target_names(target),
                                        value_tainted)
                     elif (isinstance(stmt, ast.AnnAssign)
                             and stmt.value is not None):
                         self._mark(out, _target_names(stmt.target),
-                                   self._tainted(stmt.value, state, sources,
-                                                 propagators))
+                                   self._tainted(stmt.value, state))
                     elif isinstance(stmt, ast.AugAssign) and isinstance(
                             stmt.target, ast.Name):
-                        if self._tainted(stmt.value, state, sources,
-                                         propagators):
+                        if self._tainted(stmt.value, state):
                             out.add(stmt.target.id)
                 return frozenset(out)
 
@@ -214,12 +197,12 @@ class VerifiedByteTaint(Rule):
                 for sub in node.walk_exprs():
                     if not (isinstance(sub, ast.Call)
                             and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr in sinks):
+                            and sub.func.attr in self._SINKS):
                         continue
                     values = [*sub.args,
                               *[kw.value for kw in sub.keywords]]
                     for value in values:
-                        if self._tainted(value, state, sources, propagators):
+                        if self._tainted(value, state):
                             findings.append(self.finding(
                                 info, sub,
                                 f"unverified storage bytes reach socket "
@@ -241,26 +224,23 @@ class VerifiedByteTaint(Rule):
                 out.discard(name)
 
     @classmethod
-    def _tainted(cls, expr: ast.AST, state: FrozenSet[str],
-                 sources: Tuple[str, ...],
-                 propagators: Tuple[str, ...]) -> bool:
+    def _tainted(cls, expr: ast.AST, state: FrozenSet[str]) -> bool:
         if isinstance(expr, ast.Name):
             return expr.id in state
         if isinstance(expr, ast.Attribute):
-            if expr.attr in sources:
+            if expr.attr in cls._SOURCES:
                 return True
-            return cls._tainted(expr.value, state, sources, propagators)
+            return cls._tainted(expr.value, state)
         if isinstance(expr, (ast.Subscript, ast.Starred, ast.Await)):
-            return cls._tainted(expr.value, state, sources, propagators)
+            return cls._tainted(expr.value, state)
         if isinstance(expr, ast.BinOp):
-            return (cls._tainted(expr.left, state, sources, propagators)
-                    or cls._tainted(expr.right, state, sources, propagators))
+            return (cls._tainted(expr.left, state)
+                    or cls._tainted(expr.right, state))
         if isinstance(expr, ast.IfExp):
-            return (cls._tainted(expr.body, state, sources, propagators)
-                    or cls._tainted(expr.orelse, state, sources, propagators))
+            return (cls._tainted(expr.body, state)
+                    or cls._tainted(expr.orelse, state))
         if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            return any(cls._tainted(elt, state, sources, propagators)
-                       for elt in expr.elts)
+            return any(cls._tainted(elt, state) for elt in expr.elts)
         if isinstance(expr, ast.Call):
             func = expr.func
             bare = (func.id if isinstance(func, ast.Name)
@@ -268,9 +248,9 @@ class VerifiedByteTaint(Rule):
                     else None)
             if bare is not None and bare.lstrip("_").startswith("verify"):
                 return False  # the sanitiser: digest checked or raised
-            if bare in propagators:
+            if bare in cls._PROPAGATORS:
                 return any(
-                    cls._tainted(value, state, sources, propagators)
+                    cls._tainted(value, state)
                     for value in [*expr.args,
                                   *[kw.value for kw in expr.keywords]])
             return False  # other calls derive new data (len, headers, ...)
@@ -410,18 +390,12 @@ class ResourceLifecycle(Rule):
     paper_ref = "§5.3 (blockserver resource budget), §6.6 (leak triage)"
 
     #: Constructor suffixes that acquire something needing release.
-    _DEFAULT_RESOURCES = ("ContainerReader", "ThreadPoolExecutor",
-                          "ProcessPoolExecutor", "socket",
-                          "create_connection", "socketpair", "open")
-    _DEFAULT_RELEASES = ("close", "shutdown", "finish", "release",
-                         "terminate")
+    _RESOURCES = ("ContainerReader", "ThreadPoolExecutor",
+                  "ProcessPoolExecutor", "socket", "create_connection",
+                  "socketpair", "open")
+    _RELEASES = ("close", "shutdown", "finish", "release", "terminate")
 
     def check_module(self, info, config):
-        resources = tuple(config.option(self.id, "resource_calls",
-                                        self._DEFAULT_RESOURCES))
-        releases = tuple(config.option(self.id, "release_methods",
-                                       self._DEFAULT_RELEASES))
-
         for func in function_defs(info.tree):
             cfg = build_cfg(func)
             sites: Dict[str, ast.AST] = {}
@@ -430,7 +404,7 @@ class ResourceLifecycle(Rule):
                 if (node.kind == STMT and isinstance(stmt, ast.Assign)
                         and len(stmt.targets) == 1
                         and isinstance(stmt.targets[0], ast.Name)
-                        and self._is_resource(stmt.value, info, resources)):
+                        and self._is_resource(stmt.value, info)):
                     name = stmt.targets[0].id
                     have = sites.get(name)
                     if have is None or stmt.lineno >= have.lineno:
@@ -445,7 +419,7 @@ class ResourceLifecycle(Rule):
                         func_expr = sub.func
                         if (isinstance(func_expr, ast.Attribute)
                                 and isinstance(func_expr.value, ast.Name)
-                                and func_expr.attr in releases):
+                                and func_expr.attr in self._RELEASES):
                             out.discard(func_expr.value.id)
                         for value in [*sub.args,
                                       *[kw.value for kw in sub.keywords]]:
@@ -461,8 +435,7 @@ class ResourceLifecycle(Rule):
                     elif isinstance(stmt, ast.Assign):
                         acquire = (len(stmt.targets) == 1
                                    and isinstance(stmt.targets[0], ast.Name)
-                                   and self._is_resource(stmt.value, info,
-                                                         resources))
+                                   and self._is_resource(stmt.value, info))
                         for target in stmt.targets:
                             if isinstance(target, ast.Name):
                                 if acquire:
@@ -475,7 +448,7 @@ class ResourceLifecycle(Rule):
                                     out.discard(name)  # escapes to object
                     elif isinstance(stmt, ast.AnnAssign) and isinstance(
                             stmt.target, ast.Name):
-                        if self._is_resource(stmt.value, info, resources):
+                        if self._is_resource(stmt.value, info):
                             out.add(stmt.target.id)
                         else:
                             out.discard(stmt.target.id)
@@ -498,10 +471,9 @@ class ResourceLifecycle(Rule):
                         "on every path to the function exit — close it in "
                         "a `finally:` or manage it with `with`")
 
-    @staticmethod
-    def _is_resource(expr: Optional[ast.AST], info: ModuleInfo,
-                     resources: Tuple[str, ...]) -> bool:
+    @classmethod
+    def _is_resource(cls, expr: Optional[ast.AST], info: ModuleInfo) -> bool:
         if not isinstance(expr, ast.Call):
             return False
         origin = dotted_name(expr.func, info.imports)
-        return origin is not None and origin.split(".")[-1] in resources
+        return origin is not None and origin.split(".")[-1] in cls._RESOURCES

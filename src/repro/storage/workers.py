@@ -32,9 +32,10 @@ counted under ``workers.restarts``; its job fails with
 :class:`WorkerLost`.  A read retries on another worker; a put stores the
 file as Deflate, the §6.2 reject path, under the killing signal's exit
 code.  A coder that dies costs its encode only the time to code the lost
-segment itself; its worker then retires and is respawned.  A worker
-whose server dies reads end-of-file on its stdin and exits, and its
-coder with it.
+segment itself; its worker then retires and is respawned.  A coder that
+dies while its worker is idle is found at that worker's next job, which
+retires it the same way.  A worker whose server dies reads end-of-file
+on its stdin and exits, and its coder with it.
 """
 
 import atexit
@@ -134,7 +135,8 @@ class _Coder:
     """This worker's coder: a child process, forked before the worker's
     first job, that runs the coding stage of each encode that borrowed a
     second CPU.  Bands go to it on ``bands`` and coded segments come back
-    on ``segments``; ``gone`` is set once either pipe breaks (it died).
+    on ``segments``; ``gone`` is set once either pipe breaks or
+    :meth:`reap` finds it exited (it died).
 
     At the fork the worker runs no other Python thread.  numpy's BLAS
     threads are not copied, so the coder must call no BLAS routine, and
@@ -162,7 +164,13 @@ class _Coder:
         os.close(segments_w)
         self.bands = os.fdopen(bands_w, "wb")
         self.segments = os.fdopen(segments_r, "rb")
-        self.gone = False
+        self.gone = self.reaped = False
+
+    def reap(self) -> None:
+        """Reap the coder if it has exited, killed while this worker was
+        idle say, and mark it ``gone``."""
+        if not self.reaped and os.waitpid(self.pid, os.WNOHANG)[0]:
+            self.gone = self.reaped = True
 
     def close(self) -> None:
         """End the coder, which exits at end of file on ``bands``, and
@@ -172,7 +180,8 @@ class _Coder:
                 stream.close()
             except OSError:
                 pass  # a band the coder died before it read
-        os.waitpid(self.pid, 0)
+        if not self.reaped:
+            os.waitpid(self.pid, 0)
 
 
 def _code_bands(bands, segments) -> None:
@@ -278,9 +287,10 @@ _JOBS = {"encode": _encode, "decode": _decode}
 def _serve_jobs(jobs, replies, coder: _Coder) -> None:
     """The worker loop: announce this process and its coder, then answer
     each job frame from ``jobs`` on ``replies`` until ``jobs`` ends (the
-    server is gone) or the coder is gone.  The reply of the job that
-    found the coder gone says ``retire``: the pool sends this worker no
-    further job, and respawns it once it exits.
+    server is gone) or the coder is gone.  After each job the worker
+    reaps its coder if it exited.  The reply of the job that found the
+    coder gone says ``retire``: the pool sends this worker no further
+    job, and respawns it once it exits.
 
     Each job runs with a fresh registry and tracer, whose contents go back
     with the reply, a failed job's included.  A job may send frames of
@@ -310,6 +320,7 @@ def _serve_jobs(jobs, replies, coder: _Coder) -> None:
             reply, out = {"error": type(exc).__name__, "detail": str(exc)}, b""
         reply["registry"] = registry.export()
         reply["spans"] = tracer.export()
+        coder.reap()
         if coder.gone:
             reply["retire"] = True
         _write_frame(replies, reply, out)
@@ -719,8 +730,8 @@ _SHARED_LOCK = threading.Lock()
 def shared_pool() -> CodecPool:
     """This process's pool, one worker per CPU the process may run on,
     started on first use and stopped at exit."""
-    global _SHARED
     with _SHARED_LOCK:
+        global _SHARED
         if _SHARED is None:
             _SHARED = CodecPool(len(os.sched_getaffinity(0)))
             atexit.register(_SHARED.close)

@@ -1,4 +1,8 @@
-"""Shared fixtures: small deterministic JPEGs (cached per session)."""
+"""Shared fixtures: small deterministic JPEGs (cached per session), and
+:func:`in_background` for tests that wait on a call that may hang."""
+
+import threading
+from concurrent.futures import Future
 
 import pytest
 
@@ -67,3 +71,21 @@ def drifting_dc_jpeg() -> bytes:
         blocks[i, 0] = min(i, 12) * 2000
     scan, _ = encode_scan(img)
     return img.header_bytes + scan + img.trailer_bytes
+
+
+def in_background(call, *args) -> Future:
+    """Run ``call(*args)`` on a daemon thread; its result or exception
+    lands in the returned future.  A test that waits on it with a timeout
+    fails if the call never returns, where one inside ``with
+    ThreadPoolExecutor(...)`` hangs the suite: that block's exit joins
+    its threads."""
+    future: Future = Future()
+
+    def run():
+        try:
+            future.set_result(call(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+
+    threading.Thread(target=run, daemon=True).start()
+    return future

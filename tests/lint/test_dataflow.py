@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import lint_source
+from repro.lint import lint_source, run_lint
 from repro.lint.cfg import build_cfg, function_defs
 from repro.lint.dataflow import exit_state, solve
 
@@ -238,6 +238,25 @@ def test_calling_a_generator_is_lazy_not_blocking():
         async def handle(blob):
             return frames(blob)
     """) == []
+
+
+def test_d7_method_resolution_is_subset_stable(tmp_path):
+    """A blocking `write` *function* in one module must not make
+    `stream.write(...)` in another module's async handler count as
+    blocking: bare method names never resolve across modules, so a run
+    over a few named paths sees exactly what the full tree sees.  (The
+    first cut of the resolver guessed any globally-unique bare name, and
+    a 7-file run invented D7 findings the 93-file run did not have.)"""
+    sink = tmp_path / "sink.py"
+    sink.write_text("def write(path, data):\n"
+                    "    with open(path, 'wb') as h:\n"
+                    "        h.write(data)\n")
+    server = tmp_path / "server.py"
+    server.write_text("async def pump(stream, data):\n"
+                      "    stream.write(data)\n")
+    alone = [f for f in run_lint([server]) if f.rule == "D7"]
+    joint = [f for f in run_lint([sink, server]) if f.rule == "D7"]
+    assert alone == joint == []
 
 
 # --------------------------------------------------------------------------

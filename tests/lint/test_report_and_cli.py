@@ -65,11 +65,23 @@ def test_module_main_json_output(capsys):
     assert doc["version"] == 2 and doc["counts"]["D2"] >= 2
 
 
-def test_lepton_lint_subcommand(capsys):
+def test_lepton_lint_subcommand(tmp_path, capsys):
     assert cli.main(["lint", str(FIXTURES / "d4_trigger.py")]) == 1
     assert "D4" in capsys.readouterr().out
     assert cli.main(["lint", str(FIXTURES / "d4_clean.py")]) == 0
+    assert cli.main(["lint", str(tmp_path / "missing")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_both_entry_points_print_the_same_report(flags, capsys):
+    """`lepton lint` and `python -m repro.lint` are one run: over the
+    fixture corpus they print the same bytes and return the same status."""
+    module_status = lint_main([*flags, str(FIXTURES)])
+    module_out = capsys.readouterr().out
+    cli_status = cli.main(["lint", *flags, str(FIXTURES)])
+    assert capsys.readouterr().out == module_out
+    assert cli_status == module_status == 1
 
 
 def test_lepton_lint_json(capsys):

@@ -46,3 +46,12 @@ def test_dataflow_scopes_cover_serve_and_the_linter_itself():
     assert config.in_scope("D7", "repro.storage.blockstore")  # callee summaries
     for rule_id in ("D4", "D5", "D9", "D10"):
         assert config.in_scope(rule_id, "repro.lint.engine"), rule_id
+
+
+def test_the_lock_rules_cover_the_codec_pool():
+    """D4 and D9 bind to whole packages, so the codec pool's threads and
+    the store's put lock are under them."""
+    config = default_config()
+    for rule_id in ("D4", "D9"):
+        for module in ("repro.storage.workers", "repro.storage.blockstore"):
+            assert config.in_scope(rule_id, module), (rule_id, module)

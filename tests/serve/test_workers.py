@@ -14,7 +14,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 import urllib.request
 
@@ -26,6 +25,7 @@ from repro.serve.app import ServeConfig
 from repro.serve.client import ServeClient
 from repro.storage.workers import shared_pool
 
+from tests.conftest import in_background
 from tests.serve.conftest import gone, parent, with_server
 
 pytestmark = pytest.mark.serve
@@ -311,8 +311,6 @@ def test_a_raising_window_handler_fails_its_job_and_keeps_the_worker():
     """An encode's window handler that raises fails that encode, within a
     bounded time, and its worker's listener keeps reading: the worker is
     freed and serves the next job."""
-    from concurrent.futures import ThreadPoolExecutor
-
     from repro.core.chunks import compress_chunked
     from repro.core.lepton import LeptonConfig
     from repro.storage.workers import CodecPool
@@ -325,11 +323,10 @@ def test_a_raising_window_handler_fails_its_job_and_keeps_the_worker():
         while pool.idle_workers() < pool.size:
             assert time.monotonic() < limit
             time.sleep(0.01)
-        with ThreadPoolExecutor(1) as runner:
-            encode = runner.submit(list, pool.encode(PHOTO, CHUNK,
-                                                     LeptonConfig()))
-            with pytest.raises(BrokenPipeError):
-                encode.result(timeout=60)
+        encode = in_background(list, pool.encode(PHOTO, CHUNK,
+                                                 LeptonConfig()))
+        with pytest.raises(BrokenPipeError):
+            encode.result(timeout=60)
         while pool.idle_workers() < pool.size:
             assert time.monotonic() < limit
             time.sleep(0.01)
@@ -344,8 +341,6 @@ def test_a_reply_the_listener_cannot_handle_fails_its_job_and_keeps_the_worker(
     """A reply whose handling raises in the listener (here the telemetry
     replay) fails that job, within a bounded time, instead of ending the
     listener: the worker is freed and serves the next job."""
-    from concurrent.futures import Future
-
     from repro.core.chunks import compress_chunked
     from repro.storage.workers import CodecPool
 
@@ -366,15 +361,7 @@ def test_a_reply_the_listener_cannot_handle_fails_its_job_and_keeps_the_worker(
             assert time.monotonic() < limit
             time.sleep(0.01)
         monkeypatch.setattr(registry, "replay", replay_once)
-        decode: Future = Future()
-
-        def run():  # on a daemon thread: a decode that hangs ends no test
-            try:
-                decode.set_result(pool.decode(chunk))
-            except Exception as exc:
-                decode.set_exception(exc)
-
-        threading.Thread(target=run, daemon=True).start()
+        decode = in_background(pool.decode, chunk)
         with pytest.raises(RuntimeError, match="cannot read"):
             decode.result(timeout=60)
         assert pool.decode(chunk) == PHOTO[:CHUNK]
@@ -402,5 +389,40 @@ def test_a_worker_that_dies_while_held_is_not_freed():
             time.sleep(0.01)
         pool._free(held)
         assert pool.idle_workers() == pool.size
+    finally:
+        pool.close()
+
+
+def test_a_coder_that_dies_while_its_worker_is_idle_retires_the_worker():
+    """Both coders of a two-worker pool are killed while their workers
+    are idle.  Each worker runs its next job as usual, then finds its
+    coder gone, retires and is respawned with a fresh coder."""
+    from repro.core.chunks import compress_chunked
+    from repro.storage.workers import CodecPool
+
+    chunks = compress_chunked(PHOTO, CHUNK)[:2]
+    pool = CodecPool(2)
+    try:
+        limit = time.monotonic() + 30
+        while pool.idle_workers() < pool.size:
+            assert time.monotonic() < limit
+            time.sleep(0.01)
+        killed = pool.describe()["coders"]
+        assert len(killed) == 2
+        for pid in killed:
+            os.kill(pid, signal.SIGKILL)
+        # At once, so that each worker takes one.
+        decodes = [in_background(pool.decode, chunk) for chunk in chunks]
+        assert [d.result(timeout=60) for d in decodes] == [
+            PHOTO[:CHUNK], PHOTO[CHUNK:2 * CHUNK]]
+        limit = time.monotonic() + 30
+        while True:
+            coders = pool.describe()["coders"]
+            if (pool.restarts == 2 and len(coders) == 2
+                    and not any(gone(pid) for pid in coders)):
+                break
+            assert time.monotonic() < limit, (pool.restarts, coders)
+            time.sleep(0.01)
+        assert not set(coders) & set(killed)
     finally:
         pool.close()

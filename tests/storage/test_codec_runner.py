@@ -12,7 +12,6 @@ a waiting job is owed is never taken by work started early.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -24,6 +23,8 @@ from repro.obs import get_registry, get_tracer, reset
 from repro.storage import blockstore
 from repro.storage.blockstore import BlockStore, InProcessCodec
 from repro.storage.workers import CodecPool, shared_pool
+
+from tests.conftest import in_background
 
 PHOTO = corpus_jpeg(seed=11, height=96, width=96)
 
@@ -91,12 +92,11 @@ def test_a_wait_for_a_busy_pool_ends_at_the_deadline():
     pool = shared_pool()
     big, chunk = _big_chunk()
     _wait(lambda: pool.idle_workers() == pool.size)
-    with ThreadPoolExecutor(pool.size) as threads:
-        jobs = [threads.submit(pool.decode, chunk) for _ in range(pool.size)]
-        _wait(lambda: pool.idle_workers() == 0)
-        with pytest.raises(TimeoutExceeded, match="no codec worker was free"):
-            pool.decode(chunk, deadline=time.monotonic() + 0.02)
-        assert all(job.result(timeout=60) == big for job in jobs)
+    jobs = [in_background(pool.decode, chunk) for _ in range(pool.size)]
+    _wait(lambda: pool.idle_workers() == 0)
+    with pytest.raises(TimeoutExceeded, match="no codec worker was free"):
+        pool.decode(chunk, deadline=time.monotonic() + 0.02)
+    assert all(job.result(timeout=60) == big for job in jobs)
 
 
 def test_a_freed_worker_goes_to_the_waiting_decode_not_to_early_work():
@@ -118,14 +118,13 @@ def test_a_freed_worker_goes_to_the_waiting_decode_not_to_early_work():
                 free(worker)
                 pool._ahead([lambda: small_chunk], range(1), early, None)
 
-        with ThreadPoolExecutor(2) as threads:
-            busy = threads.submit(pool.decode, chunk)
-            _wait(lambda: pool.idle_workers() == 0)
-            waiting = threads.submit(pool.decode, small_chunk)
-            _wait(lambda: pool._waiting == 1)
-            pool._free = free_then_race
-            assert busy.result(timeout=60) == big
-            assert waiting.result(timeout=60) == PHOTO
+        busy = in_background(pool.decode, chunk)
+        _wait(lambda: pool.idle_workers() == 0)
+        waiting = in_background(pool.decode, small_chunk)
+        _wait(lambda: pool._waiting == 1)
+        pool._free = free_then_race
+        assert busy.result(timeout=60) == big
+        assert waiting.result(timeout=60) == PHOTO
         assert early == {}
     finally:
         pool.close()
