@@ -62,7 +62,7 @@ serve-smoke:
 # The live kill-and-recover drill (docs/serve.md): boots real `lepton
 # serve` subprocesses, SIGKILLs them at armed kill points mid-upload and
 # mid-stream, and proves recovery + resume.  `live-chaos` runs the
-# reduced one-point-per-partition sweep; the full 17-point sweep is
+# reduced one-point-per-partition sweep; the full 15-point sweep is
 # `lepton chaos --live`.
 live-chaos:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m live_chaos

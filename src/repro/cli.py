@@ -371,7 +371,7 @@ def main(argv=None) -> int:
                              "shutoff file (default: system temp)")
     parser.add_argument("--data-dir", metavar="DIR", default=None,
                         help="for serve: root of the filesystem replicas "
-                             "and journals (default: keep them in memory)")
+                             "and the put journal (default: in memory)")
     parser.add_argument("--scrub-interval", type=float, default=None,
                         help="for serve: seconds between background "
                              "scrub passes")

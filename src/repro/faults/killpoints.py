@@ -57,19 +57,17 @@ PUT_KILL_POINTS: Tuple[str, ...] = (
 )
 
 #: Crash points in the resumable upload-session protocol (docs/serve.md),
-#: in protocol order.  A part is owed to the client only once its journal
-#: record is durable (``upload.part.post``); a crash before that must
-#: leave the session at the previous acked offset.  ``upload.finalize.pre``
-#: crashes after the parts are assembled but before the durable put, so
-#: the session must survive open and re-finalize; ``upload.finalize.post``
-#: crashes after the done record, so the file must be served.
+#: in protocol order.  Each step is one blob write: a part is owed to the
+#: client once its blob write returned (``upload.part.post``).
+#: ``upload.finalize.pre`` crashes after the parts are assembled but
+#: before the durable put, so the session must survive open and
+#: re-finalize; ``upload.finalize.post`` crashes after the completed
+#: session blob landed, so the file must be served.
 UPLOAD_KILL_POINTS: Tuple[str, ...] = (
-    "upload.create.post",     # session record durable, nothing received
-    "upload.part.blob",       # part blob landed, not yet journaled
-    "upload.part.torn",       # crash mid-append of the part record
-    "upload.part.post",       # part record durable — the part is acked
+    "upload.create.post",     # session blob durable, nothing received
+    "upload.part.post",       # part blob durable — the part is acked
     "upload.finalize.pre",    # parts assembled, durable put not started
-    "upload.finalize.post",   # done record durable, parts not yet pruned
+    "upload.finalize.post",   # session blob says completed; parts remain
 )
 
 #: Crash points in the streamed read path: the server dies mid-response,

@@ -8,9 +8,10 @@ fault injection from a fault plan, graceful drain, §5.7's shutoff switch
 on encoding routes, then the ``X-Lepton-Deadline`` parse and admission
 control at the door (§5.5's backpressure) — and each handler does only
 its own work.  Status codes come from a closed set
-(:data:`~repro.serve.http.STATUS_REASONS`), and uploads may be resumable
-and journal-backed.  The full API contract, gates included, lives in
-``docs/serve.md`` and is enforced both ways by ``tests/test_docs.py``.
+(:data:`~repro.serve.http.STATUS_REASONS`), and uploads may be resumable,
+each session kept as blobs in the store's backend.  The full API
+contract, gates included, lives in ``docs/serve.md`` and is enforced
+both ways by ``tests/test_docs.py``.
 
 Design notes:
 
@@ -37,7 +38,6 @@ Design notes:
 import asyncio
 import hashlib
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
@@ -63,7 +63,6 @@ from repro.storage.blockstore import (
     IntegrityError,
     open_durable_store,
 )
-from repro.storage.journal import Journal, MemoryJournal
 from repro.storage.quotas import QuotaBoard, QuotaExceeded
 from repro.storage.retry import BreakerBoard, CircuitBreaker, RetryPolicy
 from repro.storage.safety import ShutoffSwitch
@@ -164,9 +163,9 @@ class ServeConfig:
     fault_plan: Optional[FaultPlan] = None
     fault_seed: int = 0
     # -- durability (docs/durability.md) --------------------------------
-    #: Root directory of filesystem replicas and journals; ``None`` keeps
-    #: the blobs and journals in memory (the test default).  Either way
-    #: every put runs the same journaled protocol.
+    #: Root directory of the filesystem replicas and the put journal;
+    #: ``None`` keeps the blobs and the journal in memory (the test
+    #: default).  Either way every put runs the same journaled protocol.
     data_dir: Optional[str] = None
     #: Filesystem replicas under ``data_dir`` (quorum writes, validated
     #: reads with read-repair when > 1).
@@ -185,7 +184,7 @@ class ServeConfig:
     #: half-open probe; also the source of its ``Retry-After``.
     breaker_reset: float = 5.0
     #: Crash-injection harness for the live chaos drill.  Attached to the
-    #: store and ledgers only *after* startup recovery completes, so an
+    #: store and the upload ledger only *after* startup recovery, so an
     #: armed point can never fire while the previous crash is being
     #: repaired (recovery-before-listen must terminate).
     kill: Optional[KillPoints] = None
@@ -218,7 +217,11 @@ class LeptonServer:
         #: The process's codec worker pool, which every server shares.
         self.codec = shared_pool()
         self.store = self._build_store()
-        self.uploads = self._build_uploads()
+        # Upload recovery also runs before the socket opens: ``HEAD
+        # /uploads/{id}`` must report durable truth from request #1.
+        self.uploads = UploadLedger(backend=self.store.backend,
+                                    quotas=self.quotas)
+        self.uploads.recover()
         self._attach_kill()
         self.scrubber = Scrubber(self.store)
         self._scrub_task: Optional[asyncio.Task] = None
@@ -265,22 +268,6 @@ class LeptonServer:
         return open_durable_store(self.config.data_dir,
                                   replicas=self.config.replicas, **options)
 
-    def _build_uploads(self) -> UploadLedger:
-        """The resumable-upload ledger over the store's backend, with its
-        own ``uploads.wal`` journal under ``data_dir``.
-
-        Recovery (journal replay, orphan-blob pruning, quota
-        re-reservation) also runs here, before the socket opens —
-        ``HEAD /uploads/{id}`` must report durable truth from request #1.
-        """
-        journal = (MemoryJournal() if self.config.data_dir is None
-                   else Journal(os.path.join(str(self.config.data_dir),
-                                             "uploads.wal")))
-        ledger = UploadLedger(backend=self.store.backend, journal=journal,
-                              quotas=self.quotas)
-        ledger.recover()
-        return ledger
-
     def _attach_kill(self) -> None:
         """Arm the crash harness — strictly after recovery completed."""
         kill = self.config.kill
@@ -289,7 +276,6 @@ class LeptonServer:
         self.store.kill = kill
         self.store.journal.kill = kill
         self.uploads.kill = kill
-        self.uploads.journal.kill = kill
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -806,7 +792,7 @@ class LeptonServer:
         # resuming clients *expect* the occasional conflict.
         data = await self._read_body(request, reader, length)
         try:
-            # Part append = backend write + journal fsync: executor work.
+            # Part append = one durable backend write: executor work.
             session = await self._offload(self.uploads.append,
                                           upload_id, offset, data)
         except UnknownUpload:

@@ -34,7 +34,7 @@ import json
 import os
 import struct
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import MetricsRegistry, get_registry
 
@@ -63,7 +63,7 @@ def encode_blob(meta: dict, payload: bytes) -> bytes:
     """Serialise ``meta`` + ``payload`` into one self-describing blob.
 
     The payload's md5 is stamped into the meta header, so a reader (or a
-    replica validator) can detect rot without any external metadata.
+    replicated read) can detect rot without any external metadata.
     """
     stamped = dict(meta)
     stamped["md5"] = hashlib.md5(payload).hexdigest()
@@ -328,8 +328,8 @@ class ReplicatedBackend(StorageBackend):
       least ``write_quorum`` (default: majority) accepted it; a partial
       success is counted (``replication.partial_writes``) and left for
       the scrubber to finish healing.
-    * ``read`` walks replicas in order and serves the first blob the
-      ``validator`` accepts; replicas that were missing or held an
+    * ``read`` walks replicas in order and serves the first blob that
+      passes :func:`blob_ok`; replicas that were missing or held an
       invalid blob are repaired in-band with the good copy
       (``replication.read_repairs``).  At least ``read_quorum`` replicas
       must *respond* (healthy or not) or the read raises
@@ -341,7 +341,6 @@ class ReplicatedBackend(StorageBackend):
     def __init__(self, replicas: Sequence[StorageBackend],
                  write_quorum: Optional[int] = None,
                  read_quorum: int = 1,
-                 validator: Optional[Callable[[str, bytes], bool]] = None,
                  registry: Optional[MetricsRegistry] = None):
         if not replicas:
             raise BackendError("a replicated backend needs >= 1 replica")
@@ -353,8 +352,6 @@ class ReplicatedBackend(StorageBackend):
             raise BackendError(f"write_quorum {self.write_quorum} out of "
                                f"range for {n} replicas")
         self.read_quorum = max(1, min(read_quorum, n))
-        self.validator = validator if validator is not None else (
-            lambda _key, data: blob_ok(data))
         self.registry = registry if registry is not None else get_registry()
 
     def write(self, key: str, data: bytes) -> None:
@@ -391,7 +388,7 @@ class ReplicatedBackend(StorageBackend):
                 continue
             responded += 1
             missing_everywhere = False
-            if self.validator(key, data):
+            if blob_ok(data):
                 good = data
                 break
             stale.append(replica)

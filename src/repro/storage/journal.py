@@ -17,7 +17,7 @@ so a torn append (the power cut mid-``write``) is detected by CRC or
 framing failure and the tail is truncated — a torn *tail* is exactly a
 clean cut one record earlier.  Appends are ``flush`` + ``fsync`` so an
 acknowledged record survives the crash; :meth:`Journal.checkpoint`
-atomically replaces the journal once its records are reflected in the
+atomically empties the journal once its records are reflected in the
 backend, bounding replay work.
 
 Crash injection: the :class:`~repro.faults.killpoints.KillPoints` harness
@@ -158,23 +158,20 @@ class Journal:
                     os.fsync(trimmer.fileno())
         return records
 
-    def checkpoint(self, keep: Optional[List[dict]] = None) -> None:
-        """Atomically replace the journal with ``keep`` (default: empty).
+    def checkpoint(self) -> None:
+        """Atomically empty the journal.
 
         Called once every replayed record is reflected in the backend; an
         empty journal is the steady state.  The replacement uses the same
         tmp + fsync + rename discipline as the filesystem backend, so a
         crash during checkpoint leaves either the old journal (replayed
-        again — recovery is idempotent) or the new one.
+        again — recovery is idempotent) or the empty one.
         """
         if self.kill is not None:
             self.kill.reach("journal.checkpoint.pre")
         tmp = self.path + ".tmp"
         with self._lock:
             with open(tmp, "wb") as writer:
-                for record in keep or []:
-                    writer.write(_frame(record))
-                writer.flush()
                 os.fsync(writer.fileno())
             os.replace(tmp, self.path)
             parent = os.path.dirname(self.path) or "."
@@ -215,8 +212,8 @@ class MemoryJournal:
         with self._lock:
             return list(self._records)
 
-    def checkpoint(self, keep: Optional[List[dict]] = None) -> None:
+    def checkpoint(self) -> None:
         if self.kill is not None:
             self.kill.reach("journal.checkpoint.pre")
         with self._lock:
-            self._records = list(keep or [])
+            self._records = []

@@ -1,4 +1,4 @@
-"""Resumable upload sessions: journal-backed partial-put state.
+"""Resumable upload sessions: partial-put state kept as backend blobs.
 
 An interrupted ``PUT /files`` today loses every byte that crossed the
 wire.  At photo-service scale connection churn mid-transfer is the
@@ -7,43 +7,50 @@ where progress is *durable per part*: the client declares a length,
 appends chunks at explicit offsets, and after any disconnect — or a
 server crash — asks the server how far it got and resumes from there.
 
-The :class:`UploadLedger` is that protocol's storage half.  Each open
-session is a row in a dedicated write-ahead journal (``uploads.wal``,
-same CRC-framed :class:`~repro.storage.journal.Journal` as the durable
-put path) plus one self-describing blob per part under
-``upload/<id>/part-<offset>``.  A part is **acked** only once its
-journal record is fsynced — the same owed-to-the-client line the put
-protocol draws at ``journal.commit.post``.  Finalize assembles the
-parts and promotes them through the store's ordinary ``put_file`` under
-the quota reservation made at session create, so a finished upload is
+The :class:`UploadLedger` is that protocol's storage half.  Each session
+is a set of self-describing blobs in the store's backend:
+``upload/<id>/session`` holds the tenant, the declared length and, once
+finalized, the file id, and each part is one blob under
+``upload/<id>/part-<offset>``.  Every step of the protocol is a single
+blob write, which the backend makes durable before it returns (tmp +
+fsync + rename on the filesystem backend, a write quorum on the
+replicated one), so a part is **acked** as soon as its blob write
+returns and no journal is needed: a journal exists to make several
+writes atomic.  Finalize assembles the parts and promotes them through
+the store's ordinary ``put_file`` — the journaled put — under the quota
+reservation made at session create, so a finished upload is
 indistinguishable from a one-shot put.
 
-Crash recovery replays the journal, keeps exactly the contiguous acked
-prefix whose blobs still verify, deletes orphan part blobs (written but
-never acked), and re-reserves quota for open sessions (``force=True`` —
-an admitted upload must not be stranded by a shrunk limit).  The
-``upload.*`` kill points (:mod:`repro.faults.killpoints`) pin each step
-of the protocol for the crash sweeps.
+Crash recovery lists the ``upload/`` blobs and groups them by session.
+An id without an intact session blob was never acknowledged, and all its
+blobs go; a completed session loses any leftover part; an open session
+keeps the contiguous intact parts from offset 0, deletes the rest, and
+re-reserves its quota (``force=True`` — an admitted upload must not be
+stranded by a shrunk limit).  The ``upload.*`` kill points
+(:mod:`repro.faults.killpoints`) pin each step of the protocol for the
+crash sweeps.
 
-Session ids are sequential (``u00000001``), assigned from the journal's
-own history — no ambient entropy, so a replayed workload allocates the
-same ids (lint D2).
+Session ids are sequential (``u00000001``), continuing past every id
+found in the backend — no ambient entropy, so a replayed workload
+allocates the same ids (lint D2).
 """
 
 import hashlib
+import json
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.faults.killpoints import KillPoints
 from repro.storage.backends import (
+    BlobError,
     MemoryBackend,
     StorageBackend,
     blob_ok,
     decode_blob,
     encode_blob,
 )
-from repro.storage.journal import Journal, MemoryJournal
+from repro.storage.journal import MemoryJournal
 from repro.storage.quotas import QuotaBoard
 
 
@@ -80,8 +87,8 @@ class UploadSession:
     received: int = 0        # durable, acked, contiguous prefix
     state: str = "open"      # "open" | "completed"
     file_id: Optional[str] = None  # set once finalize promotes the bytes
-    #: ``(offset, length, sha256)`` per acked part, in offset order.
-    parts: List[Tuple[int, int, str]] = field(default_factory=list)
+    #: ``(offset, length)`` per acked part, in offset order.
+    parts: List[Tuple[int, int]] = field(default_factory=list)
 
     def describe(self) -> dict:
         """JSON-friendly progress row (the ``HEAD /uploads/{id}`` truth)."""
@@ -95,28 +102,33 @@ class UploadSession:
         }
 
 
+def _session_key(upload_id: str) -> str:
+    return f"upload/{upload_id}/session"
+
+
 def _part_key(upload_id: str, offset: int) -> str:
     return f"upload/{upload_id}/part-{offset:012d}"
 
 
 class UploadLedger:
-    """Journal-backed registry of resumable upload sessions.
+    """Registry of resumable upload sessions, kept as backend blobs.
 
-    Every state transition is journaled before it is acknowledged.  The
-    defaults keep the part blobs and the journal in RAM; the serve
-    front-end hands over the store's backend and, with ``--data-dir``,
-    an ``uploads.wal`` file journal.  All mutation is lock-guarded: the
-    serve front-end drives the ledger from executor threads.
+    Every state transition is one blob write that returns before it is
+    acknowledged.  The default backend keeps the blobs in RAM; the serve
+    front-end hands over the store's backend.  All mutation is
+    lock-guarded: the serve front-end drives the ledger from executor
+    threads.
     """
 
     def __init__(self, backend: Optional[StorageBackend] = None,
-                 journal: Union[Journal, MemoryJournal, None] = None,
                  quotas: Optional[QuotaBoard] = None,
                  kill: Optional[KillPoints] = None):
         self.backend = backend or MemoryBackend()
-        self.journal = journal or MemoryJournal()
         self.quotas = quotas
         self.kill = kill
+        #: Records nothing; ``perfbench/loadgen.py`` still closes
+        #: ``server.uploads.journal`` when it tears a server down.
+        self.journal = MemoryJournal()
         self.recovered_sessions = 0
         self.dropped_parts = 0
         self._lock = threading.Lock()
@@ -128,6 +140,27 @@ class UploadLedger:
     def _reach(self, name: str) -> None:
         if self.kill is not None:
             self.kill.reach(name)
+
+    # -- blobs -------------------------------------------------------------
+
+    def _write_session(self, session: UploadSession,
+                       file_id: Optional[str] = None) -> None:
+        # The state is the payload, not the meta, so the blob's md5
+        # covers it.
+        state = {"tenant": session.tenant, "bytes": session.declared,
+                 "file": file_id}
+        self.backend.write(_session_key(session.upload_id), encode_blob(
+            {"upload": session.upload_id},
+            json.dumps(state, sort_keys=True).encode()))
+
+    def _intact(self, key: str) -> Optional[Tuple[dict, bytes]]:
+        """The blob's meta and payload, or ``None`` if it is missing or
+        fails its own digest."""
+        try:
+            blob = self.backend.read(key)
+        except (KeyError, BlobError):
+            return None
+        return decode_blob(blob) if blob_ok(blob) else None
 
     # -- the protocol ------------------------------------------------------
 
@@ -149,12 +182,7 @@ class UploadLedger:
                 upload_id = f"u{self._seq:08d}"
                 session = UploadSession(upload_id=upload_id, tenant=tenant,
                                         declared=declared)
-                self.journal.append({
-                    "type": "upload.create",
-                    "upload": upload_id,
-                    "tenant": tenant,
-                    "bytes": declared,
-                })
+                self._write_session(session)
                 self._reach("upload.create.post")
                 self._sessions[upload_id] = session
         except Exception:
@@ -173,7 +201,7 @@ class UploadLedger:
     def append(self, upload_id: str, offset: int, data: bytes,
                ) -> UploadSession:
         """Durably append ``data`` at ``offset``; ack only after the part's
-        journal record is fsynced.
+        blob write returned.
 
         ``offset`` must equal the durable offset (strictly sequential
         parts keep resume logic trivial); a mismatch raises
@@ -203,22 +231,12 @@ class UploadLedger:
                     f"upload {upload_id}: {offset + len(data)} bytes "
                     f"exceed the declared {session.declared}"
                 )
-            sha = hashlib.sha256(data).hexdigest()
-            blob = encode_blob(
+            self.backend.write(_part_key(upload_id, offset), encode_blob(
                 {"upload": upload_id, "offset": offset, "len": len(data)},
                 data,
-            )
-            self.backend.write(_part_key(upload_id, offset), blob)
-            self._reach("upload.part.blob")
-            self.journal.append({
-                "type": "upload.part",
-                "upload": upload_id,
-                "offset": offset,
-                "len": len(data),
-                "sha": sha,
-            }, kill_point="upload.part.torn")
+            ))
             self._reach("upload.part.post")
-            session.parts.append((offset, len(data), sha))
+            session.parts.append((offset, len(data)))
             session.received += len(data)
             return session
 
@@ -235,16 +253,14 @@ class UploadLedger:
             if session is None:
                 raise UnknownUpload(upload_id)
             pieces = []
-            for offset, length, sha in session.parts:
-                blob = self.backend.read(_part_key(upload_id, offset))
-                _, payload = decode_blob(blob)
-                if (len(payload) != length
-                        or hashlib.sha256(payload).hexdigest() != sha):
+            for offset, length in session.parts:
+                part = self._intact(_part_key(upload_id, offset))
+                if part is None or len(part[1]) != length:
                     raise UploadError(
                         f"upload {upload_id}: part at {offset} fails "
                         f"verification"
                     )
-                pieces.append(payload)
+                pieces.append(part[1])
             return b"".join(pieces)
 
     def finalize(self, upload_id: str, store, deadline=None):
@@ -272,11 +288,7 @@ class UploadLedger:
                                 reserved=session.declared,
                                 deadline=deadline)
         with self._lock:
-            self.journal.append({
-                "type": "upload.done",
-                "upload": upload_id,
-                "file": file_id,
-            })
+            self._write_session(session, file_id)
             self._reach("upload.finalize.post")
             session.state = "completed"
             session.file_id = file_id
@@ -284,10 +296,10 @@ class UploadLedger:
         return record
 
     def _prune_parts(self, session: UploadSession) -> None:
-        """Drop part payloads once the done record is durable (they are
-        re-derivable from the promoted file; keeping them would double
-        the stored footprint)."""
-        for offset, _, _ in session.parts:
+        """Drop part payloads once the completed session blob is durable
+        (they are re-derivable from the promoted file; keeping them
+        would double the stored footprint)."""
+        for offset, _ in session.parts:
             self.backend.delete(_part_key(session.upload_id, offset))
         session.parts = []
 
@@ -315,138 +327,77 @@ class UploadLedger:
     # -- recovery ----------------------------------------------------------
 
     def recover(self) -> dict:
-        """Rebuild sessions from the journal; returns a summary dict.
+        """Rebuild sessions from the backend's ``upload/`` blobs; returns
+        a summary dict.
 
-        Runs after :meth:`BlockStore.recover` (the done-record redo path
-        relies on promoted files already being indexed).  For each open
-        session only the contiguous acked prefix whose blobs still
-        verify is kept; orphan part blobs — written but never journaled,
-        or past a damaged part — are deleted.  Open sessions re-reserve
-        their declared budget (``force=True``).  Finally the journal is
-        compacted to the live state.
+        Runs after :meth:`BlockStore.recover` (a completed session
+        re-serves a file the store must already index).  Every blob a
+        rebuilt session does not keep is deleted; an open session's are
+        counted in ``dropped_parts``.  Open sessions re-reserve their
+        declared budget (``force=True``).
         """
-        records = self.journal.replay()
+        by_id: Dict[str, List[str]] = {}
+        for key in self.backend.keys("upload/"):
+            by_id.setdefault(key.split("/")[1], []).append(key)
         with self._lock:
             self._sessions.clear()
-            self._replay_records(records)
-            self._verify_parts()
-            self._drop_orphan_blobs()
-            keep = self._live_records()
+            for upload_id in sorted(by_id):
+                self._seq = max(self._seq, int(upload_id.lstrip("u")))
+                session = self._load(upload_id)
+                kept = set()
+                if session is not None:
+                    self._sessions[upload_id] = session
+                    kept = {_session_key(upload_id)} | {
+                        _part_key(upload_id, offset)
+                        for offset, _ in session.parts}
+                for key in by_id[upload_id]:
+                    if key not in kept:
+                        self.backend.delete(key)
+                        if session is not None and session.state == "open":
+                            self.dropped_parts += 1
+            opened = [session for session in self._sessions.values()
+                      if session.state == "open"]
+            self.recovered_sessions = len(opened)
+            summary = {"sessions": len(self._sessions), "open": len(opened),
+                       "dropped_parts": self.dropped_parts}
         # Quota re-reservation outside the ledger lock (the board has its
         # own lock; holding both invites ordering trouble).
-        for session in self._recoverable_sessions():
-            if self.quotas is not None and session.state == "open":
+        if self.quotas is not None:
+            for session in opened:
                 self.quotas.reserve(session.tenant, session.declared,
                                     force=True)
-        self.journal.checkpoint(keep=keep)
-        with self._lock:
-            open_count = sum(1 for s in self._sessions.values()
-                             if s.state == "open")
-            self.recovered_sessions = open_count
-            return {
-                "sessions": len(self._sessions),
-                "open": open_count,
-                "dropped_parts": self.dropped_parts,
-            }
+        return summary
 
-    def _recoverable_sessions(self) -> List[UploadSession]:
-        with self._lock:
-            return [self._sessions[k] for k in sorted(self._sessions)]
+    def _load(self, upload_id: str) -> Optional[UploadSession]:
+        """The session ``upload_id``'s blobs describe, or ``None`` if its
+        session blob is missing or damaged.
 
-    def _replay_records(self, records: List[dict]) -> None:
-        for record in records:
-            kind = record.get("type")
-            if kind == "upload.create":
-                upload_id = record["upload"]
-                session = UploadSession(
-                    upload_id=upload_id,
-                    tenant=record["tenant"],
-                    declared=int(record["bytes"]),
-                )
-                self._sessions[upload_id] = session
-                seq = int(upload_id.lstrip("u"))
-                self._seq = max(self._seq, seq)
-            elif kind == "upload.part":
-                session = self._sessions.get(record["upload"])
-                if session is None or session.state != "open":
-                    continue
-                offset = int(record["offset"])
-                length = int(record["len"])
-                if offset != session.received:
-                    continue  # non-contiguous: debris past a damaged part
-                session.parts.append((offset, length, record["sha"]))
-                session.received += length
-            elif kind == "upload.done":
-                session = self._sessions.get(record["upload"])
-                if session is None:
-                    continue
-                session.state = "completed"
-                session.file_id = record["file"]
-                session.parts = []
-
-    def _verify_parts(self) -> None:
-        """Truncate each open session at the first part whose blob is
-        missing or fails its digest — everything after it is unreachable
-        for a strictly-sequential resume anyway."""
-        for upload_id in sorted(self._sessions):
-            session = self._sessions[upload_id]
-            if session.state != "open":
-                continue
-            good: List[Tuple[int, int, str]] = []
-            received = 0
-            for offset, length, sha in session.parts:
-                try:
-                    blob = self.backend.read(_part_key(upload_id, offset))
-                except KeyError:
-                    break
-                if not blob_ok(blob):
-                    break
-                _, payload = decode_blob(blob)
-                if hashlib.sha256(payload).hexdigest() != sha:
-                    break
-                good.append((offset, length, sha))
-                received += length
-            self.dropped_parts += len(session.parts) - len(good)
-            session.parts = good
-            session.received = received
-
-    def _drop_orphan_blobs(self) -> None:
-        """Delete part blobs no live session acknowledges: the crash fell
-        between the blob write and the journal fsync, so the bytes were
-        never owed to anyone."""
-        acked = {
-            _part_key(upload_id, offset)
-            for upload_id in self._sessions
-            for offset, _, _ in self._sessions[upload_id].parts
-        }
-        for key in self.backend.keys("upload/"):
-            if key not in acked:
-                self.backend.delete(key)
-
-    def _live_records(self) -> List[dict]:
-        """The compacted journal: every record still describing live
-        state, in replay order."""
-        keep: List[dict] = []
-        for upload_id in sorted(self._sessions):
-            session = self._sessions[upload_id]
-            keep.append({
-                "type": "upload.create",
-                "upload": upload_id,
-                "tenant": session.tenant,
-                "bytes": session.declared,
-            })
-            for offset, length, sha in session.parts:
-                keep.append({
-                    "type": "upload.part",
-                    "upload": upload_id,
-                    "offset": offset,
-                    "len": length,
-                    "sha": sha,
-                })
-            if session.state == "completed":
-                keep.append({
-                    "type": "upload.done",
-                    "upload": upload_id,
-                    "file": session.file_id,
-                })
-        return keep
+        A completed session has received everything it declared.  An
+        open one has received its contiguous intact parts from offset 0:
+        the first part that is missing, fails its digest or names
+        another offset or length ends them, since a strictly sequential
+        resume can never reach past it.
+        """
+        found = self._intact(_session_key(upload_id))
+        if found is None:
+            return None
+        state = json.loads(found[1])
+        session = UploadSession(upload_id=upload_id, tenant=state["tenant"],
+                                declared=state["bytes"])
+        if state["file"] is not None:
+            session.state = "completed"
+            session.file_id = state["file"]
+            session.received = session.declared
+            return session
+        while session.received < session.declared:
+            offset = session.received
+            part = self._intact(_part_key(upload_id, offset))
+            if part is None:
+                break
+            meta, payload = part
+            if (not payload or meta.get("offset") != offset
+                    or meta.get("len") != len(payload)):
+                break
+            session.parts.append((offset, len(payload)))
+            session.received += len(payload)
+        return session

@@ -6,7 +6,7 @@ the *deployment* does — ``repro.faults.livechaos`` boots genuine
 mid-upload and mid-stream, restarts over the same data directory, and
 demands every acknowledged byte back.  Marked ``live_chaos`` because it
 forks servers and sleeps through restarts: run with ``-m live_chaos``
-or ``make live-chaos`` (the full 17-point sweep is ``lepton chaos
+or ``make live-chaos`` (the full 15-point sweep is ``lepton chaos
 --live``).
 
 The report tests below are plain unit tests (no subprocesses): the

@@ -108,7 +108,9 @@ def test_a_lone_get_starts_its_second_chunk_before_its_first_is_yielded(
 def test_two_gets_admitted_together_start_both_first_chunks_first(
         monkeypatch):
     """Neither GET is alone, so neither reads ahead before its first chunk
-    is out: both first chunks take the two workers."""
+    is out: both first chunks take the two workers.  Each admitted GET
+    waits until the other is admitted too, so neither can count itself
+    alone however the host schedules the two requests."""
     photos = [PHOTO, corpus_jpeg(seed=6, height=256, width=256)]
 
     async def scenario(server, client):
@@ -129,17 +131,37 @@ def test_two_gets_admitted_together_start_both_first_chunks_first(
             for other in others:  # connected before the GETs are sent
                 assert (await other.request("GET", "/healthz")).status == 200
             await _idle(server)
+            both_admitted = asyncio.Event()
+            admit = server.gate.admit
+
+            async def held(*args, **kwargs):
+                await admit(*args, **kwargs)
+                if server.gate.inflight == len(ids):
+                    both_admitted.set()
+                await both_admitted.wait()
+
+            answers = []
+            alone = server.codec._alone
+
+            def recorded():
+                answers.append(alone())
+                return answers[-1]
+
+            monkeypatch.setattr(server.gate, "admit", held)
+            monkeypatch.setattr(server.codec, "_alone", recorded)
             got = await asyncio.gather(*(other.get_file(file_id)
                                          for other, file_id in zip(others, ids)))
         finally:
             for other in others:
                 await other.close()
-        return got, [chunks[sent] for sent in log.sent], sorted(chunks.values())
+        return (got, [chunks[sent] for sent in log.sent],
+                sorted(chunks.values()), answers)
 
-    got, order, every_chunk = with_server(scenario, ServeConfig(
+    got, order, every_chunk, answers = with_server(scenario, ServeConfig(
         chunk_size=min(map(len, photos)) // 4))
     assert [g.body for g in got] == photos
     assert sorted(order) == every_chunk
+    assert answers == [False, False]
     seconds = [order.index((n, 1)) for n in (0, 1)]
     firsts = [order.index((n, 0)) for n in (0, 1)]
     assert max(firsts) < min(seconds), order

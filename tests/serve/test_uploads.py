@@ -1,12 +1,12 @@
 """Resumable uploads over the wire (docs/serve.md, "Request lifecycle").
 
-POST /uploads opens a journal-backed session, PUT /uploads/{id} appends
-parts at explicit offsets, HEAD reports durable progress, and the final
-part promotes through the ordinary durable put.  The protocol's crash
-half lives in ``tests/storage/test_upload_recovery.py`` and the live
-SIGKILL sweep in ``tests/faults/test_live_chaos.py``; here we pin the
-HTTP semantics: status codes, conflict self-healing, idempotent
-re-finalize, client auto-resume across a server restart.
+POST /uploads opens a session kept as backend blobs, PUT /uploads/{id}
+appends parts at explicit offsets, HEAD reports durable progress, and
+the final part promotes through the ordinary durable put.  The
+protocol's crash half lives in ``tests/storage/test_upload_recovery.py``
+and the live SIGKILL sweep in ``tests/faults/test_live_chaos.py``; here
+we pin the HTTP semantics: status codes, conflict self-healing,
+idempotent re-finalize, client auto-resume across server restarts.
 """
 
 import asyncio
@@ -180,6 +180,32 @@ def test_refinalize_after_lost_ack_is_200(tmp_path):
         assert again.json()["id"] == first.json()["id"]
 
     with_server(scenario, _config(tmp_path))
+
+
+def test_a_completed_upload_keeps_its_offset_across_restarts(tmp_path):
+    """A finished session's progress survives every restart, not only
+    the first: HEAD still reports the whole length, and a client that
+    lost the final ack and resumes gets the stored file back."""
+
+    async def complete(server, client):
+        final = await client.upload_file(DATA, part_size=16_000)
+        assert final.status == 201
+        return final.json()["id"]
+
+    file_id = with_server(complete, _config(tmp_path))
+
+    async def after_restart(server, client):
+        head = await client.request("HEAD", "/uploads/u00000001")
+        assert head.status == 200
+        assert head.headers["x-lepton-upload-offset"] == str(len(DATA))
+        assert head.headers["x-lepton-upload-state"] == "completed"
+        again = await client.upload_file(DATA, part_size=16_000,
+                                         upload_id="u00000001")
+        assert again.status == 200
+        assert again.json()["id"] == file_id
+
+    for _ in range(2):
+        with_server(after_restart, _config(tmp_path))
 
 
 def test_head_answers_while_draining(tmp_path):

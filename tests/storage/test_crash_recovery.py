@@ -20,7 +20,6 @@ from repro.faults.killpoints import (
     KillPoints,
 )
 from repro.storage.blockstore import file_blob_key, open_durable_store
-from repro.storage.journal import Journal
 from repro.storage.quotas import QuotaBoard
 from repro.storage.uploads import UploadLedger
 
@@ -64,17 +63,12 @@ def test_workload_visits_every_kill_point(tmp_path):
     data = _jpeg(21)
     store.put_file("a.jpg", data)
     assert b"".join(store.stream_range("a.jpg", 0, len(data))) == data
-    uploads = UploadLedger(
-        backend=store.backend,
-        journal=Journal(str(tmp_path / "uploads.wal"), kill=kill),
-        kill=kill,
-    )
+    uploads = UploadLedger(backend=store.backend, kill=kill)
     session = uploads.create("t1", len(data))
     uploads.append(session.upload_id, 0, data)
     uploads.finalize(session.upload_id, store)
     assert kill.seen == set(KILL_POINTS)
     assert kill.fired == ()
-    uploads.journal.close()
     store.journal.close()
 
 
