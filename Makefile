@@ -10,11 +10,12 @@ test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
 # The format-freeze gate for hot-loop edits (well under a minute): golden
-# containers, exponent-cap digests, Huffman scan round trips, handover
-# resumes, and the coding stage in a worker's coder against the one in
-# process.  A codec speed change must pass it unedited.
+# containers, exponent-cap digests, Huffman scan round trips, the symbol
+# walk beside the scan encoder, handover resumes, and the coding stage in
+# a worker's coder against the one in process.  A codec speed change must
+# pass it unedited.
 golden:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q tests/core/test_golden_containers.py tests/core/test_exponent_caps.py tests/jpeg/test_scan_roundtrip.py tests/jpeg/test_handover_property.py tests/core/test_two_stage_encode.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q tests/core/test_golden_containers.py tests/core/test_exponent_caps.py tests/jpeg/test_scan_roundtrip.py tests/jpeg/test_scan_symbols.py tests/jpeg/test_handover_property.py tests/core/test_two_stage_encode.py
 
 # The chaos suite: deterministic fault injection, degraded reads, and the
 # zero-wrong-bytes invariant (run with -m chaos; see docs/deployment.md).

@@ -1,73 +1,75 @@
 """JPEGrescan-style recompression: per-file optimal Huffman tables (§2).
 
 jpegtran/JPEGrescan rewrite the entropy scan with Huffman tables optimised
-for *this* file's symbol statistics instead of the Annex-K defaults (plus a
-progressive-order search we do not replicate — see DESIGN.md).  The
-original tools are pixel-exact but not file-preserving; to fit the paper's
-storage setting this implementation additionally keeps the original header
-so decompression restores the exact original bytes, by re-encoding the scan
+for *this* file's symbol statistics instead of the Annex-K defaults, and
+JPEGrescan also tries a progressive scan order.  Both flavours are here:
+``optimize`` rebuilds the tables, ``progressive`` rewrites the scan in
+spectral-selection order with optimal tables, and the default ``best``
+codes both and keeps the smaller (see DESIGN.md).  The original tools are
+pixel-exact but not file-preserving; to fit the paper's storage setting
+this implementation additionally keeps the original header so
+decompression restores the exact original bytes, by re-encoding the scan
 with the *original* tables.
 """
 
 import struct
-import zlib
-from collections import defaultdict
+from collections import Counter, defaultdict
+from dataclasses import replace
 
-import numpy as np
-
+from repro.baselines.container import front_end, pack, restore, unpack
 from repro.core.errors import FormatError
 from repro.jpeg.huffman import build_optimal_table
-from repro.jpeg.parser import parse_jpeg
-from repro.jpeg.scan_decode import decode_scan, mcu_block_layout
-from repro.jpeg.scan_encode import encode_scan
-from repro.jpeg.zigzag import ZIGZAG_TO_RASTER
+from repro.jpeg.parser import _parse_dht
+from repro.jpeg.progressive import encode_progressive, parse_progressive
+from repro.jpeg.scan_decode import decode_scan
+from repro.jpeg.scan_encode import encode_scan, scan_symbols
 
 MAGIC = b"JR"
 
 
 def _gather_symbol_stats(img):
-    """Frequency of every DC/AC Huffman symbol the scan would emit."""
-    frame = img.frame
-    layout = mcu_block_layout(frame)
-    dc_freq = defaultdict(lambda: defaultdict(int))
-    ac_freq = defaultdict(lambda: defaultdict(int))
-    dc_pred = [0] * len(frame.components)
-    interval = img.restart_interval
-    rst_emitted = 0
-    for mcu in range(frame.mcu_count):
-        mcu_y, mcu_x = divmod(mcu, frame.mcus_x)
-        for ci, dy, dx in layout:
-            comp = frame.components[ci]
-            by = mcu_y * (comp.v if frame.interleaved else 1) + dy
-            bx = mcu_x * (comp.h if frame.interleaved else 1) + dx
-            block = img.coefficients[ci][by, bx]
-            dc = int(block[0])
-            diff = dc - dc_pred[ci]
-            dc_pred[ci] = dc
-            dc_freq[comp.dc_table_id][abs(diff).bit_length()] += 1
-            run = 0
-            for k in range(1, 64):
-                value = int(block[ZIGZAG_TO_RASTER[k]])
-                if value == 0:
-                    run += 1
-                    continue
-                while run > 15:
-                    ac_freq[comp.ac_table_id][0xF0] += 1
-                    run -= 16
-                size = abs(value).bit_length()
-                ac_freq[comp.ac_table_id][(run << 4) | size] += 1
-                run = 0
-            if run:
-                ac_freq[comp.ac_table_id][0x00] += 1
-        if interval and (mcu + 1) % interval == 0 and rst_emitted < img.rst_count:
-            rst_emitted += 1
-            dc_pred = [0] * len(frame.components)
-    return dc_freq, ac_freq
+    """Frequency of every DC/AC Huffman symbol the scan would emit, per
+    table id: ``(dc_freq, ac_freq)``."""
+    freq = (defaultdict(Counter), defaultdict(Counter))
+    components = img.frame.components
+    for ci, ac, symbol, _, _ in scan_symbols(img):
+        comp = components[ci]
+        freq[ac][comp.ac_table_id if ac else comp.dc_table_id][symbol] += 1
+    return freq
 
 
 MODE_OPTIMIZE = "optimize"
 MODE_PROGRESSIVE = "progressive"
 MODE_BEST = "best"
+
+
+def _optimize(img) -> bytes:
+    """Flavour ``O``: the scan re-coded with optimal tables, which the
+    meta's tail stores as a count and length-prefixed DHT bodies (the
+    original tables stay in the verbatim header)."""
+    tables = {(tclass, tid): build_optimal_table(freq[tid])
+              for tclass, freq in enumerate(_gather_symbol_stats(img))
+              for tid in sorted(freq)}
+    scan, _ = encode_scan(replace(img, huffman_tables={**img.huffman_tables, **tables}))
+    block = bytearray([len(tables)])
+    for key, table in tables.items():
+        body = table.dht_payload(*key)
+        block += struct.pack("<H", len(body)) + body
+    return pack(MAGIC + b"O", img, scan, tail=bytes(block))
+
+
+def _progressive(img) -> bytes:
+    """Flavour ``P``: the coefficients as a bare progressive JPEG."""
+    coded = encode_progressive(img.frame, img.quant_tables, img.coefficients,
+                               bare=True)
+    return pack(MAGIC + b"P", img, coded)
+
+
+_FLAVOURS = {
+    MODE_OPTIMIZE: (_optimize,),
+    MODE_PROGRESSIVE: (_progressive,),
+    MODE_BEST: (_optimize, _progressive),
+}
 
 
 def compress(data: bytes, mode: str = MODE_BEST) -> bytes:
@@ -81,159 +83,29 @@ def compress(data: bytes, mode: str = MODE_BEST) -> bytes:
     §2); ``mode="best"`` tries both and keeps the smaller, which is exactly
     what the real JPEGrescan script does with its candidate scan scripts.
     """
-    if mode == MODE_BEST:
-        candidates = [_compress_optimize(data), _compress_progressive(data)]
-        return min(candidates, key=len)
-    if mode == MODE_PROGRESSIVE:
-        return _compress_progressive(data)
-    if mode != MODE_OPTIMIZE:
+    if mode not in _FLAVOURS:
         raise ValueError(f"unknown mode {mode!r}")
-    return _compress_optimize(data)
-
-
-def _common_meta(img) -> bytearray:
-    meta = bytearray()
-    meta += struct.pack("<I", len(img.header_bytes))
-    meta += img.header_bytes
-    meta += struct.pack("<BI", img.pad_bit or 0, img.rst_count)
-    meta += struct.pack("<I", len(img.trailer_bytes))
-    meta += img.trailer_bytes
-    return meta
-
-
-def _compress_progressive(data: bytes) -> bytes:
-    from repro.jpeg.progressive import encode_progressive
-
-    img = parse_jpeg(data)
-    decode_scan(img)
-    original_scan, _ = encode_scan(img)
-    if original_scan != img.scan_data:
-        raise FormatError("jpegrescan-like: scan does not round-trip")
-    progressive = encode_progressive(img.frame, img.quant_tables,
-                                     img.coefficients, bare=True)
-    zmeta = zlib.compress(bytes(_common_meta(img)), 9)
-    return (MAGIC + b"P" + struct.pack("<II", len(zmeta), len(progressive))
-            + zmeta + progressive)
-
-
-def _compress_optimize(data: bytes) -> bytes:
-    img = parse_jpeg(data)
-    decode_scan(img)
-    original_scan, _ = encode_scan(img)
-    if original_scan != img.scan_data:
-        raise FormatError("jpegrescan-like: scan does not round-trip")
-    dc_freq, ac_freq = _gather_symbol_stats(img)
-    original_tables = dict(img.huffman_tables)
-    for table_id, freq in dc_freq.items():
-        img.huffman_tables[(0, table_id)] = build_optimal_table(freq)
-    for table_id, freq in ac_freq.items():
-        img.huffman_tables[(1, table_id)] = build_optimal_table(freq)
-    optimised_scan, _ = encode_scan(img)
-    img.huffman_tables = original_tables
-
-    meta = _common_meta(img)
-    # Serialise the optimised tables so decode can read the new scan (the
-    # original tables stay in the verbatim header).
-    entries = [(0, tid) for tid in sorted(dc_freq)] + [(1, tid) for tid in sorted(ac_freq)]
-    new_tables = bytearray(struct.pack("<B", len(entries)))
-    for tclass, table_id in entries:
-        freq = dc_freq[table_id] if tclass == 0 else ac_freq[table_id]
-        payload = build_optimal_table(freq).dht_payload(tclass, table_id)
-        new_tables += struct.pack("<H", len(payload)) + payload
-    meta += new_tables
-    zmeta = zlib.compress(bytes(meta), 9)
-    return (MAGIC + b"O" + struct.pack("<II", len(zmeta), len(optimised_scan))
-            + zmeta + optimised_scan)
+    img = front_end(data, "jpegrescan-like")
+    return min((flavour(img) for flavour in _FLAVOURS[mode]), key=len)
 
 
 def decompress(payload: bytes) -> bytes:
     """Recover the exact original bytes from either payload flavour."""
-    if payload[:2] != MAGIC or len(payload) < 11:
-        raise FormatError("not a jpegrescan-like payload")
     flavour = payload[2:3]
+    if payload[:2] == MAGIC and flavour not in (b"O", b"P"):
+        raise FormatError(f"unknown jpegrescan payload flavour {flavour!r}")
+    img, coded, _, tail = unpack(payload, MAGIC + flavour, "jpegrescan-like")
     if flavour == b"P":
-        return _decompress_progressive(payload)
-    if flavour == b"O":
-        return _decompress_optimize(payload)
-    raise FormatError(f"unknown jpegrescan payload flavour {flavour!r}")
-
-
-def _read_meta(meta: bytes):
-    pos = 0
-    (hlen,) = struct.unpack_from("<I", meta, pos)
-    pos += 4
-    header = meta[pos : pos + hlen]
-    pos += hlen
-    pad_bit, rst_count = struct.unpack_from("<BI", meta, pos)
-    pos += 5
-    (tlen,) = struct.unpack_from("<I", meta, pos)
-    pos += 4
-    trailer = meta[pos : pos + tlen]
-    return header, pad_bit, rst_count, trailer, pos + tlen
-
-
-def _decompress_progressive(payload: bytes) -> bytes:
-    from repro.jpeg.progressive import parse_progressive
-
-    zlen, plen = struct.unpack_from("<II", payload, 3)
-    offset = 11
-    meta = zlib.decompress(payload[offset : offset + zlen])
-    offset += zlen
-    progressive_bytes = payload[offset : offset + plen]
-    header, pad_bit, rst_count, trailer, _ = _read_meta(meta)
-    img = parse_jpeg(header)
-    img.pad_bit = pad_bit
-    img.rst_count = rst_count
-    progressive = parse_progressive(progressive_bytes, frame=img.frame)
-    img.coefficients = progressive.coefficients
-    scan_bytes, _ = encode_scan(img)
-    return header + scan_bytes + trailer
-
-
-def _decompress_optimize(payload: bytes) -> bytes:
-    """Decode the optimised scan, re-encode with the original tables."""
-    from repro.jpeg.huffman import HuffmanTable
-
-    zlen, slen = struct.unpack_from("<II", payload, 3)
-    offset = 11
-    meta = zlib.decompress(payload[offset : offset + zlen])
-    offset += zlen
-    new_scan = payload[offset : offset + slen]
-    pos = 0
-    (hlen,) = struct.unpack_from("<I", meta, pos)
-    pos += 4
-    header = meta[pos : pos + hlen]
-    pos += hlen
-    pad_bit, rst_count = struct.unpack_from("<BI", meta, pos)
-    pos += 5
-    (tlen,) = struct.unpack_from("<I", meta, pos)
-    pos += 4
-    trailer = meta[pos : pos + tlen]
-    pos += tlen
-    (n_tables,) = struct.unpack_from("<B", meta, pos)
-    pos += 1
-    new_tables = {}
-    for _ in range(n_tables):
-        (plen,) = struct.unpack_from("<H", meta, pos)
-        pos += 2
-        body = meta[pos : pos + plen]
-        pos += plen
-        tclass, tid = body[0] >> 4, body[0] & 0x0F
-        bits = list(body[1:17])
-        values = list(body[17 : 17 + sum(bits)])
-        new_tables[(tclass, tid)] = HuffmanTable(bits, values)
-
-    img = parse_jpeg(header)
-    img.pad_bit = pad_bit
-    img.rst_count = rst_count
-    original_tables = dict(img.huffman_tables)
-    # Decode the optimised scan with the new tables...
-    img.huffman_tables = {**original_tables, **new_tables}
-    img.scan_data = new_scan
-    decode_scan(img)
-    img.pad_bit = pad_bit  # decode_scan re-infers; restore the stored value
-    img.rst_count = rst_count
-    # ...then re-encode with the original tables for byte-exact recovery.
-    img.huffman_tables = original_tables
-    scan_bytes, _ = encode_scan(img)
-    return header + scan_bytes + trailer
+        img.coefficients = parse_progressive(coded, frame=img.frame).coefficients
+        return restore(img)
+    # Decode the optimised scan with the stored tables, then re-encode it
+    # with the original ones for byte-exact recovery.
+    tables = dict(img.huffman_tables)
+    pos = 1
+    for _ in range(tail[0]):
+        (size,) = struct.unpack_from("<H", tail, pos)
+        _parse_dht(tail[pos + 2:pos + 2 + size], tables)
+        pos += 2 + size
+    img.coefficients = decode_scan(replace(img, huffman_tables=tables,
+                                           scan_data=coded))
+    return restore(img)

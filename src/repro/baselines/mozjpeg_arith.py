@@ -9,18 +9,14 @@ bin counts cost roughly 10 percentage points of savings versus Lepton's
 721k-bin model, while remaining pixel- and file-preserving here.
 """
 
-import struct
-import zlib
 from typing import List
 
 import numpy as np
 
+from repro.baselines.container import front_end, pack, restore, unpack
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
-from repro.core.errors import FormatError
 from repro.core.model import Model
-from repro.jpeg.parser import parse_jpeg
-from repro.jpeg.scan_decode import decode_scan, mcu_block_layout
-from repro.jpeg.scan_encode import encode_scan
+from repro.jpeg.scan_decode import mcu_block_layout
 from repro.jpeg.zigzag import ZIGZAG_TO_RASTER
 
 MAGIC = b"MA"
@@ -92,50 +88,14 @@ def _code_image(coder, bins, frame, coefficients: List[np.ndarray]) -> None:
 
 def compress(data: bytes) -> bytes:
     """Compress a baseline JPEG with the small-bin arithmetic model."""
-    img = parse_jpeg(data)
-    decode_scan(img)
-    scan_bytes, _ = encode_scan(img)
-    if scan_bytes != img.scan_data:
-        raise FormatError("mozjpeg-arith: scan does not round-trip")
+    img = front_end(data, "mozjpeg-arith")
     encoder = BoolEncoder()
     _code_image(encoder, Model().bins, img.frame, img.coefficients)
-    coded = encoder.finish()
-    meta = bytearray()
-    meta += struct.pack("<I", len(img.header_bytes))
-    meta += img.header_bytes
-    meta += struct.pack("<BI", img.pad_bit or 0, img.rst_count)
-    meta += struct.pack("<I", len(img.trailer_bytes))
-    meta += img.trailer_bytes
-    zmeta = zlib.compress(bytes(meta), 9)
-    return MAGIC + struct.pack("<II", len(zmeta), len(coded)) + zmeta + coded
+    return pack(MAGIC, img, encoder.finish())
 
 
 def decompress(payload: bytes) -> bytes:
     """Recover the exact original bytes."""
-    if payload[:2] != MAGIC:
-        raise FormatError("not a mozjpeg-arith payload")
-    zlen, clen = struct.unpack_from("<II", payload, 2)
-    offset = 10
-    meta = zlib.decompress(payload[offset : offset + zlen])
-    offset += zlen
-    coded = payload[offset : offset + clen]
-    pos = 0
-    (hlen,) = struct.unpack_from("<I", meta, pos)
-    pos += 4
-    header = meta[pos : pos + hlen]
-    pos += hlen
-    pad_bit, rst_count = struct.unpack_from("<BI", meta, pos)
-    pos += 5
-    (tlen,) = struct.unpack_from("<I", meta, pos)
-    pos += 4
-    trailer = meta[pos : pos + tlen]
-    img = parse_jpeg(header)
-    img.pad_bit = pad_bit
-    img.rst_count = rst_count
-    img.coefficients = [
-        np.zeros((c.blocks_h, c.blocks_w, 64), dtype=np.int32)
-        for c in img.frame.components
-    ]
+    img, coded, _, _ = unpack(payload, MAGIC, "mozjpeg-arith")
     _code_image(BoolDecoder(coded), Model().bins, img.frame, img.coefficients)
-    scan_bytes, _ = encode_scan(img)
-    return header + scan_bytes + trailer
+    return restore(img)

@@ -13,19 +13,15 @@ operation.  Encoding and decoding are single-threaded, nothing can stream
 coefficient set lives in memory — which is why Dropbox could not use it.
 """
 
-import struct
-import zlib
 from typing import List
 
 import numpy as np
 
+from repro.baselines.container import front_end, pack, restore, unpack
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
 from repro.core.coefcoder import SegmentCodec
 from repro.core.errors import FormatError
 from repro.core.model import Model, ModelConfig, pred_bucket
-from repro.jpeg.parser import parse_jpeg
-from repro.jpeg.scan_decode import decode_scan
-from repro.jpeg.scan_encode import encode_scan
 from repro.jpeg.zigzag import ZIGZAG_TO_RASTER
 
 MAGIC = b"PJ"
@@ -93,78 +89,37 @@ def _code_bands(coder, bins, coefficients: List[np.ndarray]) -> None:
                     prev = value
 
 
+def _code(coder, img, mode: str) -> None:
+    """Code ``img``'s coefficients in ``mode``, in either direction: like
+    ``_code_bands`` and ``SegmentCodec``, one dispatch serves both."""
+    if mode == "planar":
+        _code_bands(coder, Model().bins, img.coefficients)
+        return
+    codec = SegmentCodec(img.frame, img.quant_tables, img.coefficients,
+                         _MODE_MODEL[mode])
+    run = codec.encode if isinstance(coder, BoolEncoder) else codec.decode
+    run(coder, 0, img.frame.mcu_count)
+
+
 def compress(data: bytes, mode: str = "latest") -> bytes:
     """Compress a baseline JPEG; raises the repro.jpeg errors on rejects.
 
     Whatever the mode, the result is a *global* format: one model over the
     whole file, one thread, nothing decodable until everything is decoded.
+    The mode's index leads the stored meta.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    img = parse_jpeg(data)
-    decode_scan(img)
-    scan_bytes, _ = encode_scan(img)
-    if scan_bytes != img.scan_data:
-        raise FormatError("packjpg-like: scan does not round-trip")
+    img = front_end(data, "packjpg-like")
     encoder = BoolEncoder()
-    if mode == "planar":
-        _code_bands(encoder, Model().bins, img.coefficients)
-    else:
-        codec = SegmentCodec(
-            img.frame, img.quant_tables, img.coefficients, _MODE_MODEL[mode]
-        )
-        codec.encode(encoder, 0, img.frame.mcu_count)
-    coded = encoder.finish()
-    meta = bytearray()
-    meta += struct.pack("<B", MODES.index(mode))
-    meta += struct.pack("<I", len(img.header_bytes))
-    meta += img.header_bytes
-    meta += struct.pack("<BI", img.pad_bit or 0, img.rst_count)
-    meta += struct.pack("<I", len(img.trailer_bytes))
-    meta += img.trailer_bytes
-    zmeta = zlib.compress(bytes(meta), 9)
-    return MAGIC + struct.pack("<II", len(zmeta), len(coded)) + zmeta + coded
+    _code(encoder, img, mode)
+    return pack(MAGIC, img, encoder.finish(), head=bytes([MODES.index(mode)]))
 
 
 def decompress(payload: bytes) -> bytes:
     """Recover the exact original JPEG bytes (single-threaded, whole file)."""
-    if payload[:2] != MAGIC:
-        raise FormatError("not a packjpg-like payload")
-    zlen, clen = struct.unpack_from("<II", payload, 2)
-    offset = 10
-    meta = zlib.decompress(payload[offset : offset + zlen])
-    offset += zlen
-    coded = payload[offset : offset + clen]
-
-    pos = 0
-    (mode_idx,) = struct.unpack_from("<B", meta, pos)
-    pos += 1
+    img, coded, (mode_idx,), _ = unpack(payload, MAGIC, "packjpg-like", head=1)
     if mode_idx >= len(MODES):
         raise FormatError(f"unknown packjpg-like mode {mode_idx}")
-    mode = MODES[mode_idx]
-    (hlen,) = struct.unpack_from("<I", meta, pos)
-    pos += 4
-    header = meta[pos : pos + hlen]
-    pos += hlen
-    pad_bit, rst_count = struct.unpack_from("<BI", meta, pos)
-    pos += 5
-    (tlen,) = struct.unpack_from("<I", meta, pos)
-    pos += 4
-    trailer = meta[pos : pos + tlen]
-
-    img = parse_jpeg(header)
-    img.pad_bit = pad_bit
-    img.rst_count = rst_count
-    img.coefficients = [
-        np.zeros((c.blocks_h, c.blocks_w, 64), dtype=np.int32)
-        for c in img.frame.components
-    ]
-    if mode == "planar":
-        _code_bands(BoolDecoder(coded), Model().bins, img.coefficients)
-    else:
-        codec = SegmentCodec(
-            img.frame, img.quant_tables, img.coefficients, _MODE_MODEL[mode]
-        )
-        codec.decode(BoolDecoder(coded), 0, img.frame.mcu_count)
-    scan_bytes, _ = encode_scan(img)
-    return header + scan_bytes + trailer
+    _code(BoolDecoder(coded), img, MODES[mode_idx])
+    return restore(img)

@@ -23,17 +23,12 @@ needs here.
 
 import math
 import struct
-import zlib
 from typing import List
 
-import numpy as np
-
+from repro.baselines.container import front_end, pack, restore, unpack
 from repro.core.bool_coder import BoolDecoder, BoolEncoder
 from repro.core.errors import FormatError
 from repro.jpeg.errors import JpegError
-from repro.jpeg.parser import parse_jpeg
-from repro.jpeg.scan_decode import decode_scan
-from repro.jpeg.scan_encode import encode_scan
 from repro.jpeg.zigzag import ZIGZAG_TO_RASTER
 
 MAGIC_JPEG = b"PQ"
@@ -196,30 +191,14 @@ def _code_signed(cm, coder, ci, k, prev, above, value):
 
 def compress(data: bytes) -> bytes:
     """Compress anything: JPEG model when possible, generic CM otherwise."""
-    try:
-        img = parse_jpeg(data)
-        decode_scan(img)
-        scan_bytes, _ = encode_scan(img)
-        if scan_bytes != img.scan_data:
-            raise FormatError("scan does not round-trip")
-    except (JpegError, FormatError):
-        cm = _BitCM(3)
-        encoder = BoolEncoder()
-        _code_generic(cm, encoder, data=data)
-        coded = encoder.finish()
-        return MAGIC_GENERIC + struct.pack("<I", len(data)) + coded
-    cm = _BitCM(3)
     encoder = BoolEncoder()
-    _code_coefficients(cm, encoder, img.coefficients, encoding=True)
-    coded = encoder.finish()
-    meta = bytearray()
-    meta += struct.pack("<I", len(img.header_bytes))
-    meta += img.header_bytes
-    meta += struct.pack("<BI", img.pad_bit or 0, img.rst_count)
-    meta += struct.pack("<I", len(img.trailer_bytes))
-    meta += img.trailer_bytes
-    zmeta = zlib.compress(bytes(meta), 9)
-    return MAGIC_JPEG + struct.pack("<II", len(zmeta), len(coded)) + zmeta + coded
+    try:
+        img = front_end(data, "paq-like")
+    except (JpegError, FormatError):
+        _code_generic(_BitCM(3), encoder, data=data)
+        return MAGIC_GENERIC + struct.pack("<I", len(data)) + encoder.finish()
+    _code_coefficients(_BitCM(3), encoder, img.coefficients, encoding=True)
+    return pack(MAGIC_JPEG, img, encoder.finish())
 
 
 def decompress(payload: bytes) -> bytes:
@@ -228,31 +207,7 @@ def decompress(payload: bytes) -> bytes:
         (length,) = struct.unpack_from("<I", payload, 2)
         cm = _BitCM(3)
         return _code_generic(cm, BoolDecoder(payload, start=6), length=length)
-    if payload[:2] != MAGIC_JPEG:
-        raise FormatError("not a paq-like payload")
-    zlen, clen = struct.unpack_from("<II", payload, 2)
-    offset = 10
-    meta = zlib.decompress(payload[offset : offset + zlen])
-    offset += zlen
-    coded = payload[offset : offset + clen]
-    pos = 0
-    (hlen,) = struct.unpack_from("<I", meta, pos)
-    pos += 4
-    header = meta[pos : pos + hlen]
-    pos += hlen
-    pad_bit, rst_count = struct.unpack_from("<BI", meta, pos)
-    pos += 5
-    (tlen,) = struct.unpack_from("<I", meta, pos)
-    pos += 4
-    trailer = meta[pos : pos + tlen]
-    img = parse_jpeg(header)
-    img.pad_bit = pad_bit
-    img.rst_count = rst_count
-    img.coefficients = [
-        np.zeros((c.blocks_h, c.blocks_w, 64), dtype=np.int32)
-        for c in img.frame.components
-    ]
-    cm = _BitCM(3)
-    _code_coefficients(cm, BoolDecoder(coded), img.coefficients, encoding=False)
-    scan_bytes, _ = encode_scan(img)
-    return header + scan_bytes + trailer
+    img, coded, _, _ = unpack(payload, MAGIC_JPEG, "paq-like")
+    _code_coefficients(_BitCM(3), BoolDecoder(coded), img.coefficients,
+                       encoding=False)
+    return restore(img)

@@ -24,9 +24,6 @@ class Codec:
     streaming: bool = False
     substitution_note: str = ""
 
-    def roundtrip(self, data: bytes) -> bool:
-        return self.decompress(self.compress(data)) == data
-
 
 def _lepton_compress_fn(threads: Optional[int]):
     def run(data: bytes) -> bytes:
@@ -53,7 +50,8 @@ def all_codecs() -> List[Codec]:
         Codec("paq8px", paq_like.compress, paq_like.decompress, True,
               substitution_note="bitwise logistic context mixing stand-in"),
         Codec("jpegrescan", jpegrescan_like.compress, jpegrescan_like.decompress,
-              True, substitution_note="optimal-Huffman rebuild, no progressive search"),
+              True, substitution_note="optimal-Huffman rebuild or progressive "
+                                      "rewrite, smaller kept"),
         Codec("mozjpeg", mozjpeg_arith.compress, mozjpeg_arith.decompress, True,
               substitution_note="~300-bin spec-style arithmetic coding"),
         Codec("brotli", generic.brotli_sub_compress, generic.lzma_decompress,

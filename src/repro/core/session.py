@@ -52,8 +52,7 @@ from repro.core.model import Model, ModelConfig
 from repro.core.rowbuffer import RowWindow
 from repro.jpeg.errors import JpegError
 from repro.jpeg.parser import JpegImage, parse_jpeg
-from repro.jpeg.scan_decode import mcu_block_layout
-from repro.jpeg.scan_encode import ScanEncoder, encode_scan
+from repro.jpeg.scan_encode import ScanEncoder, encode_scan, scan_symbols
 from repro.jpeg.zigzag import ZIGZAG_TO_RASTER
 from repro.obs import get_registry, trace_span
 
@@ -95,67 +94,29 @@ class EncodeStats:
         return 1.0 - self.output_size / self.input_size
 
 
+#: Figure 4's category of each zigzag index: DC, the first row and column
+#: of the block (edge) or the 7x7 interior.
+_CATEGORY = ["dc"] + ["edge" if 0 in divmod(int(r), 8) else "7x7"
+                      for r in ZIGZAG_TO_RASTER[1:]]
+
+
 def huffman_bit_breakdown(img: JpegImage) -> Dict[str, float]:
     """Original Huffman bits per component category (Figure 4, column 1).
 
-    Re-walks the coefficients and tallies the exact Huffman bits each
-    symbol would use, attributing (run, size) symbols to the zigzag
-    category where the run starts; header and trailer bytes are charged to
-    'header'.
+    Tallies the code and magnitude bits of every symbol the scan holds: a
+    value symbol goes to its value's category, a ZRL or EOB to the
+    category where its zero run starts.  Header, trailer and restart
+    marker bytes are charged to 'header'.
     """
-    def category_of(zigzag_index: int) -> str:
-        raster = int(ZIGZAG_TO_RASTER[zigzag_index])
-        u, v = divmod(raster, 8)
-        if raster == 0:
-            return "dc"
-        if u == 0 or v == 0:
-            return "edge"
-        return "7x7"
-
-    bits = {"header": 8.0 * (len(img.header_bytes) + len(img.trailer_bytes)),
+    bits = {"header": 8.0 * (len(img.header_bytes) + len(img.trailer_bytes))
+            + 16.0 * img.rst_count,
             "dc": 0.0, "edge": 0.0, "7x7": 0.0, "nnz": 0.0}
-    frame = img.frame
-    layout = mcu_block_layout(frame)
-    dc_tables = [img.dc_huffman(c) for c in frame.components]
-    ac_tables = [img.ac_huffman(c) for c in frame.components]
-    dc_pred = [0] * len(frame.components)
-    interval = img.restart_interval
-    rst_emitted = 0
-    for mcu in range(frame.mcu_count):
-        if interval and mcu > 0 and mcu % interval == 0 and rst_emitted < img.rst_count:
-            bits["header"] += 16.0  # the RST marker itself
-            rst_emitted += 1
-            dc_pred = [0] * len(frame.components)
-        mcu_y, mcu_x = divmod(mcu, frame.mcus_x)
-        for ci, dy, dx in layout:
-            comp = frame.components[ci]
-            by = mcu_y * (comp.v if frame.interleaved else 1) + dy
-            bx = mcu_x * (comp.h if frame.interleaved else 1) + dx
-            block = img.coefficients[ci][by, bx]
-            dc = int(block[0])
-            diff = dc - dc_pred[ci]
-            dc_pred[ci] = dc
-            size = abs(diff).bit_length()
-            bits["dc"] += dc_tables[ci].encode_symbol(size)[1] + size
-            run = 0
-            run_start = 1
-            for k in range(1, 64):
-                value = int(block[ZIGZAG_TO_RASTER[k]])
-                if value == 0:
-                    if run == 0:
-                        run_start = k
-                    run += 1
-                    continue
-                cat = category_of(run_start if run else k)
-                while run > 15:
-                    bits[cat] += ac_tables[ci].encode_symbol(0xF0)[1]
-                    run -= 16
-                size = abs(value).bit_length()
-                sym_bits = ac_tables[ci].encode_symbol((run << 4) | size)[1]
-                bits[category_of(k)] += sym_bits + size
-                run = 0
-            if run:
-                bits[category_of(run_start)] += ac_tables[ci].encode_symbol(0x00)[1]
+    components = img.frame.components
+    tables = ([img.dc_huffman(c) for c in components],
+              [img.ac_huffman(c) for c in components])
+    for ci, ac, symbol, extra_bits, k in scan_symbols(img):
+        at = k + (symbol >> 4) if symbol & 15 else k  # a value sits at k + run
+        bits[_CATEGORY[at]] += tables[ac][ci].encode_symbol(symbol)[1] + extra_bits
     return bits
 
 

@@ -94,10 +94,11 @@ class KillPointError(RuntimeError):
 class KillPoints:
     """Arms kill points and records which ones a workload visited.
 
-    A disarmed instance is a pure tracer: ``reach`` records the visit and
-    returns.  ``arm(name, hits=k)`` makes the *k*-th visit to ``name``
-    raise — ``hits`` lets a sweep kill the second put of a workload after
-    the first survived, proving recovery under pre-existing state.
+    An instance with nothing armed is a pure tracer: ``reach`` records the
+    visit and returns.  ``arm(name, hits=k)`` makes the *k*-th visit to
+    ``name`` raise — ``hits`` lets a sweep kill the second put of a
+    workload after the first survived, proving recovery under pre-existing
+    state.
     """
 
     def __init__(self) -> None:
@@ -111,10 +112,6 @@ class KillPoints:
         if hits < 1:
             raise ValueError(f"hits must be >= 1, got {hits}")
         self._armed[name] = hits
-
-    def disarm(self) -> None:
-        """Clear all armed points (visit tracking is kept)."""
-        self._armed.clear()
 
     def will_fire(self, name: str) -> bool:
         """Would the *next* visit to ``name`` crash?  (Used by the journal

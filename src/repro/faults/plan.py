@@ -12,7 +12,7 @@ Plans serialise to JSON (``lepton chaos --plan faults.json``) and back.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional
 
 import numpy as np
@@ -124,27 +124,18 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, raw: dict) -> "FaultPlan":
         storage = raw.get("storage")
+        if storage is not None:
+            # Missing fields take the dataclass defaults; unknown keys are
+            # ignored.
+            names = {f.name for f in fields(StorageFaultConfig)}
+            storage = StorageFaultConfig(
+                **{k: v for k, v in storage.items() if k in names})
+            storage = replace(storage, kinds=tuple(storage.kinds))
         return cls(
             crashes=[CrashFault(**c) for c in raw.get("crashes", [])],
             slowdowns=[SlowFault(**s) for s in raw.get("slowdowns", [])],
             network=[NetworkFault(**n) for n in raw.get("network", [])],
-            storage=(
-                StorageFaultConfig(
-                    read_corrupt_probability=storage.get(
-                        "read_corrupt_probability", 0.3
-                    ),
-                    at_rest_corruptions=storage.get("at_rest_corruptions", 2),
-                    kinds=tuple(storage.get("kinds", ("bitflip", "truncate",
-                                                      "torn"))),
-                    write_torn_probability=storage.get(
-                        "write_torn_probability", 0.0
-                    ),
-                    unavailable_probability=storage.get(
-                        "unavailable_probability", 0.0
-                    ),
-                )
-                if storage is not None else None
-            ),
+            storage=storage,
         )
 
     @classmethod

@@ -9,7 +9,7 @@ segment output and independent 4-MiB chunk decoding possible.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -202,3 +202,50 @@ def encode_scan(
     encoder.encode_to(img.frame.mcu_count)
     data = encoder.finish()
     return data, encoder.positions
+
+
+def scan_symbols(img: JpegImage) -> Iterator[Tuple[int, bool, int, int, int]]:
+    """The Huffman symbols of ``img``'s scan, in the order it codes them.
+
+    Yields ``(component, ac, symbol, extra_bits, k)`` per symbol: the
+    component index, whether the AC table codes it, the symbol (a DC
+    category, or an AC ``(run << 4) | size``, ZRL ``0xF0`` or EOB
+    ``0x00``), the count of magnitude bits after its code word, and the
+    zigzag index its zero run starts at: 0 for DC, the run's first zero
+    for a ZRL or an EOB, and for a value symbol the first of the ``run``
+    zeros its symbol counts, so that its value sits at ``k + run``.  The
+    DC predictors reset after each restart marker, as in
+    :class:`ScanEncoder`, whose hot path writes the same symbols inline.
+    """
+    frame = img.frame
+    layout = mcu_block_layout(frame)
+    dc_pred = [0] * len(frame.components)
+    interval = img.restart_interval
+    rst_emitted = 0
+    for mcu in range(frame.mcu_count):
+        mcu_y, mcu_x = divmod(mcu, frame.mcus_x)
+        for ci, dy, dx in layout:
+            comp = frame.components[ci]
+            v, h = (comp.v, comp.h) if frame.interleaved else (1, 1)
+            coefs = img.coefficients[ci][mcu_y * v + dy, mcu_x * h + dx].tolist()
+            diff = coefs[0] - dc_pred[ci]
+            dc_pred[ci] = coefs[0]
+            size = abs(diff).bit_length()
+            yield ci, False, size, size, 0
+            start = 1  # the first zigzag index of the current zero run
+            for k, r in enumerate(_AC_ORDER, 1):
+                value = coefs[r]
+                if not value:
+                    continue
+                run = k - start
+                while run > 15:
+                    yield ci, True, 0xF0, 0, start
+                    run -= 16
+                size = abs(value).bit_length()
+                yield ci, True, (run << 4) | size, size, k - run
+                start = k + 1
+            if start < 64:
+                yield ci, True, 0x00, 0, start
+        if interval and (mcu + 1) % interval == 0 and rst_emitted < img.rst_count:
+            rst_emitted += 1
+            dc_pred = [0] * len(dc_pred)

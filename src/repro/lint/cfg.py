@@ -110,9 +110,6 @@ class CFG:
     entry: int
     exit: int
 
-    def successors(self, index: int) -> List[int]:
-        return self.nodes[index].succs
-
     def reachable(self) -> Set[int]:
         seen = {self.entry}
         stack = [self.entry]

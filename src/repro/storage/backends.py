@@ -234,8 +234,13 @@ class FilesystemBackend(StorageBackend):
             pass
 
     def keys(self, prefix: str = "") -> List[str]:
+        # Only the directory named by the prefix's segments before its last
+        # "/" can hold a match: "upload/" walks root/upload, "chunk/ab"
+        # root/chunk, "" the root.  A missing directory walks nothing.
+        folder = prefix[:prefix.rfind("/") + 1]
+        top = self._path(folder[:-1]) if folder else self.root
         found = []
-        for dirpath, _dirnames, filenames in os.walk(self.root):
+        for dirpath, _dirnames, filenames in os.walk(top):
             rel = os.path.relpath(dirpath, self.root)
             base = "" if rel == "." else rel.replace(os.sep, "/") + "/"
             for filename in filenames:

@@ -742,8 +742,10 @@ def open_durable_store(
     :class:`~repro.storage.backends.ReplicatedBackend` when ``replicas``
     > 1, with blob self-validation driving read-repair) plus
     ``root/journal.wal``.  ``backends`` overrides the replica set — the
-    chaos harness passes :class:`~repro.storage.backends.FaultyBackend`
-    wrappers here, and ``codec`` is the store's codec runner
+    chaos harness passes one
+    :class:`~repro.storage.backends.ReplicatedBackend` of
+    :class:`~repro.storage.backends.MemoryBackend` replicas here, and
+    ``codec`` is the store's codec runner
     (:class:`InProcessCodec` by default).  Startup recovery runs before
     the store is returned, so an acknowledged put from the previous life
     is readable and a partial one is gone.

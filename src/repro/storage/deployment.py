@@ -14,8 +14,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.errors import VersionError
-
 
 @dataclass(frozen=True)
 class Build:
@@ -34,15 +32,6 @@ class Build:
         simulation.
         """
         return payload_version <= self.format_version
-
-    def decode_or_raise(self, payload_version: int) -> None:
-        if not self.can_decode(payload_version):
-            raise VersionError(
-                f"build {self.build_hash} (format {self.format_version}) "
-                f"cannot decode payload format {payload_version}",
-                found=payload_version,
-                supported=self.format_version,
-            )
 
 
 @dataclass

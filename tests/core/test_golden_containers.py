@@ -138,6 +138,19 @@ STATS_CASES = {
 }
 
 
+#: Figure 4's first column: the original Huffman bits per category of the
+#: STATS_CASES inputs and the restart-interval one (whose RST markers count
+#: as header), so that the scan walk behind the breakdown cannot move it.
+ORIGINAL_BITS = {
+    "color_420": {"header": 5000.0, "dc": 1638.0, "edge": 6421.0,
+                  "7x7": 3818.0, "nnz": 0.0},
+    "threads4": {"header": 5000.0, "dc": 1154.0, "edge": 3646.0,
+                 "7x7": 3082.0, "nnz": 0.0},
+    "restart": {"header": 5096.0, "dc": 566.0, "edge": 1718.0,
+                "7x7": 886.0, "nnz": 0.0},
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -193,6 +206,12 @@ def test_decode_of_golden_bytes_reproduces_input(case):
 def test_model_bins_and_bit_costs_are_pinned(case):
     want = _load_manifest()["stats"][case]
     assert _stats(STATS_CASES[case], INPUTS[case]()) == want
+
+
+@pytest.mark.parametrize("case", sorted(ORIGINAL_BITS))
+def test_original_bits_are_pinned(case):
+    config = LeptonConfig(collect_breakdown=True)
+    assert compress(INPUTS[case](), config).stats.original_bits == ORIGINAL_BITS[case]
 
 
 def test_one_chunk_container_is_the_whole_file_container():

@@ -59,6 +59,23 @@ class TestSerialisation:
         plan = FaultPlan(storage=StorageFaultConfig(kinds=("bitflip",)))
         assert FaultPlan.from_json(plan.to_json()).storage.kinds == ("bitflip",)
 
+    def test_empty_storage_takes_the_dataclass_defaults(self):
+        assert (FaultPlan.from_dict({"storage": {}}).storage
+                == StorageFaultConfig())
+
+    def test_non_default_storage_survives(self):
+        storage = StorageFaultConfig(
+            read_corrupt_probability=0.5, at_rest_corruptions=7,
+            kinds=("torn", "bitflip"), write_torn_probability=0.25,
+            unavailable_probability=0.125)
+        again = FaultPlan.from_dict(FaultPlan(storage=storage).to_dict())
+        assert again.storage == storage  # kinds back as a tuple, not a list
+
+    def test_unknown_storage_key_is_ignored(self):
+        plan = FaultPlan.from_dict(
+            {"storage": {"at_rest_corruptions": 5, "cosmic_rays": 9}})
+        assert plan.storage == StorageFaultConfig(at_rest_corruptions=5)
+
 
 class TestWindows:
     def test_network_fault_at(self):

@@ -117,6 +117,52 @@ def test_filesystem_leaves_no_tmp_files_and_hides_them(tmp_path):
     assert leftovers == ["bb.tmp"]  # only the simulated one, none of ours
 
 
+def _listing_tree(root) -> FilesystemBackend:
+    fs = FilesystemBackend(str(root))
+    for key in ("chunk/ab12", "chunk/ab34", "chunk/cd56", "file/f1",
+                "upload/u1/session", "upload/u1/part-0", "upload/u2/session"):
+        fs.write(key, b"x")
+    (root / "chunk" / "ab78.tmp").write_bytes(b"partial")
+    return fs
+
+
+def _walk_and_filter(root: str, prefix: str):
+    """The listing as a walk of the whole tree filtered by prefix."""
+    found = []
+    for dirpath, _, filenames in os.walk(root):
+        rel = os.path.relpath(dirpath, root)
+        base = "" if rel == "." else rel.replace(os.sep, "/") + "/"
+        found += [base + f for f in filenames
+                  if not f.endswith(".tmp") and (base + f).startswith(prefix)]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("prefix", ["", "chunk/", "chunk/ab", "upload/u1/", "nope/"])
+def test_filesystem_keys_match_a_whole_tree_walk(tmp_path, prefix):
+    fs = _listing_tree(tmp_path / "blobs")
+    assert fs.keys(prefix) == _walk_and_filter(fs.root, prefix)
+
+
+def test_filesystem_keys_walk_only_the_prefix_directory(tmp_path, monkeypatch):
+    fs = _listing_tree(tmp_path / "blobs")
+    entered = []
+    walk = os.walk
+
+    def spy(top, *args, **kwargs):
+        for entry in walk(top, *args, **kwargs):
+            entered.append(os.path.relpath(entry[0], fs.root))
+            yield entry
+
+    monkeypatch.setattr(os, "walk", spy)
+    assert fs.keys("upload/") == ["upload/u1/part-0", "upload/u1/session",
+                                  "upload/u2/session"]
+    assert sorted(entered) == ["upload", os.path.join("upload", "u1"),
+                               os.path.join("upload", "u2")]
+    for prefix in ("../", "chunk//", "a b/"):
+        with pytest.raises(BackendError):
+            fs.keys(prefix)
+
+
 # -- the fault wrapper -----------------------------------------------------
 
 
