@@ -2,31 +2,33 @@
 
 "Before enabling Lepton, the team did a mock disaster recovery training
 (DRT) session where a file in a test account was intentionally corrupted
-and recovered from the safety net."  This example runs the whole drill:
-upload with the safety net double-write, corrupt the stored payload,
-watch the integrity check catch it, recover from the net, and page the
-on-call through the alert pipeline.
+and recovered from the safety net."  Here the safety net is the store's
+kept originals: every put also writes a Deflate copy of each chunk's
+original bytes, and a read whose Lepton payload fails its digest gates
+serves that copy instead.  This example runs the whole drill: upload,
+corrupt the stored payload, read the file back from its kept original,
+page the on-call through the alert pipeline, and re-admit the file.
 
 Run:  python examples/disaster_recovery.py
 """
 
 from repro.core.lepton import LeptonConfig
 from repro.corpus.builder import corpus_jpeg
-from repro.storage.blockstore import BlockStore, IntegrityError
-from repro.storage.safety import AlertPipeline, SafetyNet
+from repro.storage.blockstore import BlockStore
+from repro.storage.safety import AlertPipeline
 
 
 def main() -> None:
-    store = BlockStore(chunk_size=1 << 20, config=LeptonConfig(threads=2))
-    net = SafetyNet()
+    store = BlockStore(chunk_size=1 << 20, config=LeptonConfig(threads=2),
+                       keep_originals=True)
     pipeline = AlertPipeline()
+    name = "test-account/drt.jpg"
 
-    # 1. A test-account upload, double-written to the safety net (§5.7).
+    # 1. A test-account upload; the store keeps its original (§5.7).
     original = corpus_jpeg(seed=404, height=128, width=128, quality=88)
-    record = store.put_file("test-account/drt.jpg", original)
-    net.put("test-account/drt.jpg", original)
+    record = store.put_file(name, original)
     print(f"uploaded {len(original)} bytes as {len(record.chunk_keys)} chunk(s), "
-          "safety-net copy written")
+          "original kept")
 
     # 2. Intentional corruption of the stored Lepton payload, at rest:
     #    flip a byte mid-payload (the payload is the tail of its blob).
@@ -37,25 +39,23 @@ def main() -> None:
     store.backend.write(blob_key, bytes(damaged))
     print("stored payload intentionally corrupted")
 
-    # 3. A download trips the integrity check — loudly, not silently.
-    try:
-        store.get_chunk(key)
-        raise AssertionError("corruption must not decode cleanly")
-    except IntegrityError as exc:
-        print(f"integrity check fired: {exc}")
-        pipeline.page("integrity_failure", str(exc))
-
-    # 4. Recovery from the safety net, then re-admission.
-    recovered = net.recover("test-account/drt.jpg")
+    # 3. A download fails the payload's md5 gate and is served from the
+    #    kept original: the right bytes, and a counted fallback to page on.
+    recovered = store.get_file(name)
     assert recovered == original
+    assert store.degraded_fallbacks == 1
+    print("integrity check fired: the file was served from its kept original")
+    pipeline.page("degraded_read",
+                  f"chunk {key[:12]} served from its kept original")
+
+    # 4. Re-admission: drop the rotten chunk's entry and put the recovered
+    #    bytes again, which encodes, verifies and writes the chunk anew.
     store.entries.pop(key)
-    store.put_file("test-account/drt.jpg", recovered)
-    assert store.get_file("test-account/drt.jpg") == original
-    print("recovered from the safety net and re-admitted — drill passed ✓")
+    store.put_file(name, recovered)
+    assert store.get_file(name) == original
+    assert store.degraded_fallbacks == 1  # served from Lepton again
+    print("re-admitted from the kept original — drill passed ✓")
     print(f"on-call pages during the drill: {len(pipeline.pages)}")
-    print('\n(§6.5\'s irony applies: in production "a system we designed as '
-          "a belt-and-suspenders safety net ended up causing our users "
-          'trouble, but has never helped to resolve an actual problem")')
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Files are split into chunks, each chunk independently Lepton-compressed,
 round-trip-verified before admission (§5.7), stored content-addressed, and
 served back byte-exactly — including the non-JPEG files that fall back to
-Deflate, and the kill switch the on-call engineer can throw.
+Deflate, the kept originals a rotten chunk is served from (§5.7's safety
+net), and the kill switch the on-call engineer can throw.
 
 Run:  python examples/photo_storage_service.py
 """
@@ -14,12 +15,14 @@ from repro.core.lepton import LeptonConfig
 from repro.corpus.builder import corpus_jpeg
 from repro.corpus.corruptions import make_progressive
 from repro.storage.blockstore import BlockStore
-from repro.storage.safety import SafetyNet, ShutoffSwitch
+from repro.storage.safety import ShutoffSwitch
 
 
 def main() -> None:
-    store = BlockStore(chunk_size=2048, config=LeptonConfig(threads=2))
-    safety_net = SafetyNet(capacity_puts_per_tick=100)
+    # keep_originals: every put also stores a Deflate copy of each
+    # chunk's original bytes, the early-rollout belt-and-suspenders.
+    store = BlockStore(chunk_size=2048, config=LeptonConfig(threads=2),
+                       keep_originals=True)
     switch = ShutoffSwitch(tempfile.mkdtemp())
 
     uploads = {
@@ -39,7 +42,6 @@ def main() -> None:
             print(f"  {name}: lepton disabled by shutoff switch")
             continue
         record = store.put_file(name, data)
-        safety_net.put(name, data)  # the early-rollout belt-and-suspenders
         print(f"  {name}: {len(data)} bytes in {len(record.chunk_keys)} chunk(s)")
 
     print("\n=== storage accounting ===")
@@ -47,6 +49,7 @@ def main() -> None:
     print(f"  bytes through lepton:  {store.lepton_bytes_in}")
     print(f"  lepton savings:        {100 * store.savings_fraction:.1f}%")
     print(f"  total stored:          {store.stored_bytes} bytes")
+    print(f"  originals kept:        {len(store.backend.keys('orig/'))}")
 
     print("\n=== downloads (byte-exact) ===")
     for name, data in uploads.items():
@@ -54,13 +57,9 @@ def main() -> None:
         assert served == data, name
         print(f"  {name}: ✓ {len(served)} bytes")
 
-    # §5.7: the safety net was eventually deleted...
-    dropped = safety_net.delete_all()
-    print(f"\nsafety net deleted ({dropped} objects) — §5.7")
-
-    # ...and the kill switch stays ready (30-second propagation, §6.5).
+    # The kill switch stays ready (30-second propagation, §6.5).
     switch.engage()
-    print(f"shutoff switch engaged: {switch.engaged} (path: {switch.path})")
+    print(f"\nshutoff switch engaged: {switch.engaged} (path: {switch.path})")
 
 
 if __name__ == "__main__":

@@ -156,7 +156,6 @@ class ServeConfig:
     quota_bytes: Optional[int] = None  # per-tenant logical budget
     chunk_size: int = 1 << 22          # the production 4 MiB
     lepton: LeptonConfig = field(default_factory=LeptonConfig)
-    keep_originals: bool = True
     read_retry_attempts: int = 2
     drain_timeout: float = 30.0
     shutoff_dir: Optional[str] = None
@@ -249,7 +248,6 @@ class LeptonServer:
         options = dict(
             chunk_size=self.config.chunk_size,
             config=self.config.lepton,
-            keep_originals=self.config.keep_originals,
             read_retry=RetryPolicy(
                 max_attempts=self.config.read_retry_attempts),
             read_fault=(self.injector.read_fault
@@ -258,7 +256,7 @@ class LeptonServer:
             codec=self.codec,
         )
         if self.config.data_dir is None:
-            return BlockStore(**options)
+            return BlockStore(keep_originals=True, **options)
         # Crash recovery (journal replay, rollback, index rebuild) runs
         # here, before the socket opens: a request can never observe a
         # half-recovered store.  The kill harness is deliberately NOT
@@ -289,10 +287,16 @@ class LeptonServer:
             self._scrub_task = asyncio.create_task(self._scrub_loop())
 
     async def _scrub_loop(self) -> None:
-        """Periodic scrub passes, off the event loop (lint D7)."""
+        """Periodic scrub passes, off the event loop (lint D7).  A pass
+        that raises (a replica's ``OSError``, a failed repair write)
+        counts ``scrub.failed_passes``; the next pass, on schedule,
+        checks every chunk again."""
         while True:
             await asyncio.sleep(self.config.scrub_interval)
-            await self._offload(self.scrubber.run_once)
+            try:
+                await self._offload(self.scrubber.run_once)
+            except Exception:
+                self.registry.counter("scrub.failed_passes").inc()
 
     @staticmethod
     async def _offload(fn, *args):
@@ -604,9 +608,7 @@ class LeptonServer:
         # seconds until an open breaker admits its half-open probe.
         payload["breakers"] = self.breakers.describe()
         payload["uploads"] = self.uploads.describe()
-        # Backend description walks the filesystem (key counts): blocking
-        # I/O, so it runs on the executor like the codec.
-        payload["backend"] = await self._offload(self.store.backend.describe)
+        payload["backend"] = self.store.backend.describe()
         payload["backend"]["damaged_entries"] = self.store.damaged_entries
         payload["scrub"] = self.scrubber.describe()
         payload["workers"] = self.codec.describe()

@@ -4,7 +4,7 @@ Functional pieces (real bytes flow through the real codec):
 
 * :mod:`repro.storage.blockstore` — 4-MiB content-addressed chunk
   storage with round-trip admission.
-* :mod:`repro.storage.safety` — shutoff switch, safety net, alert pipeline.
+* :mod:`repro.storage.safety` — shutoff switch, alert pipeline.
 * :mod:`repro.storage.qualification` — the pre-deployment corpus run.
 * :mod:`repro.storage.deployment` — qualified-build registry (and the
   §6.7 accidental-rollback anomaly).

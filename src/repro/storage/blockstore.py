@@ -12,9 +12,8 @@ import os
 import threading
 import time
 import zlib
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.chunks import (
     CHUNK_SIZE,
@@ -88,18 +87,15 @@ class InProcessCodec:
         return decompress_chunk(chunk, deadline=deadline)
 
 
-#: The turn of the chunk whose :meth:`BlockStore.get_chunk` call
-#: :meth:`BlockStore.stream_range` is making, if the codec runner sent
-#: it, set for that call only.  It travels beside the call, not as an
-#: argument, because ``get_chunk(key, deadline=...)`` is a seam that
-#: fault drills and the benchmark's traced mode replace by name.
-_AHEAD: ContextVar[Optional[Decode]] = ContextVar("blockstore_ahead",
-                                                  default=None)
-
-
 @dataclass
 class StoreEntry:
-    """One admitted chunk's metadata; the payload lives in the backend."""
+    """One admitted chunk's metadata; the payload lives in the backend.
+
+    Its two digests gate every stored chunk: :meth:`chunk` checks a
+    payload before its decode (on a read, at recovery and in the
+    scrubber), :meth:`original` the decoded bytes (on a read and in the
+    scrubber).
+    """
 
     index: int
     format: str
@@ -107,6 +103,47 @@ class StoreEntry:
     stored_size: int
     payload_md5: str
     original_sha256: str
+
+    def chunk(self, payload: bytes) -> StoredChunk:
+        """``payload`` as this entry's chunk, for the codec to decode,
+        once it matches the md5 stored with it."""
+        if hashlib.md5(payload).hexdigest() != self.payload_md5:
+            raise IntegrityError(
+                f"payload digest mismatch for {self.original_sha256[:12]}")
+        return StoredChunk(self.index, self.format, payload,
+                           (0, self.original_size))
+
+    def original(self, data: bytes) -> bytes:
+        """``data``, a decode of this chunk or its kept original, once it
+        hashes to the chunk's content address: no other bytes leave the
+        store."""
+        if hashlib.sha256(data).hexdigest() != self.original_sha256:
+            raise IntegrityError(
+                f"content digest mismatch for {self.original_sha256[:12]}")
+        return data
+
+
+def chunk_blob(chunk: StoredChunk) -> bytes:
+    """The ``chunk/<sha256>`` blob of an admitted chunk; :func:`encode_blob`
+    stamps the payload's md5 beside the meta written here."""
+    return encode_blob({"index": chunk.index, "format": chunk.format,
+                        "osize": chunk.original_size}, chunk.payload)
+
+
+def chunk_entry(key: str, blob: bytes) -> Tuple[StoreEntry, StoredChunk]:
+    """The one reader of a :func:`chunk_blob`: its index entry and its
+    md5-checked chunk, judged by the blob alone (``key`` is the content
+    address).  A blob that does not parse, whose meta lacks ``index``,
+    ``format``, ``osize`` or ``md5``, or whose payload does not match
+    that md5 raises :class:`IntegrityError`."""
+    try:
+        meta, payload = decode_blob(blob)
+        entry = StoreEntry(int(meta["index"]), str(meta["format"]),
+                           int(meta["osize"]), len(payload),
+                           str(meta["md5"]), key)
+    except (BlobError, KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"unreadable chunk blob {key[:12]}") from exc
+    return entry, entry.chunk(payload)
 
 
 @dataclass
@@ -345,11 +382,7 @@ class BlockStore:
                 # another encode of the same bytes (a Deflate fallback, a
                 # new build) would no longer match the entry's md5.
                 if key not in self.entries:
-                    chunk = chunks[i]
-                    meta = {"index": chunk.index, "format": chunk.format,
-                            "osize": chunk.original_size}
-                    self.backend.write(f"chunk/{key}",
-                                       encode_blob(meta, chunk.payload))
+                    self.backend.write(f"chunk/{key}", chunk_blob(chunks[i]))
                 if i == 0:
                     self._reach("backend.chunk.first")
             self._reach("backend.chunk.rest")
@@ -382,9 +415,11 @@ class BlockStore:
             self.journal.checkpoint()
         return record, stored
 
-    def _index(self, key: str, entry: StoreEntry) -> None:
-        """Admit one intact chunk into the metadata index (dedup-aware)."""
-        if key in self.entries:
+    def _index(self, key: str, entry: StoreEntry,
+               placeholder: Optional[StoreEntry] = None) -> None:
+        """Admit one intact chunk into the metadata index (dedup-aware),
+        in one step over its damaged ``placeholder`` if one is given."""
+        if self.entries.get(key) is not placeholder:
             return
         self.entries[key] = entry
         self.admissions += 1
@@ -490,19 +525,14 @@ class BlockStore:
                                    0, size, int(file_meta.get("stored", 0)))
 
     def _load_entry(self, key: str, osize: int) -> None:
-        """Index one chunk from its backend blob; a damaged placeholder if
-        no replica holds an intact blob (originals fallback still serves
-        it, and the scrubber rebuilds it from a healed replica).  The
-        payload is checked and dropped: the index keeps metadata only."""
+        """Index one chunk from its backend blob through the one reader,
+        :func:`chunk_entry`; a damaged placeholder if no replica holds an
+        intact blob (originals fallback still serves it, and the scrubber
+        hands the store a healed blob, :meth:`heal`).  The payload is
+        checked and dropped: the index keeps metadata only."""
         try:
-            meta, payload = decode_blob(self.backend.read(f"chunk/{key}"))
-            digest = meta["md5"]
-            if hashlib.md5(payload).hexdigest() != digest:
-                raise IntegrityError(f"rotten chunk blob {key[:12]}")
-            entry = StoreEntry(int(meta["index"]), str(meta["format"]),
-                               int(meta.get("osize", osize)), len(payload),
-                               digest, key)
-        except (KeyError, BackendError, IntegrityError, TypeError, ValueError):
+            entry, _chunk = chunk_entry(key, self.backend.read(f"chunk/{key}"))
+        except (KeyError, BackendError, IntegrityError):
             self.damaged_entries += 1
             self.entries[key] = StoreEntry(
                 index=0, format=DAMAGED_FORMAT, original_size=osize,
@@ -510,32 +540,18 @@ class BlockStore:
             return
         self._index(key, entry)
 
-    def _stored_chunk(self, entry: StoreEntry, payload: bytes) -> StoredChunk:
-        return StoredChunk(entry.index, entry.format, payload,
-                           (0, entry.original_size))
-
-    def _verify_and_decode(self, key: str, entry: StoreEntry,
-                           payload: bytes, deadline: Optional[float] = None,
-                           ahead: Optional[Decode] = None) -> bytes:
-        """Both integrity gates over one (possibly faulted) payload read.
-
-        The decode is the put gate's own runner call, with or without a
-        deadline (the session cancels between row bands once it passes),
-        so every read records the same decode telemetry.  ``ahead`` is a
-        decode :meth:`stream_range`'s plan started; it stands in for the
-        decode, and for the md5 that :meth:`_checked` already checked,
-        only if ``payload`` is the very object it read.
-        """
-        if ahead is not None and payload is ahead.chunk.payload:
-            data = ahead.job()
-        elif hashlib.md5(payload).hexdigest() != entry.payload_md5:
-            raise IntegrityError(f"payload digest mismatch for {key[:12]}")
-        else:
-            data = self.codec.decode(self._stored_chunk(entry, payload),
-                                     deadline)
-        if hashlib.sha256(data).hexdigest() != entry.original_sha256:
-            raise IntegrityError(f"decode digest mismatch for {key[:12]}")
-        return data
+    def heal(self, key: str, blob: bytes) -> bool:
+        """Index ``key`` from ``blob``, a chunk blob the scrubber found
+        intact, in place of its damaged placeholder, as recovery over the
+        healed replicas would; ``False`` if ``key`` holds no placeholder.
+        ``damaged_entries`` still counts recovery's outcome."""
+        placeholder = self.entries.get(key)
+        if placeholder is None or placeholder.format != DAMAGED_FORMAT:
+            return False
+        entry, _chunk = chunk_entry(key, blob)
+        with self._put_lock:
+            self._index(key, entry, placeholder)
+        return True
 
     def _payload(self, key: str) -> bytes:
         """One payload read from the backend (so at-rest faults and
@@ -559,7 +575,8 @@ class BlockStore:
             return None
         return payload
 
-    def get_chunk(self, key: str, deadline: Optional[float] = None) -> bytes:
+    def get_chunk(self, key: str, deadline: Optional[float] = None,
+                  ahead: Optional[Decode] = None) -> bytes:
         """Retrieve and decode one chunk, verifying payload integrity.
 
         Any failed attempt but a deadline — a digest mismatch, a backend
@@ -567,15 +584,17 @@ class BlockStore:
         incident: one build could not decode another's files) — triggers
         a bounded re-read (``read_retry``) and then the original-JPEG
         fallback (``keep_originals``); corrupt Lepton output is *never*
-        returned — both digest gates sit in front of every exit.
+        returned — both digest gates of the entry sit in front of every
+        exit.  ``ahead`` is the turn :meth:`stream_range`'s plan sent for
+        this chunk: its first attempt takes the payload that turn read and
+        checked (:meth:`_checked`), and the turn's decode of it, in place
+        of its own.
         """
         entry = self.entries[key]
         registry = get_registry()
         attempts = (self.read_retry.max_attempts
                     if self.read_retry is not None else 1)
         error: Exception = IntegrityError(f"unreadable chunk {key[:12]}")
-        # The first attempt takes the payload stream_range read ahead.
-        ahead = _AHEAD.get()
         for attempt in range(1, attempts + 1):
             if attempt > 1:
                 registry.counter("retry.attempts", scope="blockstore").inc()
@@ -584,8 +603,14 @@ class BlockStore:
                            else self._payload(key))
                 if self.read_fault is not None:
                     payload = self.read_fault(key, payload, attempt)
-                return self._verify_and_decode(key, entry, payload,
-                                               deadline, ahead)
+                # The decode is the put gate's own runner call (a
+                # deadline cancels it between row bands), so every read
+                # records the same decode telemetry.
+                if ahead is not None and payload is ahead.chunk.payload:
+                    data = ahead.job()
+                else:
+                    data = self.codec.decode(entry.chunk(payload), deadline)
+                return entry.original(data)
             except TimeoutExceeded:
                 # A deadline abort is the *request* giving up, not the
                 # payload rotting: re-reading or serving the fallback
@@ -600,14 +625,10 @@ class BlockStore:
         original = self._original(key)
         if original is not None:
             try:
-                data = zlib.decompress(original)
+                data = entry.original(zlib.decompress(original))
             except zlib.error as exc:
                 raise IntegrityError(
                     f"fallback blob rotten for {key[:12]}") from exc
-            if hashlib.sha256(data).hexdigest() != entry.original_sha256:
-                raise IntegrityError(
-                    f"fallback digest mismatch for {key[:12]}"
-                )
             self.degraded_fallbacks += 1
             registry.counter("degraded_read.fallbacks").inc()
             return data
@@ -676,11 +697,7 @@ class BlockStore:
         plan = self.codec.read([functools.partial(self._checked, key)
                                 for key, _a, _b in spans], deadline)
         for i, ((key, a, b), turn) in enumerate(zip(spans, plan)):
-            token = _AHEAD.set(turn)
-            try:
-                data = self.get_chunk(key, deadline=deadline)
-            finally:
-                _AHEAD.reset(token)
+            data = self.get_chunk(key, deadline=deadline, ahead=turn)
             if not i:
                 registry.histogram("blockstore.read.ttfb_seconds").observe(
                     time.monotonic() - begin  # lint: disable=D2
@@ -697,13 +714,9 @@ class BlockStore:
         codec runner to decode; ``None`` if the read or the check fails
         (:meth:`get_chunk` reads it again, retries and falls back)."""
         try:
-            entry = self.entries[key]
-            payload = self._payload(key)
+            return self.entries[key].chunk(self._payload(key))
         except Exception:
             return None
-        if hashlib.md5(payload).hexdigest() != entry.payload_md5:
-            return None
-        return self._stored_chunk(entry, payload)
 
     def stored_bytes_for(self, record: FileRecord) -> int:
         """Stored (compressed) footprint of one file's chunks, from the
@@ -729,7 +742,6 @@ def open_durable_store(
     backends: Optional[List[StorageBackend]] = None,
     chunk_size: int = CHUNK_SIZE,
     config: Optional[LeptonConfig] = None,
-    keep_originals: bool = True,
     quotas: Optional[QuotaBoard] = None,
     read_retry: Optional[RetryPolicy] = None,
     read_fault: Optional[Callable[[str, bytes, int], bytes]] = None,
@@ -746,9 +758,10 @@ def open_durable_store(
     :class:`~repro.storage.backends.ReplicatedBackend` of
     :class:`~repro.storage.backends.MemoryBackend` replicas here, and
     ``codec`` is the store's codec runner
-    (:class:`InProcessCodec` by default).  Startup recovery runs before
-    the store is returned, so an acknowledged put from the previous life
-    is readable and a partial one is gone.
+    (:class:`InProcessCodec` by default).  The store keeps every chunk's
+    original (``keep_originals``), which its reads fall back to.  Startup
+    recovery runs before the store is returned, so an acknowledged put
+    from the previous life is readable and a partial one is gone.
     """
     if backends is None:
         backends = [
@@ -761,7 +774,7 @@ def open_durable_store(
     store = BlockStore(
         chunk_size=chunk_size,
         config=config if config is not None else LeptonConfig(),
-        keep_originals=keep_originals,
+        keep_originals=True,
         quotas=quotas,
         read_retry=read_retry,
         read_fault=read_fault,

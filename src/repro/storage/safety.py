@@ -1,15 +1,16 @@
-"""Safety mechanisms (§5.7): shutoff switch, safety net, alert pipeline.
+"""Safety mechanisms (§5.7): shutoff switch and alert pipeline.
 
 Production kept several independent controls: a sub-30-second kill switch
 in /dev/shm, a temporary S3 "safety net" holding Deflate copies of every
 Lepton upload, admission-time round-trip checks, and an automated triage
-queue for decodes that exceed their timeout (§6.6).  Each is modelled here
-faithfully enough to replay the anomalies of §6.5 and §6.7.
+queue for decodes that exceed their timeout (§6.6).  The kill switch and
+the triage queue live here.  The safety net is the block store's kept
+originals (``BlockStore.keep_originals``), which its reads fall back to,
+and the round-trip check is its admission gate (repro.storage.blockstore).
 """
 
 import os
 import tempfile
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -48,52 +49,6 @@ class ShutoffSwitch:
     def engaged(self) -> bool:
         """Checked by every encoder before compressing a new chunk."""
         return os.path.exists(self._path)
-
-
-class SafetyNetOverloaded(RuntimeError):
-    """The S3 proxy capacity was exceeded (§6.5's truncated-upload storm)."""
-
-
-@dataclass
-class SafetyNet:
-    """The S3 bucket holding uncompressed (Deflate) copies of uploads.
-
-    §6.5: the safety net "was writing more data to S3 ... than all of the
-    rest of Dropbox combined" and collapsed when rerouted traffic exceeded
-    proxy capacity; §5.7: it was eventually deleted, having "never helped
-    to resolve an actual problem".
-    """
-
-    capacity_puts_per_tick: int = 100
-    enabled: bool = True
-    objects: Dict[str, bytes] = field(default_factory=dict)
-    puts_this_tick: int = 0
-    failed_puts: int = 0
-    total_puts: int = 0
-
-    def tick(self) -> None:
-        """Advance the rate-limiting window."""
-        self.puts_this_tick = 0
-
-    def put(self, key: str, original: bytes) -> None:
-        if not self.enabled:
-            return
-        self.total_puts += 1
-        self.puts_this_tick += 1
-        if self.puts_this_tick > self.capacity_puts_per_tick:
-            self.failed_puts += 1
-            raise SafetyNetOverloaded(f"S3 proxy overloaded on put of {key!r}")
-        self.objects[key] = zlib.compress(original, 6)
-
-    def recover(self, key: str) -> bytes:
-        """Disaster-recovery path (exercised in the paper's DRT, §5.7)."""
-        return zlib.decompress(self.objects[key])
-
-    def delete_all(self) -> int:
-        """§5.7: "We have since deleted the safety net"."""
-        count = len(self.objects)
-        self.objects.clear()
-        return count
 
 
 @dataclass

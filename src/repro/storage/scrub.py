@@ -5,35 +5,35 @@ has chunks nobody reads for years, and a replica that rots silently is a
 replica that cannot help when its peers rot too (§5.7, and the in-place
 recompression deployment of arXiv:1912.11145 rides on exactly this kind
 of scrub loop).  The :class:`Scrubber` walks every chunk the store
-knows, deep-verifies each replica's blob through the *full* verified-
-decode path — blob framing, payload md5, Lepton/Deflate decode, SHA-256
-against the content address — and repairs every bad or missing replica
-by writing back a blob that passed.  A chunk with no intact replica is
-counted ``unrepairable`` (the kept-original fallback still serves it);
-one the recovery pass loaded as a *damaged* placeholder gets its
-index entry rebuilt once a healthy blob is found.
+knows and judges each replica's blob as the store does: through its one
+reader (:func:`~repro.storage.blockstore.chunk_entry`: blob framing, the
+meta's keys, payload md5) and its one verified decode (Lepton/Deflate
+decode, SHA-256 against the content address).  It repairs every bad or
+missing replica by writing back a blob that passed.  A chunk with no
+intact replica is counted ``unrepairable`` (the kept-original fallback
+still serves it); one the recovery pass loaded as a *damaged*
+placeholder is handed to the store with a healthy blob, which indexes
+it (:meth:`~repro.storage.blockstore.BlockStore.heal`).
 
 Counters (docs/observability.md): ``scrub.runs``, ``scrub.chunks_checked``,
 ``scrub.corruptions_detected``, ``scrub.repairs``, ``scrub.unrepairable``.
 The last :class:`ScrubReport` is surfaced by ``GET /healthz``.
 """
 
-import hashlib
 from dataclasses import asdict, dataclass
 from typing import List, Optional
 
-from repro.core.chunks import StoredChunk, decompress_chunk
-from repro.core.errors import LeptonError
 from repro.obs import MetricsRegistry, get_registry
 from repro.storage.backends import (
     BackendError,
     BackendUnavailable,
-    BlobError,
     ReplicatedBackend,
     StorageBackend,
-    decode_blob,
 )
-from repro.storage.blockstore import DAMAGED_FORMAT, BlockStore, StoreEntry
+from repro.storage.blockstore import BlockStore, InProcessCodec, chunk_entry
+
+#: The scrubber decodes in its own thread, never on the codec workers.
+_CODEC = InProcessCodec()
 
 
 @dataclass
@@ -77,21 +77,16 @@ class Scrubber:
 
         Independent of the index entry on purpose: a damaged
         placeholder carries no digests, but the blob is self-describing
-        and the key *is* the SHA-256 of the original bytes.
+        and the key *is* the SHA-256 of the original bytes.  As on the
+        read path, any failure fails the blob, a decoder that raises on
+        intact bytes included (§6.7); a scrub pass has no deadline.
         """
         try:
-            meta, payload = decode_blob(data)
-        except BlobError:
+            entry, chunk = chunk_entry(key, data)
+            entry.original(_CODEC.decode(chunk))
+        except Exception:
             return False
-        if hashlib.md5(payload).hexdigest() != meta.get("md5"):
-            return False
-        try:
-            chunk = StoredChunk(int(meta["index"]), str(meta["format"]),
-                                payload, (0, int(meta["osize"])))
-            original = decompress_chunk(chunk)
-        except (LeptonError, KeyError, TypeError, ValueError):
-            return False
-        return hashlib.sha256(original).hexdigest() == key
+        return True
 
     def run_once(self) -> ScrubReport:
         """One full pass over every chunk on every replica."""
@@ -140,20 +135,8 @@ class Scrubber:
                 report.repairs += 1
             except BackendError:
                 pass  # still down; the next pass retries
-        self._maybe_rebuild_entry(key, good, report)
-
-    def _maybe_rebuild_entry(self, key: str, good: bytes,
-                             report: ScrubReport) -> None:
-        """Restore a recovery-damaged index entry from a healed blob."""
-        entry = self.store.entries.get(key)
-        if entry is None or entry.format != DAMAGED_FORMAT:
-            return
-        meta, payload = decode_blob(good)
-        self.store.entries[key] = StoreEntry(
-            int(meta["index"]), str(meta["format"]),
-            int(meta.get("osize", entry.original_size)), len(payload),
-            str(meta["md5"]), key)
-        report.rebuilt_entries += 1
+        if self.store.heal(key, good):
+            report.rebuilt_entries += 1
 
     def describe(self) -> dict:
         """JSON-friendly health blurb for ``GET /healthz``."""

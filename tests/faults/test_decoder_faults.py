@@ -71,11 +71,11 @@ def test_mid_stream_failure_severs_the_get(monkeypatch):
         real_get_chunk = server.store.get_chunk
         reads = []
 
-        def failing(key, deadline=None):
+        def failing(key, deadline=None, ahead=None):
             reads.append(key)
             if key == keys[1]:
                 raise IndexError("decoder bug on intact bytes")
-            return real_get_chunk(key, deadline=deadline)
+            return real_get_chunk(key, deadline=deadline, ahead=ahead)
 
         monkeypatch.setattr(server.store, "get_chunk", failing)
         with pytest.raises((ConnectionError, asyncio.IncompleteReadError)):

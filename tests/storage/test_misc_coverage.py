@@ -8,7 +8,6 @@ from repro.storage.blockstore import BlockStore
 from repro.storage.safety import (
     CONFIG_DEPLOY_SECONDS,
     SHUTOFF_PROPAGATION_SECONDS,
-    SafetyNet,
 )
 from repro.storage.sandbox import Sandbox, SandboxViolation
 
@@ -39,13 +38,6 @@ class TestSafetyConstants:
     def test_shutoff_faster_than_config_deploy(self):
         """§5.7: the kill switch beats a config rollout by two orders."""
         assert SHUTOFF_PROPAGATION_SECONDS * 10 < CONFIG_DEPLOY_SECONDS[0]
-
-    def test_safety_net_counts_totals(self):
-        net = SafetyNet(capacity_puts_per_tick=1000)
-        for i in range(5):
-            net.put(f"k{i}", b"x")
-        assert net.total_puts == 5
-        assert net.failed_puts == 0
 
 
 class TestBlockStoreFiles:

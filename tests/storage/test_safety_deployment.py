@@ -15,12 +15,7 @@ from repro.storage.deployment import (
     simulate_rollback_incident,
 )
 from repro.storage.qualification import qualify_build
-from repro.storage.safety import (
-    AlertPipeline,
-    SafetyNet,
-    SafetyNetOverloaded,
-    ShutoffSwitch,
-)
+from repro.storage.safety import AlertPipeline, ShutoffSwitch
 from repro.storage.sandbox import (
     ALLOWED_OPERATIONS,
     Sandbox,
@@ -48,40 +43,6 @@ class TestShutoffSwitch:
         data = corpus_jpeg(seed=80, height=48, width=48)
         performed = [] if switch.engaged else [compress(data)]
         assert performed == []
-
-
-class TestSafetyNet:
-    def test_put_and_recover(self):
-        net = SafetyNet()
-        net.put("k1", b"original bytes")
-        assert net.recover("k1") == b"original bytes"
-
-    def test_overload_reproduces_section_6_5(self):
-        """Once rerouted traffic exceeds the proxy capacity, puts fail —
-        the camera-upload outage."""
-        net = SafetyNet(capacity_puts_per_tick=5)
-        for i in range(5):
-            net.put(f"k{i}", b"x")
-        with pytest.raises(SafetyNetOverloaded):
-            net.put("k5", b"x")
-        assert net.failed_puts == 1
-
-    def test_tick_resets_capacity(self):
-        net = SafetyNet(capacity_puts_per_tick=1)
-        net.put("a", b"x")
-        net.tick()
-        net.put("b", b"x")  # no raise
-
-    def test_disabled_net_ignores_puts(self):
-        net = SafetyNet(enabled=False)
-        net.put("a", b"x")
-        assert not net.objects
-
-    def test_delete_all(self):
-        net = SafetyNet()
-        net.put("a", b"x")
-        assert net.delete_all() == 1
-        assert not net.objects
 
 
 class TestAlertPipeline:

@@ -14,8 +14,12 @@ from repro.storage.backends import (
     ReplicatedBackend,
     encode_blob,
 )
-from repro.storage.blockstore import BlockStore, open_durable_store
-from repro.storage.scrub import DAMAGED_FORMAT, Scrubber
+from repro.storage.blockstore import (
+    DAMAGED_FORMAT,
+    BlockStore,
+    open_durable_store,
+)
+from repro.storage.scrub import Scrubber
 
 pytestmark = pytest.mark.durability
 
