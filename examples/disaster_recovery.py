@@ -7,7 +7,8 @@ kept originals: every put also writes a Deflate copy of each chunk's
 original bytes, and a read whose Lepton payload fails its digest gates
 serves that copy instead.  This example runs the whole drill: upload,
 corrupt the stored payload, read the file back from its kept original,
-page the on-call through the alert pipeline, and re-admit the file.
+page the on-call through the alert pipeline, let a scrub pass find the
+chunk with no intact copy, and re-admit the file.
 
 Run:  python examples/disaster_recovery.py
 """
@@ -16,6 +17,7 @@ from repro.core.lepton import LeptonConfig
 from repro.corpus.builder import corpus_jpeg
 from repro.storage.blockstore import BlockStore
 from repro.storage.safety import AlertPipeline
+from repro.storage.scrub import Scrubber
 
 
 def main() -> None:
@@ -48,9 +50,10 @@ def main() -> None:
     pipeline.page("degraded_read",
                   f"chunk {key[:12]} served from its kept original")
 
-    # 4. Re-admission: drop the rotten chunk's entry and put the recovered
-    #    bytes again, which encodes, verifies and writes the chunk anew.
-    store.entries.pop(key)
+    # 4. Re-admission: a scrub pass finds no intact copy of the chunk and
+    #    marks its entry damaged, so putting the recovered bytes again
+    #    encodes, verifies and writes the chunk anew.
+    assert Scrubber(store).run_once().unrepairable == 1
     store.put_file(name, recovered)
     assert store.get_file(name) == original
     assert store.degraded_fallbacks == 1  # served from Lepton again

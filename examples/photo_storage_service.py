@@ -19,11 +19,17 @@ from repro.storage.safety import ShutoffSwitch
 
 
 def main() -> None:
+    # The kill switch is a file in a directory every blockserver
+    # watches; this run makes its own and removes it afterwards.
+    with tempfile.TemporaryDirectory() as switch_dir:
+        tour(ShutoffSwitch(switch_dir))
+
+
+def tour(switch: ShutoffSwitch) -> None:
     # keep_originals: every put also stores a Deflate copy of each
     # chunk's original bytes, the early-rollout belt-and-suspenders.
     store = BlockStore(chunk_size=2048, config=LeptonConfig(threads=2),
                        keep_originals=True)
-    switch = ShutoffSwitch(tempfile.mkdtemp())
 
     uploads = {
         "vacation/beach.jpg": corpus_jpeg(seed=1, height=160, width=200),

@@ -33,7 +33,7 @@ from repro.obs.exitcodes import EXIT_STATUS
 COMMANDS = {
     "compress": "recompress a JPEG (or Deflate-fallback any file)",
     "decompress": "restore the original bytes from a compressed stream",
-    "verify": "run the §5.5 round-trip admission gate on one file",
+    "verify": "run the §5.7 round-trip admission gate on one file",
     "qualify": "run the §5.7 build-qualification gate over a directory",
     "stats": "compress+decompress one file purely for its telemetry",
     "lint": "run the determinism/safety static analysis (docs/lint.md)",

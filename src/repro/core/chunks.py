@@ -38,11 +38,7 @@ from repro.core.session import (
     huffman_bit_breakdown,
     verify_and_index,
 )
-from repro.core.segments import (
-    choose_thread_count,
-    plan_segments,
-    plan_segments_range,
-)
+from repro.core.segments import choose_thread_count, plan_segments_range
 from repro.jpeg.parser import parse_jpeg
 from repro.jpeg.scan_decode import decode_scan
 from repro.obs import trace_span
@@ -156,7 +152,8 @@ def encode_windows(data: bytes, ranges, config: LeptonConfig,
     threads = (
         config.threads if config.threads is not None else choose_thread_count(len(data))
     )
-    stats.thread_count = len(plan_segments(frame.mcus_y, frame.mcus_x, threads))
+    stats.thread_count = len(plan_segments_range(0, mcu_count, frame.mcus_x,
+                                                 threads))
     # §4.2: a read decodes one window's container; the encode holds the
     # whole image whatever the windows.
     window_scan = max(max(0, min(b, header_len + scan_len) - max(a, header_len))

@@ -113,7 +113,6 @@ class ModelConfig:
 
     edge_mode: str = "lakhani"  # "lakhani" | "avg"
     dc_mode: str = "gradient"  # "gradient" | "median8" | "packjpg"
-    max_value_exponent: int = 14  # unary exponent cap (values < 2^14)
 
 
 class Model:

@@ -30,30 +30,14 @@ def choose_thread_count(input_size: int,
     return cutoffs[-1][1]
 
 
-def plan_segments(mcu_rows: int, mcus_x: int, threads: int) -> List[Tuple[int, int]]:
-    """Partition MCUs into per-thread ``(mcu_start, mcu_end)`` ranges.
-
-    Segments are whole MCU-row bands, as even as possible, covering
-    ``[0, mcu_rows * mcus_x)``.  Fewer segments than requested are returned
-    when there are not enough rows to go around.
-    """
-    if mcu_rows <= 0 or mcus_x <= 0:
-        raise ValueError("image has no MCUs")
-    threads = max(1, min(threads, MAX_THREADS, mcu_rows))
-    base, extra = divmod(mcu_rows, threads)
-    segments = []
-    row = 0
-    for i in range(threads):
-        rows = base + (1 if i < extra else 0)
-        segments.append((row * mcus_x, (row + rows) * mcus_x))
-        row += rows
-    return segments
-
-
 def plan_segments_range(mcu_start: int, mcu_end: int, mcus_x: int,
                         threads: int) -> List[Tuple[int, int]]:
-    """Segment an arbitrary MCU range (used for mid-file chunks).
+    """Partition the MCUs ``[mcu_start, mcu_end)`` into per-thread
+    ``(mcu_start, mcu_end)`` ranges: ``(0, mcu_count)`` for a whole image,
+    any range for a mid-file chunk.
 
+    Segments are MCU-row bands, as even as possible; fewer segments than
+    requested are returned when there are not enough rows to go around.
     The first and last segments absorb the partial rows at the range ends;
     interior boundaries fall on row boundaries so that neighbour-row context
     rules stay simple.

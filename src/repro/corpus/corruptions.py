@@ -6,11 +6,11 @@ These helpers manufacture each category deterministically so the exit-code
 distribution table and the rejection paths can be exercised offline.
 """
 
-import struct
-
 import numpy as np
 
 from repro.jpeg import markers as M
+from repro.jpeg.components import Component, FrameInfo
+from repro.jpeg.writer import _segment, _sof_segment
 
 
 def make_progressive(baseline: bytes) -> bytes:
@@ -38,14 +38,11 @@ def make_cmyk(width: int = 64, height: int = 64) -> bytes:
 
     Only needs to parse far enough for the component count to be rejected.
     """
-    out = bytearray(b"\xFF\xD8")
+    frame = FrameInfo(precision=8, height=height, width=width,
+                      components=[Component(cid, 1, 1, 0) for cid in range(1, 5)])
     # One flat quant table.
-    out += struct.pack(">BBH", 0xFF, M.DQT, 2 + 65) + bytes([0]) + bytes([16] * 64)
-    sof = bytearray(struct.pack(">BHHB", 8, height, width, 4))
-    for cid in range(1, 5):
-        sof += bytes([cid, 0x11, 0])
-    out += struct.pack(">BBH", 0xFF, M.SOF0, 2 + len(sof)) + sof
-    return bytes(out)
+    return (b"\xFF\xD8" + _segment(M.DQT, bytes([0]) + bytes([16] * 64))
+            + _sof_segment(M.SOF0, frame))
 
 
 def make_header_only(baseline: bytes) -> bytes:

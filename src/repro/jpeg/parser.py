@@ -5,10 +5,16 @@ tables, frame/scan geometry, the restart interval, and the location of the
 entropy-coded scan — while keeping the raw header bytes verbatim.  Lepton
 does not reinterpret headers: it zlib-compresses them as-is (§3.1) so the
 original file can be reproduced bit-for-bit.
+
+Every JPEG reader of the substrate shares one marker walk
+(:func:`segments`) and one reader each for frame and scan headers
+(:func:`frame_header`, :func:`scan_header`), and adds only its own policy:
+:func:`parse_jpeg` stops at the first scan and admits the baseline alone;
+:func:`repro.jpeg.progressive.parse_progressive` reads every scan to EOI.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -59,12 +65,6 @@ class JpegImage:
             raise JpegError(f"missing {kind} Huffman table {table_id}") from None
 
 
-def _read_u16(data: bytes, pos: int) -> int:
-    if pos + 2 > len(data):
-        raise TruncatedJpegError("truncated marker length")
-    return (data[pos] << 8) | data[pos + 1]
-
-
 def _parse_dqt(payload: bytes, tables: Dict[int, np.ndarray]) -> None:
     pos = 0
     while pos < len(payload):
@@ -113,15 +113,13 @@ def _parse_dht(payload: bytes, tables: Dict[Tuple[int, int], HuffmanTable]) -> N
         tables[(table_class, table_id)] = HuffmanTable(bits, values)
 
 
-def _parse_sof(marker: int, payload: bytes, max_components: int) -> FrameInfo:
-    if marker in M.PROGRESSIVE_SOFS:
-        raise UnsupportedJpegError("progressive JPEG", reason="progressive")
-    if marker in M.ARITHMETIC_SOFS:
-        raise UnsupportedJpegError("arithmetic-coded JPEG", reason="arithmetic")
-    if marker not in M.BASELINE_SOFS:
-        raise UnsupportedJpegError(
-            f"unsupported coding process SOF{marker - M.SOF0}", reason="unsupported_sof"
-        )
+def frame_header(payload: bytes, max_components: int = 3) -> FrameInfo:
+    """Read an SOF payload: precision, dimensions and components.
+
+    Applies the limits every parser shares: 8-bit samples, 1 or 3
+    components (4 with ``max_components=4``) and sampling factors of 1
+    or 2.  The SOF kind is the caller's policy.
+    """
     if len(payload) < 6:
         raise TruncatedJpegError("truncated SOF")
     precision = payload[0]
@@ -153,33 +151,27 @@ def _parse_sof(marker: int, payload: bytes, max_components: int) -> FrameInfo:
     return frame
 
 
-def _parse_sos(payload: bytes, frame: FrameInfo) -> ScanInfo:
+def scan_header(payload: bytes, frame: FrameInfo) -> tuple:
+    """Read an SOS payload: ``(components, ss, se, ah, al)``.
+
+    ``components`` holds ``(index, dc_table, ac_table)`` per scan
+    component, ``index`` into ``frame.components``; the rest is the
+    spectral band and the successive-approximation bits.
+    """
     if len(payload) < 1:
         raise TruncatedJpegError("truncated SOS")
     ncomp = payload[0]
-    if ncomp != len(frame.components):
-        raise UnsupportedJpegError(
-            "multi-scan baseline JPEG (scan does not cover all components)",
-            reason="multi_scan",
-        )
     if len(payload) < 1 + 2 * ncomp + 3:
         raise TruncatedJpegError("truncated SOS body")
-    order = []
     by_id = {c.component_id: i for i, c in enumerate(frame.components)}
+    components = []
     for i in range(ncomp):
-        cid = payload[1 + 2 * i]
-        tables = payload[2 + 2 * i]
+        cid, tables = payload[1 + 2 * i], payload[2 + 2 * i]
         if cid not in by_id:
             raise JpegError(f"SOS references unknown component {cid}")
-        idx = by_id[cid]
-        frame.components[idx].dc_table_id = tables >> 4
-        frame.components[idx].ac_table_id = tables & 0x0F
-        order.append(idx)
+        components.append((by_id[cid], tables >> 4, tables & 0x0F))
     ss, se, ah_al = payload[1 + 2 * ncomp : 4 + 2 * ncomp]
-    scan = ScanInfo(order, ss, se, ah_al >> 4, ah_al & 0x0F)
-    if not scan.is_baseline_full_scan():
-        raise UnsupportedJpegError("partial spectral scan", reason="multi_scan")
-    return scan
+    return components, ss, se, ah_al >> 4, ah_al & 0x0F
 
 
 def find_scan_end(data: bytes, start: int) -> int:
@@ -198,6 +190,71 @@ def find_scan_end(data: bytes, start: int) -> int:
     return end
 
 
+def segments(data: bytes) -> Iterator[Tuple[int, bytes, int]]:
+    """Walk the marker segments of ``data``: ``(marker, payload, end)`` each.
+
+    The one marker walk of the substrate.  It checks SOI, skips fill bytes
+    and every standalone marker but EOI, which it yields (with an empty
+    payload) last.  ``end`` is the offset just past the segment: after an
+    SOS, where its entropy-coded scan starts; the walk resumes at the
+    scan's end (:func:`find_scan_end`).  It stops without a word if the
+    data runs out before EOI; what that means is the caller's policy.
+    """
+    if len(data) < 4 or data[0] != 0xFF or data[1] != M.SOI:
+        raise JpegError("not a JPEG: missing SOI marker")
+    pos = 2
+    while pos + 2 <= len(data):
+        if data[pos] != 0xFF:
+            raise JpegError(f"expected marker at offset {pos}")
+        marker = data[pos + 1]
+        if marker == 0xFF:  # fill byte
+            pos += 1
+        elif marker == M.EOI:
+            yield marker, b"", pos + 2
+            return
+        elif M.is_standalone(marker):
+            pos += 2
+        else:
+            if pos + 4 > len(data):
+                raise TruncatedJpegError("truncated marker length")
+            length = (data[pos + 2] << 8) | data[pos + 3]
+            end = pos + 2 + length
+            if length < 2 or end > len(data):
+                raise TruncatedJpegError(f"truncated {M.marker_name(marker)} segment")
+            yield marker, data[pos + 4 : end], end
+            pos = find_scan_end(data, end) if marker == M.SOS else end
+
+
+def _baseline_frame(marker: int, payload: bytes, max_components: int) -> FrameInfo:
+    if marker in M.PROGRESSIVE_SOFS:
+        raise UnsupportedJpegError("progressive JPEG", reason="progressive")
+    if marker in M.ARITHMETIC_SOFS:
+        raise UnsupportedJpegError("arithmetic-coded JPEG", reason="arithmetic")
+    if marker not in M.BASELINE_SOFS:
+        raise UnsupportedJpegError(
+            f"unsupported coding process SOF{marker - M.SOF0}", reason="unsupported_sof"
+        )
+    return frame_header(payload, max_components)
+
+
+def _baseline_scan(payload: bytes, frame: FrameInfo) -> ScanInfo:
+    """The one scan a baseline file may have: every component, the full
+    band; it binds each component's Huffman tables on the frame."""
+    if payload and payload[0] != len(frame.components):
+        raise UnsupportedJpegError(
+            "multi-scan baseline JPEG (scan does not cover all components)",
+            reason="multi_scan",
+        )
+    components, *band = scan_header(payload, frame)
+    for ci, dc_table, ac_table in components:
+        frame.components[ci].dc_table_id = dc_table
+        frame.components[ci].ac_table_id = ac_table
+    scan = ScanInfo([ci for ci, _, _ in components], *band)
+    if not scan.is_baseline_full_scan():
+        raise UnsupportedJpegError("partial spectral scan", reason="multi_scan")
+    return scan
+
+
 def parse_jpeg(data: bytes, max_components: int = 3) -> JpegImage:
     """Parse a baseline JPEG file.
 
@@ -207,31 +264,13 @@ def parse_jpeg(data: bytes, max_components: int = 3) -> JpegImage:
     ``max_components=4`` enables the paper's intentionally-disabled CMYK
     path (the extra model for the fourth channel).
     """
-    if len(data) < 4 or data[0] != 0xFF or data[1] != M.SOI:
-        raise JpegError("not a JPEG: missing SOI marker")
     quant_tables: Dict[int, np.ndarray] = {}
     huffman_tables: Dict[Tuple[int, int], HuffmanTable] = {}
     restart_interval = 0
     frame: Optional[FrameInfo] = None
-    pos = 2
-    while True:
-        if pos + 2 > len(data):
-            raise TruncatedJpegError("file ended before SOS")
-        if data[pos] != 0xFF:
-            raise JpegError(f"expected marker at offset {pos}")
-        marker = data[pos + 1]
-        if marker == 0xFF:  # fill byte
-            pos += 1
-            continue
-        if M.is_standalone(marker):
-            if marker == M.EOI:
-                raise JpegError("EOI before any scan (header-only JPEG)")
-            pos += 2
-            continue
-        length = _read_u16(data, pos + 2)
-        if length < 2 or pos + 2 + length > len(data):
-            raise TruncatedJpegError(f"truncated {M.marker_name(marker)} segment")
-        payload = data[pos + 4 : pos + 2 + length]
+    for marker, payload, scan_start in segments(data):
+        if marker == M.EOI:
+            raise JpegError("EOI before any scan (header-only JPEG)")
         if marker == M.DQT:
             _parse_dqt(payload, quant_tables)
         elif marker == M.DHT:
@@ -241,19 +280,19 @@ def parse_jpeg(data: bytes, max_components: int = 3) -> JpegImage:
         elif marker in M.SOF_MARKERS:
             if frame is not None:
                 raise JpegError("multiple SOF markers")
-            frame = _parse_sof(marker, payload, max_components)
+            frame = _baseline_frame(marker, payload, max_components)
         elif marker == M.DRI:
-            if length != 4:
+            if len(payload) != 2:
                 raise JpegError("bad DRI length")
             restart_interval = (payload[0] << 8) | payload[1]
         elif marker == M.SOS:
             if frame is None:
                 raise JpegError("SOS before SOF")
-            scan = _parse_sos(payload, frame)
-            scan_start = pos + 2 + length
+            scan = _baseline_scan(payload, frame)
             break
         # APPn / COM / DNL and friends: skipped, preserved verbatim in header.
-        pos += 2 + length
+    else:
+        raise TruncatedJpegError("file ended before SOS")
 
     for comp in frame.components:
         if comp.quant_table_id not in quant_tables:

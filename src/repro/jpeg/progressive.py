@@ -13,12 +13,17 @@ progressive capability for three reasons:
   module to do exactly that;
 * round-tripping our own progressive output exercises multi-scan parsing.
 
+The module holds progressive policy only: it reads files through the
+substrate's one marker walk and header readers (:mod:`repro.jpeg.parser`)
+and builds them with its one set of segment writers
+(:mod:`repro.jpeg.writer`).
+
 Scope: spectral-selection progressive (Ah = Al = 0 in every scan), the
 common "DC first, then AC bands per component" script.  Successive
 approximation is intentionally out of scope, as in many early encoders.
 """
 
-import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -26,11 +31,26 @@ import numpy as np
 
 from repro.jpeg import markers as M
 from repro.jpeg.bitio import BitReader, BitWriter
-from repro.jpeg.components import Component, FrameInfo
-from repro.jpeg.errors import JpegError, TruncatedJpegError, UnsupportedJpegError
+from repro.jpeg.components import FrameInfo
+from repro.jpeg.errors import JpegError, UnsupportedJpegError
 from repro.jpeg.huffman import HuffmanTable, build_optimal_table
-from repro.jpeg.parser import _parse_dht, _parse_dqt, _read_u16, find_scan_end
-from repro.jpeg.scan_decode import MAX_DC_CATEGORY, extend, mcu_block_layout
+from repro.jpeg.parser import (
+    _parse_dht,
+    _parse_dqt,
+    frame_header,
+    parse_jpeg,
+    scan_header,
+    segments,
+)
+from repro.jpeg.scan_decode import MAX_DC_CATEGORY, decode_scan, extend, mcu_block_layout
+from repro.jpeg.writer import (
+    _dqt_segment,
+    _jfif_app0,
+    _segment,
+    _sof_segment,
+    _sos_segment,
+    encode_baseline_jpeg,
+)
 from repro.jpeg.zigzag import ZIGZAG_TO_RASTER
 
 #: The default scan script: interleaved DC scan, then two AC bands per
@@ -45,14 +65,11 @@ class ProgressiveScan:
     component_indices: List[int]
     spectral_start: int
     spectral_end: int
-    dc_tables: Dict[int, int] = field(default_factory=dict)  # comp -> table id
-    ac_tables: Dict[int, int] = field(default_factory=dict)
-    data_start: int = 0
-    data_end: int = 0
+    data_start: int
     # Tables are *redefined between scans* (each scan ships its own DHT),
-    # so the scan snapshots the table objects it was parsed under.
-    dc_huff: Dict[int, HuffmanTable] = field(default_factory=dict)
-    ac_huff: Dict[int, HuffmanTable] = field(default_factory=dict)
+    # so the scan keeps the table it codes each component with: a DC
+    # table in a DC scan, an AC table in a band.
+    tables: Dict[int, HuffmanTable]
 
     @property
     def is_dc(self) -> bool:
@@ -82,52 +99,22 @@ def parse_progressive(data: bytes,
     APP0/DQT/SOF2 — used when the frame header is stored elsewhere, as in
     the jpegrescan container).
     """
-    if len(data) < 4 or data[:2] != b"\xFF\xD8":
-        raise JpegError("not a JPEG: missing SOI marker")
     quant: Dict[int, np.ndarray] = {}
     huff: Dict[Tuple[int, int], HuffmanTable] = {}
     scans: List[ProgressiveScan] = []
-    pos = 2
-    while pos + 2 <= len(data):
-        if data[pos] != 0xFF:
-            raise JpegError(f"expected marker at offset {pos}")
-        marker = data[pos + 1]
-        if marker == 0xFF:
-            pos += 1
-            continue
-        if marker == M.EOI:
-            break
-        if M.is_standalone(marker):
-            pos += 2
-            continue
-        length = _read_u16(data, pos + 2)
-        if pos + 2 + length > len(data):
-            raise TruncatedJpegError("truncated segment")
-        payload = data[pos + 4 : pos + 2 + length]
+    for marker, payload, end in segments(data):
         if marker == M.DQT:
             _parse_dqt(payload, quant)
         elif marker == M.DHT:
             _parse_dht(payload, huff)
         elif marker == M.SOF2:
-            frame = _parse_progressive_sof(payload)
+            frame = frame_header(payload)
         elif marker in M.SOF_MARKERS:
             raise UnsupportedJpegError("not a progressive frame", reason="unsupported_sof")
         elif marker == M.SOS:
             if frame is None:
                 raise JpegError("SOS before SOF2")
-            scan = _parse_progressive_sos(payload, frame)
-            scan.data_start = pos + 2 + length
-            scan.data_end = find_scan_end(data, scan.data_start)
-            for ci, tid in scan.dc_tables.items():
-                if (0, tid) in huff:
-                    scan.dc_huff[ci] = huff[(0, tid)]
-            for ci, tid in scan.ac_tables.items():
-                if (1, tid) in huff:
-                    scan.ac_huff[ci] = huff[(1, tid)]
-            scans.append(scan)
-            pos = scan.data_end
-            continue
-        pos += 2 + length
+            scans.append(_progressive_scan(payload, frame, huff, end))
     if frame is None or not scans:
         raise JpegError("no progressive frame/scans found")
     image = ProgressiveImage(frame, quant, huff, scans)
@@ -135,53 +122,22 @@ def parse_progressive(data: bytes,
     return image
 
 
-def _parse_progressive_sof(payload: bytes) -> FrameInfo:
-    if len(payload) < 6:
-        raise TruncatedJpegError("truncated SOF2")
-    precision = payload[0]
-    height = (payload[1] << 8) | payload[2]
-    width = (payload[3] << 8) | payload[4]
-    ncomp = payload[5]
-    if precision != 8:
-        raise UnsupportedJpegError(f"{precision}-bit progressive", reason="precision")
-    if ncomp not in (1, 3):
-        raise UnsupportedJpegError(f"{ncomp}-component progressive", reason="components")
-    frame = FrameInfo(precision=precision, height=height, width=width)
-    for i in range(ncomp):
-        cid, hv, tq = payload[6 + 3 * i : 9 + 3 * i]
-        frame.components.append(Component(cid, hv >> 4, hv & 0x0F, tq))
-    frame.finalise()
-    return frame
-
-
-def _parse_progressive_sos(payload: bytes, frame: FrameInfo) -> ProgressiveScan:
-    if len(payload) < 1:
-        raise TruncatedJpegError("truncated progressive SOS")
-    ncomp = payload[0]
-    if len(payload) < 1 + 2 * ncomp + 3:
-        raise TruncatedJpegError("truncated progressive SOS body")
-    by_id = {c.component_id: i for i, c in enumerate(frame.components)}
-    indices = []
-    dc_tables, ac_tables = {}, {}
-    for i in range(ncomp):
-        cid = payload[1 + 2 * i]
-        tables = payload[2 + 2 * i]
-        if cid not in by_id:
-            raise JpegError(f"progressive SOS references unknown component {cid}")
-        idx = by_id[cid]
-        indices.append(idx)
-        dc_tables[idx] = tables >> 4
-        ac_tables[idx] = tables & 0x0F
-    ss, se, ah_al = payload[1 + 2 * ncomp : 4 + 2 * ncomp]
+def _progressive_scan(payload: bytes, frame: FrameInfo,
+                      huff: Dict[Tuple[int, int], HuffmanTable],
+                      start: int) -> ProgressiveScan:
+    components, ss, se, ah, al = scan_header(payload, frame)
     if not 0 <= ss <= se <= 63:
         raise JpegError(f"invalid spectral band [{ss}, {se}]")
     if ss == 0 and se != 0:
         raise JpegError("progressive scans must not mix DC and AC")
-    if (ah_al >> 4) or (ah_al & 0x0F):
+    if ah or al:
         raise UnsupportedJpegError(
             "successive approximation not supported", reason="progressive_sa"
         )
-    return ProgressiveScan(indices, ss, se, dc_tables, ac_tables)
+    keys = {ci: (1, ac_table) if ss else (0, dc_table)
+            for ci, dc_table, ac_table in components}
+    tables = {ci: huff[key] for ci, key in keys.items() if key in huff}
+    return ProgressiveScan([ci for ci, _, _ in components], ss, se, start, tables)
 
 
 def _decode_scans(data: bytes, image: ProgressiveImage) -> None:
@@ -202,10 +158,10 @@ def _decode_dc_scan(data: bytes, image: ProgressiveImage, scan: ProgressiveScan)
     reader = BitReader(data, start=scan.data_start)
     interleaved = len(scan.component_indices) > 1
     dc_pred = {ci: 0 for ci in scan.component_indices}
+    tables = scan.tables
     for ci in scan.component_indices:
-        if ci not in scan.dc_huff:
+        if ci not in tables:
             raise JpegError(f"DC scan missing Huffman table for component {ci}")
-    tables = {ci: scan.dc_huff[ci] for ci in scan.component_indices}
     if interleaved:
         layout = mcu_block_layout(frame)
         for mcu in range(frame.mcu_count):
@@ -233,9 +189,9 @@ def _decode_ac_scan(data: bytes, image: ProgressiveImage, scan: ProgressiveScan)
         raise JpegError("progressive AC scans must be single-component")
     ci = scan.component_indices[0]
     comp = image.frame.components[ci]
-    if ci not in scan.ac_huff:
+    if ci not in scan.tables:
         raise JpegError(f"AC scan missing Huffman table for component {ci}")
-    table = scan.ac_huff[ci]
+    table = scan.tables[ci]
     reader = BitReader(data, start=scan.data_start)
     coeffs = image.coefficients[ci]
     eob_run = 0
@@ -270,45 +226,28 @@ def _decode_ac_scan(data: bytes, image: ProgressiveImage, scan: ProgressiveScan)
 # Encoding
 # --------------------------------------------------------------------------
 
-def _segment(marker: int, payload: bytes) -> bytes:
-    return struct.pack(">BBH", 0xFF, marker, len(payload) + 2) + payload
+def _magnitude(value: int) -> Tuple[int, int]:
+    """A value's size category and the bits that code it (T.81 F.1.2.1)."""
+    size = abs(value).bit_length()
+    return size, value if value >= 0 else value + (1 << size) - 1
 
 
-def _sof2_segment(frame: FrameInfo) -> bytes:
-    payload = bytearray(struct.pack(">BHHB", 8, frame.height, frame.width,
-                                    len(frame.components)))
-    for comp in frame.components:
-        payload.extend([comp.component_id, (comp.h << 4) | comp.v,
-                        comp.quant_table_id])
-    return _segment(M.SOF2, bytes(payload))
-
-
-def _sos_segment(frame: FrameInfo, scan: ProgressiveScan) -> bytes:
-    payload = bytearray([len(scan.component_indices)])
-    for ci in scan.component_indices:
-        payload.extend([
-            frame.components[ci].component_id,
-            (scan.dc_tables.get(ci, 0) << 4) | scan.ac_tables.get(ci, 0),
-        ])
-    payload.extend([scan.spectral_start, scan.spectral_end, 0])
-    return _segment(M.SOS, bytes(payload))
-
-
-def _gather_dc_stats(frame, coefficients) -> Dict[int, int]:
-    freq: Dict[int, int] = {}
+def _dc_symbols(frame: FrameInfo, coefficients) -> List[Tuple[int, int, int]]:
+    """(symbol, extra_bits_value, extra_bits_count) stream of the
+    interleaved DC scan."""
+    symbols: List[Tuple[int, int, int]] = []
     layout = mcu_block_layout(frame)
     dc_pred = [0] * len(frame.components)
     for mcu in range(frame.mcu_count):
         mcu_y, mcu_x = divmod(mcu, frame.mcus_x)
         for ci, dy, dx in layout:
             comp = frame.components[ci]
-            by = mcu_y * (comp.v if frame.interleaved else 1) + dy
-            bx = mcu_x * (comp.h if frame.interleaved else 1) + dx
-            dc = int(coefficients[ci][by, bx, 0])
-            size = abs(dc - dc_pred[ci]).bit_length()
+            v, h = (comp.v, comp.h) if frame.interleaved else (1, 1)
+            dc = int(coefficients[ci][mcu_y * v + dy, mcu_x * h + dx, 0])
+            size, bits = _magnitude(dc - dc_pred[ci])
             dc_pred[ci] = dc
-            freq[size] = freq.get(size, 0) + 1
-    return freq
+            symbols.append((size, bits, size))
+    return symbols
 
 
 def _ac_band_symbols(comp, coeffs, band) -> List[Tuple[int, int, int]]:
@@ -344,14 +283,23 @@ def _ac_band_symbols(comp, coeffs, band) -> List[Tuple[int, int, int]]:
                 while run > 15:
                     symbols.append((0xF0, 0, 0))
                     run -= 16
-                size = abs(value).bit_length()
-                coded = value if value >= 0 else value + (1 << size) - 1
-                symbols.append(((run << 4) | size, coded, size))
+                size, bits = _magnitude(value)
+                symbols.append(((run << 4) | size, bits, size))
                 run = 0
             if last_nz < len(values) - 1:
                 eob_run += 1  # EOB terminates this block's band
     flush_eob()
     return symbols
+
+
+def _scan_bytes(table: HuffmanTable, symbols) -> bytes:
+    """The entropy-coded bytes of one scan's symbols, padded with 1-bits."""
+    writer = BitWriter()
+    for symbol, extra, nbits in symbols:
+        code, length = table.encode_symbol(symbol)
+        writer.write_bits((code << nbits) | extra, length + nbits)
+    writer.pad_to_byte(1)
+    return writer.getvalue()
 
 
 def encode_progressive(
@@ -368,66 +316,33 @@ def encode_progressive(
     recipe.  ``bare`` omits APP0/DQT/SOF2 (for containers that keep the
     original header elsewhere; decode with ``parse_progressive(frame=...)``).
     """
-    from repro.jpeg.writer import _dqt_segment, _jfif_app0
-
     out = bytearray(b"\xFF\xD8")
     if not bare:
         out += _jfif_app0()
         for table_id in sorted(quant_tables):
             out += _dqt_segment(table_id, quant_tables[table_id])
-        out += _sof2_segment(frame)
+        out += _sof_segment(M.SOF2, frame)
 
     # --- DC scan (interleaved, table id 0) --------------------------------
-    dc_table = build_optimal_table(_gather_dc_stats(frame, coefficients))
+    dc_symbols = _dc_symbols(frame, coefficients)
+    dc_table = build_optimal_table(Counter(sym for sym, _, _ in dc_symbols))
     out += _segment(M.DHT, dc_table.dht_payload(0, 0))
-    dc_scan = ProgressiveScan(list(range(len(frame.components))), 0, 0,
-                              {ci: 0 for ci in range(len(frame.components))}, {})
-    out += _sos_segment(frame, dc_scan)
-    writer = BitWriter()
-    layout = mcu_block_layout(frame)
-    dc_pred = [0] * len(frame.components)
-    for mcu in range(frame.mcu_count):
-        mcu_y, mcu_x = divmod(mcu, frame.mcus_x)
-        for ci, dy, dx in layout:
-            comp = frame.components[ci]
-            by = mcu_y * (comp.v if frame.interleaved else 1) + dy
-            bx = mcu_x * (comp.h if frame.interleaved else 1) + dx
-            dc = int(coefficients[ci][by, bx, 0])
-            diff = dc - dc_pred[ci]
-            dc_pred[ci] = dc
-            size = abs(diff).bit_length()
-            code, length = dc_table.encode_symbol(size)
-            writer.write_bits(code, length)
-            if size:
-                writer.write_bits(diff if diff >= 0 else diff + (1 << size) - 1,
-                                  size)
-    writer.pad_to_byte(1)
-    out += writer.getvalue()
+    out += _sos_segment(frame, [(ci, 0, 0) for ci in range(len(frame.components))],
+                        (0, 0))
+    out += _scan_bytes(dc_table, dc_symbols)
 
     # --- AC band scans, one per (component, band), sharing one optimal AC
     # table across all of them (jpegtran-style table economy: per-scan DHTs
     # would eat the gains on small files).
-    scan_symbols = []
-    freq: Dict[int, int] = {}
-    for ci, comp in enumerate(frame.components):
-        for band in ac_bands:
-            symbols = _ac_band_symbols(comp, coefficients[ci], band)
-            scan_symbols.append((ci, band, symbols))
-            for sym, _, _ in symbols:
-                freq[sym] = freq.get(sym, 0) + 1
-    ac_table = build_optimal_table(freq or {0x00: 1})
+    bands = [(ci, band, _ac_band_symbols(comp, coefficients[ci], band))
+             for ci, comp in enumerate(frame.components) for band in ac_bands]
+    ac_table = build_optimal_table(
+        Counter(sym for _, _, symbols in bands for sym, _, _ in symbols) or {0x00: 1}
+    )
     out += _segment(M.DHT, ac_table.dht_payload(1, 1))
-    for ci, band, symbols in scan_symbols:
-        scan = ProgressiveScan([ci], band[0], band[1], {}, {ci: 1})
-        out += _sos_segment(frame, scan)
-        writer = BitWriter()
-        for sym, extra, nbits in symbols:
-            code, length = ac_table.encode_symbol(sym)
-            writer.write_bits(code, length)
-            if nbits:
-                writer.write_bits(extra, nbits)
-        writer.pad_to_byte(1)
-        out += writer.getvalue()
+    for ci, band, symbols in bands:
+        out += _sos_segment(frame, [(ci, 0, 1)], band)
+        out += _scan_bytes(ac_table, symbols)
 
     out += b"\xFF\xD9"
     return bytes(out)
@@ -436,10 +351,6 @@ def encode_progressive(
 def encode_progressive_jpeg(pixels: np.ndarray, quality: int = 85,
                             subsampling: str = "4:2:0") -> bytes:
     """Encode raw pixels straight to a progressive JPEG (corpus helper)."""
-    from repro.jpeg.parser import parse_jpeg
-    from repro.jpeg.scan_decode import decode_scan
-    from repro.jpeg.writer import encode_baseline_jpeg
-
     baseline = encode_baseline_jpeg(pixels, quality=quality,
                                     subsampling=subsampling)
     img = parse_jpeg(baseline)

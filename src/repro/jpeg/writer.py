@@ -4,7 +4,9 @@ The paper evaluated Lepton on hundreds of thousands of real user JPEGs; this
 encoder exists to synthesise an equivalent corpus offline.  It produces
 standards-compliant baseline files (SOF0, Annex-K tables, JFIF APP0,
 optional 4:2:0 subsampling and restart intervals) that exercise every path
-of the parser/scan codec and of Lepton itself.
+of the parser/scan codec and of Lepton itself.  Its segment writers are
+the substrate's only ones: the progressive encoder builds its files with
+them too.
 """
 
 import struct
@@ -80,21 +82,24 @@ def _dqt_segment(table_id: int, qtable: np.ndarray) -> bytes:
     return _segment(M.DQT, payload)
 
 
-def _sof0_segment(frame: FrameInfo) -> bytes:
+def _sof_segment(marker: int, frame: FrameInfo) -> bytes:
     payload = bytearray(struct.pack(">BHHB", 8, frame.height, frame.width,
                                     len(frame.components)))
     for comp in frame.components:
         payload.extend([comp.component_id, (comp.h << 4) | comp.v,
                         comp.quant_table_id])
-    return _segment(M.SOF0, bytes(payload))
+    return _segment(marker, bytes(payload))
 
 
-def _sos_segment(frame: FrameInfo) -> bytes:
-    payload = bytearray([len(frame.components)])
-    for comp in frame.components:
-        payload.extend([comp.component_id,
-                        (comp.dc_table_id << 4) | comp.ac_table_id])
-    payload.extend([0, 63, 0])
+def _sos_segment(frame: FrameInfo, components, band=(0, 63)) -> bytes:
+    """An SOS coding the spectral ``band`` of ``components``, each
+    ``(index, dc_table, ac_table)`` as :func:`~repro.jpeg.parser.scan_header`
+    reads them back."""
+    payload = bytearray([len(components)])
+    for ci, dc_table, ac_table in components:
+        payload.extend([frame.components[ci].component_id,
+                        (dc_table << 4) | ac_table])
+    payload.extend([*band, 0])
     return _segment(M.SOS, bytes(payload))
 
 
@@ -183,7 +188,7 @@ def encode_baseline_jpeg(
     header += _dqt_segment(0, luma_q)
     if not grayscale and not cmyk:
         header += _dqt_segment(1, chroma_q)
-    header += _sof0_segment(frame)
+    header += _sof_segment(M.SOF0, frame)
     header += _segment(M.DHT, STD_DC_LUMA.dht_payload(0, 0))
     header += _segment(M.DHT, STD_AC_LUMA.dht_payload(1, 0))
     huffman_tables = {(0, 0): STD_DC_LUMA, (1, 0): STD_AC_LUMA}
@@ -194,7 +199,8 @@ def encode_baseline_jpeg(
         huffman_tables[(1, 1)] = STD_AC_CHROMA
     if restart_interval:
         header += _segment(M.DRI, struct.pack(">H", restart_interval))
-    header += _sos_segment(frame)
+    header += _sos_segment(frame, [(ci, c.dc_table_id, c.ac_table_id)
+                                   for ci, c in enumerate(frame.components)])
 
     scan_info = ScanInfo(list(range(len(frame.components))))
     rst_count = 0

@@ -288,9 +288,8 @@ class LeptonServer:
 
     async def _scrub_loop(self) -> None:
         """Periodic scrub passes, off the event loop (lint D7).  A pass
-        that raises (a replica's ``OSError``, a failed repair write)
-        counts ``scrub.failed_passes``; the next pass, on schedule,
-        checks every chunk again."""
+        that raises counts ``scrub.failed_passes``; the next pass, on
+        schedule, checks every chunk again."""
         while True:
             await asyncio.sleep(self.config.scrub_interval)
             try:

@@ -179,7 +179,9 @@ class FilesystemBackend(StorageBackend):
     flushed and ``fsync``\\ ed into a ``.tmp`` sibling, atomically renamed
     over the final name, and the parent directory is ``fsync``\\ ed so the
     rename itself survives a power cut.  Readers therefore observe either
-    the previous blob or the complete new one.
+    the previous blob or the complete new one.  A missing blob reads as
+    :class:`KeyError`; any other ``OSError`` (a blob that turned into a
+    directory, an I/O error) is a :class:`BackendError`.
     """
 
     name = "filesystem"
@@ -212,14 +214,17 @@ class FilesystemBackend(StorageBackend):
     def write(self, key: str, data: bytes) -> None:
         path = self._path(key)
         parent = os.path.dirname(path)
-        os.makedirs(parent, exist_ok=True)
         tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        self._fsync_dir(parent)
+        try:
+            os.makedirs(parent, exist_ok=True)
+            with open(tmp, "wb") as handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+            self._fsync_dir(parent)
+        except OSError as exc:
+            raise BackendError(f"cannot write {key!r}: {exc}") from exc
 
     def read(self, key: str) -> bytes:
         try:
@@ -227,12 +232,16 @@ class FilesystemBackend(StorageBackend):
                 return handle.read()
         except FileNotFoundError:
             raise KeyError(key) from None
+        except OSError as exc:
+            raise BackendError(f"cannot read {key!r}: {exc}") from exc
 
     def delete(self, key: str) -> None:
         try:
             os.remove(self._path(key))
         except FileNotFoundError:
             pass
+        except OSError as exc:
+            raise BackendError(f"cannot delete {key!r}: {exc}") from exc
 
     def keys(self, prefix: str = "") -> List[str]:
         # Only the directory named by the prefix's segments before its last
@@ -337,9 +346,13 @@ class ReplicatedBackend(StorageBackend):
     * ``read`` walks replicas in order and serves the first blob that
       passes :func:`blob_ok`; replicas that were missing or held an
       invalid blob are repaired in-band with the good copy
-      (``replication.read_repairs``).  At least ``read_quorum`` replicas
-      must *respond* (healthy or not) or the read raises
-      :class:`BackendUnavailable`.
+      (``replication.read_repairs``).  A replica whose read raises any
+      :class:`BackendError` does not respond; at least ``read_quorum``
+      replicas must *respond* (healthy or not) or the read raises
+      :class:`BackendUnavailable`.  With no valid blob, the read raises
+      :class:`BlobError` if a replica held an invalid one,
+      :class:`BackendUnavailable` if a replica did not respond, and
+      :class:`KeyError` if the blob is missing from every replica.
     """
 
     name = "replicated"
@@ -381,7 +394,7 @@ class ReplicatedBackend(StorageBackend):
         stale: List[StorageBackend] = []
         responded = 0
         good: Optional[bytes] = None
-        missing_everywhere = True
+        skipped = invalid = False
         for replica in self.replicas:
             try:
                 data = replica.read(key)
@@ -389,14 +402,16 @@ class ReplicatedBackend(StorageBackend):
                 responded += 1
                 stale.append(replica)
                 continue
-            except BackendUnavailable:
-                missing_everywhere = False
+            except BackendError:
+                # Unreachable or failing: this replica does not answer
+                # this time, and is not repaired in-band either.
+                skipped = True
                 continue
             responded += 1
-            missing_everywhere = False
             if blob_ok(data):
                 good = data
                 break
+            invalid = True
             stale.append(replica)
         if responded < self.read_quorum:
             raise BackendUnavailable(
@@ -404,9 +419,14 @@ class ReplicatedBackend(StorageBackend):
                 f"{len(self.replicas)} replicas responded "
                 f"(need {self.read_quorum})")
         if good is None:
-            if missing_everywhere:
-                raise KeyError(key)
-            raise BlobError(f"no replica holds a valid blob for {key!r}")
+            if invalid:
+                raise BlobError(f"no replica holds a valid blob for {key!r}")
+            if skipped:
+                # Missing wherever a replica answered: the blob may sit
+                # on one that did not, so it is not known to be gone.
+                raise BackendUnavailable(
+                    f"{key!r} is missing from every replica that answered")
+            raise KeyError(key)
         for replica in stale:
             try:
                 replica.write(key, good)

@@ -93,8 +93,8 @@ class StoreEntry:
 
     Its two digests gate every stored chunk: :meth:`chunk` checks a
     payload before its decode (on a read, at recovery and in the
-    scrubber), :meth:`original` the decoded bytes (on a read and in the
-    scrubber).
+    scrubber), :meth:`original` the decoded bytes and their length (on a
+    read and in the scrubber).
     """
 
     index: int
@@ -115,12 +115,27 @@ class StoreEntry:
 
     def original(self, data: bytes) -> bytes:
         """``data``, a decode of this chunk or its kept original, once it
-        hashes to the chunk's content address: no other bytes leave the
-        store."""
+        hashes to the chunk's content address and is as long as this
+        entry says: no other bytes leave the store, and a read never
+        places them by a size nothing checked (a blob's md5 covers its
+        payload, not the ``osize`` in its meta)."""
         if hashlib.sha256(data).hexdigest() != self.original_sha256:
             raise IntegrityError(
                 f"content digest mismatch for {self.original_sha256[:12]}")
+        if len(data) != self.original_size:
+            raise IntegrityError(
+                f"size mismatch for {self.original_sha256[:12]}: "
+                f"{len(data)} bytes, entry says {self.original_size}")
         return data
+
+
+def placeholder(key: str, osize: int) -> StoreEntry:
+    """The *damaged* entry of a chunk no replica holds intact: it keeps
+    only the content address and the original size, so a read can still
+    serve the kept original, and the next put of its bytes writes the
+    chunk again."""
+    return StoreEntry(index=0, format=DAMAGED_FORMAT, original_size=osize,
+                      stored_size=0, payload_md5="", original_sha256=key)
 
 
 def chunk_blob(chunk: StoredChunk) -> bytes:
@@ -266,13 +281,14 @@ class BlockStore:
     def _is_duplicate_put(self, name: str, data: bytes) -> bool:
         """Is ``name`` already stored with exactly these bytes, all of its
         chunk entries intact?  (Content compare is by chunk SHA-256 — the
-        store's own addressing — so a popped or rotted entry re-admits.)"""
+        store's own addressing — so a popped entry or a damaged
+        placeholder re-admits.)"""
         record = self.files.get(name)
         if record is None or record.size != len(data):
             return False
         pos = 0
         for key in record.chunk_keys:
-            entry = self.entries.get(key)
+            entry = self._intact(key)
             if entry is None:
                 return False
             size = entry.original_size
@@ -338,16 +354,18 @@ class BlockStore:
         """Journaled crash-safe admission; returns ``(record,
         stored_bytes)`` — ``record`` is ``None`` when ``name`` was already
         stored byte-identically (the put is idempotent: no recompression,
-        no re-charge).  When the index already holds every chunk (stored
-        content under a new name) nothing is encoded or verified: the
-        stored blobs passed the gate when they were admitted.
+        no re-charge).  When the index already holds every chunk intact
+        (stored content under a new name) nothing is encoded or verified:
+        the stored blobs passed the gate when they were admitted.  A chunk
+        whose entry is a damaged placeholder counts as not stored: the put
+        encodes it, writes its blob and indexes it over the placeholder.
 
         Protocol order (each step is a registered kill point — see
         ``repro.faults.killpoints.KILL_POINTS``):
 
         1. append the **intent** record (names the put and its chunk keys);
-        2. write every chunk blob the index does not hold yet, then
-           every kept-original blob;
+        2. write every chunk blob the index does not hold intact yet,
+           then every kept-original blob;
         3. append the **commit** record carrying the *full* file meta —
            this fsync is the point of no return: before it, recovery
            rolls the put back; after it, recovery redoes it;
@@ -362,7 +380,7 @@ class BlockStore:
         originals = [data[a:b] for a, b in
                      chunk_ranges(len(data), self.chunk_size)]
         keys = [hashlib.sha256(original).hexdigest() for original in originals]
-        if all(key in self.entries for key in keys):
+        if all(self._intact(key) for key in keys):
             chunks = None
             stored = sum(self.entries[key].stored_size for key in keys)
         else:
@@ -380,8 +398,9 @@ class BlockStore:
             for i, key in enumerate(keys):
                 # A stored chunk keeps the blob its index entry describes:
                 # another encode of the same bytes (a Deflate fallback, a
-                # new build) would no longer match the entry's md5.
-                if key not in self.entries:
+                # new build) would no longer match the entry's md5.  With
+                # no encode, every chunk was intact when the put began.
+                if chunks is not None and not self._intact(key):
                     self.backend.write(f"chunk/{key}", chunk_blob(chunks[i]))
                 if i == 0:
                     self._reach("backend.chunk.first")
@@ -415,17 +434,52 @@ class BlockStore:
             self.journal.checkpoint()
         return record, stored
 
-    def _index(self, key: str, entry: StoreEntry,
-               placeholder: Optional[StoreEntry] = None) -> None:
-        """Admit one intact chunk into the metadata index (dedup-aware),
-        in one step over its damaged ``placeholder`` if one is given."""
-        if self.entries.get(key) is not placeholder:
-            return
-        self.entries[key] = entry
-        self.admissions += 1
+    def _intact(self, key: str) -> Optional[StoreEntry]:
+        """``key``'s index entry, unless it has none or a damaged
+        placeholder."""
+        entry = self.entries.get(key)
+        return None if entry is None or entry.format == DAMAGED_FORMAT else entry
+
+    def _index(self, key: str, entry: StoreEntry) -> None:
+        """Admit one intact chunk into the metadata index, in one step
+        over its damaged placeholder if it has one (dedup-aware: an
+        intact entry stays)."""
+        if self._intact(key) is None:
+            self.entries[key] = entry
+            self._count(entry, 1)
+
+    def _count(self, entry: StoreEntry, sign: int) -> None:
+        """Add (``sign`` 1) or take away (-1) an intact entry's share of
+        the admission and Lepton byte counts; a placeholder has none."""
+        self.admissions += sign
         if entry.format == FORMAT_LEPTON:
-            self.lepton_bytes_in += entry.original_size
-            self.lepton_bytes_out += entry.stored_size
+            self.lepton_bytes_in += sign * entry.original_size
+            self.lepton_bytes_out += sign * entry.stored_size
+
+    def _osize(self, size: int, i: int) -> int:
+        """Chunk ``i``'s original size in a file of ``size`` bytes:
+        chunking is fixed-size, so its position fixes it — the one fact a
+        damaged blob cannot tell us itself."""
+        return min(self.chunk_size, size - i * self.chunk_size)
+
+    def mark_damaged(self, key: str, seen: Optional[StoreEntry]) -> None:
+        """Swap ``key``'s entry ``seen`` for the placeholder recovery
+        would make of it, once no replica holds a blob recovery would
+        index: the counts drop it as a fresh recovery's would, and the
+        next put of its bytes writes the chunk again, no restart needed.
+        No-op unless ``seen`` is still the intact entry (a put may have
+        written the chunk again since the caller looked)."""
+        with self._put_lock:
+            entry = self._intact(key)
+            if entry is None or entry is not seen:
+                return
+            # Recovery sizes it by its first place in the first file, by
+            # name, that holds it.
+            record = self.files[min(name for name, held in self.files.items()
+                                    if key in held.chunk_keys)]
+            self.entries[key] = placeholder(key, self._osize(
+                record.size, record.chunk_keys.index(key)))
+            self._count(entry, -1)
 
     def recover(self) -> dict:
         """Startup recovery: make backend + index agree with the journal.
@@ -494,8 +548,11 @@ class BlockStore:
         for blob_key in self.backend.keys("file/"):
             try:
                 meta, _payload = decode_blob(self.backend.read(blob_key))
-            except (KeyError, BackendError):
-                continue  # a torn file blob: its put never committed
+            except (KeyError, BlobError):
+                # Gone or torn: its put never committed.  Any other
+                # backend error on the last readable copy stops startup
+                # rather than drop a committed file unseen.
+                continue
             if isinstance(meta.get("name"), str) and "keys" in meta:
                 metas.append(meta)
         return sorted(metas, key=lambda m: m["name"])
@@ -513,13 +570,8 @@ class BlockStore:
             size = int(file_meta["size"])
             self.files[name] = FileRecord(name, keys, size)
             for i, key in enumerate(keys):
-                if key in self.entries:
-                    continue
-                # Chunking is fixed-size, so the original size of every
-                # chunk is derivable from its position — the one fact a
-                # damaged blob cannot tell us itself.
-                osize = min(self.chunk_size, size - i * self.chunk_size)
-                self._load_entry(key, osize)
+                if key not in self.entries:
+                    self._load_entry(key, self._osize(size, i))
             if self.quotas is not None:
                 self.quotas.commit(str(file_meta.get("tenant", "default")),
                                    0, size, int(file_meta.get("stored", 0)))
@@ -534,9 +586,7 @@ class BlockStore:
             entry, _chunk = chunk_entry(key, self.backend.read(f"chunk/{key}"))
         except (KeyError, BackendError, IntegrityError):
             self.damaged_entries += 1
-            self.entries[key] = StoreEntry(
-                index=0, format=DAMAGED_FORMAT, original_size=osize,
-                stored_size=0, payload_md5="", original_sha256=key)
+            self.entries[key] = placeholder(key, osize)
             return
         self._index(key, entry)
 
@@ -545,12 +595,12 @@ class BlockStore:
         intact, in place of its damaged placeholder, as recovery over the
         healed replicas would; ``False`` if ``key`` holds no placeholder.
         ``damaged_entries`` still counts recovery's outcome."""
-        placeholder = self.entries.get(key)
-        if placeholder is None or placeholder.format != DAMAGED_FORMAT:
+        held = self.entries.get(key)
+        if held is None or held.format != DAMAGED_FORMAT:
             return False
         entry, _chunk = chunk_entry(key, blob)
         with self._put_lock:
-            self._index(key, entry, placeholder)
+            self._index(key, entry)
         return True
 
     def _payload(self, key: str) -> bytes:
@@ -675,7 +725,9 @@ class BlockStore:
         request for a file tail never touches its head.  Each chunk passes
         both digest gates of :meth:`get_chunk` *before* any of its bytes
         are yielded (the degraded-read contract forbids streaming bytes a
-        later check could disown).  The codec runner's plan for the read
+        later check could disown), and the file's chunk sizes must add up
+        to its recorded size before the first byte, since neither size is
+        covered by a digest.  The codec runner's plan for the read
         may start later chunks' decodes while earlier ones stream out
         (:class:`repro.storage.workers.CodecPool`).  Feeds the same
         ``blockstore.read.*`` histograms as whole-file reads.
@@ -685,13 +737,16 @@ class BlockStore:
         live chaos harness drills.
         """
         record = self.files[name]
+        spans = self.chunk_spans(name)
+        if (spans[-1][2] if spans else 0) != record.size:
+            raise IntegrityError(
+                f"chunk sizes of {name!r} do not add up to its size")
         start = max(0, start)
         stop = min(stop, record.size)
         registry = get_registry()
         # Telemetry only: never feeds a coded decision.
         begin = time.monotonic()  # lint: disable=D2
-        spans = [(key, a, b) for key, a, b in self.chunk_spans(name)
-                 if a < stop and b > start]
+        spans = [(key, a, b) for key, a, b in spans if a < stop and b > start]
         # A stream that ends early drops its plan; a decode still running
         # frees its worker when it finishes.
         plan = self.codec.read([functools.partial(self._checked, key)

@@ -11,9 +11,17 @@ meta's keys, payload md5) and its one verified decode (Lepton/Deflate
 decode, SHA-256 against the content address).  It repairs every bad or
 missing replica by writing back a blob that passed.  A chunk with no
 intact replica is counted ``unrepairable`` (the kept-original fallback
-still serves it); one the recovery pass loaded as a *damaged*
-placeholder is handed to the store with a healthy blob, which indexes
-it (:meth:`~repro.storage.blockstore.BlockStore.heal`).
+still serves it); when every replica answered and none holds a blob
+recovery would index, its entry becomes the *damaged* placeholder
+recovery would make
+(:meth:`~repro.storage.blockstore.BlockStore.mark_damaged`), so the next
+put of its bytes writes it again.  A blob that fails only its decode (a
+decoder bug, §6.7) keeps its entry: a put must not overwrite an intact
+blob with the failing build's encode.  A placeholder is handed to the
+store with a healthy blob, which indexes it
+(:meth:`~repro.storage.blockstore.BlockStore.heal`).  A replica whose
+read raises a :class:`~repro.storage.backends.BackendError` is skipped
+for the pass, never the end of it.
 
 Counters (docs/observability.md): ``scrub.runs``, ``scrub.chunks_checked``,
 ``scrub.corruptions_detected``, ``scrub.repairs``, ``scrub.unrepairable``.
@@ -26,14 +34,28 @@ from typing import List, Optional
 from repro.obs import MetricsRegistry, get_registry
 from repro.storage.backends import (
     BackendError,
-    BackendUnavailable,
     ReplicatedBackend,
     StorageBackend,
 )
-from repro.storage.blockstore import BlockStore, InProcessCodec, chunk_entry
+from repro.storage.blockstore import (
+    BlockStore,
+    InProcessCodec,
+    IntegrityError,
+    chunk_entry,
+)
 
 #: The scrubber decodes in its own thread, never on the codec workers.
 _CODEC = InProcessCodec()
+
+
+def _indexable(key: str, data: bytes) -> bool:
+    """Would recovery index ``data``?  Its one test is the store's one
+    reader, :func:`~repro.storage.blockstore.chunk_entry`; no decode."""
+    try:
+        chunk_entry(key, data)
+    except IntegrityError:
+        return False
+    return True
 
 
 @dataclass
@@ -109,25 +131,36 @@ class Scrubber:
     def _scrub_chunk(self, key: str, replicas: List[StorageBackend],
                      report: ScrubReport) -> None:
         blob_key = f"chunk/{key}"
+        seen = self.store.entries.get(key)
         good: Optional[bytes] = None
         heal: List[StorageBackend] = []
+        skipped = indexable = False
         for replica in replicas:
             try:
                 data = replica.read(blob_key)
             except KeyError:
                 heal.append(replica)  # missing: repair, but not corruption
                 continue
-            except BackendUnavailable:
-                continue  # cannot judge an unreachable replica this pass
+            except BackendError:
+                # Unreachable or failing: this replica cannot be judged
+                # this pass; the chunks after it still are.
+                skipped = True
+                continue
             if self.deep_ok(key, data):
                 if good is None:
                     good = data
             else:
                 report.corruptions_detected += 1
                 heal.append(replica)
+                indexable = indexable or _indexable(key, data)
         if good is None:
             if heal:
                 report.unrepairable += 1
+                # Recovery's own test: with every replica read, and no
+                # blob recovery would index (one that fails only its
+                # decode, §6.7, it would), recovery makes a placeholder.
+                if not (skipped or indexable):
+                    self.store.mark_damaged(key, seen)
             return
         for replica in heal:
             try:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.segments import (
     DEFAULT_THREAD_CUTOFFS,
     choose_thread_count,
-    plan_segments,
     plan_segments_range,
 )
 
@@ -31,31 +30,34 @@ class TestThreadCutoffs:
 
 
 class TestPlanSegments:
+    """A whole image is the range ``(0, rows * mcus_x)``."""
+
     def test_single_thread_covers_everything(self):
-        assert plan_segments(10, 4, 1) == [(0, 40)]
+        assert plan_segments_range(0, 40, 4, 1) == [(0, 40)]
 
     def test_even_split(self):
-        assert plan_segments(8, 2, 4) == [(0, 4), (4, 8), (8, 12), (12, 16)]
+        assert plan_segments_range(0, 16, 2, 4) == [
+            (0, 4), (4, 8), (8, 12), (12, 16)]
 
     def test_uneven_split_front_loads_remainder(self):
-        segs = plan_segments(5, 3, 2)
+        segs = plan_segments_range(0, 15, 3, 2)
         assert segs == [(0, 9), (9, 15)]
 
     def test_more_threads_than_rows_capped(self):
-        segs = plan_segments(3, 4, 8)
+        segs = plan_segments_range(0, 12, 4, 8)
         assert len(segs) == 3
 
     def test_threads_capped_at_max(self):
-        assert len(plan_segments(100, 1, 99)) == 8
+        assert len(plan_segments_range(0, 100, 1, 99)) == 8
 
     def test_no_mcus_rejected(self):
         with pytest.raises(ValueError):
-            plan_segments(0, 4, 2)
+            plan_segments_range(0, 0, 4, 2)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 60), st.integers(1, 20), st.integers(1, 12))
     def test_partition_properties(self, rows, mcus_x, threads):
-        segs = plan_segments(rows, mcus_x, threads)
+        segs = plan_segments_range(0, rows * mcus_x, mcus_x, threads)
         # Contiguous, non-empty, covering, row-aligned.
         assert segs[0][0] == 0
         assert segs[-1][1] == rows * mcus_x
@@ -68,9 +70,6 @@ class TestPlanSegments:
 
 
 class TestPlanSegmentsRange:
-    def test_full_range_matches_plan_segments(self):
-        assert plan_segments_range(0, 40, 4, 2) == plan_segments(10, 4, 2)
-
     def test_partial_rows_absorbed_at_ends(self):
         segs = plan_segments_range(3, 37, 8, 2)
         assert segs[0][0] == 3

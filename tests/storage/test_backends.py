@@ -103,6 +103,23 @@ def test_filesystem_rejects_traversal_keys(tmp_path):
             fs.write(key, b"x")
 
 
+def test_filesystem_errors_other_than_a_missing_blob_are_backend_errors(
+        tmp_path):
+    """A missing blob reads as ``KeyError``; a blob that turned into a
+    directory fails every operation with a :class:`BackendError`, never a
+    bare ``OSError``."""
+    fs = FilesystemBackend(str(tmp_path / "blobs"))
+    with pytest.raises(KeyError):
+        fs.read("chunk/gone")
+    fs.delete("chunk/gone")  # deleting a missing blob is a no-op
+    os.makedirs(os.path.join(fs.root, "chunk", "dir"))
+    for operation in (lambda: fs.read("chunk/dir"),
+                      lambda: fs.write("chunk/dir", b"x"),
+                      lambda: fs.delete("chunk/dir")):
+        with pytest.raises(BackendError):
+            operation()
+
+
 def test_filesystem_leaves_no_tmp_files_and_hides_them(tmp_path):
     root = tmp_path / "blobs"
     fs = FilesystemBackend(str(root))
@@ -251,6 +268,18 @@ def test_replicated_read_raises_on_missing_vs_invalid():
         m.write("chunk/rot", b"garbage")
     with pytest.raises(BlobError):
         rep.read("chunk/rot")  # present everywhere, valid nowhere
+
+
+def test_replicated_read_skips_a_replica_that_errors(tmp_path):
+    """A replica whose read fails is one that does not answer this time:
+    the next replica serves, and the failing one is not repaired in-band."""
+    broken = FilesystemBackend(str(tmp_path / "broken"))
+    os.makedirs(os.path.join(broken.root, "chunk", "aa"))
+    healthy = MemoryBackend()
+    healthy.write("chunk/aa", _good_blob())
+    rep = ReplicatedBackend([broken, healthy], registry=MetricsRegistry())
+    assert rep.read("chunk/aa") == _good_blob()
+    assert os.path.isdir(os.path.join(broken.root, "chunk", "aa"))
 
 
 def test_replicated_write_quorum():

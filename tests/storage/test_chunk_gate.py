@@ -13,12 +13,15 @@ from repro.serve.app import LeptonServer, ServeConfig
 from repro.storage.backends import (
     MemoryBackend,
     ReplicatedBackend,
+    blob_ok,
     decode_blob,
     encode_blob,
 )
 from repro.storage.blockstore import (
     DAMAGED_FORMAT,
     BlockStore,
+    IntegrityError,
+    file_blob_key,
     open_durable_store,
 )
 from repro.storage.retry import RetryPolicy
@@ -55,11 +58,16 @@ def test_a_decoder_bug_fails_every_chunk_without_ending_the_pass(
     monkeypatch.setattr(chunks, "decompress", _undecodable)
     assert store.get_file("a.jpg") == photo
     assert store.degraded_fallbacks == len(keys)
+    entries, admissions = dict(store.entries), store.admissions
     report = Scrubber(store, registry=MetricsRegistry()).run_once()
     assert report.chunks_checked == len(keys)
     assert report.corruptions_detected == len(keys)
     assert report.unrepairable == len(keys)
     assert report.repairs == 0
+    # Recovery would index the md5-intact blobs, so the pass keeps their
+    # entries: a put must not re-encode them under the failing build.
+    assert store.entries == entries
+    assert store.admissions == admissions
 
 
 def test_a_rebuilt_placeholder_is_indexed_as_recovery_would(tmp_path):
@@ -131,6 +139,181 @@ def test_a_damaged_blob_is_damaged_to_recovery_and_scrubber_alike(
     assert not Scrubber.deep_ok(key, damaged)
     assert recovered.get_file("a.jpg") == photo  # the kept original
     recovered.journal.close()
+
+
+# A blob's md5 covers its payload only, so a bit flipped in its meta
+# passes every blob check: the read path checks the sizes it places by.
+
+
+def _flip(backend, key: str, old: bytes, new: bytes) -> None:
+    """Rewrite one blob with ``old`` (one bit away from ``new``) replaced."""
+    blob = backend.read(key)
+    assert blob.count(old) == 1
+    backend.write(key, blob.replace(old, new))
+    assert blob_ok(backend.read(key))
+
+
+def _sized_photo() -> bytes:
+    photo = corpus_jpeg(seed=21, height=64, width=64)
+    assert len(photo) == 1179  # chunks of 1024 and 155 bytes
+    return photo
+
+
+def test_a_flipped_chunk_size_never_places_a_verified_chunk(tmp_path):
+    """``"osize": 1024`` flipped to 1020 in chunk 0's meta: a range read
+    fails before its first byte instead of shifting the file's bytes, a
+    full read fails too, and a scrub pass counts the blob rotten."""
+    photo = _sized_photo()
+    store = open_durable_store(str(tmp_path), chunk_size=CHUNK)
+    key = store.put_file("a.jpg", photo).chunk_keys[0]
+    store.journal.close()
+    _flip(store.backend, f"chunk/{key}", b'"osize": 1024', b'"osize": 1020')
+    store = open_durable_store(str(tmp_path), chunk_size=CHUNK)
+    assert store.damaged_entries == 0  # the blob alone looks intact
+    with pytest.raises(IntegrityError):
+        next(store.stream_range("a.jpg", 1020, 1030))
+    with pytest.raises(IntegrityError):
+        b"".join(store.stream_file("a.jpg"))
+    with pytest.raises(IntegrityError):
+        store.get_chunk(key)  # the kept original fails the size check too
+    report = Scrubber(store, registry=MetricsRegistry()).run_once()
+    assert report.corruptions_detected == 1
+    store.journal.close()
+
+
+def test_the_scrubber_repairs_a_flipped_chunk_size_from_a_good_replica(
+        tmp_path):
+    photo = _sized_photo()
+    store = open_durable_store(str(tmp_path), replicas=2, chunk_size=CHUNK)
+    key = store.put_file("a.jpg", photo).chunk_keys[0]
+    store.journal.close()
+    first = store.backend.replicas[0]
+    _flip(first, f"chunk/{key}", b'"osize": 1024', b'"osize": 1020')
+    store = open_durable_store(str(tmp_path), replicas=2, chunk_size=CHUNK)
+    report = Scrubber(store, registry=MetricsRegistry()).run_once()
+    assert (report.corruptions_detected, report.repairs) == (1, 1)
+    store.journal.close()
+    store = open_durable_store(str(tmp_path), replicas=2, chunk_size=CHUNK)
+    assert b"".join(store.stream_file("a.jpg")) == photo
+    store.journal.close()
+
+
+def test_a_flipped_file_size_fails_the_stream_before_its_first_byte(
+        tmp_path):
+    """``"size": 1179`` flipped to 1171 in the file record: the chunk
+    sizes no longer add up to it, so a read returns nothing rather than
+    a file cut short."""
+    photo = _sized_photo()
+    store = open_durable_store(str(tmp_path), chunk_size=CHUNK)
+    store.put_file("a.jpg", photo)
+    store.journal.close()
+    _flip(store.backend, file_blob_key("a.jpg"), b'"size": 1179',
+          b'"size": 1171')
+    store = open_durable_store(str(tmp_path), chunk_size=CHUNK)
+    assert store.files["a.jpg"].size == 1171
+    with pytest.raises(IntegrityError):
+        next(store.stream_file("a.jpg"))
+    with pytest.raises(IntegrityError):
+        next(store.stream_range("a.jpg", 0, 10))
+    store.journal.close()
+
+
+def test_a_re_put_writes_a_chunk_no_replica_holds_intact_again(tmp_path):
+    """One replica, kept originals, one flipped payload bit: the scrub
+    pass that finds no intact blob marks the entry damaged, as recovery
+    would, so re-putting the same bytes writes the chunk again, with no
+    restart."""
+    backend = MemoryBackend()
+    store = open_durable_store(str(tmp_path / "a"), backends=[backend],
+                               chunk_size=CHUNK)
+    photo = _photo()
+    key = store.put_file("a.jpg", photo).chunk_keys[0]
+    intact = backend.read(f"chunk/{key}")
+    backend.write(f"chunk/{key}", DAMAGE["payload_bit_flip"](intact))
+    scrubber = Scrubber(store, registry=MetricsRegistry())
+    assert scrubber.run_once().unrepairable == 1
+    assert store.entries[key].format == DAMAGED_FORMAT
+    fresh = open_durable_store(str(tmp_path / "b"), backends=[backend],
+                               chunk_size=CHUNK)
+    for name in ("entries", "admissions", "lepton_bytes_in",
+                 "lepton_bytes_out"):
+        assert getattr(store, name) == getattr(fresh, name), name
+    fresh.journal.close()
+    store.put_file("a.jpg", photo)
+    assert backend.read(f"chunk/{key}") == intact
+    report = scrubber.run_once()
+    assert (report.corruptions_detected, report.unrepairable) == (0, 0)
+    fallbacks = store.degraded_fallbacks
+    assert store.get_file("a.jpg") == photo
+    assert store.degraded_fallbacks == fallbacks  # served from the blob
+    store.journal.close()
+
+
+def test_a_damaged_entry_takes_its_size_from_its_place_in_the_file(
+        tmp_path):
+    """Recovery indexed chunk 0 by a flipped ``osize`` (1020), then its
+    payload rotted too.  The pass's placeholder takes recovery's size,
+    1024 from the chunk's place in the file, so the kept original serves
+    the file again."""
+    photo = _sized_photo()
+    backend = MemoryBackend()
+    store = open_durable_store(str(tmp_path / "a"), backends=[backend],
+                               chunk_size=CHUNK)
+    key = store.put_file("a.jpg", photo).chunk_keys[0]
+    store.journal.close()
+    _flip(backend, f"chunk/{key}", b'"osize": 1024', b'"osize": 1020')
+    store = open_durable_store(str(tmp_path / "a"), backends=[backend],
+                               chunk_size=CHUNK)
+    assert store.entries[key].original_size == 1020
+    backend.write(f"chunk/{key}",
+                  DAMAGE["payload_bit_flip"](backend.read(f"chunk/{key}")))
+    assert Scrubber(store, registry=MetricsRegistry()).run_once(
+        ).unrepairable == 1
+    fresh = open_durable_store(str(tmp_path / "b"), backends=[backend],
+                               chunk_size=CHUNK)
+    assert store.entries == fresh.entries
+    assert store.entries[key].original_size == CHUNK
+    fresh.journal.close()
+    assert store.get_file("a.jpg") == photo
+    store.journal.close()
+
+
+def test_a_re_put_during_a_scrub_pass_keeps_the_chunk_it_wrote(
+        tmp_path, monkeypatch):
+    """The pass reads a damaged chunk's rotten blob; a re-put then
+    writes the chunk and indexes it before the pass gives its verdict.
+    The verdict was on the placeholder, so the fresh entry stays."""
+    backend = MemoryBackend()
+    store = open_durable_store(str(tmp_path / "a"), backends=[backend],
+                               chunk_size=CHUNK)
+    photo = _photo()
+    key = store.put_file("a.jpg", photo).chunk_keys[0]
+    backend.write(f"chunk/{key}",
+                  DAMAGE["payload_bit_flip"](backend.read(f"chunk/{key}")))
+    scrubber = Scrubber(store, registry=MetricsRegistry())
+    scrubber.run_once()
+    assert store.entries[key].format == DAMAGED_FORMAT
+    read, landed = backend.read, []
+
+    def read_then_re_put(blob_key):
+        data = read(blob_key)
+        if blob_key == f"chunk/{key}" and not landed:
+            landed.append(blob_key)
+            store.put_file("a.jpg", photo)
+        return data
+
+    monkeypatch.setattr(backend, "read", read_then_re_put)
+    assert scrubber.run_once().unrepairable == 1
+    assert landed
+    monkeypatch.undo()
+    fresh = open_durable_store(str(tmp_path / "b"), backends=[backend],
+                               chunk_size=CHUNK)
+    assert fresh.damaged_entries == 0
+    for name in ("entries", "admissions", "lepton_bytes_in",
+                 "lepton_bytes_out"):
+        assert getattr(store, name) == getattr(fresh, name), name
+    fresh.journal.close()
+    store.journal.close()
 
 
 @pytest.mark.serve
